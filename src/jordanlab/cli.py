@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 from . import birgroup
 from .errors import (
+    BadArgument,
+    CertificateError,
     DegenerateAfterRetries,
     JordanLabError,
     NotAdmissible,
@@ -24,16 +26,18 @@ from .errors import (
 )
 from .ellcurve import Curve, curve_search, enumerate_points, iter_admissible_curves, weil_pairing
 from .finab import (
+    DEFAULT_SPAN_BUDGET,
     FinAbGroup,
     all_h_subgroups,
+    h_tables,
     is_isotropic,
     isotropic_witness,
     pairing,
     parse_delta,
 )
 from .gtable import GroupTable
-from .heisenberg import commutator, group_table, min_abelian_index
-from .scalars import mu_generator
+from .heisenberg import EXHAUSTIVE_CAP, HeisElement, group_table, min_abelian_index
+from .scalars import RootOfUnity, mu_generator
 from .theta import (
     find_theta_curve,
     h_of_level,
@@ -48,7 +52,6 @@ VERIFIED = "verified"
 FAILED = "failed"
 SKIPPED = "skipped-budget"
 
-ABSTRACT_EXHAUSTIVE_N = 6  # commutator scans and subgroup lattices stop here
 PAIRING_TRIPLE_CAP = 2_000_000
 
 
@@ -134,6 +137,14 @@ def _emit(report: RunReport, fmt: str) -> int:
 # abstract: symplectic layer + Heisenberg-type layer for one delta
 
 
+def _counterexample(names: str, items: tuple | None) -> str:
+    """Claim detail naming the first bad tuple, or "" when there is none."""
+    if items is None:
+        return ""
+    shown = ", ".join(map(repr, items))
+    return f"first counterexample {names} = " + (f"({shown})" if len(items) > 1 else shown)
+
+
 def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
     start = time.perf_counter()
     report = RunReport("abstract", {"delta": list(delta), "budget": budget})
@@ -143,31 +154,35 @@ def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
     report.data["n"] = n
     report.data["group_order"] = n ** 3
 
-    h = group.h_elements()
-    if len(h) ** 3 <= PAIRING_TRIPLE_CAP:
-        checked = failures = 0
-        for a, b, c in itertools.product(h, repeat=3):
-            left = pairing(a + b, c)
-            if left != pairing(a, c) * pairing(b, c):
-                failures += 1
-            right = pairing(a, b + c)
-            if right != pairing(a, b) * pairing(a, c):
-                failures += 1
-            checked += 2
-        report.claim("pairing-bi-additive", failures == 0, checked, failures)
+    # every pairing claim is a lookup into integer tables of H built once
+    h, add, gram = h_tables(group, pairing)
+    m = len(h)
+    if m ** 3 <= PAIRING_TRIPLE_CAP:
+        failures, first = 0, None
+        for a, b in itertools.product(range(m), repeat=2):
+            e_a, e_ab = gram[a], gram[add[a][b]]
+            # e(a+b, c) = e(a, c) e(b, c) and e(a, b+c) = e(a, b) e(a, c), over all c
+            left = [(u + v) % n for u, v in zip(e_a, gram[b])]
+            shifted = [e_a[bc] for bc in add[b]]
+            right = [(e_a[b] + u) % n for u in e_a]
+            if e_ab == left and shifted == right:
+                continue
+            bad = [c for c in range(m) if e_ab[c] != left[c] or shifted[c] != right[c]]
+            failures += sum(e_ab[c] != left[c] for c in bad) + sum(shifted[c] != right[c] for c in bad)
+            if first is None:
+                first = (h[a], h[b], h[bad[0]])
+        report.claim("pairing-bi-additive", failures == 0, 2 * m ** 3, failures,
+                     _counterexample("(a, b, c)", first))
     else:
-        report.skip("pairing-bi-additive", f"{len(h)}^3 triples exceed cap")
+        report.skip("pairing-bi-additive", f"{m}^3 triples exceed cap")
 
-    alt_failures = sum(0 if pairing(a, a).is_one else 1 for a in h)
-    report.claim("pairing-alternating", alt_failures == 0, len(h), alt_failures)
+    alt_bad = [a for a in range(m) if gram[a][a] != 0]
+    report.claim("pairing-alternating", not alt_bad, m, len(alt_bad),
+                 _counterexample("a", (h[alt_bad[0]],) if alt_bad else None))
 
-    nd_failures = 0
-    for a in h:
-        if a.is_zero:
-            continue
-        if all(pairing(a, b).is_one for b in h):
-            nd_failures += 1
-    report.claim("pairing-nondegenerate", nd_failures == 0, len(h), nd_failures)
+    nd_bad = [a for a in range(m) if not h[a].is_zero and not any(gram[a])]
+    report.claim("pairing-nondegenerate", not nd_bad, m, len(nd_bad),
+                 _counterexample("a", (h[nd_bad[0]],) if nd_bad else None))
 
     if group.h_order() <= budget and group.h_order() <= 400:
         subs = all_h_subgroups(group, budget=budget)
@@ -182,14 +197,30 @@ def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
     else:
         report.skip("isotropic-index-divisibility", f"#H = {group.h_order()} too large")
 
-    if n <= ABSTRACT_EXHAUSTIVE_N:
-        _, elems = group_table(group)
-        checked = failures = 0
-        for g, hh in itertools.product(elems, repeat=2):
-            if commutator(g, hh) != pairing(g.project(), hh.project()):
-                failures += 1
-            checked += 1
-        report.claim("commutator-identity", failures == 0, checked, failures)
+    if n <= EXHAUSTIVE_CAP:
+        # g h g^-1 h^-1 must be the central element zeta^e(g, h), for every pair
+        table, elems = group_table(group)
+        t = table.table
+        index_of = {e: i for i, e in enumerate(elems)}
+        h_index = {p: i for i, p in enumerate(h)}
+        inv = [index_of[e.inverse()] for e in elems]
+        proj = [h_index[e.project()] for e in elems]
+        zero, triv = group.zero(), group.trivial_character()
+        central = [index_of[HeisElement(RootOfUnity(n, k), zero, triv)] for k in range(n)]
+        failures, first = 0, None
+        for g, t_g in enumerate(t):
+            t_ginv = [t[gh][inv[g]] for gh in t_g]
+            got = [t[ghg][ih] for ghg, ih in zip(t_ginv, inv)]
+            e_g = gram[proj[g]]
+            want = [central[e_g[ph]] for ph in proj]
+            if got == want:
+                continue
+            bad = [hh for hh in range(len(elems)) if got[hh] != want[hh]]
+            failures += len(bad)
+            if first is None:
+                first = (elems[g], elems[bad[0]])
+        report.claim("commutator-identity", failures == 0, len(elems) ** 2, failures,
+                     _counterexample("(g, h)", first))
     else:
         report.skip("commutator-identity", f"N = {n} beyond exhaustive cap")
 
@@ -431,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_abstract = sub.add_parser("abstract", help="verify the symplectic and Heisenberg layers")
     p_abstract.add_argument("--delta", required=True, help="elementary divisors, e.g. 4,2")
-    p_abstract.add_argument("--budget", type=int, default=20736,
+    p_abstract.add_argument("--budget", type=int, default=DEFAULT_SPAN_BUDGET,
                             help="element cap for subgroup enumeration")
 
     p_search = sub.add_parser("curve-search", help="list curves with full level-n structure")
@@ -464,17 +495,25 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "abstract":
             report = run_abstract(parse_delta(args.delta), args.budget)
         elif args.command == "curve-search":
+            if args.n < 2:
+                raise BadArgument(f"--n must be at least 2, got {args.n}")
             report = run_curve_search(args.n, args.p_max)
         elif args.command == "theta-verify":
             curve = None
             if args.p is not None:
                 if args.a is None or args.b is None:
-                    raise ValueError("--p requires --a and --b")
-                curve = Curve.make(args.p, args.a, args.b)
+                    raise BadArgument("--p requires --a and --b")
+                try:
+                    curve = Curve.make(args.p, args.a, args.b)
+                except ValueError as exc:  # non-prime p, p < 5 or a singular curve
+                    raise BadArgument(str(exc)) from exc
             report = run_theta_verify(curve, args.n, args.p_max, args.seed)
         else:
             report = run_nonjordan(args.n_max, args.p_max, args.exhaustive_max,
                                    args.theta_max, args.seed)
+    except CertificateError as exc:  # a broken certificate fails the run; it is not bad input
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except JordanLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

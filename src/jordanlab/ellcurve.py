@@ -462,12 +462,6 @@ def ratio_constant(f: TrackedFunction, g: TrackedFunction) -> FpElement:
     return (f * g.inverse()).constant_value()
 
 
-def functions_equal(f: TrackedFunction, g: TrackedFunction) -> bool:
-    if f.curve != g.curve or f.divisor() != g.divisor():
-        return False
-    return ratio_constant(f, g) == f.curve.fe(1)
-
-
 def line_function(p1: CurvePoint, p2: CurvePoint) -> TrackedFunction:
     """The line through two points (tangent if equal, vertical through O)."""
     p1._check(p2)

@@ -83,3 +83,11 @@ class CurveMismatch(JordanLabError):
 
 class Undefined(JordanLabError):
     """Birational map is undefined at the sample point."""
+
+
+class CertificateError(JordanLabError):
+    """A certified identity failed to hold; signals an implementation bug, never bad input."""
+
+
+class BadArgument(JordanLabError):
+    """A command-line argument is out of range or inconsistent with the others."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BadDelta, BudgetExceeded, GroupMismatch, NotASubgroup, NotIsotropic
 from .scalars import RootOfUnity
@@ -222,6 +222,22 @@ def pairing(h1: HPoint, h2: HPoint) -> RootOfUnity:
     """The alternating form e(h1, h2) = ell_2(x_1) / ell_1(x_2)."""
     _same_group(h1.x, h2.x)
     return h2.ell(h1.x) * h1.ell(h2.x).inverse()
+
+
+def h_tables(group: FinAbGroup, form: Callable[[HPoint, HPoint], RootOfUnity]
+             ) -> tuple[list[HPoint], list[list[int]], list[list[int]]]:
+    """H in h_elements() order with its addition table and the Gram table of form.
+
+    add[i][j] is the index of h_i + h_j and gram[i][j] the mu_N exponent of
+    form(h_i, h_j), normally pairing.  Both are filled once from the object
+    operations, so a claim checked on the tables is a claim about
+    HPoint.__add__ and the form.
+    """
+    h = group.h_elements()
+    index = {p: i for i, p in enumerate(h)}
+    add = [[index[a + b] for b in h] for a in h]
+    gram = [[form(a, b).exponent for b in h] for a in h]
+    return h, add, gram
 
 
 @dataclass(frozen=True)

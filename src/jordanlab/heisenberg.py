@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import GroupMismatch
+from .errors import CertificateError, GroupMismatch
 from .finab import Character, FinAbGroup, HPoint, KElement
 from .gtable import GroupTable
 from .scalars import RootOfUnity
@@ -78,7 +78,8 @@ def identity(group: FinAbGroup) -> HeisElement:
 def commutator(g: HeisElement, h: HeisElement) -> RootOfUnity:
     """Scalar part of g h g^-1 h^-1; the group and character parts vanish."""
     c = g * h * g.inverse() * h.inverse()
-    assert c.x.is_zero and c.ell.is_trivial, "commutator escaped the center"
+    if not (c.x.is_zero and c.ell.is_trivial):
+        raise CertificateError(f"commutator of {g!r} and {h!r} escaped the center")
     return c.a
 
 
@@ -95,8 +96,32 @@ def elements(group: FinAbGroup) -> list[HeisElement]:
 
 @lru_cache(maxsize=None)
 def group_table(group: FinAbGroup) -> tuple[GroupTable, tuple[HeisElement, ...]]:
-    elems = tuple(sorted(elements(group), key=HeisElement.sort_key))
-    return GroupTable.from_elements(elems, lambda a, b: a * b), elems
+    """G1's multiplication table and its elements in sort_key order.
+
+    Element (zeta^k, x, ell) has index (x * N + ell) * N + k, with x and ell
+    indexed in group.elements() order.  The twisted product runs over two
+    integer tables of K built once from the object operations: the addition
+    table from KElement.__add__ (characters share the coordinates, so it also
+    multiplies them) and the character values ell(x).exponent.
+    """
+    n = group.order
+    ks = group.elements()
+    k_index = {x: i for i, x in enumerate(ks)}
+    add = [[k_index[x + y] for y in ks] for x in ks]
+    chi = [[ell(x).exponent for x in ks] for ell in group.characters()]
+    table = []
+    for x in range(n):
+        for ell in range(n):
+            for k in range(n):
+                row = []
+                for x2 in range(n):
+                    x_base = add[x][x2] * n
+                    for ell2 in range(n):
+                        base = (x_base + add[ell][ell2]) * n
+                        twist = k + chi[ell2][x]
+                        row.extend(base + (twist + k2) % n for k2 in range(n))
+                table.append(row)
+    return GroupTable(table), tuple(elements(group))
 
 
 def lagrangian_lift(group: FinAbGroup) -> list[HeisElement]:
@@ -194,7 +219,8 @@ def min_abelian_index(
     table, elems = group_table(group)
     index_of = {e: i for i, e in enumerate(elems)}
     lagr = frozenset(index_of[e] for e in lagrangian_lift(group))
-    assert table.is_abelian_subset(lagr)
+    if not table.is_abelian_subset(lagr):
+        raise CertificateError(f"the lagrangian lift mu_N x K x 1 over {group!r} is not abelian")
 
     found = table.abelian_subgroups(max_gens)
     best_members = lagr
@@ -205,7 +231,8 @@ def min_abelian_index(
             best = candidate
             best_members = members
     min_index = best[0]
-    assert min_index >= n, "abelian subgroup beat the certified bound"
+    if min_index < n:
+        raise CertificateError(f"abelian subgroup of index {min_index} beat the certified bound {n}")
 
     gens = _witness_generators(table, best_members)
     return IndexReport(

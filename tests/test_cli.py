@@ -1,10 +1,22 @@
 """CLI subcommands: report schema, exit codes, output routing."""
 
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from jordanlab import cli
 from jordanlab.cli import main
+from jordanlab.finab import FinAbGroup, pairing
+from jordanlab.gtable import GroupTable
+from jordanlab.heisenberg import HeisElement, elements
+from jordanlab.scalars import RootOfUnity
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_json(capsys, argv):
@@ -103,3 +115,75 @@ def test_table_format_goes_to_stdout(capsys):
     assert "min_abelian_index" in out.out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out.out)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["curve-search", "--n", "1"], "--n must be at least 2"),
+    (["theta-verify", "--n", "3", "--p", "31"], "--p requires --a and --b"),
+    (["theta-verify", "--n", "3", "--p", "4", "--a", "1", "--b", "1"], "not prime"),
+])
+def test_input_errors_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: BadArgument:") and message in out.err
+    assert len(out.err.splitlines()) == 1
+
+
+def claim_map(report):
+    return {c["id"]: c for c in report["claims"]}
+
+
+def test_skewed_pairing_fails_bi_additivity(capsys, monkeypatch):
+    h = FinAbGroup((4,)).h_elements()
+    bad_pair = (h[5], h[6])
+
+    def skewed(a, b):
+        value = pairing(a, b)
+        return value * RootOfUnity(value.modulus, 1) if (a, b) == bad_pair else value
+
+    monkeypatch.setattr(cli, "pairing", skewed)
+    code, report, _ = run_json(capsys, ["abstract", "--delta", "4"])
+    assert code == 1
+    claim = claim_map(report)["pairing-bi-additive"]
+    assert claim["status"] == "failed" and claim["failures"] > 0
+    # the first bad triple in (a, b, c) order, found on the objects
+    first = next(t for t in itertools.product(h, repeat=3)
+                 if skewed(t[0] + t[1], t[2]) != skewed(t[0], t[2]) * skewed(t[1], t[2])
+                 or skewed(t[0], t[1] + t[2]) != skewed(t[0], t[1]) * skewed(t[0], t[2]))
+    assert claim["detail"] == "first counterexample (a, b, c) = ({!r}, {!r}, {!r})".format(*first)
+    assert claim_map(report)["commutator-identity"]["status"] == "failed"
+
+
+def test_doctored_inverse_fails_commutator_identity(capsys, monkeypatch):
+    monkeypatch.setattr(HeisElement, "inverse", lambda self: self)  # g h g h: not central
+    code, report, _ = run_json(capsys, ["abstract", "--delta", "4"])
+    assert code == 1
+    claims = claim_map(report)
+    assert claims["pairing-bi-additive"]["status"] == "verified"
+    claim = claims["commutator-identity"]
+    assert claim["status"] == "failed" and claim["failures"] > 0
+    group = FinAbGroup((4,))
+    first = next((g, h) for g, h in itertools.product(elements(group), repeat=2)
+                 if g * h * g * h != HeisElement(pairing(g.project(), h.project()),
+                                                 group.zero(), group.trivial_character()))
+    assert claim["detail"] == "first counterexample (g, h) = ({!r}, {!r})".format(*first)
+
+
+def test_broken_certificate_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(GroupTable, "abelian_subgroups",
+                        lambda self, max_gens=None: {frozenset(range(self.order)): ()})
+    assert main(["abstract", "--delta", "2"]) == 1
+    assert "error: CertificateError:" in capsys.readouterr().err
+
+
+def test_optimized_interpreter_gives_the_same_claims():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    claims = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "jordanlab.cli", "abstract",
+                               "--delta", "4"], capture_output=True, text=True, env=env,
+                              check=True)
+        claims.append(json.loads(proc.stdout)["claims"])
+    assert claims[0] == claims[1]
+    assert all(c["status"] == "verified" for c in claims[0])

@@ -7,6 +7,7 @@ from jordanlab.finab import (
     FinAbGroup,
     HPoint,
     all_h_subgroups,
+    h_tables,
     is_isotropic,
     isotropic_witness,
     orthogonal_complement,
@@ -172,3 +173,14 @@ def test_subgroup_lattice_sizes():
     # (Z/2)^2 has 5 subgroups; (Z/2)^4 has 67
     assert len(all_h_subgroups(FinAbGroup((2,)))) == 5
     assert len(all_h_subgroups(FinAbGroup((2, 2)))) == 67
+
+
+@pytest.mark.parametrize("delta", SMALL_DELTAS + [(6,)])
+def test_h_tables_match_object_operations(delta):
+    g = FinAbGroup(delta)
+    h, add, gram = h_tables(g, pairing)
+    assert h == g.h_elements()
+    for i, a in enumerate(h):
+        for j, b in enumerate(h):
+            assert h[add[i][j]] == a + b
+            assert RootOfUnity(g.order, gram[i][j]) == pairing(a, b)

@@ -5,9 +5,12 @@ import random
 
 import pytest
 
-from jordanlab.errors import GroupMismatch
+from jordanlab import heisenberg
+from jordanlab.errors import CertificateError, GroupMismatch
 from jordanlab.finab import FinAbGroup, is_isotropic, pairing
+from jordanlab.gtable import GroupTable
 from jordanlab.heisenberg import (
+    EXHAUSTIVE_CAP,
     HeisElement,
     commutator,
     elements,
@@ -174,3 +177,34 @@ def test_index_report_serialization():
         assert key in data
     assert data["group_order"] == 8
     assert all({"a", "x", "ell"} <= set(g) for g in data["witness_generators"])
+
+
+@pytest.mark.parametrize("delta", [(1,), (2,), (3,), (4,), (2, 2), (5,), (6,)])
+def test_group_table_matches_object_product(delta):
+    assert FinAbGroup(delta).order <= EXHAUSTIVE_CAP
+    table, els = group_table(FinAbGroup(delta))
+    assert list(els) == sorted(elements(FinAbGroup(delta)), key=HeisElement.sort_key)
+    assert table.table == GroupTable.from_elements(els, lambda a, b: a * b).table
+
+
+def test_noncentral_commutator_raises(monkeypatch):
+    g = FinAbGroup((3,))
+    x, y = heis(g, 0, [1], [0]), heis(g, 0, [0], [1])
+    monkeypatch.setattr(HeisElement, "inverse", lambda self: self)  # x y x y is not central
+    with pytest.raises(CertificateError, match="escaped the center"):
+        commutator(x, y)
+
+
+def test_nonabelian_lagrangian_lift_raises(monkeypatch):
+    monkeypatch.setattr(heisenberg, "lagrangian_lift", elements)
+    with pytest.raises(CertificateError, match="lagrangian lift"):
+        min_abelian_index((2,))
+
+
+def test_subgroup_beating_the_bound_raises(monkeypatch):
+    def whole_group(self, max_gens=None):
+        return {frozenset(range(self.order)): ()}
+
+    monkeypatch.setattr(GroupTable, "abelian_subgroups", whole_group)
+    with pytest.raises(CertificateError, match="beat the certified bound"):
+        min_abelian_index((2,))
