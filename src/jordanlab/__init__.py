@@ -14,7 +14,6 @@ from .finab import (
     orthogonal_complement,
     pairing,
     parse_delta,
-    span,
     span_in,
 )
 from .heisenberg import HeisElement, IndexReport, lagrangian_lift, min_abelian_index
@@ -29,7 +28,6 @@ from .ellcurve import (
     line_function,
     miller_function,
     torsion_subgroup,
-    translate_pullback,
     weil_pairing,
 )
 from .theta import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import random
 import sys
 import time
 from dataclasses import dataclass, field
@@ -18,10 +19,12 @@ from dataclasses import dataclass, field
 from . import birgroup
 from .errors import (
     BadArgument,
+    BasisMismatch,
     CertificateError,
     DegenerateAfterRetries,
     JordanLabError,
     NotAdmissible,
+    ScaleNotRootOfUnity,
     Undefined,
 )
 from .ellcurve import Curve, curve_search, enumerate_points, iter_admissible_curves, weil_pairing
@@ -53,6 +56,8 @@ FAILED = "failed"
 SKIPPED = "skipped-budget"
 
 PAIRING_TRIPLE_CAP = 2_000_000
+ISOTROPIC_SCAN_CAP = 400  # largest #H whose subgroups abstract scans for isotropy
+EMBED_LEVEL_CAP = 3  # largest level whose mu layer theta-verify embeds into Bir(E x A^1)
 
 
 @dataclass
@@ -184,7 +189,7 @@ def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
     report.claim("pairing-nondegenerate", not nd_bad, m, len(nd_bad),
                  _counterexample("a", (h[nd_bad[0]],) if nd_bad else None))
 
-    if group.h_order() <= budget and group.h_order() <= 400:
+    if group.h_order() <= min(budget, ISOTROPIC_SCAN_CAP):
         subs = all_h_subgroups(group, budget=budget)
         iso = [s for s in subs if is_isotropic(s)]
         bad = 0
@@ -292,23 +297,35 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
                  detail=f"order {level.order} == {n}^2")
 
     structure = theta_structure(curve, n)
-    elements = theta_enumerate_mu(curve, n)  # verifies mu-layer closure
+    elements = theta_enumerate_mu(curve, n)
     size = len(elements)
-    report.claim("mu-layer-closure", size == n ** 3, size * size,
-                 detail=f"{size} elements, all products stay in the layer")
-
     images = [structure.to_heisenberg(g) for g in elements]
     index_of = {img.sort_key(): i for i, img in enumerate(images)}
-    report.claim("transport-bijective", len(index_of) == size, size)
 
-    iso_failures = 0
+    # one pass over the n^6 products: transporting g h certifies closure and the
+    # isomorphism, and at small levels its embedding certifies the homomorphism
+    embed = n <= EMBED_LEVEL_CAP
+    embedded = [birgroup.theta_embed(g) for g in elements] if embed else []
+    iso_failures = hom_failures = 0
     prod_index = [[0] * size for _ in range(size)]
     for i, g in enumerate(elements):
         for j, h in enumerate(elements):
-            img = structure.to_heisenberg(theta_mul(g, h))
+            gh = theta_mul(g, h)
+            try:
+                img = structure.to_heisenberg(gh)
+            except (ScaleNotRootOfUnity, BasisMismatch) as exc:
+                raise CertificateError(
+                    f"product of (g, h) = ({g!r}, {h!r}) leaves the mu_{n} layer: {exc}"
+                ) from exc
             prod_index[i][j] = index_of[img.sort_key()]
             if img != images[i] * images[j]:
                 iso_failures += 1
+            if embed and not birgroup.bir_equal(birgroup.theta_embed(gh),
+                                                birgroup.compose(embedded[j], embedded[i])):
+                hom_failures += 1
+    report.claim("mu-layer-closure", size == n ** 3, size * size,
+                 detail=f"{size} elements, all products stay in the layer")
+    report.claim("transport-bijective", len(index_of) == size, size)
     report.claim("structure-isomorphism", iso_failures == 0, size * size, iso_failures,
                  detail="full multiplication-table comparison")
 
@@ -335,13 +352,7 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     report.claim("commutator-matches-weil", comm_failures == 0, comm_checked, comm_failures,
                  detail=f"sigma = {sigma}")
 
-    if n <= 3:
-        embedded = [birgroup.theta_embed(g) for g in elements]
-        hom_failures = 0
-        for (g, eg), (h, eh) in itertools.product(zip(elements, embedded), repeat=2):
-            lhs = birgroup.theta_embed(theta_mul(g, h))
-            if not birgroup.bir_equal(lhs, birgroup.compose(eh, eg)):
-                hom_failures += 1
+    if embed:
         report.claim("embed-homomorphism", hom_failures == 0, size * size, hom_failures)
 
         inj_failures = 0
@@ -357,9 +368,7 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
 
         sem_ok = sem_skipped = sem_failures = 0
         samples = list(birgroup.sample_points(curve, seed=seed, count=400))
-        import random as _random
-
-        rng = _random.Random(f"{seed}:compose")
+        rng = random.Random(f"{seed}:compose")
         while sem_ok < 100 and sem_skipped < 4000:
             a = rng.choice(embedded)
             b = rng.choice(embedded)
@@ -499,6 +508,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise BadArgument(f"--n must be at least 2, got {args.n}")
             report = run_curve_search(args.n, args.p_max)
         elif args.command == "theta-verify":
+            if args.n < 1:
+                raise BadArgument(f"--n must be at least 1, got {args.n}")
             curve = None
             if args.p is not None:
                 if args.a is None or args.b is None:
@@ -509,6 +520,8 @@ def main(argv: list[str] | None = None) -> int:
                     raise BadArgument(str(exc)) from exc
             report = run_theta_verify(curve, args.n, args.p_max, args.seed)
         else:
+            if args.n_max < 1:
+                raise BadArgument(f"--n-max must be at least 1, got {args.n_max}")
             report = run_nonjordan(args.n_max, args.p_max, args.exhaustive_max,
                                    args.theta_max, args.seed)
     except CertificateError as exc:  # a broken certificate fails the run; it is not bad input

@@ -453,10 +453,6 @@ class TrackedFunction:
         return f"Fn({self.const}; {len(self.atoms)} atoms)"
 
 
-def translate_pullback(fn: TrackedFunction, y: CurvePoint) -> TrackedFunction:
-    return fn.translate(y)
-
-
 def ratio_constant(f: TrackedFunction, g: TrackedFunction) -> FpElement:
     """The constant f/g for functions with equal divisors."""
     return (f * g.inverse()).constant_value()

@@ -213,11 +213,6 @@ class HPoint:
         return f"({self.x!r},{self.ell!r})"
 
 
-def char_eval(ell: Character, x: KElement) -> RootOfUnity:
-    """Value of a character at a group element, as an exponent in mu_N."""
-    return ell(x)
-
-
 def pairing(h1: HPoint, h2: HPoint) -> RootOfUnity:
     """The alternating form e(h1, h2) = ell_2(x_1) / ell_1(x_2)."""
     _same_group(h1.x, h2.x)
@@ -276,15 +271,6 @@ def _close_under_addition(group: FinAbGroup, gens: Sequence[HPoint]) -> set[HPoi
                         fresh.append(cand)
         frontier = fresh
     return seen
-
-
-def span(gens: Iterable[HPoint], budget: int = DEFAULT_SPAN_BUDGET) -> HSubgroup:
-    """Closure of the generators under addition (contains the identity)."""
-    gens = tuple(gens)
-    if not gens:
-        raise GroupMismatch("span of an empty generator list needs an explicit group")
-    group = gens[0].group
-    return span_in(group, gens, budget=budget)
 
 
 def span_in(group: FinAbGroup, gens: Iterable[HPoint], budget: int = DEFAULT_SPAN_BUDGET) -> HSubgroup:

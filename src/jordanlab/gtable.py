@@ -55,14 +55,6 @@ class GroupTable:
         members = list(subset)
         return all(self.commutes(a, b) for i, a in enumerate(members) for b in members[i + 1:])
 
-    def element_order(self, g: int) -> int:
-        order = 1
-        acc = g
-        while acc != self.identity:
-            acc = self.table[acc][g]
-            order += 1
-        return order
-
     def closure(self, gens: Iterable[int]) -> frozenset[int]:
         # inverses come for free in a finite group: powers of g reach g^-1
         seen = {self.identity}

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from jordanlab import cli
+from jordanlab import cli, theta
 from jordanlab.cli import main
 from jordanlab.finab import FinAbGroup, pairing
 from jordanlab.gtable import GroupTable
 from jordanlab.heisenberg import HeisElement, elements
 from jordanlab.scalars import RootOfUnity
+from jordanlab.theta import theta_enumerate_mu, theta_mul
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -121,6 +122,9 @@ def test_table_format_goes_to_stdout(capsys):
     (["curve-search", "--n", "1"], "--n must be at least 2"),
     (["theta-verify", "--n", "3", "--p", "31"], "--p requires --a and --b"),
     (["theta-verify", "--n", "3", "--p", "4", "--a", "1", "--b", "1"], "not prime"),
+    (["theta-verify", "--n", "0"], "--n must be at least 1"),
+    (["theta-verify", "--n", "-2"], "--n must be at least 1"),
+    (["nonjordan", "--n-max", "0"], "--n-max must be at least 1"),
 ])
 def test_input_errors_exit_2(capsys, argv, message):
     assert main(argv) == 2
@@ -187,3 +191,39 @@ def test_optimized_interpreter_gives_the_same_claims():
         claims.append(json.loads(proc.stdout)["claims"])
     assert claims[0] == claims[1]
     assert all(c["status"] == "verified" for c in claims[0])
+
+
+THETA_N2 = ["theta-verify", "--n", "2", "--p", "7", "--a", "3", "--b", "0"]
+
+
+def test_theta_verify_multiplies_each_pair_once(capsys, monkeypatch):
+    calls = 0
+
+    def counted(g, h):
+        nonlocal calls
+        calls += 1
+        return theta_mul(g, h)
+
+    monkeypatch.setattr(cli, "theta_mul", counted)
+    code, report, _ = run_json(capsys, THETA_N2)
+    assert code == 0
+    assert calls == 8 ** 2  # one product per pair of the mu layer
+    # with the structure built, listing the layer multiplies nothing
+    monkeypatch.setattr(theta, "theta_mul", lambda g, h: pytest.fail("theta_mul called"))
+    assert len(theta_enumerate_mu(cli.Curve.make(7, 3, 0), 2)) == 8
+
+
+def test_escaping_product_exits_1(capsys, monkeypatch):
+    calls = []
+
+    def doctored(g, h):
+        calls.append((g, h))
+        gh = theta_mul(g, h)
+        return gh.scaled(3) if len(calls) == 5 else gh  # 3 has order 6 in F_7^*, not in mu_2
+
+    monkeypatch.setattr(cli, "theta_mul", doctored)
+    assert main(THETA_N2) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: CertificateError:")
+    assert "({!r}, {!r})".format(*calls[4]) in out.err
