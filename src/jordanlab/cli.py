@@ -27,7 +27,7 @@ from .errors import (
     ScaleNotRootOfUnity,
     Undefined,
 )
-from .ellcurve import Curve, curve_search, enumerate_points, iter_admissible_curves, weil_pairing
+from .ellcurve import Curve, curve_search, iter_admissible_curves, weil_pairing
 from .finab import (
     DEFAULT_SPAN_BUDGET,
     FinAbGroup,
@@ -200,7 +200,9 @@ def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
         report.claim("isotropic-index-divisibility", bad == 0, len(iso), bad,
                      f"{len(subs)} subgroups, {len(iso)} isotropic")
     else:
-        report.skip("isotropic-index-divisibility", f"#H = {group.h_order()} too large")
+        bound = (f"--budget {budget}" if group.h_order() > budget
+                 else f"ISOTROPIC_SCAN_CAP {ISOTROPIC_SCAN_CAP}")
+        report.skip("isotropic-index-divisibility", f"#H = {group.h_order()} exceeds {bound}")
 
     if n <= EXHAUSTIVE_CAP:
         # g h g^-1 h^-1 must be the central element zeta^e(g, h), for every pair
@@ -258,7 +260,7 @@ def run_curve_search(n: int, p_max: int) -> RunReport:
             "p": curve.p,
             "a": curve.a.value,
             "b": curve.b.value,
-            "group_order": len(enumerate_points(curve)),
+            "group_order": curve.point_count(),
             "certified_lower_bound": n,
             "min_abelian_index": None,
         })
@@ -501,7 +503,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command != "abstract" and args.p_max < 0:
+            raise BadArgument(f"--p-max must be non-negative, got {args.p_max}")
         if args.command == "abstract":
+            if args.budget < 1:
+                raise BadArgument(f"--budget must be at least 1, got {args.budget}")
             report = run_abstract(parse_delta(args.delta), args.budget)
         elif args.command == "curve-search":
             if args.n < 2:

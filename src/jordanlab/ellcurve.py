@@ -72,6 +72,10 @@ class Curve:
     def point(self, x: int, y: int) -> "CurvePoint":
         return CurvePoint(self, self.fe(x), self.fe(y))
 
+    def point_count(self) -> int:
+        """#E(F_p), counted on integer coordinates and Hasse-checked."""
+        return _point_count(self.p, self.a.value, self.b.value)
+
     def __repr__(self):
         return f"E({self.p}:{self.a}:{self.b})"
 
@@ -161,19 +165,83 @@ def _sqrt_table(p: int) -> dict[int, tuple[int, ...]]:
     return {v: tuple(ys) for v, ys in table.items()}
 
 
+# Integer kernel for curve search: points are (x, y) int tuples, None is O, and
+# every point it computes is checked on the curve, as CurvePoint does.
+
+
+def _budget_check(p: int, budget: int = POINT_BUDGET) -> None:
+    if p > budget:
+        raise BudgetExceeded(f"p = {p} exceeds point enumeration budget {budget}")
+
+
+def _on_curve(p: int, a: int, b: int, point: tuple[int, int] | None) -> tuple[int, int] | None:
+    if point is not None:
+        x, y = point
+        if (y * y - (x * x + a) * x - b) % p:
+            raise OffCurve(f"({x},{y}) is not on E({p}:{a}:{b})")
+    return point
+
+
+def _affine_add(p: int, a: int, b: int, P: tuple[int, int] | None,
+                Q: tuple[int, int] | None) -> tuple[int, int] | None:
+    """P + Q by the chord-tangent law (Silverman III.2.3)."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return _on_curve(p, a, b, (x3, (lam * (x1 - x3) - y1) % p))
+
+
+def _affine_mul(p: int, a: int, b: int, k: int, P: tuple[int, int] | None) -> tuple[int, int] | None:
+    """k * P for k >= 0 by double-and-add; P is checked on the curve first."""
+    acc, step = None, _on_curve(p, a, b, P)
+    while k:
+        if k & 1:
+            acc = _affine_add(p, a, b, acc, step)
+        k >>= 1
+        if k:
+            step = _affine_add(p, a, b, step, step)
+    return acc
+
+
 def _point_count(p: int, a: int, b: int) -> int:
+    """#E(F_p), Hasse-checked."""
+    _budget_check(p)
     sqrts = _sqrt_table(p)
     count = 1
     for x in range(p):
         count += len(sqrts.get((x * x * x + a * x + b) % p, ()))
+    if (count - p - 1) ** 2 > 4 * p:
+        raise JordanLabError(f"point count {count} violates the Hasse bound on E({p}:{a}:{b})")
     return count
+
+
+def _torsion_count(p: int, a: int, b: int, n: int) -> int:
+    """#E[n](F_p): the points, O included, that n kills."""
+    _budget_check(p)
+    sqrts = _sqrt_table(p)
+    killed = 1
+    for x in range(p):
+        ys = sqrts.get((x * x * x + a * x + b) % p)
+        # n(-P) = -(nP), so n kills both roots y and -y or neither
+        if ys and _affine_mul(p, a, b, n, (x, ys[0])) is None:
+            killed += len(ys)
+    return killed
 
 
 @lru_cache(maxsize=512)
 def enumerate_points(curve: Curve, budget: int = POINT_BUDGET) -> tuple[CurvePoint, ...]:
     """All F_p-points in sorted order, the identity last; Hasse-checked."""
-    if curve.p > budget:
-        raise BudgetExceeded(f"p = {curve.p} exceeds point enumeration budget {budget}")
+    _budget_check(curve.p, budget)
     sqrts = _sqrt_table(curve.p)
     points = []
     for x in range(curve.p):
@@ -198,7 +266,11 @@ def torsion_subgroup(curve: Curve, n: int) -> tuple[CurvePoint, ...]:
 
 
 def iter_admissible_curves(n: int, p_max: int) -> Iterator[Curve]:
-    """Curves with p = 1 (mod n) carrying full level-n structure, (p, a, b) ordered."""
+    """Curves with p = 1 (mod n) carrying full level-n structure, (p, a, b) ordered.
+
+    The point count and the n-torsion count run on integer coordinates; a
+    Curve is built only for the curves yielded.
+    """
     if n < 2:
         raise ValueError("level must be at least 2")
     n2 = n * n
@@ -209,11 +281,8 @@ def iter_admissible_curves(n: int, p_max: int) -> Iterator[Curve]:
             for b in range(p):
                 if (4 * a * a * a + 27 * b * b) % p == 0:
                     continue
-                if _point_count(p, a, b) % n2 != 0:
-                    continue
-                curve = Curve.make(p, a, b)
-                if len(torsion_subgroup(curve, n)) == n2:
-                    yield curve
+                if _point_count(p, a, b) % n2 == 0 and _torsion_count(p, a, b, n) == n2:
+                    yield Curve.make(p, a, b)
 
 
 def curve_search(n: int, p_max: int) -> list[Curve]:

@@ -384,7 +384,7 @@ def find_theta_curve(n: int, p_max: int = 200) -> Curve:
     if n == 1:
         raise ValueError("level 1 is trivial; any curve works")
     for curve in iter_admissible_curves(n, p_max):
-        if len(enumerate_points(curve)) <= n * n:
+        if curve.point_count() <= n * n:
             continue
         try:
             theta_structure(curve, n)

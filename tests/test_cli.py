@@ -125,6 +125,10 @@ def test_table_format_goes_to_stdout(capsys):
     (["theta-verify", "--n", "0"], "--n must be at least 1"),
     (["theta-verify", "--n", "-2"], "--n must be at least 1"),
     (["nonjordan", "--n-max", "0"], "--n-max must be at least 1"),
+    (["curve-search", "--n", "2", "--p-max", "-5"], "--p-max must be non-negative"),
+    (["nonjordan", "--n-max", "2", "--p-max", "-1"], "--p-max must be non-negative"),
+    (["abstract", "--delta", "4", "--budget", "0"], "--budget must be at least 1"),
+    (["abstract", "--delta", "2", "--budget", "-3"], "--budget must be at least 1"),
 ])
 def test_input_errors_exit_2(capsys, argv, message):
     assert main(argv) == 2
@@ -136,6 +140,17 @@ def test_input_errors_exit_2(capsys, argv, message):
 
 def claim_map(report):
     return {c["id"]: c for c in report["claims"]}
+
+
+def test_isotropic_skip_names_the_bound(capsys, monkeypatch):
+    _, report, _ = run_json(capsys, ["abstract", "--delta", "4", "--budget", "10"])
+    claim = claim_map(report)["isotropic-index-divisibility"]
+    assert claim["status"] == "skipped-budget"
+    assert claim["detail"] == "#H = 16 exceeds --budget 10"
+    monkeypatch.setattr(cli, "ISOTROPIC_SCAN_CAP", 10)
+    _, report, _ = run_json(capsys, ["abstract", "--delta", "4"])
+    assert claim_map(report)["isotropic-index-divisibility"]["detail"] == (
+        "#H = 16 exceeds ISOTROPIC_SCAN_CAP 10")
 
 
 def test_skewed_pairing_fails_bi_additivity(capsys, monkeypatch):

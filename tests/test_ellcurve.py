@@ -5,10 +5,17 @@ import random
 
 import pytest
 
+from jordanlab import ellcurve
+from jordanlab.cli import run_curve_search
 from jordanlab.ellcurve import (
+    POINT_BUDGET,
     Curve,
     Divisor,
     TrackedFunction,
+    _affine_add,
+    _affine_mul,
+    _point_count,
+    _torsion_count,
     affine_points,
     curve_search,
     enumerate_points,
@@ -24,10 +31,11 @@ from jordanlab.errors import (
     BudgetExceeded,
     DegenerateAfterRetries,
     EvalAtSupport,
+    JordanLabError,
     NotTorsion,
     OffCurve,
 )
-from jordanlab.scalars import RootOfUnity
+from jordanlab.scalars import RootOfUnity, is_prime
 
 # e2-only curve with 8 points; the workhorse for level-2 checks
 C730 = Curve.make(7, 3, 0)
@@ -99,6 +107,69 @@ def test_curve_search_examples():
     assert curve_search(3, 50)  # nonempty
     with pytest.raises(ValueError):
         curve_search(1, 10)
+
+
+def nonsingular(p):
+    return [(a, b) for a, b in itertools.product(range(p), repeat=2)
+            if (4 * a ** 3 + 27 * b ** 2) % p]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_integer_counts_match_point_objects(p):
+    for a, b in nonsingular(p):
+        curve = Curve.make(p, a, b)
+        assert curve.point_count() == len(enumerate_points(curve))
+        for n in (2, 3, 4):
+            assert _torsion_count(p, a, b, n) == len(torsion_subgroup(curve, n)), (curve, n)
+
+
+def test_integer_group_law_matches_point_objects():
+    for P, Q in itertools.product(enumerate_points(C1370), repeat=2):
+        ints = [None if R.is_infinity else (R.x.value, R.y.value) for R in (P, Q, P + Q, 5 * P)]
+        assert _affine_add(13, 7, 0, ints[0], ints[1]) == ints[2]
+        assert _affine_mul(13, 7, 0, 5, ints[0]) == ints[3]
+
+
+@pytest.mark.parametrize("n,p_max", [(2, 23), (3, 30), (4, 30)])
+def test_curve_search_matches_object_filter(n, p_max):
+    # the filter as it stood on point objects: count the points n kills
+    reference = []
+    for p in range(5, p_max + 1):
+        if not is_prime(p) or (p - 1) % n:
+            continue
+        for a, b in nonsingular(p):
+            curve = Curve.make(p, a, b)
+            points = enumerate_points(curve)
+            if len(points) % (n * n) == 0 and sum((n * P).is_infinity for P in points) == n * n:
+                reference.append(curve)
+    assert curve_search(n, p_max) == reference
+
+
+def test_curve_search_rows_carry_the_object_point_count():
+    rows = run_curve_search(3, 40).data["rows"]
+    assert rows
+    for row in rows:
+        assert row["group_order"] == len(enumerate_points(Curve.make(row["p"], row["a"], row["b"])))
+
+
+def test_integer_kernel_rejects_off_curve_points():
+    with pytest.raises(OffCurve):
+        _affine_mul(7, 3, 0, 2, (1, 1))  # 1 != 1 + 3 on y^2 = x^3 + 3x
+    ints = [(R.x.value, R.y.value) for R in enumerate_points(C1370)[:2]]
+    assert _affine_add(13, 7, 0, *ints) is not None
+    with pytest.raises(OffCurve):
+        _affine_add(13, 7, 1, *ints)  # the sum lies on b = 0, not on b = 1
+
+
+def test_integer_kernel_budget_and_hasse(monkeypatch):
+    monkeypatch.setattr(ellcurve, "_sqrt_table", lambda p: pytest.fail("prime was scanned"))
+    for count in (_point_count, lambda p, a, b: _torsion_count(p, a, b, 2)):
+        with pytest.raises(BudgetExceeded):
+            count(POINT_BUDGET + 3, 1, 1)
+    # two roots for every value of x^3 + a x + b: 15 points on F_7 break the Hasse bound
+    monkeypatch.setattr(ellcurve, "_sqrt_table", lambda p: {v: (1, p - 1) for v in range(p)})
+    with pytest.raises(JordanLabError, match="Hasse"):
+        _point_count(7, 3, 0)
 
 
 def test_line_function_divisors():
