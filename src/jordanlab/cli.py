@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 from . import birgroup
 from .errors import (
     BadArgument,
-    BasisMismatch,
     CertificateError,
     DegenerateAfterRetries,
     JordanLabError,
+    NonConstantCommutator,
     NotAdmissible,
-    ScaleNotRootOfUnity,
     Undefined,
 )
 from .ellcurve import Curve, curve_search, iter_admissible_curves, weil_pairing
@@ -44,10 +43,10 @@ from .scalars import RootOfUnity, mu_generator
 from .theta import (
     find_theta_curve,
     h_of_level,
+    mu_commutator,
+    mu_product,
     orientation_sigma,
-    theta_commutator,
     theta_enumerate_mu,
-    theta_mul,
     theta_structure,
 )
 
@@ -276,6 +275,14 @@ def run_curve_search(n: int, p_max: int) -> RunReport:
 # theta-verify
 
 
+def _with_pair(detail: str, bad: list[tuple]) -> str:
+    """Claim detail, followed by the first bad (g, h) pair when there is one."""
+    if not bad:
+        return detail
+    first = _counterexample("(g, h)", bad[0])
+    return f"{detail}; {first}" if detail else first
+
+
 def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunReport:
     start = time.perf_counter()
     if curve is None and n >= 2:
@@ -302,34 +309,34 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     elements = theta_enumerate_mu(curve, n)
     size = len(elements)
     images = [structure.to_heisenberg(g) for g in elements]
-    index_of = {img.sort_key(): i for i, img in enumerate(images)}
 
-    # one pass over the n^6 products: transporting g h certifies closure and the
-    # isomorphism, and at small levels its embedding certifies the homomorphism
+    # every per-pair check runs on the value vectors of the layer (theta.MuTables):
+    # one pass over the n^6 pairs certifies closure and the isomorphism, and at
+    # small levels the homomorphism law of the embedding into Bir(E x A^1)
+    tables = structure.tables
+    layer = tables.layer
     embed = n <= EMBED_LEVEL_CAP
-    embedded = [birgroup.theta_embed(g) for g in elements] if embed else []
-    iso_failures = hom_failures = 0
+    iso_bad: list[tuple] = []
+    hom_bad: list[tuple] = []
     prod_index = [[0] * size for _ in range(size)]
-    for i, g in enumerate(elements):
-        for j, h in enumerate(elements):
-            gh = theta_mul(g, h)
-            try:
-                img = structure.to_heisenberg(gh)
-            except (ScaleNotRootOfUnity, BasisMismatch) as exc:
+    for i, g in enumerate(layer):
+        for j, h in enumerate(layer):
+            k = tables.index.get(mu_product(tables, g, h))
+            if k is None:
                 raise CertificateError(
-                    f"product of (g, h) = ({g!r}, {h!r}) leaves the mu_{n} layer: {exc}"
-                ) from exc
-            prod_index[i][j] = index_of[img.sort_key()]
-            if img != images[i] * images[j]:
-                iso_failures += 1
-            if embed and not birgroup.bir_equal(birgroup.theta_embed(gh),
-                                                birgroup.compose(embedded[j], embedded[i])):
-                hom_failures += 1
+                    f"product of (g, h) = ({elements[i]!r}, {elements[j]!r}) "
+                    f"leaves the mu_{n} layer"
+                )
+            prod_index[i][j] = k
+            if images[k] != images[i] * images[j]:
+                iso_bad.append((elements[i], elements[j]))
+            if embed and birgroup.compose_values(tables, h, g) != layer[k]:
+                hom_bad.append((elements[i], elements[j]))
     report.claim("mu-layer-closure", size == n ** 3, size * size,
                  detail=f"{size} elements, all products stay in the layer")
-    report.claim("transport-bijective", len(index_of) == size, size)
-    report.claim("structure-isomorphism", iso_failures == 0, size * size, iso_failures,
-                 detail="full multiplication-table comparison")
+    report.claim("transport-bijective", len({img.sort_key() for img in images}) == size, size)
+    report.claim("structure-isomorphism", not iso_bad, size * size, len(iso_bad),
+                 _with_pair("full multiplication-table comparison", iso_bad))
 
     table = GroupTable(prod_index)
     assoc_failures = sum(
@@ -343,45 +350,53 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     sigma = orientation_sigma(curve, n)
     report.data["orientation_sigma"] = sigma
     gen = mu_generator(curve.p, n)
-    comm_failures = comm_checked = 0
-    section = list(structure.section.values())
-    for g, h in itertools.product(section, repeat=2):
-        value = theta_commutator(g, h)
+    comm_bad: list[tuple] = []
+    for (a, g), (b, h) in itertools.product(structure.section.items(), repeat=2):
+        try:
+            value = mu_commutator(tables, tables.section[a], tables.section[b])
+        except NonConstantCommutator as exc:
+            raise CertificateError(f"commutator of (g, h) = ({g!r}, {h!r}): {exc}") from exc
         expected = (weil_pairing(g.x, h.x, n, seed=seed) ** sigma).embed_in_field(curve.p, gen)
-        if value != expected:
-            comm_failures += 1
-        comm_checked += 1
-    report.claim("commutator-matches-weil", comm_failures == 0, comm_checked, comm_failures,
-                 detail=f"sigma = {sigma}")
+        if value != expected.value:
+            comm_bad.append((g, h))
+    report.claim("commutator-matches-weil", not comm_bad, len(structure.section) ** 2,
+                 len(comm_bad), _with_pair(f"sigma = {sigma}", comm_bad))
 
     if embed:
-        report.claim("embed-homomorphism", hom_failures == 0, size * size, hom_failures)
+        report.claim("embed-homomorphism", not hom_bad, size * size, len(hom_bad),
+                     _with_pair("", hom_bad))
 
         inj_failures = 0
         pairs = 0
         for i in range(size):
             for j in range(i + 1, size):
-                if embedded[i].y != embedded[j].y:
+                if layer[i][0] != layer[j][0]:
                     continue
                 pairs += 1
-                if birgroup.bir_equal(embedded[i], embedded[j]):
+                if layer[i] == layer[j]:
                     inj_failures += 1
         report.claim("embed-injective", inj_failures == 0, pairs, inj_failures)
 
+        # pointwise through the functions; at a sample in S the composed value vector
+        # must give the same fiber coordinate, which ties the vectors to the functions
+        embedded = [birgroup.theta_embed(g) for g in elements]
+        at = {s: k for k, s in enumerate(tables.others)}
         sem_ok = sem_skipped = sem_failures = 0
         samples = list(birgroup.sample_points(curve, seed=seed, count=400))
         rng = random.Random(f"{seed}:compose")
         while sem_ok < 100 and sem_skipped < 4000:
-            a = rng.choice(embedded)
-            b = rng.choice(embedded)
+            a = rng.choice(range(size))
+            b = rng.choice(range(size))
             s = rng.choice(samples)
             try:
-                lhs = birgroup.apply(birgroup.compose(b, a), s)
-                rhs = birgroup.apply(b, birgroup.apply(a, s))
+                lhs = birgroup.apply(birgroup.compose(embedded[b], embedded[a]), s)
+                rhs = birgroup.apply(embedded[b], birgroup.apply(embedded[a], s))
             except Undefined:
                 sem_skipped += 1
                 continue
-            if lhs != rhs:
+            values = birgroup.compose_values(tables, layer[b], layer[a])[1]
+            k = at.get(s.x)
+            if lhs != rhs or (k is not None and lhs.t.value != values[k] * s.t.value % curve.p):
                 sem_failures += 1
             sem_ok += 1
         report.claim("compose-semantics", sem_failures == 0 and sem_ok >= 100, sem_ok,

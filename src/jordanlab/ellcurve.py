@@ -131,14 +131,15 @@ class CurvePoint:
     def __rmul__(self, k: int) -> "CurvePoint":
         if k < 0:
             return (-k) * (-self)
-        acc = self.curve.infinity()
+        acc = None
         step = self
         while k:
             if k & 1:
-                acc = acc + step
-            step = step + step
+                acc = step if acc is None else acc + step
             k >>= 1
-        return acc
+            if k:
+                step = step + step
+        return self.curve.infinity() if acc is None else acc
 
     def order(self, cap: int = 10 * POINT_BUDGET) -> int:
         acc = self
@@ -589,8 +590,13 @@ def _normalize(fn: TrackedFunction) -> TrackedFunction:
     raise EvalAtSupport(f"no reference point available on {fn.curve!r}")
 
 
+@lru_cache(maxsize=512)
 def miller_function(n: int, point: CurvePoint) -> TrackedFunction:
-    """Normalized function with divisor n(P) - n(O), for any P with nP = O."""
+    """Normalized function with divisor n(P) - n(O), for any P with nP = O.
+
+    Cached: the Weil pairing, the basis search and the theta lifts ask for the
+    same few torsion points again and again, and TrackedFunction is frozen.
+    """
     if point.is_infinity:
         raise NotTorsion("the base point of a Miller function must differ from O")
     d = point.order()

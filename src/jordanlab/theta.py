@@ -22,15 +22,24 @@ which satisfies s(u) s(v) = t^(i_u * j_v) s(u + v) exactly.  That is the same
 cocycle as the Heisenberg-type group over Z/n, so labelling an element
 t^k s(i,j) by (zeta_n^k, i, chi_j) is an isomorphism onto it, verified by
 full multiplication-table comparison at small levels.
+
+For those per-pair checks the layer is also held as integers (MuTables): each
+function as its value vector on the points outside E[n], where the product is
+a gather through a translation table and a pointwise multiply mod p.  The
+objects above build the tables and stay the oracle they are tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BasisMismatch,
     BudgetExceeded,
+    CertificateError,
+    DegenerateAfterRetries,
     EvalAtSupport,
     JordanLabError,
     LevelMismatch,
@@ -312,16 +321,88 @@ class ThetaStructure:
             RootOfUnity(self.level, k), self.group.element([i]), self.group.character([j])
         )
 
+    def mu_labels(self) -> list[tuple[int, int, int]]:
+        """(i, j, k) of each element t^k s(i, j) of the mu layer, by point, then k."""
+        return sorted(itertools.product(range(self.level), repeat=3),
+                      key=lambda ijk: (self.section[ijk[:2]].x.sort_key(), ijk[2]))
+
     def mu_elements(self) -> list[ThetaElement]:
         """All n^3 elements with a mu_n scale over the canonical section."""
-        n = self.level
-        keyed = [
-            ((self.section[(i, j)].x.sort_key(), k), self.section[(i, j)].scaled(self.t ** k))
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        ]
-        return [elem for _, elem in sorted(keyed, key=lambda pair: pair[0])]
+        return [self.section[(i, j)].scaled(self.t ** k) for i, j, k in self.mu_labels()]
+
+    @cached_property
+    def tables(self) -> "MuTables":
+        """Integer tables of the mu layer, built on first use."""
+        return MuTables(self)
+
+
+# (index of the point in E[n], value vector on S = E(F_p) \ E[n]) of a function over it
+Values = tuple[int, tuple[int, ...]]
+
+
+class MuTables:
+    """The mu_n layer as integer value vectors, built once from the object layer.
+
+    E[n] is indexed in decomposition order, with addition and negation tables;
+    `shift[x][k]` is the index in S of S[k] + P_x (translation by E[n] maps S to
+    itself).  Every atom of a layer function is a line through points of E[n],
+    translated by E[n], so evaluating on S never meets a zero or a pole.  An
+    element over x has divisor n(O) - n(-x), which fixes its function up to one
+    constant: equal vectors over the same point are equal theta elements.
+    `layer` holds the n^3 elements in mu_elements order, `index` inverts it.
+    """
+
+    def __init__(self, structure: ThetaStructure):
+        curve, n = structure.curve, structure.level
+        self.p, self.level = curve.p, n
+        self.points = tuple(structure.decomposition)
+        where = {x: i for i, x in enumerate(self.points)}
+        self.origin = where[curve.infinity()]
+        self.add = [[where[x + y] for y in self.points] for x in self.points]
+        self.neg = [where[-x] for x in self.points]
+        self.others = tuple(s for s in enumerate_points(curve) if s not in where)
+        at = {s: k for k, s in enumerate(self.others)}
+        self.shift = [[at[s + x] for s in self.others] for x in self.points]
+        self.section: dict[tuple[int, int], Values] = {}
+        for ij, g in structure.section.items():
+            try:
+                values = tuple(g.f(s).value for s in self.others)
+            except EvalAtSupport as exc:
+                raise CertificateError(f"{g!r} has a zero or pole off E[{n}]: {exc}") from exc
+            self.section[ij] = (where[g.x], values)
+        t_pow = [(structure.t ** k).value for k in range(n)]
+        self.layer: list[Values] = []
+        for i, j, k in structure.mu_labels():
+            x, values = self.section[(i, j)]
+            self.layer.append((x, tuple(v * t_pow[k] % self.p for v in values)))
+        self.index = {g: e for e, g in enumerate(self.layer)}
+
+
+def mu_product(tables: MuTables, g: Values, h: Values) -> Values:
+    """theta_mul on value vectors: (x + y, T_x^* f_h * f_g)."""
+    (x, f_g), (y, f_h) = g, h
+    p = tables.p
+    return tables.add[x][y], tuple(f_h[s] * v % p for s, v in zip(tables.shift[x], f_g))
+
+
+def mu_inverse(tables: MuTables, g: Values) -> Values:
+    """theta_inv on value vectors: (-x, T_{-x}^* (1 / f))."""
+    x, f = g
+    minus = tables.neg[x]
+    return minus, tuple(pow(f[s], -1, tables.p) for s in tables.shift[minus])
+
+
+def mu_commutator(tables: MuTables, g: Values, h: Values) -> int:
+    """theta_commutator on value vectors: the constant value of g h g^-1 h^-1."""
+    x, c = mu_product(tables, mu_product(tables, mu_product(tables, g, h),
+                                         mu_inverse(tables, g)), mu_inverse(tables, h))
+    if x != tables.origin or any(v != c[0] for v in c):
+        raise NonConstantCommutator(f"commutator lies over {tables.points[x]!r} with "
+                                    f"{len(set(c))} distinct values on S")
+    if pow(c[0], tables.level, tables.p) != 1:
+        raise NonConstantCommutator(
+            f"commutator value {c[0]} has order not dividing {tables.level}")
+    return c[0]
 
 
 _STRUCTURES: dict[tuple[Curve, int], ThetaStructure] = {}
@@ -389,6 +470,6 @@ def find_theta_curve(n: int, p_max: int = 200) -> Curve:
         try:
             theta_structure(curve, n)
             return curve
-        except (NotAdmissible, EvalAtSupport):
+        except (NotAdmissible, EvalAtSupport, DegenerateAfterRetries):
             continue
     raise NotAdmissible(f"no curve with a transportable level-{n} structure below {p_max}")

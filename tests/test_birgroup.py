@@ -143,3 +143,15 @@ def test_sample_points_deterministic():
     second = list(birgroup.sample_points(C2, seed=42, count=25))
     assert first == second
     assert all(not s.t.is_zero for s in first)
+
+
+def test_compose_values_match_composed_functions():
+    from jordanlab.theta import theta_structure
+
+    tables = theta_structure(C2, 2).tables
+    auts = embedded_layer(C2, 2)
+    for (a, va), (b, vb) in itertools.product(zip(auts, tables.layer), repeat=2):
+        both = compose(b, a)
+        y, values = birgroup.compose_values(tables, vb, va)
+        assert tables.points[y] == both.y
+        assert values == tuple(both.f(s).value for s in tables.others)

@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from jordanlab import cli, theta
+from jordanlab import birgroup, cli, theta
 from jordanlab.cli import main
 from jordanlab.finab import FinAbGroup, pairing
 from jordanlab.gtable import GroupTable
 from jordanlab.heisenberg import HeisElement, elements
 from jordanlab.scalars import RootOfUnity
-from jordanlab.theta import theta_enumerate_mu, theta_mul
+from jordanlab.theta import mu_product, theta_enumerate_mu, theta_mul
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -214,31 +214,111 @@ THETA_N2 = ["theta-verify", "--n", "2", "--p", "7", "--a", "3", "--b", "0"]
 def test_theta_verify_multiplies_each_pair_once(capsys, monkeypatch):
     calls = 0
 
-    def counted(g, h):
+    def counted(tables, g, h):
         nonlocal calls
         calls += 1
-        return theta_mul(g, h)
+        return mu_product(tables, g, h)
 
-    monkeypatch.setattr(cli, "theta_mul", counted)
+    monkeypatch.setattr(cli, "mu_product", counted)
     code, report, _ = run_json(capsys, THETA_N2)
     assert code == 0
     assert calls == 8 ** 2  # one product per pair of the mu layer
     # with the structure built, listing the layer multiplies nothing
     monkeypatch.setattr(theta, "theta_mul", lambda g, h: pytest.fail("theta_mul called"))
+    monkeypatch.setattr(theta, "mu_product", lambda *args: pytest.fail("mu_product called"))
     assert len(theta_enumerate_mu(cli.Curve.make(7, 3, 0), 2)) == 8
 
 
 def test_escaping_product_exits_1(capsys, monkeypatch):
     calls = []
 
-    def doctored(g, h):
-        calls.append((g, h))
-        gh = theta_mul(g, h)
-        return gh.scaled(3) if len(calls) == 5 else gh  # 3 has order 6 in F_7^*, not in mu_2
+    def doctored(tables, g, h):
+        calls.append((tables.index[g], tables.index[h]))
+        x, values = mu_product(tables, g, h)
+        if len(calls) == 5:  # 3 has order 6 in F_7^*, not in mu_2
+            values = tuple(3 * v % tables.p for v in values)
+        return x, values
 
-    monkeypatch.setattr(cli, "theta_mul", doctored)
+    monkeypatch.setattr(cli, "mu_product", doctored)
     assert main(THETA_N2) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: CertificateError:")
-    assert "({!r}, {!r})".format(*calls[4]) in out.err
+    layer = theta_enumerate_mu(cli.Curve.make(7, 3, 0), 2)
+    i, j = calls[4]
+    assert "({!r}, {!r})".format(layer[i], layer[j]) in out.err
+
+
+def noncommuting_pairs(curve, n):
+    """Pairs (g, h) of the mu layer with g h != h g, in layer order, on the objects."""
+    structure = theta.theta_structure(curve, n)
+    layer = theta_enumerate_mu(curve, n)
+    return [(g, h) for g, h in itertools.product(layer, repeat=2)
+            if structure.to_heisenberg(theta_mul(g, h))
+            != structure.to_heisenberg(theta_mul(h, g))]
+
+
+def test_wrong_heisenberg_product_fails_isomorphism(capsys, monkeypatch):
+    product = HeisElement.__mul__
+    monkeypatch.setattr(HeisElement, "__mul__", lambda self, other: product(other, self))
+    code, report, _ = run_json(capsys, THETA_N2)
+    assert code == 1
+    claims = claim_map(report)
+    bad = noncommuting_pairs(cli.Curve.make(7, 3, 0), 2)
+    claim = claims["structure-isomorphism"]
+    assert claim["status"] == "failed" and claim["failures"] == len(bad) > 0
+    assert claim["detail"] == ("full multiplication-table comparison; "
+                               "first counterexample (g, h) = ({!r}, {!r})".format(*bad[0]))
+    assert claims["embed-homomorphism"]["status"] == "verified"
+
+
+def test_wrong_composition_fails_embed_homomorphism(capsys, monkeypatch):
+    compose = birgroup.compose_values
+    monkeypatch.setattr(birgroup, "compose_values",
+                        lambda tables, second, first: compose(tables, first, second))
+    code, report, _ = run_json(capsys, THETA_N2)
+    assert code == 1
+    claims = claim_map(report)
+    bad = noncommuting_pairs(cli.Curve.make(7, 3, 0), 2)
+    claim = claims["embed-homomorphism"]
+    assert claim["status"] == "failed" and claim["failures"] == len(bad) > 0
+    assert claim["detail"] == "first counterexample (g, h) = ({!r}, {!r})".format(*bad[0])
+    assert claims["structure-isomorphism"]["status"] == "verified"
+
+
+def test_wrong_pairing_fails_commutator_check(capsys, monkeypatch):
+    section = list(theta.theta_structure(cli.Curve.make(7, 3, 0), 2).section.values())
+    g, h = section[1], section[2]
+    pairing_of = cli.weil_pairing
+
+    def skewed(p1, p2, n, seed=0):
+        value = pairing_of(p1, p2, n, seed=seed)
+        return value * RootOfUnity(n, 1) if (p1, p2) == (g.x, h.x) else value
+
+    monkeypatch.setattr(cli, "weil_pairing", skewed)
+    code, report, _ = run_json(capsys, THETA_N2)
+    assert code == 1
+    claim = claim_map(report)["commutator-matches-weil"]
+    assert claim["status"] == "failed" and claim["failures"] == 1
+    assert claim["detail"] == "sigma = -1; first counterexample (g, h) = ({!r}, {!r})".format(g, h)
+
+
+def test_noncentral_commutator_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(theta, "mu_inverse", lambda tables, g: g)  # g h g h: not over O
+    assert main(["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: CertificateError: commutator of (g, h) = ")
+    section = theta.theta_structure(cli.Curve.make(13, 7, 0), 3).section
+    assert "({!r}, {!r})".format(section[(0, 0)], section[(0, 1)]) in out.err
+
+
+def test_optimized_interpreter_gives_the_same_theta_claims():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    claims = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "jordanlab.cli", *THETA_N2],
+                              capture_output=True, text=True, env=env, check=True)
+        claims.append(json.loads(proc.stdout)["claims"])
+    assert claims[0] == claims[1]
+    assert all(c["status"] == "verified" for c in claims[0])

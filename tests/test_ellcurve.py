@@ -10,6 +10,7 @@ from jordanlab.cli import run_curve_search
 from jordanlab.ellcurve import (
     POINT_BUDGET,
     Curve,
+    CurvePoint,
     Divisor,
     TrackedFunction,
     _affine_add,
@@ -385,3 +386,46 @@ def test_point_order_and_scalar_mul():
     assert (k * g).is_infinity
     assert not any((m * g).is_infinity for m in range(1, k))
     assert (-3) * g == 3 * (-g)
+
+
+def test_scalar_multiple_makes_the_fewest_additions(monkeypatch):
+    add = CurvePoint.__add__
+    calls = 0
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return add(self, other)
+
+    point = affine_points(C1370)[0]
+    monkeypatch.setattr(CurvePoint, "__add__", counted)
+    counts = []
+    for k in (1, 2, 3, 4, 8):
+        calls = 0
+        k * point
+        counts.append(calls)
+    assert counts == [0, 1, 2, 2, 3]
+
+
+def test_scalar_multiple_matches_repeated_addition():
+    points = enumerate_points(C1370)
+    order = len(points)
+    for point in points:
+        multiples = {0: C1370.infinity()}
+        acc = C1370.infinity()
+        for k in range(1, 2 * order + 1):
+            acc = acc + point
+            multiples[k], multiples[-k] = acc, -acc
+        for k in range(-2 * order, 2 * order + 1):
+            assert k * point == multiples[k], (point, k)
+
+
+def test_miller_function_is_cached_and_pairing_unchanged(monkeypatch):
+    tor = torsion_subgroup(C1370, 3)
+    first = miller_function(3, tor[0])
+    hits = miller_function.cache_info().hits
+    assert miller_function(3, tor[0]) is first
+    assert miller_function.cache_info().hits == hits + 1
+    cached = {(x, y): weil_pairing(x, y, 3) for x, y in itertools.product(tor, repeat=2)}
+    monkeypatch.setattr(ellcurve, "miller_function", miller_function.__wrapped__)
+    assert cached == {(x, y): weil_pairing(x, y, 3) for x, y in itertools.product(tor, repeat=2)}

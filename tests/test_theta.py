@@ -4,16 +4,19 @@ import itertools
 
 import pytest
 
+from jordanlab import theta
 from jordanlab.ellcurve import (
     Curve,
     Divisor,
     enumerate_points,
+    iter_admissible_curves,
     torsion_subgroup,
     weil_pairing,
 )
 from jordanlab.errors import (
     BasisMismatch,
     BudgetExceeded,
+    DegenerateAfterRetries,
     LevelMismatch,
     NotAdmissible,
     NotTorsion,
@@ -26,6 +29,9 @@ from jordanlab.scalars import RootOfUnity, multiplicative_order, mu_generator
 from jordanlab.theta import (
     find_theta_curve,
     h_of_level,
+    mu_commutator,
+    mu_inverse,
+    mu_product,
     orientation_sigma,
     symplectic_basis,
     theta_commutator,
@@ -250,3 +256,55 @@ def test_mu_layer_min_abelian_index_transports():
         assert len(images) == n ** 3
         report = min_abelian_index((n,))
         assert report.min_abelian_index == n
+
+
+@pytest.mark.parametrize("curve,n", [(C2, 2), (C3, 3)])
+def test_value_tables_match_the_object_layer(curve, n):
+    structure = theta_structure(curve, n)
+    tables = structure.tables
+    elements = theta_enumerate_mu(curve, n)
+    images = [structure.to_heisenberg(g) for g in elements]
+    assert set(tables.points) == set(torsion_subgroup(curve, n))
+    assert set(tables.others) == set(enumerate_points(curve)) - set(tables.points)
+    assert tables.others  # symplectic_basis requires #E > n^2
+
+    def values(g):
+        return tables.points.index(g.x), tuple(g.f(s).value for s in tables.others)
+
+    # every layer vector is its own function evaluated on S, and so are inverses
+    assert tables.layer == [values(g) for g in elements]
+    for g, vec in zip(elements, tables.layer):
+        assert mu_inverse(tables, vec) == values(theta_inv(g))
+    # the vector product index table is the object product, transported
+    for (i, g), (j, h) in itertools.product(enumerate(elements), repeat=2):
+        k = tables.index[mu_product(tables, tables.layer[i], tables.layer[j])]
+        assert images[k] == structure.to_heisenberg(theta_mul(g, h))
+    # every section commutator is theta_commutator's value
+    for (a, g), (b, h) in itertools.product(structure.section.items(), repeat=2):
+        value = mu_commutator(tables, tables.section[a], tables.section[b])
+        assert value == theta_commutator(g, h).value
+
+
+def test_find_theta_curve_skips_a_degenerate_curve(monkeypatch):
+    first = find_theta_curve(2)
+    pairing_of = theta.weil_pairing
+
+    def degenerate_on_first(p1, p2, n, **kwargs):
+        if p1.curve == first:
+            raise DegenerateAfterRetries(f"doctored on {first!r}")
+        return pairing_of(p1, p2, n, **kwargs)
+
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    monkeypatch.setattr(theta, "weil_pairing", degenerate_on_first)
+    found = find_theta_curve(2)
+    # the next curve the unpatched search would accept
+    later = (c for c in iter_admissible_curves(2, 200)
+             if (c.p, c.a.value, c.b.value) > (first.p, first.a.value, first.b.value)
+             and c.point_count() > 4)
+    for curve in later:
+        try:
+            theta_structure(curve, 2)
+        except NotAdmissible:
+            continue
+        break
+    assert found == curve != first
