@@ -27,16 +27,7 @@ from .errors import (
     Undefined,
 )
 from .ellcurve import Curve, curve_search, iter_admissible_curves, weil_pairing
-from .finab import (
-    DEFAULT_SPAN_BUDGET,
-    FinAbGroup,
-    all_h_subgroups,
-    h_tables,
-    is_isotropic,
-    isotropic_witness,
-    pairing,
-    parse_delta,
-)
+from .finab import DEFAULT_SPAN_BUDGET, FinAbGroup, h_tables, pairing, parse_delta
 from .gtable import GroupTable
 from .heisenberg import EXHAUSTIVE_CAP, HeisElement, group_table, min_abelian_index
 from .scalars import RootOfUnity, mu_generator
@@ -189,15 +180,21 @@ def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
                  _counterexample("a", (h[nd_bad[0]],) if nd_bad else None))
 
     if group.h_order() <= min(budget, ISOTROPIC_SCAN_CAP):
-        subs = all_h_subgroups(group, budget=budget)
-        iso = [s for s in subs if is_isotropic(s)]
-        bad = 0
+        # gram holds mu_N exponents, so 0 is a trivial pairing
+        h_table = GroupTable(add)
+        subs = sorted(h_table.abelian_subgroups(max_gens=None), key=lambda s: (len(s), sorted(s)))
+        iso = [s for s in subs if not any(gram[a][b] for a in s for b in s)]
+        bad = []
         for s in iso:
-            witness = isotropic_witness(s)  # raises on violation
-            if n % witness.elements.order != 0 or witness.index % n != 0:
-                bad += 1
-        report.claim("isotropic-index-divisibility", bad == 0, len(iso), bad,
-                     f"{len(subs)} subgroups, {len(iso)} isotropic")
+            perp = {r for r in range(m) if not any(gram[r][a] for a in s)}
+            k = len(s)
+            if n % k or (m // k) % n or not s <= perp or len(perp) * k != m:
+                bad.append(s)
+        detail = f"{len(subs)} subgroups, {len(iso)} isotropic"
+        if bad:
+            gens = ", ".join(repr(h[g]) for g in h_table.generators(bad[0]))
+            detail += f"; first counterexample E = <{gens}> of order {len(bad[0])}"
+        report.claim("isotropic-index-divisibility", not bad, len(iso), len(bad), detail)
     else:
         bound = (f"--budget {budget}" if group.h_order() > budget
                  else f"ISOTROPIC_SCAN_CAP {ISOTROPIC_SCAN_CAP}")
@@ -275,11 +272,11 @@ def run_curve_search(n: int, p_max: int) -> RunReport:
 # theta-verify
 
 
-def _with_pair(detail: str, bad: list[tuple]) -> str:
-    """Claim detail, followed by the first bad (g, h) pair when there is one."""
+def _with_pair(detail: str, bad: list[tuple], names: str = "(g, h)") -> str:
+    """Claim detail, followed by the first bad tuple, named by names, when there is one."""
     if not bad:
         return detail
-    first = _counterexample("(g, h)", bad[0])
+    first = _counterexample(names, bad[0])
     return f"{detail}; {first}" if detail else first
 
 
@@ -339,13 +336,14 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
                  _with_pair("full multiplication-table comparison", iso_bad))
 
     table = GroupTable(prod_index)
-    assoc_failures = sum(
-        1
+    assoc_bad = [
+        (elements[i], elements[j], elements[k])
         for i, j, k in itertools.product(range(size), repeat=3)
         if table.mul(table.mul(i, j), k) != table.mul(i, table.mul(j, k))
-    )
-    report.claim("theta-group-axioms", assoc_failures == 0, size ** 3, assoc_failures,
-                 detail="associativity, identity and inverses on the index table")
+    ]
+    report.claim("theta-group-axioms", not assoc_bad, size ** 3, len(assoc_bad),
+                 _with_pair("associativity, identity and inverses on the index table",
+                            assoc_bad, "(i, j, k)"))
 
     sigma = orientation_sigma(curve, n)
     report.data["orientation_sigma"] = sigma
@@ -366,7 +364,7 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
         report.claim("embed-homomorphism", not hom_bad, size * size, len(hom_bad),
                      _with_pair("", hom_bad))
 
-        inj_failures = 0
+        inj_bad: list[tuple] = []
         pairs = 0
         for i in range(size):
             for j in range(i + 1, size):
@@ -374,8 +372,8 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
                     continue
                 pairs += 1
                 if layer[i] == layer[j]:
-                    inj_failures += 1
-        report.claim("embed-injective", inj_failures == 0, pairs, inj_failures)
+                    inj_bad.append((elements[i], elements[j]))
+        report.claim("embed-injective", not inj_bad, pairs, len(inj_bad), _with_pair("", inj_bad))
 
         # pointwise through the functions; at a sample in S the composed value vector
         # must give the same fiber coordinate, which ties the vectors to the functions

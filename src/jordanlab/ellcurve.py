@@ -27,6 +27,7 @@ from typing import Iterable, Iterator
 
 from .errors import (
     BudgetExceeded,
+    CertificateError,
     CurveMismatch,
     DegenerateAfterRetries,
     EvalAtSupport,
@@ -222,7 +223,7 @@ def _point_count(p: int, a: int, b: int) -> int:
     for x in range(p):
         count += len(sqrts.get((x * x * x + a * x + b) % p, ()))
     if (count - p - 1) ** 2 > 4 * p:
-        raise JordanLabError(f"point count {count} violates the Hasse bound on E({p}:{a}:{b})")
+        raise CertificateError(f"point count {count} violates the Hasse bound on E({p}:{a}:{b})")
     return count
 
 
@@ -252,7 +253,7 @@ def enumerate_points(curve: Curve, budget: int = POINT_BUDGET) -> tuple[CurvePoi
     points.append(curve.infinity())
     count = len(points)
     if (count - curve.p - 1) ** 2 > 4 * curve.p:
-        raise JordanLabError(f"point count {count} violates the Hasse bound on {curve!r}")
+        raise CertificateError(f"point count {count} violates the Hasse bound on {curve!r}")
     return tuple(points)
 
 
@@ -516,7 +517,7 @@ class TrackedFunction:
         if not values:
             raise EvalAtSupport("no sample point avoids the atom supports")
         if any(v != values[0] for v in values):
-            raise JordanLabError("divisor-free function is not constant; atom bookkeeping bug")
+            raise CertificateError("divisor-free function is not constant; atom bookkeeping bug")
         return values[0]
 
     def __repr__(self):
@@ -642,7 +643,7 @@ def weil_pairing(
         except EvalAtSupport:
             continue
         if value ** n != curve.fe(1):
-            raise JordanLabError(f"pairing value {value} escaped mu_{n}")
+            raise CertificateError(f"pairing value {value} escaped mu_{n}")
         return RootOfUnity(n, discrete_log_in_mu(value, generator, n))
     raise DegenerateAfterRetries(
         f"no offset choice avoided the supports after {max_retries} tries on {curve!r}"

@@ -22,10 +22,13 @@ has order dividing N and index divisible by N.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import BadDelta, BudgetExceeded, GroupMismatch, NotASubgroup, NotIsotropic
+from .gtable import GroupTable
 from .scalars import RootOfUnity
 
 DEFAULT_SPAN_BUDGET = 20736  # cap on #H = N^2 during subgroup enumeration
@@ -102,7 +105,7 @@ class FinAbGroup:
         return self.order ** 2
 
     def h_elements(self) -> list["HPoint"]:
-        """All of H = K x K^ in lexicographic (x, ell) order."""
+        """All of H = K x K^ in lexicographic (x, ell) order, which is HPoint.sort_key order."""
         return [HPoint(x, ell) for x in self.elements() for ell in self.characters()]
 
     def __repr__(self):
@@ -219,6 +222,14 @@ def pairing(h1: HPoint, h2: HPoint) -> RootOfUnity:
     return h2.ell(h1.x) * h1.ell(h2.x).inverse()
 
 
+@lru_cache(maxsize=16)
+def _h_group(group: FinAbGroup) -> tuple[list[HPoint], GroupTable]:
+    """H in h_elements() order with its addition table, filled once per group from
+    HPoint.__add__.  Cached and shared by every caller, so read only."""
+    h = group.h_elements()
+    return h, GroupTable.from_elements(h, operator.add)
+
+
 def h_tables(group: FinAbGroup, form: Callable[[HPoint, HPoint], RootOfUnity]
              ) -> tuple[list[HPoint], list[list[int]], list[list[int]]]:
     """H in h_elements() order with its addition table and the Gram table of form.
@@ -228,11 +239,9 @@ def h_tables(group: FinAbGroup, form: Callable[[HPoint, HPoint], RootOfUnity]
     operations, so a claim checked on the tables is a claim about
     HPoint.__add__ and the form.
     """
-    h = group.h_elements()
-    index = {p: i for i, p in enumerate(h)}
-    add = [[index[a + b] for b in h] for a in h]
+    h, table = _h_group(group)
     gram = [[form(a, b).exponent for b in h] for a in h]
-    return h, add, gram
+    return h, table.table, gram
 
 
 @dataclass(frozen=True)
@@ -241,7 +250,6 @@ class HSubgroup:
 
     group: FinAbGroup
     elements: tuple[HPoint, ...]
-    generators: tuple[HPoint, ...] = field(default=())
 
     @property
     def order(self) -> int:
@@ -250,38 +258,19 @@ class HSubgroup:
     def index(self) -> int:
         return self.group.h_order() // self.order
 
-    def __contains__(self, h: HPoint) -> bool:
-        return h in set(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
-def _close_under_addition(group: FinAbGroup, gens: Sequence[HPoint]) -> set[HPoint]:
-    seen = {group.h_zero()}
-    frontier = [g for g in gens if g not in seen]
-    seen.update(frontier)
-    while frontier:
-        fresh = []
-        for h in frontier:
-            for s in list(seen):
-                for cand in (h + s, s - h):
-                    if cand not in seen:
-                        seen.add(cand)
-                        fresh.append(cand)
-        frontier = fresh
-    return seen
-
 
 def span_in(group: FinAbGroup, gens: Iterable[HPoint], budget: int = DEFAULT_SPAN_BUDGET) -> HSubgroup:
+    """The subgroup of H generated by gens, closed over the integer addition table."""
     gens = tuple(gens)
     for g in gens:
         if g.group != group:
             raise GroupMismatch(f"{g!r} is not in H over {group!r}")
     if group.h_order() > budget:
         raise BudgetExceeded(f"#H = {group.h_order()} exceeds enumeration budget {budget}")
-    closed = _close_under_addition(group, gens)
-    return HSubgroup(group, tuple(sorted(closed, key=HPoint.sort_key)), gens)
+    h, table = _h_group(group)
+    position = {p: i for i, p in enumerate(h)}
+    members = table.closure(position[g] for g in gens)
+    return HSubgroup(group, tuple(h[i] for i in sorted(members)))
 
 
 def _as_subgroup(e) -> HSubgroup:
@@ -318,7 +307,6 @@ def orthogonal_complement(e) -> HSubgroup:
 class IsotropicWitness:
     """An isotropic subgroup with its complement and verified index facts."""
 
-    generators: tuple[HPoint, ...]
     elements: HSubgroup
     complement: HSubgroup
     index: int
@@ -344,20 +332,7 @@ def isotropic_witness(e) -> IsotropicWitness:
         raise NotIsotropic("E is not contained in its orthogonal complement")
     if perp.order * sub.order != sub.group.h_order():
         raise NotIsotropic("orthogonal complement has the wrong order")
-    gens = sub.generators or _minimal_generators(sub)
-    return IsotropicWitness(gens, sub, perp, index)
-
-
-def _minimal_generators(sub: HSubgroup) -> tuple[HPoint, ...]:
-    gens: list[HPoint] = []
-    current = {sub.group.h_zero()}
-    for h in sub.elements:
-        if h not in current:
-            gens.append(h)
-            current = _close_under_addition(sub.group, gens)
-            if len(current) == sub.order:
-                break
-    return tuple(gens)
+    return IsotropicWitness(sub, perp, index)
 
 
 def all_h_subgroups(group: FinAbGroup, budget: int = DEFAULT_SPAN_BUDGET) -> list[HSubgroup]:
@@ -368,12 +343,7 @@ def all_h_subgroups(group: FinAbGroup, budget: int = DEFAULT_SPAN_BUDGET) -> lis
     """
     if group.h_order() > budget:
         raise BudgetExceeded(f"#H = {group.h_order()} exceeds enumeration budget {budget}")
-    from .gtable import GroupTable
-
-    everything = group.h_elements()
-    table = GroupTable.from_elements(everything, lambda a, b: a + b)
-    subgroups = []
-    for members, gens in table.abelian_subgroups(max_gens=None).items():
-        elements = tuple(sorted((everything[i] for i in members), key=HPoint.sort_key))
-        subgroups.append(HSubgroup(group, elements, tuple(everything[i] for i in gens)))
-    return sorted(subgroups, key=lambda s: (s.order, tuple(h.sort_key() for h in s.elements)))
+    h, table = _h_group(group)
+    # index order is sort_key order, so these sort by order, then elements
+    found = sorted(table.abelian_subgroups(max_gens=None), key=lambda s: (len(s), sorted(s)))
+    return [HSubgroup(group, tuple(h[i] for i in sorted(members))) for members in found]

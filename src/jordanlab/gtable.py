@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
+from .errors import CertificateError
+
 
 class GroupTable:
     """A finite group as elements 0..n-1 with a dense multiplication table."""
@@ -32,7 +34,7 @@ class GroupTable:
         for e in range(n):
             if all(self.table[e][g] == g and self.table[g][e] == g for g in range(n)):
                 return e
-        raise ValueError("table has no identity element")
+        raise CertificateError("table has no identity element")
 
     def _build_inverses(self) -> list[int]:
         inv = [-1] * self.order
@@ -42,7 +44,7 @@ class GroupTable:
                     inv[g] = h
                     break
             if inv[g] < 0:
-                raise ValueError(f"element {g} has no inverse")
+                raise CertificateError(f"element {g} has no inverse")
         return inv
 
     def mul(self, a: int, b: int) -> int:
@@ -71,6 +73,18 @@ class GroupTable:
                             fresh.append(cand)
             frontier = fresh
         return frozenset(seen)
+
+    def generators(self, members: frozenset[int]) -> tuple[int, ...]:
+        """Generators of the subgroup `members`: each element, in index order, not yet reached."""
+        gens: list[int] = []
+        current: frozenset[int] = frozenset({self.identity})
+        for g in sorted(members):
+            if g not in current:
+                gens.append(g)
+                current = self.closure(gens)
+                if current == members:
+                    break
+        return tuple(gens)
 
     def centralizing(self, subset: Iterable[int]) -> list[int]:
         members = list(subset)

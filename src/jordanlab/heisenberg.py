@@ -56,10 +56,6 @@ class HeisElement:
     def inverse(self) -> "HeisElement":
         return HeisElement(self.a.inverse() * self.ell(self.x), -self.x, self.ell.inverse())
 
-    @property
-    def is_identity(self) -> bool:
-        return self.a.is_one and self.x.is_zero and self.ell.is_trivial
-
     def project(self) -> HPoint:
         """The quotient map to H, forgetting the central scalar."""
         return HPoint(self.x, self.ell)
@@ -166,18 +162,6 @@ class IndexReport:
         }
 
 
-def _witness_generators(table: GroupTable, members: frozenset[int]) -> tuple[int, ...]:
-    gens: list[int] = []
-    current: frozenset[int] = frozenset({table.identity})
-    for g in sorted(members):
-        if g not in current:
-            gens.append(g)
-            current = table.closure(gens)
-            if current == members:
-                break
-    return tuple(gens)
-
-
 def min_abelian_index(
     delta: Sequence[int] | FinAbGroup,
     max_gens: int = DEFAULT_MAX_GENS,
@@ -234,7 +218,7 @@ def min_abelian_index(
     if min_index < n:
         raise CertificateError(f"abelian subgroup of index {min_index} beat the certified bound {n}")
 
-    gens = _witness_generators(table, best_members)
+    gens = table.generators(best_members)
     return IndexReport(
         delta=group.delta,
         group_order=order,

@@ -82,7 +82,7 @@ class ThetaElement:
             raise NotTorsion(f"{self.x!r} is not {self.level}-torsion")
         expected = _theta_divisor(self.level, self.x)
         if self.f.divisor() != expected:
-            raise JordanLabError(
+            raise CertificateError(
                 f"function divisor {self.f.divisor()!r} != required {expected!r}"
             )
 
@@ -196,7 +196,7 @@ def h_of_level(curve: Curve, n: int) -> HofL:
     base = [x for x in points
             if Divisor.of(curve, [(curve.infinity(), 1), (-x, -1)]).is_principal()]
     if base != [curve.infinity()]:
-        raise JordanLabError(f"base stabilizer should be trivial, got {base!r}")
+        raise CertificateError(f"base stabilizer should be trivial, got {base!r}")
     base_set = set(base)
     level = [x for x in points if (n * x) in base_set]
     if len(level) != n * n:
@@ -301,7 +301,7 @@ class ThetaStructure:
         lift = theta_make(n, x, kappa)
         check = theta_power(lift, n)
         if check.f.constant_value() != self.curve.fe(1):
-            raise JordanLabError("rescaled lift failed to have exact order n")
+            raise CertificateError("rescaled lift failed to have exact order n")
         return lift
 
     def scalar_exponent(self, value: FpElement) -> int:
@@ -455,7 +455,7 @@ def orientation_sigma(curve: Curve, n: int) -> int:
         return -1
     if structure.t == embedded:
         return 1
-    raise JordanLabError("commutator and pairing oracle disagree beyond orientation")
+    raise CertificateError("commutator and pairing oracle disagree beyond orientation")
 
 
 def find_theta_curve(n: int, p_max: int = 200) -> Curve:

@@ -1,5 +1,6 @@
 """CLI subcommands: report schema, exit codes, output routing."""
 
+import ast
 import itertools
 import json
 import os
@@ -9,9 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from jordanlab import birgroup, cli, theta
+from jordanlab import birgroup, cli, ellcurve, finab, theta
 from jordanlab.cli import main
-from jordanlab.finab import FinAbGroup, pairing
+from jordanlab.finab import (
+    DEFAULT_SPAN_BUDGET,
+    FinAbGroup,
+    HPoint,
+    all_h_subgroups,
+    is_isotropic,
+    pairing,
+)
 from jordanlab.gtable import GroupTable
 from jordanlab.heisenberg import HeisElement, elements
 from jordanlab.scalars import RootOfUnity
@@ -322,3 +330,140 @@ def test_optimized_interpreter_gives_the_same_theta_claims():
         claims.append(json.loads(proc.stdout)["claims"])
     assert claims[0] == claims[1]
     assert all(c["status"] == "verified" for c in claims[0])
+
+
+@pytest.mark.parametrize("delta", [(2,), (3,), (4,), (2, 2), (5,), (6,), (4, 2)])
+def test_isotropic_claim_counts_match_the_object_layer(delta):
+    report = cli.run_abstract(delta, DEFAULT_SPAN_BUDGET).to_dict()
+    claim = claim_map(report)["isotropic-index-divisibility"]
+    subgroups = all_h_subgroups(FinAbGroup(delta))
+    isotropic = [s for s in subgroups if is_isotropic(s)]
+    assert claim["status"] == "verified" and claim["failures"] == 0
+    assert claim["checked"] == len(isotropic)
+    assert claim["detail"] == f"{len(subgroups)} subgroups, {len(isotropic)} isotropic"
+
+
+def test_abstract_fills_one_h_addition_table(monkeypatch):
+    calls = 0
+    add = HPoint.__add__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return add(a, b)
+
+    monkeypatch.setattr(HPoint, "__add__", counted)
+    finab._h_group.cache_clear()
+    cli.run_abstract((4,), DEFAULT_SPAN_BUDGET)
+    assert calls == 16 ** 2  # every addition of H fills the one table, once
+
+
+def test_trivial_pairing_fails_isotropic_claim(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "pairing", lambda a, b: RootOfUnity(a.group.order, 0))
+    code, report, _ = run_json(capsys, ["abstract", "--delta", "4"])
+    assert code == 1
+    claim = claim_map(report)["isotropic-index-divisibility"]
+    # every subgroup is isotropic for the trivial form, and only {0} has the right E_perp
+    subgroups = all_h_subgroups(FinAbGroup((4,)))
+    assert claim["status"] == "failed"
+    assert claim["checked"] == len(subgroups) and claim["failures"] == len(subgroups) - 1 > 0
+    first = next(s for s in subgroups if s.order > 1)
+    assert claim["detail"] == (f"{len(subgroups)} subgroups, {len(subgroups)} isotropic; "
+                               f"first counterexample E = <{first.elements[1]!r}> of order 2")
+
+
+def honest_product_table(curve, n):
+    """The product index table of the mu layer, from the value vectors."""
+    tables = theta.theta_structure(curve, n).tables
+    return [[tables.index[mu_product(tables, g, h)] for h in tables.layer] for g in tables.layer]
+
+
+def test_product_table_without_identity_exits_1(capsys, monkeypatch):
+    honest = honest_product_table(cli.Curve.make(7, 3, 0), 2)
+    identity = honest.index(list(range(len(honest))))
+
+    def doctored(tables, g, h):
+        if (tables.index[g], tables.index[h]) == (identity, identity):
+            return tables.layer[identity - 1]  # the identity squared is no longer the identity
+        return mu_product(tables, g, h)
+
+    monkeypatch.setattr(cli, "mu_product", doctored)
+    assert main(THETA_N2) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: CertificateError: table has no identity element\n"
+
+
+def test_broken_associativity_names_the_first_triple(capsys, monkeypatch):
+    curve = cli.Curve.make(7, 3, 0)
+    honest = honest_product_table(curve, 2)
+
+    def doctored(self, a, b):
+        return 2 if (a, b) == (1, 1) else self.table[a][b]
+
+    def mul(a, b):
+        return 2 if (a, b) == (1, 1) else honest[a][b]
+
+    monkeypatch.setattr(GroupTable, "mul", doctored)
+    code, report, _ = run_json(capsys, THETA_N2)
+    assert code == 1
+    bad = [t for t in itertools.product(range(len(honest)), repeat=3)
+           if mul(mul(t[0], t[1]), t[2]) != mul(t[0], mul(t[1], t[2]))]
+    layer = theta_enumerate_mu(curve, 2)
+    claim = claim_map(report)["theta-group-axioms"]
+    assert claim["status"] == "failed" and claim["failures"] == len(bad) > 0
+    assert claim["checked"] == len(layer) ** 3
+    assert claim["detail"] == (
+        "associativity, identity and inverses on the index table; "
+        "first counterexample (i, j, k) = ({!r}, {!r}, {!r})".format(*(layer[i] for i in bad[0])))
+
+
+class UncheckedTable(GroupTable):
+    """A product table taken as it is: equal rows leave it without an identity."""
+
+    def __init__(self, table):
+        self.table = table
+
+
+def test_equal_layer_vectors_fail_embed_injective(capsys, monkeypatch):
+    curve = cli.Curve.make(7, 3, 0)
+    tables = theta.theta_structure(curve, 2).tables
+    layer = list(tables.layer)
+    assert layer[0][0] == layer[1][0]  # the layer lists elements by point, then scale
+    layer[1] = layer[0]
+    monkeypatch.setattr(tables, "layer", layer)
+    monkeypatch.setattr(cli, "GroupTable", UncheckedTable)
+    code, report, _ = run_json(capsys, THETA_N2)
+    assert code == 1
+    elements = theta_enumerate_mu(curve, 2)
+    claim = claim_map(report)["embed-injective"]
+    assert claim["status"] == "failed" and claim["failures"] == 1
+    assert claim["detail"] == "first counterexample (g, h) = ({!r}, {!r})".format(*elements[:2])
+
+
+def test_hasse_violation_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(ellcurve, "_sqrt_table", lambda p: {})
+    assert main(["curve-search", "--n", "2", "--p-max", "20"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: CertificateError: point count 1 violates the Hasse bound")
+
+
+def test_orientation_disagreement_exits_1(capsys, monkeypatch):
+    curve = cli.Curve.make(13, 7, 0)
+    theta.theta_structure(curve, 3)  # built with the true pairing
+    # t is a primitive cube root, so neither t nor t^-1 is the trivial value
+    monkeypatch.setattr(theta, "weil_pairing", lambda p1, p2, n, seed=0: RootOfUnity(n, 0))
+    assert main(["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: CertificateError: "
+                       "commutator and pairing oracle disagree beyond orientation\n")
+
+
+def test_package_checks_nothing_with_assert():
+    # python -O strips assert statements, so no certificate may rest on one
+    for path in sorted((SRC / "jordanlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} asserts on lines {lines}"

@@ -1,5 +1,7 @@
 """Finite abelian groups, characters, the alternating pairing, isotropy."""
 
+import random
+
 import pytest
 
 from jordanlab.errors import BadDelta, BudgetExceeded, GroupMismatch, NotASubgroup, NotIsotropic
@@ -110,6 +112,27 @@ def test_span_examples():
     g22 = FinAbGroup((2, 2))
     gens = (hpoint(g22, [1, 0], [0, 0]), hpoint(g22, [0, 1], [0, 0]))
     assert span_in(g22, gens).order == 4
+
+
+def object_span(group, gens):
+    """The subgroup generated by gens, closed under HPoint addition alone."""
+    span = {group.h_zero()}
+    while True:
+        bigger = span | {a + g for a in span for g in gens}
+        if bigger == span:
+            return span
+        span = bigger
+
+
+@pytest.mark.parametrize("delta", SMALL_DELTAS + [(6,)])
+def test_span_in_matches_object_closure(delta):
+    g = FinAbGroup(delta)
+    h = g.h_elements()
+    rng = random.Random(0)
+    cases = [(), tuple(h)] + [(a,) for a in h] + [tuple(rng.sample(h, 2)) for _ in range(20)]
+    for gens in cases:
+        sub = span_in(g, gens)
+        assert sub.elements == tuple(sorted(object_span(g, gens), key=HPoint.sort_key))
 
 
 def test_span_budget():
