@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from . import birgroup
 from .errors import (
     BadArgument,
+    BudgetExceeded,
     CertificateError,
     DegenerateAfterRetries,
     JordanLabError,
@@ -32,12 +33,12 @@ from .gtable import GroupTable
 from .heisenberg import EXHAUSTIVE_CAP, HeisElement, group_table, min_abelian_index
 from .scalars import RootOfUnity, mu_generator
 from .theta import (
+    THETA_BUDGET,
     find_theta_curve,
     h_of_level,
     mu_commutator,
     mu_product,
     orientation_sigma,
-    theta_enumerate_mu,
     theta_structure,
 )
 
@@ -47,7 +48,6 @@ SKIPPED = "skipped-budget"
 
 PAIRING_TRIPLE_CAP = 2_000_000
 ISOTROPIC_SCAN_CAP = 400  # largest #H whose subgroups abstract scans for isotropy
-EMBED_LEVEL_CAP = 3  # largest level whose mu layer theta-verify embeds into Bir(E x A^1)
 
 
 @dataclass
@@ -282,6 +282,8 @@ def _with_pair(detail: str, bad: list[tuple], names: str = "(g, h)") -> str:
 
 def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunReport:
     start = time.perf_counter()
+    if n > THETA_BUDGET:  # before any curve is searched or structure built
+        raise BudgetExceeded(f"level {n} exceeds the mu-layer budget {THETA_BUDGET}")
     if curve is None and n >= 2:
         curve = find_theta_curve(n, p_max)
     params = {"n": n, "seed": seed}
@@ -303,20 +305,21 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
                  detail=f"order {level.order} == {n}^2")
 
     structure = theta_structure(curve, n)
-    elements = theta_enumerate_mu(curve, n)
-    size = len(elements)
-    images = [structure.to_heisenberg(g) for g in elements]
+    elements = structure.mu_elements()
 
     # every per-pair check runs on the value vectors of the layer (theta.MuTables):
-    # one pass over the n^6 pairs certifies closure and the isomorphism, and at
-    # small levels the homomorphism law of the embedding into Bir(E x A^1)
+    # one pass over the n^6 pairs certifies closure, the isomorphism onto G1, where
+    # t^k s(i, j) is (zeta^k, i, chi_j), and the embedding into Bir(E x A^1)
     tables = structure.tables
     layer = tables.layer
-    embed = n <= EMBED_LEVEL_CAP
+    size = len(layer)
+    heis = [(i * n + j) * n + k for i, j, k in structure.mu_labels()]
+    g1 = group_table(structure.group)[0].table
     iso_bad: list[tuple] = []
     hom_bad: list[tuple] = []
     prod_index = [[0] * size for _ in range(size)]
     for i, g in enumerate(layer):
+        g1_row = g1[heis[i]]
         for j, h in enumerate(layer):
             k = tables.index.get(mu_product(tables, g, h))
             if k is None:
@@ -325,13 +328,14 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
                     f"leaves the mu_{n} layer"
                 )
             prod_index[i][j] = k
-            if images[k] != images[i] * images[j]:
+            if heis[k] != g1_row[heis[j]]:
                 iso_bad.append((elements[i], elements[j]))
-            if embed and birgroup.compose_values(tables, h, g) != layer[k]:
+            if birgroup.compose_values(tables, h, g) != layer[k]:
                 hom_bad.append((elements[i], elements[j]))
     report.claim("mu-layer-closure", size == n ** 3, size * size,
                  detail=f"{size} elements, all products stay in the layer")
-    report.claim("transport-bijective", len({img.sort_key() for img in images}) == size, size)
+    clashes = (size - len(set(heis))) + (size - len(set(layer)))
+    report.claim("transport-bijective", clashes == 0, size, clashes)
     report.claim("structure-isomorphism", not iso_bad, size * size, len(iso_bad),
                  _with_pair("full multiplication-table comparison", iso_bad))
 
@@ -360,47 +364,39 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     report.claim("commutator-matches-weil", not comm_bad, len(structure.section) ** 2,
                  len(comm_bad), _with_pair(f"sigma = {sigma}", comm_bad))
 
-    if embed:
-        report.claim("embed-homomorphism", not hom_bad, size * size, len(hom_bad),
-                     _with_pair("", hom_bad))
+    report.claim("embed-homomorphism", not hom_bad, size * size, len(hom_bad),
+                 _with_pair("", hom_bad))
 
-        inj_bad: list[tuple] = []
-        pairs = 0
-        for i in range(size):
-            for j in range(i + 1, size):
-                if layer[i][0] != layer[j][0]:
-                    continue
-                pairs += 1
-                if layer[i] == layer[j]:
-                    inj_bad.append((elements[i], elements[j]))
-        report.claim("embed-injective", not inj_bad, pairs, len(inj_bad), _with_pair("", inj_bad))
+    same_point = [(i, j) for i, j in itertools.combinations(range(size), 2)
+                  if layer[i][0] == layer[j][0]]
+    inj_bad = [(elements[i], elements[j]) for i, j in same_point if layer[i] == layer[j]]
+    report.claim("embed-injective", not inj_bad, len(same_point), len(inj_bad),
+                 _with_pair("", inj_bad))
 
-        # pointwise through the functions; at a sample in S the composed value vector
-        # must give the same fiber coordinate, which ties the vectors to the functions
-        embedded = [birgroup.theta_embed(g) for g in elements]
-        at = {s: k for k, s in enumerate(tables.others)}
-        sem_ok = sem_skipped = sem_failures = 0
-        samples = list(birgroup.sample_points(curve, seed=seed, count=400))
-        rng = random.Random(f"{seed}:compose")
-        while sem_ok < 100 and sem_skipped < 4000:
-            a = rng.choice(range(size))
-            b = rng.choice(range(size))
-            s = rng.choice(samples)
-            try:
-                lhs = birgroup.apply(birgroup.compose(embedded[b], embedded[a]), s)
-                rhs = birgroup.apply(embedded[b], birgroup.apply(embedded[a], s))
-            except Undefined:
-                sem_skipped += 1
-                continue
-            values = birgroup.compose_values(tables, layer[b], layer[a])[1]
-            k = at.get(s.x)
-            if lhs != rhs or (k is not None and lhs.t.value != values[k] * s.t.value % curve.p):
-                sem_failures += 1
-            sem_ok += 1
-        report.claim("compose-semantics", sem_failures == 0 and sem_ok >= 100, sem_ok,
-                     sem_failures, detail=f"{sem_skipped} undefined samples skipped")
-    else:
-        report.skip("embed-homomorphism", f"level {n} beyond the embedding budget")
+    # pointwise through the functions; at a sample in S the composed value vector
+    # must give the same fiber coordinate, which ties the vectors to the functions
+    embedded = [birgroup.theta_embed(g) for g in elements]
+    at = {s: k for k, s in enumerate(tables.others)}
+    sem_ok = sem_skipped = sem_failures = 0
+    samples = list(birgroup.sample_points(curve, seed=seed, count=400))
+    rng = random.Random(f"{seed}:compose")
+    while sem_ok < 100 and sem_skipped < 4000:
+        a = rng.choice(range(size))
+        b = rng.choice(range(size))
+        s = rng.choice(samples)
+        try:
+            lhs = birgroup.apply(birgroup.compose(embedded[b], embedded[a]), s)
+            rhs = birgroup.apply(embedded[b], birgroup.apply(embedded[a], s))
+        except Undefined:
+            sem_skipped += 1
+            continue
+        values = birgroup.compose_values(tables, layer[b], layer[a])[1]
+        k = at.get(s.x)
+        if lhs != rhs or (k is not None and lhs.t.value != values[k] * s.t.value % curve.p):
+            sem_failures += 1
+        sem_ok += 1
+    report.claim("compose-semantics", sem_failures == 0 and sem_ok >= 100, sem_ok,
+                 sem_failures, detail=f"{sem_skipped} undefined samples skipped")
 
     report.wall_time_s = time.perf_counter() - start
     return report

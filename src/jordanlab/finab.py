@@ -31,7 +31,8 @@ from .errors import BadDelta, BudgetExceeded, GroupMismatch, NotASubgroup, NotIs
 from .gtable import GroupTable
 from .scalars import RootOfUnity
 
-DEFAULT_SPAN_BUDGET = 20736  # cap on #H = N^2 during subgroup enumeration
+DEFAULT_SPAN_BUDGET = 20736  # default cap on #H = N^2 for abstract's subgroup scan
+H_TABLE_BUDGET = 1 << 20  # cap on the #H^2 = N^4 entries of one H table (N <= 32)
 
 
 def parse_delta(text: str) -> tuple[int, ...]:
@@ -225,7 +226,11 @@ def pairing(h1: HPoint, h2: HPoint) -> RootOfUnity:
 @lru_cache(maxsize=16)
 def _h_group(group: FinAbGroup) -> tuple[list[HPoint], GroupTable]:
     """H in h_elements() order with its addition table, filled once per group from
-    HPoint.__add__.  Cached and shared by every caller, so read only."""
+    HPoint.__add__.  Cached and shared by every caller, so read only.  Refused
+    before anything is allocated when the table would exceed H_TABLE_BUDGET."""
+    if group.h_order() ** 2 > H_TABLE_BUDGET:
+        raise BudgetExceeded(f"#H^2 = {group.h_order() ** 2} table entries exceed "
+                             f"H_TABLE_BUDGET {H_TABLE_BUDGET}")
     h = group.h_elements()
     return h, GroupTable.from_elements(h, operator.add)
 
@@ -259,14 +264,12 @@ class HSubgroup:
         return self.group.h_order() // self.order
 
 
-def span_in(group: FinAbGroup, gens: Iterable[HPoint], budget: int = DEFAULT_SPAN_BUDGET) -> HSubgroup:
+def span_in(group: FinAbGroup, gens: Iterable[HPoint]) -> HSubgroup:
     """The subgroup of H generated by gens, closed over the integer addition table."""
     gens = tuple(gens)
     for g in gens:
         if g.group != group:
             raise GroupMismatch(f"{g!r} is not in H over {group!r}")
-    if group.h_order() > budget:
-        raise BudgetExceeded(f"#H = {group.h_order()} exceeds enumeration budget {budget}")
     h, table = _h_group(group)
     position = {p: i for i, p in enumerate(h)}
     members = table.closure(position[g] for g in gens)
@@ -335,14 +338,12 @@ def isotropic_witness(e) -> IsotropicWitness:
     return IsotropicWitness(sub, perp, index)
 
 
-def all_h_subgroups(group: FinAbGroup, budget: int = DEFAULT_SPAN_BUDGET) -> list[HSubgroup]:
+def all_h_subgroups(group: FinAbGroup) -> list[HSubgroup]:
     """Every subgroup of H, enumerated over an integer addition table.
 
     H is abelian, so each lattice step is a coset product rather than a
     closure search; the walk covers the entire lattice.
     """
-    if group.h_order() > budget:
-        raise BudgetExceeded(f"#H = {group.h_order()} exceeds enumeration budget {budget}")
     h, table = _h_group(group)
     # index order is sort_key order, so these sort by order, then elements
     found = sorted(table.abelian_subgroups(max_gens=None), key=lambda s: (len(s), sorted(s)))

@@ -21,7 +21,7 @@ fails on some curves; admissibility is checked, not assumed), and
 which satisfies s(u) s(v) = t^(i_u * j_v) s(u + v) exactly.  That is the same
 cocycle as the Heisenberg-type group over Z/n, so labelling an element
 t^k s(i,j) by (zeta_n^k, i, chi_j) is an isomorphism onto it, verified by
-full multiplication-table comparison at small levels.
+full multiplication-table comparison against heisenberg.group_table.
 
 For those per-pair checks the layer is also held as integers (MuTables): each
 function as its value vector on the points outside E[n], where the product is
@@ -429,8 +429,8 @@ def theta_enumerate_mu(curve: Curve, n: int, budget: int = THETA_BUDGET) -> list
     """The full mu_n layer: the n^3 elements over the canonical section.
 
     Multiplies nothing.  Closure of the layer is certified by `theta-verify`
-    (cli.run_theta_verify), which transports every product g h through
-    ThetaStructure.to_heisenberg and fails the run if one escapes.
+    (cli.run_theta_verify), which looks up every product g h of the layer's
+    value vectors in MuTables.index and fails the run if one escapes.
     """
     if n > budget:
         raise BudgetExceeded(f"level {n} exceeds the mu-layer budget {budget}")

@@ -267,8 +267,13 @@ def noncommuting_pairs(curve, n):
 
 
 def test_wrong_heisenberg_product_fails_isomorphism(capsys, monkeypatch):
-    product = HeisElement.__mul__
-    monkeypatch.setattr(HeisElement, "__mul__", lambda self, other: product(other, self))
+    honest = cli.group_table
+
+    def transposed(group):  # the opposite group: g * h is read as h * g
+        table, elems = honest(group)
+        return GroupTable([list(column) for column in zip(*table.table)]), elems
+
+    monkeypatch.setattr(cli, "group_table", transposed)
     code, report, _ = run_json(capsys, THETA_N2)
     assert code == 1
     claims = claim_map(report)
@@ -278,6 +283,40 @@ def test_wrong_heisenberg_product_fails_isomorphism(capsys, monkeypatch):
     assert claim["detail"] == ("full multiplication-table comparison; "
                                "first counterexample (g, h) = ({!r}, {!r})".format(*bad[0]))
     assert claims["embed-homomorphism"]["status"] == "verified"
+
+
+def test_theta_verify_uses_no_object_transport(capsys, monkeypatch):
+    monkeypatch.setattr(theta.ThetaStructure, "to_heisenberg",
+                        lambda self, g: pytest.fail("to_heisenberg called"))
+    monkeypatch.setattr(HeisElement, "__mul__",
+                        lambda self, other: pytest.fail("HeisElement.__mul__ called"))
+    code, report, _ = run_json(capsys, THETA_N2)
+    assert code == 0
+    assert all(c["status"] == "verified" for c in report["claims"])
+
+
+def test_theta_verify_level4_runs_every_claim(capsys):
+    code, report, _ = run_json(capsys, ["theta-verify", "--n", "4"])
+    assert code == 0
+    claims = claim_map(report)
+    assert list(claims) == [
+        "h-of-level-order", "mu-layer-closure", "transport-bijective", "structure-isomorphism",
+        "theta-group-axioms", "commutator-matches-weil", "embed-homomorphism",
+        "embed-injective", "compose-semantics",
+    ]
+    assert all(c["status"] == "verified" and c["failures"] == 0 for c in claims.values())
+    assert claims["structure-isomorphism"]["checked"] == 64 ** 2
+    assert claims["embed-homomorphism"]["checked"] == 64 ** 2
+    assert claims["compose-semantics"]["checked"] >= 100
+
+
+def test_theta_budget_fails_before_any_search(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "find_theta_curve", lambda *args: pytest.fail("curve searched"))
+    monkeypatch.setattr(cli, "theta_structure", lambda *args: pytest.fail("structure built"))
+    assert main(["theta-verify", "--n", "5"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: BudgetExceeded: level 5 exceeds the mu-layer budget 4\n"
 
 
 def test_wrong_composition_fails_embed_homomorphism(capsys, monkeypatch):
@@ -358,6 +397,16 @@ def test_abstract_fills_one_h_addition_table(monkeypatch):
     assert calls == 16 ** 2  # every addition of H fills the one table, once
 
 
+def test_h_table_budget_refuses_before_filling(capsys, monkeypatch):
+    monkeypatch.setattr(HPoint, "__add__", lambda a, b: pytest.fail("H table filled"))
+    assert 144 ** 4 > finab.H_TABLE_BUDGET
+    assert main(["abstract", "--delta", "144"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: BudgetExceeded: #H^2 = 429981696 table entries exceed "
+                       f"H_TABLE_BUDGET {finab.H_TABLE_BUDGET}\n")
+
+
 def test_trivial_pairing_fails_isotropic_claim(capsys, monkeypatch):
     monkeypatch.setattr(cli, "pairing", lambda a, b: RootOfUnity(a.group.order, 0))
     code, report, _ = run_json(capsys, ["abstract", "--delta", "4"])
@@ -436,9 +485,11 @@ def test_equal_layer_vectors_fail_embed_injective(capsys, monkeypatch):
     code, report, _ = run_json(capsys, THETA_N2)
     assert code == 1
     elements = theta_enumerate_mu(curve, 2)
-    claim = claim_map(report)["embed-injective"]
+    claims = claim_map(report)
+    claim = claims["embed-injective"]
     assert claim["status"] == "failed" and claim["failures"] == 1
     assert claim["detail"] == "first counterexample (g, h) = ({!r}, {!r})".format(*elements[:2])
+    assert claims["transport-bijective"]["status"] == "failed"
 
 
 def test_hasse_violation_exits_1(capsys, monkeypatch):

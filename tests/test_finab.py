@@ -136,7 +136,7 @@ def test_span_in_matches_object_closure(delta):
 
 
 def test_span_budget():
-    tight = FinAbGroup((145,))  # N^2 = 21025 > 20736
+    tight = FinAbGroup((145,))  # #H^2 = 145^4 table entries > H_TABLE_BUDGET
     with pytest.raises(BudgetExceeded):
         span_in(tight, ())
 

@@ -24,7 +24,7 @@ from jordanlab.errors import (
     ZeroScale,
 )
 from jordanlab.finab import FinAbGroup
-from jordanlab.heisenberg import HeisElement
+from jordanlab.heisenberg import HeisElement, group_table
 from jordanlab.scalars import RootOfUnity, multiplicative_order, mu_generator
 from jordanlab.theta import (
     find_theta_curve,
@@ -279,6 +279,10 @@ def test_value_tables_match_the_object_layer(curve, n):
     for (i, g), (j, h) in itertools.product(enumerate(elements), repeat=2):
         k = tables.index[mu_product(tables, tables.layer[i], tables.layer[j])]
         assert images[k] == structure.to_heisenberg(theta_mul(g, h))
+    # the label t^k s(i, j) -> (i*n + j)*n + k names each element's transport in G1
+    g1 = group_table(FinAbGroup((n,)))[1]
+    for e, (i, j, k) in enumerate(structure.mu_labels()):
+        assert g1[(i * n + j) * n + k] == structure.to_heisenberg(elements[e])
     # every section commutator is theta_commutator's value
     for (a, g), (b, h) in itertools.product(structure.section.items(), repeat=2):
         value = mu_commutator(tables, tables.section[a], tables.section[b])
