@@ -408,6 +408,8 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
 
 def run_nonjordan(n_max: int, p_max: int, exhaustive_max: int, theta_max: int, seed: int) -> RunReport:
     start = time.perf_counter()
+    if theta_max > THETA_BUDGET:  # before any row, as theta-verify --n does
+        raise BudgetExceeded(f"level {theta_max} exceeds the mu-layer budget {THETA_BUDGET}")
     report = RunReport("nonjordan", {
         "n_max": n_max, "p_max": p_max,
         "exhaustive_max": exhaustive_max, "theta_max": theta_max, "seed": seed,

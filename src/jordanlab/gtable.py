@@ -7,6 +7,7 @@ object arithmetic.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import CertificateError
@@ -86,10 +87,6 @@ class GroupTable:
                     break
         return tuple(gens)
 
-    def centralizing(self, subset: Iterable[int]) -> list[int]:
-        members = list(subset)
-        return [g for g in range(self.order) if all(self.commutes(g, h) for h in members)]
-
     def subgroups(self, max_gens: int | None = None) -> dict[frozenset[int], tuple[int, ...]]:
         """All subgroups reachable with at most max_gens generators.
 
@@ -116,41 +113,52 @@ class GroupTable:
             frontier = fresh
         return found
 
-    def _commuting_extension(self, members: frozenset[int], g: int) -> frozenset[int]:
-        """<H, g> for abelian H and centralizing g: the coset product H * <g>.
-
-        No closure search is needed: with g commuting with all of H the
-        products h * g^k already form a subgroup.
-        """
-        out = set(members)
-        power = g
-        while power != self.identity:
-            out.update(self.table[h][power] for h in members)
-            power = self.table[power][g]
-        return frozenset(out)
+    @cached_property
+    def commuting(self) -> list[int]:
+        """Commuting bitmasks: bit h of commuting[g] is set when g h = h g.  Built once."""
+        table = self.table
+        return [int("".join("1" if gh == hg else "0" for gh, hg in zip(row[::-1], col[::-1])), 2)
+                for row, col in zip(table, zip(*table))]
 
     def abelian_subgroups(self, max_gens: int | None = None) -> dict[frozenset[int], tuple[int, ...]]:
         """All abelian subgroups with at most max_gens generators.
 
-        Extensions are restricted to elements centralizing the current
-        subgroup; an abelian group extended by a centralizing element stays
-        abelian, so the scan never leaves abelian territory.
+        A breadth-first walk that extends each abelian subgroup H only by
+        elements g of its centralizer; <H, g> is then the coset product
+        H * <g>, abelian again, so no closure search is needed.  Each frontier
+        entry carries the centralizer of H as a bitmask: the AND of the
+        commuting masks of its generators, since H and its generators have the
+        same centralizer.  Every element h g of the coset H g gives the same
+        <H, g>, and candidates are tried in ascending order, so once g is
+        tried its whole coset is cleared: the first producer of each subgroup,
+        and so each generator tuple and the insertion order, stay those of the
+        plain walk over every centralizing element.
         """
+        table, comm = self.table, self.commuting
         trivial = frozenset({self.identity})
         found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-        frontier = [(trivial, ())]
+        frontier = [(trivial, (), (1 << self.order) - 1)]
         level = 0
         while frontier and (max_gens is None or level < max_gens):
             level += 1
             fresh = []
-            for members, gens in frontier:
-                for g in self.centralizing(members):
-                    if g in members:
-                        continue
-                    bigger = self._commuting_extension(members, g)
+            for members, gens, central in frontier:
+                untried = central
+                for h in members:
+                    untried &= ~(1 << h)
+                while untried:
+                    g = (untried & -untried).bit_length() - 1
+                    coset = [table[h][g] for h in members]
+                    for x in coset:
+                        untried &= ~(1 << x)
+                    out = set(members)
+                    while coset[0] not in members:  # coset is H g^k for k = 1, 2, ...
+                        out.update(coset)
+                        coset = [table[x][g] for x in coset]
+                    bigger = frozenset(out)
                     if bigger not in found:
                         new_gens = gens + (g,)
                         found[bigger] = new_gens
-                        fresh.append((bigger, new_gens))
+                        fresh.append((bigger, new_gens, central & comm[g]))
             frontier = fresh
         return found

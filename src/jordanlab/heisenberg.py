@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import CertificateError, GroupMismatch
-from .finab import Character, FinAbGroup, HPoint, KElement
+from .errors import BudgetExceeded, CertificateError, GroupMismatch
+from .finab import H_TABLE_BUDGET, Character, FinAbGroup, HPoint, KElement
 from .gtable import GroupTable
 from .scalars import RootOfUnity
 
-EXHAUSTIVE_CAP = 6  # largest N for which the subgroup scan runs by default
-DEFAULT_MAX_GENS = 3  # generator bound; validated against the full lattice for N <= 4
+EXHAUSTIVE_CAP = 9  # largest N for which the subgroup scan runs by default
 
 
 @dataclass(frozen=True)
@@ -98,9 +97,14 @@ def group_table(group: FinAbGroup) -> tuple[GroupTable, tuple[HeisElement, ...]]
     indexed in group.elements() order.  The twisted product runs over two
     integer tables of K built once from the object operations: the addition
     table from KElement.__add__ (characters share the coordinates, so it also
-    multiplies them) and the character values ell(x).exponent.
+    multiplies them) and the character values ell(x).exponent.  Refused before
+    anything is allocated when the N^6 entries would exceed H_TABLE_BUDGET
+    (N <= 10), which also bounds the table's commuting masks.
     """
     n = group.order
+    if n ** 6 > H_TABLE_BUDGET:
+        raise BudgetExceeded(f"#G1^2 = {n ** 6} table entries exceed "
+                             f"H_TABLE_BUDGET {H_TABLE_BUDGET}")
     ks = group.elements()
     k_index = {x: i for i, x in enumerate(ks)}
     add = [[k_index[x + y] for y in ks] for x in ks]
@@ -164,16 +168,16 @@ class IndexReport:
 
 def min_abelian_index(
     delta: Sequence[int] | FinAbGroup,
-    max_gens: int = DEFAULT_MAX_GENS,
     exhaustive_cap: int = EXHAUSTIVE_CAP,
 ) -> IndexReport:
     """Minimum index of an abelian subgroup of G1, with the certified bound N.
 
-    The exact minimum is found by enumerating abelian subgroups generated by
-    at most max_gens elements (sufficient here: a maximal abelian subgroup is
-    generated by the central mu_N plus at most two lifts of an isotropic
-    image).  Beyond the exhaustive cap only the certified bound N and the
-    index-N witness mu_N x K x {1} are reported.
+    The exact minimum is found by enumerating every abelian subgroup.  An
+    abelian subgroup meets the center mu_N in a cyclic group, and its image in
+    H = K x K^ needs at most rank(H) = 2 rank(K) generators, so the scan stops
+    at 1 + 2 rank(K) generators: 3 for cyclic K.  Beyond the exhaustive cap
+    only the certified bound N and the index-N witness mu_N x K x {1} are
+    reported.
     """
     group = delta if isinstance(delta, FinAbGroup) else FinAbGroup(tuple(delta))
     n = group.order
@@ -206,7 +210,7 @@ def min_abelian_index(
     if not table.is_abelian_subset(lagr):
         raise CertificateError(f"the lagrangian lift mu_N x K x 1 over {group!r} is not abelian")
 
-    found = table.abelian_subgroups(max_gens)
+    found = table.abelian_subgroups(1 + 2 * group.rank)
     best_members = lagr
     best = (order // len(lagr), tuple(sorted(lagr)))
     for members in found:

@@ -319,6 +319,15 @@ def test_theta_budget_fails_before_any_search(capsys, monkeypatch):
     assert out.err == "error: BudgetExceeded: level 5 exceeds the mu-layer budget 4\n"
 
 
+def test_theta_max_budget_fails_before_any_row(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "find_theta_curve", lambda *args: pytest.fail("curve searched"))
+    monkeypatch.setattr(cli, "min_abelian_index", lambda *args, **kw: pytest.fail("row built"))
+    assert main(["nonjordan", "--theta-max", "5"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: BudgetExceeded: level 5 exceeds the mu-layer budget 4\n"
+
+
 def test_wrong_composition_fails_embed_homomorphism(capsys, monkeypatch):
     compose = birgroup.compose_values
     monkeypatch.setattr(birgroup, "compose_values",
@@ -380,6 +389,22 @@ def test_isotropic_claim_counts_match_the_object_layer(delta):
     assert claim["status"] == "verified" and claim["failures"] == 0
     assert claim["checked"] == len(isotropic)
     assert claim["detail"] == f"{len(subgroups)} subgroups, {len(isotropic)} isotropic"
+
+
+@pytest.mark.parametrize("delta,scanned", [("3,3", 1043), ("4,2", 1451)])
+def test_abstract_verifies_every_claim_up_to_the_exhaustive_cap(capsys, delta, scanned):
+    code, report, _ = run_json(capsys, ["abstract", "--delta", delta])
+    assert code == 0
+    claims = claim_map(report)
+    assert list(claims) == [
+        "pairing-bi-additive", "pairing-alternating", "pairing-nondegenerate",
+        "isotropic-index-divisibility", "commutator-identity", "min-abelian-index",
+    ]
+    assert all(c["status"] == "verified" and c["failures"] == 0 for c in claims.values())
+    assert claims["commutator-identity"]["checked"] == report["group_order"] ** 2
+    assert claims["min-abelian-index"]["checked"] == scanned
+    assert report["min_abelian_index"] == report["n"]
+    assert report["witness"]["exhaustive"]
 
 
 def test_abstract_fills_one_h_addition_table(monkeypatch):

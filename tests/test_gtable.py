@@ -1,0 +1,96 @@
+"""The abelian-subgroup scan against the plain walk over every centralizing element."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jordanlab.finab import FinAbGroup, _h_group
+from jordanlab.gtable import GroupTable
+from jordanlab.heisenberg import group_table
+
+
+def reference_abelian_subgroups(table, max_gens=None):
+    """The scan as it stood before centralizer masks and coset skipping.
+
+    Each abelian subgroup H is extended by every element g outside H that
+    commutes with all of H, in index order, and <H, g> is the coset product
+    H * <g>; the first generator tuple to reach a subgroup is kept.
+    """
+    t, identity = table.table, table.identity
+
+    def centralizing(members):
+        return [g for g in range(table.order) if all(t[g][h] == t[h][g] for h in members)]
+
+    def extension(members, g):
+        out = set(members)
+        power = g
+        while power != identity:
+            out.update(t[h][power] for h in members)
+            power = t[power][g]
+        return frozenset(out)
+
+    trivial = frozenset({identity})
+    found = {trivial: ()}
+    frontier = [(trivial, ())]
+    level = 0
+    while frontier and (max_gens is None or level < max_gens):
+        level += 1
+        fresh = []
+        for members, gens in frontier:
+            for g in centralizing(members):
+                if g in members:
+                    continue
+                bigger = extension(members, g)
+                if bigger not in found:
+                    found[bigger] = gens + (g,)
+                    fresh.append((bigger, gens + (g,)))
+        frontier = fresh
+    return found
+
+
+def dihedral(m, relabel):
+    """D_m as r^i s^j, relabelled so that r^i s^j gets index relabel[i + m j]."""
+    def product(e, f):  # r^i s^j r^k s^l = r^(i + (-1)^j k) s^(j + l)
+        i, j, k, l = e % m, e // m, f % m, f // m
+        return (i + (k if j == 0 else -k)) % m + m * ((j + l) % 2)
+
+    order = 2 * m
+    table = [[0] * order for _ in range(order)]
+    for e in range(order):
+        for f in range(order):
+            table[relabel[e]][relabel[f]] = relabel[product(e, f)]
+    return GroupTable(table)
+
+
+def assert_same_scan(table, max_gens):
+    got = list(table.abelian_subgroups(max_gens).items())
+    assert got == list(reference_abelian_subgroups(table, max_gens).items())
+
+
+@pytest.mark.parametrize("max_gens", [1, 2, 3])
+@pytest.mark.parametrize("delta", [(2,), (3,), (4,), (2, 2), (5,), (6,)])
+def test_g1_scan_matches_reference(delta, max_gens):
+    assert_same_scan(group_table(FinAbGroup(delta))[0], max_gens)
+
+
+@pytest.mark.parametrize("delta", [(2,), (3,), (4,), (2, 2), (5,), (6,)])
+def test_h_scan_matches_reference(delta):
+    assert_same_scan(_h_group(FinAbGroup(delta))[1], None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 12).flatmap(lambda m: st.tuples(
+    st.just(m), st.permutations(range(2 * m)), st.sampled_from([1, 2, 3, None]))))
+def test_dihedral_scan_matches_reference(case):
+    m, relabel, max_gens = case
+    table = dihedral(m, relabel)
+    assert not table.is_abelian_subset(range(table.order))
+    assert_same_scan(table, max_gens)
+
+
+@pytest.mark.parametrize("delta", [(2,), (3,), (2, 2)])
+def test_commuting_masks_match_the_table(delta):
+    table = group_table(FinAbGroup(delta))[0]
+    for g in range(table.order):
+        assert [h for h in range(table.order) if table.commuting[g] >> h & 1] == [
+            h for h in range(table.order) if table.commutes(g, h)]

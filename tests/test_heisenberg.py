@@ -6,8 +6,8 @@ import random
 import pytest
 
 from jordanlab import heisenberg
-from jordanlab.errors import CertificateError, GroupMismatch
-from jordanlab.finab import FinAbGroup, is_isotropic, pairing
+from jordanlab.errors import BudgetExceeded, CertificateError, GroupMismatch
+from jordanlab.finab import H_TABLE_BUDGET, FinAbGroup, KElement, is_isotropic, pairing
 from jordanlab.gtable import GroupTable
 from jordanlab.heisenberg import (
     EXHAUSTIVE_CAP,
@@ -147,6 +147,42 @@ def test_bounded_generators_match_full_lattice_up_to_4():
         bounded = table.abelian_subgroups(max_gens=3)
         full = {m for m in table.subgroups(max_gens=None) if table.is_abelian_subset(m)}
         assert set(bounded) == full
+
+
+def test_exhaustive_scan_reaches_n9():
+    assert EXHAUSTIVE_CAP == 9
+    report = min_abelian_index((9,))
+    assert report.exhaustive and report.subgroups_scanned == 206
+    assert report.min_abelian_index == report.certified_lower_bound == 9
+
+
+@pytest.mark.parametrize("delta", [(4, 2), (2, 2, 2)])
+def test_generator_bound_reaches_every_abelian_subgroup(delta):
+    # three generators would miss 9 abelian subgroups for (4, 2), and for
+    # (2, 2, 2) every abelian subgroup of the minimal index 8
+    full = group_table(FinAbGroup(delta))[0].abelian_subgroups(max_gens=None)
+    report = min_abelian_index(delta)
+    assert report.subgroups_scanned == len(full)
+    assert report.witness_index == report.min_abelian_index == FinAbGroup(delta).order
+
+
+def test_g1_table_budget_refuses_before_filling(monkeypatch):
+    calls = 0
+    add = KElement.__add__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return add(a, b)
+
+    monkeypatch.setattr(KElement, "__add__", counted)
+    assert 10 ** 6 <= H_TABLE_BUDGET < 11 ** 6
+    with pytest.raises(BudgetExceeded, match=(
+            rf"^#G1\^2 = 1771561 table entries exceed H_TABLE_BUDGET {H_TABLE_BUDGET}$")):
+        group_table(FinAbGroup((11,)))
+    with pytest.raises(BudgetExceeded):
+        min_abelian_index((11,), exhaustive_cap=11)
+    assert calls == 0
 
 
 def test_budget_gives_certificate_only():
