@@ -20,6 +20,7 @@ auxiliary offsets whenever supports collide.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,49 +78,60 @@ class Curve:
         """#E(F_p), counted on integer coordinates and Hasse-checked."""
         return _point_count(self.p, self.a.value, self.b.value)
 
+    def __hash__(self):
+        # the ints the dataclass __eq__ compares, without hashing two FpElements
+        return hash((self.p, self.a.value, self.b.value))
+
     def __repr__(self):
         return f"E({self.p}:{self.a}:{self.b})"
 
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """Affine point (x, y) or the identity O (x = y = None)."""
+    """Affine point (x, y) or the identity O (x = y = None).
+
+    The group law is _affine_add on the integer coordinates, and k * P runs the
+    ladder of _affine_mul over +; every point built, results included, is
+    checked on the curve.
+    """
 
     curve: Curve
     x: FpElement | None
     y: FpElement | None
 
     def __post_init__(self):
-        if (self.x is None) != (self.y is None):
+        x, y = self.x, self.y
+        if (x is None) != (y is None):
             raise OffCurve("half-infinite coordinates")
-        if self.x is not None and self.y ** 2 != self.curve.rhs(self.x):
-            raise OffCurve(f"({self.x},{self.y}) is not on {self.curve!r}")
+        if x is not None:
+            curve = self.curve
+            p = curve.p
+            if x.p != p:
+                raise ValueError(f"mixed characteristics {p} and {x.p}")
+            u = x.value
+            if y.p != p or (y.value * y.value - (u * u + curve.a.value) * u - curve.b.value) % p:
+                raise OffCurve(f"({x},{y}) is not on {curve!r}")
 
     @property
     def is_infinity(self) -> bool:
         return self.x is None
 
+    def _coords(self) -> tuple[int, int] | None:
+        return None if self.x is None else (self.x.value, self.y.value)
+
     def _check(self, other: "CurvePoint") -> None:
-        if self.curve != other.curve:
+        if self.curve is not other.curve and self.curve != other.curve:
             raise CurveMismatch(f"{self!r} and {other!r} are on different curves")
 
     def __add__(self, other: "CurvePoint") -> "CurvePoint":
         self._check(other)
-        if self.is_infinity:
+        if self.x is None:
             return other
-        if other.is_infinity:
+        if other.x is None:
             return self
-        if self.x == other.x and self.y != other.y:
-            return self.curve.infinity()
-        if self == other:
-            if self.y.is_zero:
-                return self.curve.infinity()
-            lam = (self.curve.fe(3) * self.x ** 2 + self.curve.a) / (self.curve.fe(2) * self.y)
-        else:
-            lam = (other.y - self.y) / (other.x - self.x)
-        x3 = lam ** 2 - self.x - other.x
-        y3 = lam * (self.x - x3) - self.y
-        return CurvePoint(self.curve, x3, y3)
+        curve = self.curve
+        point = _affine_add(curve.p, curve.a.value, curve.b.value, self._coords(), other._coords())
+        return curve.infinity() if point is None else curve.point(*point)
 
     def __neg__(self) -> "CurvePoint":
         if self.is_infinity:
@@ -132,14 +144,7 @@ class CurvePoint:
     def __rmul__(self, k: int) -> "CurvePoint":
         if k < 0:
             return (-k) * (-self)
-        acc = None
-        step = self
-        while k:
-            if k & 1:
-                acc = step if acc is None else acc + step
-            k >>= 1
-            if k:
-                step = step + step
+        acc = _double_and_add(k, self, operator.add)
         return self.curve.infinity() if acc is None else acc
 
     def order(self, cap: int = 10 * POINT_BUDGET) -> int:
@@ -184,6 +189,13 @@ def _on_curve(p: int, a: int, b: int, point: tuple[int, int] | None) -> tuple[in
     return point
 
 
+def _slope(p: int, a: int, x1: int, y1: int, x2: int, y2: int) -> int:
+    """Slope of the chord through two affine points, or of the tangent when they are equal."""
+    if x1 == x2:
+        return (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    return (y2 - y1) * pow(x2 - x1, -1, p) % p
+
+
 def _affine_add(p: int, a: int, b: int, P: tuple[int, int] | None,
                 Q: tuple[int, int] | None) -> tuple[int, int] | None:
     """P + Q by the chord-tangent law (Silverman III.2.3)."""
@@ -193,26 +205,28 @@ def _affine_add(p: int, a: int, b: int, P: tuple[int, int] | None,
         return P
     x1, y1 = P
     x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    lam = _slope(p, a, x1, y1, x2, y2)
     x3 = (lam * lam - x1 - x2) % p
     return _on_curve(p, a, b, (x3, (lam * (x1 - x3) - y1) % p))
 
 
-def _affine_mul(p: int, a: int, b: int, k: int, P: tuple[int, int] | None) -> tuple[int, int] | None:
-    """k * P for k >= 0 by double-and-add; P is checked on the curve first."""
-    acc, step = None, _on_curve(p, a, b, P)
+def _double_and_add(k: int, step, add):
+    """k * step for k >= 0 under add, with None for 0 * step; k = 2^m costs m additions."""
+    acc = None
     while k:
         if k & 1:
-            acc = _affine_add(p, a, b, acc, step)
+            acc = step if acc is None else add(acc, step)
         k >>= 1
         if k:
-            step = _affine_add(p, a, b, step, step)
+            step = add(step, step)
     return acc
+
+
+def _affine_mul(p: int, a: int, b: int, k: int, P: tuple[int, int] | None) -> tuple[int, int] | None:
+    """k * P for k >= 0 by double-and-add; P is checked on the curve first."""
+    return _double_and_add(k, _on_curve(p, a, b, P), lambda Q, R: _affine_add(p, a, b, Q, R))
 
 
 def _point_count(p: int, a: int, b: int) -> int:
@@ -270,8 +284,11 @@ def torsion_subgroup(curve: Curve, n: int) -> tuple[CurvePoint, ...]:
 def iter_admissible_curves(n: int, p_max: int) -> Iterator[Curve]:
     """Curves with p = 1 (mod n) carrying full level-n structure, (p, a, b) ordered.
 
-    The point count and the n-torsion count run on integer coordinates; a
-    Curve is built only for the curves yielded.
+    (a, b) and (u^4 a, u^6 b) are isomorphic over F_p by (x, y) -> (u^2 x, u^3 y),
+    so they have the same group order and the same E[n].  Points are counted on
+    integer coordinates once per isomorphism class, at its first member, and the
+    verdict is marked on the whole class; a Curve is built only for the curves
+    yielded.
     """
     if n < 2:
         raise ValueError("level must be at least 2")
@@ -279,11 +296,18 @@ def iter_admissible_curves(n: int, p_max: int) -> Iterator[Curve]:
     for p in range(5, p_max + 1):
         if not is_prime(p) or (p - 1) % n != 0:
             continue
+        _budget_check(p)  # before the p^2 verdict table is allocated
+        twists = [(u ** 4 % p, u ** 6 % p) for u in range(1, p)]
+        verdict = bytearray(p * p)  # at a * p + b: 0 unknown, 1 admissible, 2 not
         for a in range(p):
             for b in range(p):
                 if (4 * a * a * a + 27 * b * b) % p == 0:
                     continue
-                if _point_count(p, a, b) % n2 == 0 and _torsion_count(p, a, b, n) == n2:
+                if not verdict[a * p + b]:
+                    ok = _point_count(p, a, b) % n2 == 0 and _torsion_count(p, a, b, n) == n2
+                    for u4, u6 in twists:
+                        verdict[u4 * a % p * p + u6 * b % p] = 1 if ok else 2
+                if verdict[a * p + b] == 1:
                     yield Curve.make(p, a, b)
 
 
@@ -385,7 +409,7 @@ class VerticalLine:
     c: FpElement
 
     def eval(self, point: CurvePoint) -> FpElement:
-        return point.x - self.c
+        return FpElement(self.c.p, point.x.value - self.c.value)
 
 
 @dataclass(frozen=True)
@@ -396,7 +420,7 @@ class ChordLine:
     nu: FpElement
 
     def eval(self, point: CurvePoint) -> FpElement:
-        return point.y - self.lam * point.x - self.nu
+        return FpElement(self.nu.p, point.y.value - self.lam.value * point.x.value - self.nu.value)
 
 
 @dataclass(frozen=True)
@@ -540,10 +564,7 @@ def line_function(p1: CurvePoint, p2: CurvePoint) -> TrackedFunction:
         return _vertical(curve, base)
     if p1.x == p2.x and (p1 != p2 or p1.y.is_zero):
         return _vertical(curve, p1)
-    if p1 == p2:
-        lam = (curve.fe(3) * p1.x ** 2 + curve.a) / (curve.fe(2) * p1.y)
-    else:
-        lam = (p2.y - p1.y) / (p2.x - p1.x)
+    lam = curve.fe(_slope(curve.p, curve.a.value, *p1._coords(), *p2._coords()))
     nu = p1.y - lam * p1.x
     third = -(p1 + p2)
     div = Divisor.of(curve, [(p1, 1), (p2, 1), (third, 1), (curve.infinity(), -3)])

@@ -236,17 +236,17 @@ def _h_group(group: FinAbGroup) -> tuple[list[HPoint], GroupTable]:
 
 
 def h_tables(group: FinAbGroup, form: Callable[[HPoint, HPoint], RootOfUnity]
-             ) -> tuple[list[HPoint], list[list[int]], list[list[int]]]:
+             ) -> tuple[list[HPoint], GroupTable, list[list[int]]]:
     """H in h_elements() order with its addition table and the Gram table of form.
 
     add[i][j] is the index of h_i + h_j and gram[i][j] the mu_N exponent of
     form(h_i, h_j), normally pairing.  Both are filled once from the object
     operations, so a claim checked on the tables is a claim about
-    HPoint.__add__ and the form.
+    HPoint.__add__ and the form.  add is the cached GroupTable of H: read only.
     """
     h, table = _h_group(group)
     gram = [[form(a, b).exponent for b in h] for a in h]
-    return h, table.table, gram
+    return h, table, gram
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,10 @@ class GroupTable:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
+    def __getitem__(self, a: int) -> list[int]:
+        """Row a, so that table[a][b] is the index of a b."""
+        return self.table[a]
+
     def commutes(self, a: int, b: int) -> bool:
         return self.table[a][b] == self.table[b][a]
 
@@ -162,3 +166,34 @@ class GroupTable:
                         fresh.append((bigger, new_gens, central & comm[g]))
             frontier = fresh
         return found
+
+
+def light_associative(mul: Callable[[int, int], int], gens: Sequence[int], order: int) -> bool:
+    """True when Light's test (Clifford & Preston 1961, section 1.2) proves mul associative.
+
+    The elements a with (x a) y == x (a y) for all x, y form a submagma.  So when
+    right multiplication by gens reaches all of 0..order-1 from gens, and every
+    g in gens passes that identity (2 * len(gens) * order^2 products), mul is
+    associative.  False means only that the test is inconclusive.
+    """
+    seen = set(gens)
+    frontier = list(gens)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                z = mul(x, g)
+                if z not in seen:
+                    seen.add(z)
+                    fresh.append(z)
+        frontier = fresh
+    if len(seen) != order:
+        return False
+    everything = range(order)
+    for g in gens:
+        xg = [mul(x, g) for x in everything]
+        gy = [mul(g, y) for y in everything]
+        for x in everything:
+            if any(mul(xg[x], y) != mul(x, gy[y]) for y in everything):
+                return False
+    return True

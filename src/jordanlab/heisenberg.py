@@ -89,6 +89,13 @@ def elements(group: FinAbGroup) -> list[HeisElement]:
     ]
 
 
+def check_g1_budget(n: int) -> None:
+    """Refuse a G1 table for |K| = n when its n^6 entries would exceed H_TABLE_BUDGET."""
+    if n ** 6 > H_TABLE_BUDGET:
+        raise BudgetExceeded(f"#G1^2 = {n ** 6} table entries exceed "
+                             f"H_TABLE_BUDGET {H_TABLE_BUDGET}")
+
+
 @lru_cache(maxsize=None)
 def group_table(group: FinAbGroup) -> tuple[GroupTable, tuple[HeisElement, ...]]:
     """G1's multiplication table and its elements in sort_key order.
@@ -102,9 +109,7 @@ def group_table(group: FinAbGroup) -> tuple[GroupTable, tuple[HeisElement, ...]]
     (N <= 10), which also bounds the table's commuting masks.
     """
     n = group.order
-    if n ** 6 > H_TABLE_BUDGET:
-        raise BudgetExceeded(f"#G1^2 = {n ** 6} table entries exceed "
-                             f"H_TABLE_BUDGET {H_TABLE_BUDGET}")
+    check_g1_budget(n)
     ks = group.elements()
     k_index = {x: i for i, x in enumerate(ks)}
     add = [[k_index[x + y] for y in ks] for x in ks]

@@ -422,6 +422,41 @@ def test_abstract_fills_one_h_addition_table(monkeypatch):
     assert calls == 16 ** 2  # every addition of H fills the one table, once
 
 
+def test_abstract_finds_the_h_identity_once(monkeypatch):
+    orders = []
+    find = GroupTable._find_identity
+    monkeypatch.setattr(GroupTable, "_find_identity",
+                        lambda self: orders.append(self.order) or find(self))
+    finab._h_group.cache_clear()
+    cli.run_abstract((4,), DEFAULT_SPAN_BUDGET)
+    assert orders.count(16) == 1  # the cached table of H serves every claim
+
+
+def test_exhaustive_budget_fails_before_any_row(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "min_abelian_index", lambda *args, **kw: pytest.fail("row built"))
+    assert 11 ** 6 > finab.H_TABLE_BUDGET >= 10 ** 6
+    assert main(["nonjordan", "--n-max", "11", "--exhaustive-max", "11"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: BudgetExceeded: #G1^2 = 1771561 table entries exceed "
+                       f"H_TABLE_BUDGET {finab.H_TABLE_BUDGET}\n")
+
+
+@pytest.mark.parametrize("argv", [["--n-max", "3", "--exhaustive-max", "11"],
+                                  ["--n-max", "11", "--exhaustive-max", "10"],
+                                  ["--n-max", "11", "--exhaustive-max", "-11"]])
+def test_exhaustive_budget_admits_the_sizes_it_builds(monkeypatch, argv):
+    class RowStarted(Exception):
+        pass
+
+    def first_row(*args, **kw):
+        raise RowStarted
+
+    monkeypatch.setattr(cli, "min_abelian_index", first_row)
+    with pytest.raises(RowStarted):
+        main(["nonjordan", *argv])
+
+
 def test_h_table_budget_refuses_before_filling(capsys, monkeypatch):
     monkeypatch.setattr(HPoint, "__add__", lambda a, b: pytest.fail("H table filled"))
     assert 144 ** 4 > finab.H_TABLE_BUDGET
@@ -490,6 +525,53 @@ def test_broken_associativity_names_the_first_triple(capsys, monkeypatch):
     assert claim["detail"] == (
         "associativity, identity and inverses on the index table; "
         "first counterexample (i, j, k) = ({!r}, {!r}, {!r})".format(*(layer[i] for i in bad[0])))
+
+
+THETA_N3 = ["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0"]
+
+
+def test_corrupted_product_falls_back_to_the_triple_loop(capsys, monkeypatch):
+    curve = cli.Curve.make(13, 7, 0)
+    corrupted = honest_product_table(curve, 3)
+    size = len(corrupted)
+    identity = corrupted.index(list(range(size)))
+    # one entry off the identity's row and column, and neither old nor new value the
+    # identity, so the table keeps its identity and inverses
+    a, b = next((a, b) for a, b in itertools.product(range(size), repeat=2)
+                if identity not in (a, b, corrupted[a][b]))
+    corrupted[a][b] = next(c for c in range(size) if c not in (identity, corrupted[a][b]))
+    monkeypatch.setattr(cli, "GroupTable", lambda table: GroupTable(corrupted))
+    code, report, _ = run_json(capsys, THETA_N3)
+    assert code == 1
+    t = corrupted
+    bad = [(i, j, k) for i, j, k in itertools.product(range(size), repeat=3)
+           if t[t[i][j]][k] != t[i][t[j][k]]]
+    layer = theta_enumerate_mu(curve, 3)
+    claim = claim_map(report)["theta-group-axioms"]
+    assert claim["status"] == "failed" and claim["failures"] == len(bad) > 0
+    assert claim["checked"] == size ** 3
+    assert claim["detail"] == (
+        "associativity, identity and inverses on the index table; "
+        "first counterexample (i, j, k) = ({!r}, {!r}, {!r})".format(*(layer[i] for i in bad[0])))
+
+
+def test_light_test_spares_the_triple_loop(capsys, monkeypatch):
+    calls = 0
+    mul = GroupTable.mul
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(GroupTable, "mul", counted)
+    code, report, _ = run_json(capsys, THETA_N3)
+    assert code == 0
+    claim = claim_map(report)["theta-group-axioms"]
+    assert claim["status"] == "verified" and claim["checked"] == 27 ** 3
+    assert "Light's test" in claim["detail"]
+    # generation from s(1, 0), s(0, 1), then 2 * 27^2 triples at two products each
+    assert calls <= 2 * 27 + 2 * (2 * 27 + 2 * 27 ** 2) < 27 ** 3 // 4
 
 
 class UncheckedTable(GroupTable):

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jordanlab import ellcurve
 from jordanlab.cli import run_curve_search
@@ -30,13 +32,14 @@ from jordanlab.ellcurve import (
 )
 from jordanlab.errors import (
     BudgetExceeded,
+    CurveMismatch,
     DegenerateAfterRetries,
     EvalAtSupport,
     JordanLabError,
     NotTorsion,
     OffCurve,
 )
-from jordanlab.scalars import RootOfUnity, is_prime
+from jordanlab.scalars import FpElement, RootOfUnity, is_prime, primes_up_to
 
 # e2-only curve with 8 points; the workhorse for level-2 checks
 C730 = Curve.make(7, 3, 0)
@@ -144,6 +147,29 @@ def test_curve_search_matches_object_filter(n, p_max):
             if len(points) % (n * n) == 0 and sum((n * P).is_infinity for P in points) == n * n:
                 reference.append(curve)
     assert curve_search(n, p_max) == reference
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_class_wise_search_matches_per_curve_filter(n):
+    # every nonsingular curve counted on its own, no isomorphism classes
+    reference = [Curve.make(p, a, b) for p in range(5, 41) if is_prime(p) and (p - 1) % n == 0
+                 for a, b in nonsingular(p)
+                 if _point_count(p, a, b) % (n * n) == 0 and _torsion_count(p, a, b, n) == n * n]
+    assert reference
+    assert curve_search(n, 40) == reference
+
+
+def test_class_wise_search_counts_each_class_once(monkeypatch):
+    counted = []
+    count = ellcurve._point_count
+    monkeypatch.setattr(ellcurve, "_point_count",
+                        lambda p, a, b: counted.append((p, a, b)) or count(p, a, b))
+    curve_search(2, 13)
+    # the least member of each class {(u^4 a, u^6 b)}, met first in (p, a, b) order
+    firsts = {(p, *min((u ** 4 * a % p, u ** 6 * b % p) for u in range(1, p)))
+              for p in (5, 7, 11, 13) for a, b in nonsingular(p)}
+    assert counted == sorted(firsts)
+    assert len(counted) < sum(len(nonsingular(p)) for p in (5, 7, 11, 13)) // 3
 
 
 def test_curve_search_rows_carry_the_object_point_count():
@@ -429,3 +455,124 @@ def test_miller_function_is_cached_and_pairing_unchanged(monkeypatch):
     cached = {(x, y): weil_pairing(x, y, 3) for x, y in itertools.product(tor, repeat=2)}
     monkeypatch.setattr(ellcurve, "miller_function", miller_function.__wrapped__)
     assert cached == {(x, y): weil_pairing(x, y, 3) for x, y in itertools.product(tor, repeat=2)}
+
+
+# ---------------------------------------------------------------------------
+# the integer point law against the FpElement formula it replaced
+
+
+def reference_on_curve(curve, x, y):
+    """The on-curve check as it stood on FpElement arithmetic."""
+    if (x is None) != (y is None):
+        raise OffCurve("half-infinite coordinates")
+    if x is not None and y ** 2 != curve.rhs(x):
+        raise OffCurve(f"({x},{y}) is not on {curve!r}")
+
+
+def reference_add(P, Q):
+    """P + Q by the chord-tangent law on FpElement coordinates."""
+    if P.curve != Q.curve:
+        raise CurveMismatch(f"{P!r} and {Q!r} are on different curves")
+    if P.is_infinity:
+        return Q
+    if Q.is_infinity:
+        return P
+    curve = P.curve
+    if P.x == Q.x and P.y != Q.y:
+        return curve.infinity()
+    if P == Q:
+        if P.y.is_zero:
+            return curve.infinity()
+        lam = (curve.fe(3) * P.x ** 2 + curve.a) / (curve.fe(2) * P.y)
+    else:
+        lam = (Q.y - P.y) / (Q.x - P.x)
+    x3 = lam ** 2 - P.x - Q.x
+    y3 = lam * (P.x - x3) - P.y
+    reference_on_curve(curve, x3, y3)
+    return CurvePoint(curve, x3, y3)
+
+
+def reference_mul(k, P):
+    acc = P.curve.infinity()
+    for _ in range(abs(k)):
+        acc = reference_add(acc, P)
+    return acc if k >= 0 else -acc
+
+
+def outcome(fn):
+    """The value of fn(), or the type of the exception it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the type is the result compared
+        return type(exc)
+
+
+SMALL_PRIMES = [p for p in primes_up_to(59) if p >= 5]
+
+
+@st.composite
+def curves(draw):
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    assume((4 * a ** 3 + 27 * b ** 2) % p)
+    return Curve.make(p, a, b)
+
+
+@st.composite
+def curve_with_points(draw, count):
+    curve = draw(curves())
+    points = enumerate_points(curve)
+    return curve, [points[draw(st.integers(0, len(points) - 1))] for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(curve_with_points(2), st.integers(-40, 40))
+def test_point_law_matches_the_fp_formula(case, k):
+    curve, (P, Q) = case
+    assert P + Q == reference_add(P, Q)
+    assert P - Q == reference_add(P, -Q)
+    assert k * P == reference_mul(k, P)
+
+
+@settings(max_examples=150, deadline=None)
+@given(curve_with_points(3))
+def test_point_law_is_associative(case):
+    _, (P, Q, R) = case
+    assert (P + Q) + R == P + (Q + R)
+
+
+@settings(max_examples=150, deadline=None)
+@given(curves(), st.sampled_from(SMALL_PRIMES), st.sampled_from(SMALL_PRIMES),
+       st.integers(0, 58), st.integers(0, 58))
+def test_point_check_raises_as_before(curve, px, py, x, y):
+    fx, fy = FpElement(px, x), FpElement(py, y)
+    want = outcome(lambda: reference_on_curve(curve, fx, fy))
+    got = outcome(lambda: CurvePoint(curve, fx, fy))
+    if want is None:
+        assert isinstance(got, CurvePoint)
+    else:
+        assert got == want
+    for half in ((fx, None), (None, fy)):
+        with pytest.raises(OffCurve):
+            CurvePoint(curve, *half)
+
+
+@settings(max_examples=100, deadline=None)
+@given(curve_with_points(1), curve_with_points(1))
+def test_mixed_curve_sums_raise_as_before(first, second):
+    (c1, (P,)), (c2, (Q,)) = first, second
+    assert outcome(lambda: P + Q) == outcome(lambda: reference_add(P, Q))
+    twin = Curve.make(c1.p, c1.a.value, c1.b.value)  # equal, but another object
+    assert twin == c1 and hash(twin) == hash(c1) == hash((c1.p, c1.a.value, c1.b.value))
+    moved = twin.infinity() if P.is_infinity else twin.point(P.x.value, P.y.value)
+    assert moved + P == reference_add(P, P)
+
+
+def test_coordinates_from_another_field_raise_as_before():
+    # a point of E(F_13) whose x or y is moved to F_17 with the same value
+    P = affine_points(C1370)[1]
+    wants = []
+    for x, y in ((FpElement(17, P.x.value), P.y), (P.x, FpElement(17, P.y.value))):
+        wants.append(outcome(lambda: reference_on_curve(C1370, x, y)))
+        assert outcome(lambda: CurvePoint(C1370, x, y)) == wants[-1]
+    assert wants == [ValueError, OffCurve]
