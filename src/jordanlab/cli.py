@@ -503,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_abstract = sub.add_parser("abstract", help="verify the symplectic and Heisenberg layers")
     p_abstract.add_argument("--delta", required=True, help="elementary divisors, e.g. 4,2")
     p_abstract.add_argument("--budget", type=int, default=DEFAULT_SPAN_BUDGET,
-                            help="element cap for subgroup enumeration")
+                            help="scans H for isotropy if #H <= min(--budget, ISOTROPIC_SCAN_CAP)")
 
     p_search = sub.add_parser("curve-search", help="list curves with full level-n structure")
     p_search.add_argument("--n", type=int, required=True)

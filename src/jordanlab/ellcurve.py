@@ -312,7 +312,11 @@ def iter_admissible_curves(n: int, p_max: int) -> Iterator[Curve]:
 
 
 def curve_search(n: int, p_max: int) -> list[Curve]:
-    """All admissible (p, a, b) with p <= p_max, in lexicographic order."""
+    """All admissible (p, a, b) with p <= p_max, in lexicographic order.  A prime
+    q = 1 (mod n) past the point budget, where the scan would stop, is refused up front."""
+    for q in range(POINT_BUDGET + 1, p_max + 1):
+        if n >= 2 and (q - 1) % n == 0 and is_prime(q):  # n < 2: the scan raises ValueError
+            _budget_check(q)  # raises BudgetExceeded
     return list(iter_admissible_curves(n, p_max))
 
 
@@ -352,9 +356,6 @@ class Divisor:
             if pt == point:
                 return m
         return 0
-
-    def support(self) -> tuple[CurvePoint, ...]:
-        return tuple(pt for pt, _ in self.items)
 
     def degree(self) -> int:
         return sum(m for _, m in self.items)
@@ -408,8 +409,8 @@ class VerticalLine:
 
     c: FpElement
 
-    def eval(self, point: CurvePoint) -> FpElement:
-        return FpElement(self.c.p, point.x.value - self.c.value)
+    def eval(self, x: int, y: int) -> int:
+        return (x - self.c.value) % self.c.p
 
 
 @dataclass(frozen=True)
@@ -419,8 +420,8 @@ class ChordLine:
     lam: FpElement
     nu: FpElement
 
-    def eval(self, point: CurvePoint) -> FpElement:
-        return FpElement(self.nu.p, point.y.value - self.lam.value * point.x.value - self.nu.value)
+    def eval(self, x: int, y: int) -> int:
+        return (y - self.lam.value * x - self.nu.value) % self.nu.p
 
 
 @dataclass(frozen=True)
@@ -432,17 +433,16 @@ class Atom:
     offset: CurvePoint
     exponent: int
 
-    def divisor(self) -> Divisor:
-        return self.base_divisor.translate(self.offset).scale(self.exponent)
-
-    def eval(self, point: CurvePoint) -> FpElement:
-        arg = point + self.offset
-        if arg.is_infinity:
+    def eval(self, point: CurvePoint) -> int:
+        """line(point + offset) ^ exponent mod p; the sum is taken on _affine_add."""
+        c = point.curve
+        arg = _affine_add(c.p, c.a.value, c.b.value, point._coords(), self.offset._coords())
+        if arg is None:
             raise EvalAtSupport(f"atom argument hit the identity at {point!r}")
-        value = self.line.eval(arg)
-        if value.is_zero:
+        value = self.line.eval(*arg)
+        if not value:
             raise EvalAtSupport(f"atom vanished at {point!r}")
-        return value ** self.exponent
+        return pow(value, self.exponent, c.p)
 
 
 @dataclass(frozen=True)
@@ -468,10 +468,9 @@ class TrackedFunction:
         return cls.constant(curve, 1)
 
     def divisor(self) -> Divisor:
-        acc = Divisor.zero(self.curve)
-        for atom in self.atoms:
-            acc = acc + atom.divisor()
-        return acc
+        """The sum over atoms of exponent * (base divisor pulled back along the offset)."""
+        return Divisor.of(self.curve, [(pt - a.offset, a.exponent * m)
+                                       for a in self.atoms for pt, m in a.base_divisor.items])
 
     def _merged(self, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
         merged: dict[tuple, Atom] = {}
@@ -521,15 +520,14 @@ class TrackedFunction:
     def __call__(self, point: CurvePoint) -> FpElement:
         if point.curve != self.curve:
             raise CurveMismatch(f"{point!r} is not on {self.curve!r}")
-        value = self.const
+        p = self.curve.p
+        value = self.const.value
         for atom in self.atoms:
-            value = value * atom.eval(point)
-        return value
+            value = value * atom.eval(point) % p
+        return FpElement(p, value)
 
     def constant_value(self, samples: int = 3) -> FpElement:
-        """Value of a divisor-free function, cross-checked at several points."""
-        if not self.divisor().is_zero:
-            raise JordanLabError("constant_value on a function with nontrivial divisor")
+        """Value of a function known to have divisor 0, cross-checked at several points."""
         values = []
         for point in affine_points(self.curve):
             try:
@@ -550,7 +548,10 @@ class TrackedFunction:
 
 def ratio_constant(f: TrackedFunction, g: TrackedFunction) -> FpElement:
     """The constant f/g for functions with equal divisors."""
-    return (f * g.inverse()).constant_value()
+    quotient = f * g.inverse()
+    if not quotient.divisor().is_zero:
+        raise JordanLabError("ratio_constant of functions with different divisors")
+    return quotient.constant_value()
 
 
 def line_function(p1: CurvePoint, p2: CurvePoint) -> TrackedFunction:

@@ -70,6 +70,14 @@ def test_curve_search(capsys):
     assert code == 0 and report["rows"] == []
 
 
+def test_curve_search_past_the_budget_exits_2_before_scanning(capsys, monkeypatch):
+    monkeypatch.setattr(ellcurve, "_point_count", lambda *args: pytest.fail("a prime was scanned"))
+    assert main(["curve-search", "--n", "2", "--p-max", "2100"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: BudgetExceeded: p = 2003 exceeds point enumeration budget 2000\n"
+
+
 def test_theta_verify_explicit_curve(capsys):
     code, report, _ = run_json(
         capsys, ["theta-verify", "--n", "2", "--p", "7", "--a", "3", "--b", "0"]
@@ -255,6 +263,29 @@ def test_escaping_product_exits_1(capsys, monkeypatch):
     layer = theta_enumerate_mu(cli.Curve.make(7, 3, 0), 2)
     i, j = calls[4]
     assert "({!r}, {!r})".format(layer[i], layer[j]) in out.err
+
+
+THETA_N3 = ["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0"]
+
+
+def test_product_without_translation_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(theta, "_STRUCTURES", {})  # build the structure under the doctoring
+    monkeypatch.setattr(theta, "theta_mul",
+                        lambda g, h: theta.ThetaElement(g.level, g.x + h.x, h.f * g.f))
+    assert main(THETA_N3) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: CertificateError: function divisor ")
+
+
+def test_wrong_miller_divisor_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    honest = ellcurve.miller_function
+    monkeypatch.setattr(theta, "miller_function", lambda n, x: honest(n, x) ** 2)
+    assert main(THETA_N3) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: CertificateError: function divisor ")
 
 
 def noncommuting_pairs(curve, n):

@@ -15,6 +15,7 @@ from jordanlab.ellcurve import (
     CurvePoint,
     Divisor,
     TrackedFunction,
+    VerticalLine,
     _affine_add,
     _affine_mul,
     _point_count,
@@ -294,6 +295,13 @@ def test_equal_divisors_differ_by_constant():
             assert f(p) == c * g(p)
         except EvalAtSupport:
             continue
+
+
+def test_ratio_constant_needs_equal_divisors():
+    t = C730.point(0, 0)
+    other = next(p for p in affine_points(C730) if p != t and p != -t)
+    with pytest.raises(JordanLabError, match="different divisors"):
+        ratio_constant(miller_function(2, t), line_function(other, other))
 
 
 def test_translate_pullback_semantics():
@@ -576,3 +584,85 @@ def test_coordinates_from_another_field_raise_as_before():
         wants.append(outcome(lambda: reference_on_curve(C1370, x, y)))
         assert outcome(lambda: CurvePoint(C1370, x, y)) == wants[-1]
     assert wants == [ValueError, OffCurve]
+
+
+# ---------------------------------------------------------------------------
+# tracked functions on the integer point law, and the one-pass divisor
+
+
+def reference_eval(fn, point):
+    """fn(point) as it stood: point + offset on CurvePoint, each line on FpElement."""
+    value = fn.const
+    for atom in fn.atoms:
+        arg = reference_add(point, atom.offset)
+        if arg.is_infinity:
+            raise EvalAtSupport(f"atom argument hit the identity at {point!r}")
+        line = atom.line
+        if isinstance(line, VerticalLine):
+            v = arg.x - line.c
+        else:
+            v = arg.y - line.lam * arg.x - line.nu
+        if v.is_zero:
+            raise EvalAtSupport(f"atom vanished at {point!r}")
+        value = value * v ** atom.exponent
+    return value
+
+
+def reference_divisor(fn):
+    """div fn as it stood: the per-atom divisors summed one at a time."""
+    acc = Divisor.zero(fn.curve)
+    for atom in fn.atoms:
+        acc = acc + atom.base_divisor.translate(atom.offset).scale(atom.exponent)
+    return acc
+
+
+def tracked_functions(curve, n):
+    """Miller functions at level n, their translates, products, inverses and powers."""
+    points = enumerate_points(curve)
+    millers = [miller_function(n, x) for x in torsion_subgroup(curve, n) if not x.is_infinity]
+    fns = list(millers)
+    for f in millers:
+        fns += [f.translate(y) for y in points[::3]]
+        fns += [f.inverse(), f ** 2, f ** -3]
+    for f, g in itertools.combinations(millers, 2):
+        fns += [f * g, f * g.inverse().translate(points[1]), (f * g) ** 2]
+    return fns
+
+
+@pytest.mark.parametrize("curve, n", [(C730, 2), (C1370, 3)])
+def test_evaluation_matches_the_object_formula(curve, n):
+    raised = evaluated = 0
+    for fn in tracked_functions(curve, n):
+        for point in enumerate_points(curve):
+            want = outcome(lambda: reference_eval(fn, point))
+            got = outcome(lambda: fn(point))
+            if want is EvalAtSupport:
+                with pytest.raises(EvalAtSupport) as exc:
+                    fn(point)
+                with pytest.raises(EvalAtSupport) as ref:
+                    reference_eval(fn, point)
+                assert str(exc.value) == str(ref.value)
+                raised += 1
+            else:
+                assert isinstance(got, FpElement) and got == want
+                evaluated += 1
+    assert raised and evaluated  # both branches are exercised
+
+
+@pytest.mark.parametrize("curve, n", [(C730, 2), (C1370, 3)])
+def test_one_pass_divisor_matches_the_per_atom_sum(curve, n):
+    for fn in tracked_functions(curve, n):
+        assert fn.divisor() == reference_divisor(fn)
+
+
+def test_curve_search_refuses_a_prime_past_the_budget_before_scanning(monkeypatch):
+    monkeypatch.setattr(ellcurve, "_point_count", lambda *args: pytest.fail("a prime was scanned"))
+    monkeypatch.setattr(ellcurve, "_torsion_count", lambda *args: pytest.fail("a prime was scanned"))
+    # 2003 is the first prime past the budget, and 2011 the first that is 1 mod 3
+    for n, over in ((2, 2003), (3, 2011), (4, 2017)):
+        with pytest.raises(BudgetExceeded) as exc:
+            curve_search(n, over + 50)
+        assert str(exc.value) == f"p = {over} exceeds point enumeration budget {POINT_BUDGET}"
+    # no prime 1 mod 4 lies in (2000, 2016]: the scan itself decides, as before
+    monkeypatch.setattr(ellcurve, "iter_admissible_curves", lambda n, p_max: iter(()))
+    assert curve_search(4, 2016) == []

@@ -1,8 +1,11 @@
 """Finite abelian groups, characters, the alternating pairing, isotropy."""
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanlab.errors import BadDelta, BudgetExceeded, GroupMismatch, NotASubgroup, NotIsotropic
 from jordanlab.finab import (
@@ -102,6 +105,46 @@ def test_pairing_is_bi_additive(delta):
             for c in h:
                 assert pairing(a + b, c) == pairing(a, c) * pairing(b, c)
                 assert pairing(a, b + c) == pairing(a, b) * pairing(a, c)
+
+
+def chains(bound):
+    """Every chain (d_1, d_2, ...) with d_{i+1} | d_i, each d_i >= 2 past the first,
+    and product N <= bound."""
+    out = []
+
+    def grow(chain, order):
+        out.append(tuple(chain))
+        for d in range(2, chain[-1] + 1):
+            if chain[-1] % d == 0 and order * d <= bound:
+                grow(chain + [d], order * d)
+
+    for first in range(1, bound + 1):
+        grow([first], first)
+    return out
+
+
+@lru_cache(maxsize=None)
+def gram_of(delta):
+    return h_tables(FinAbGroup(delta), pairing)[2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(chains(12)), st.data())
+def test_pairing_laws_on_random_triples(delta, data):
+    group = FinAbGroup(delta)
+    h = group.h_elements()
+    i, j, k = (data.draw(st.integers(0, len(h) - 1)) for _ in range(3))
+    a, b, c = h[i], h[j], h[k]
+    assert pairing(a + b, c) == pairing(a, c) * pairing(b, c)
+    assert pairing(a, b + c) == pairing(a, b) * pairing(a, c)
+    assert pairing(a, a).is_one
+    assert pairing(a, b) == pairing(b, a).inverse()
+    if not a.is_zero:
+        assert any(not pairing(a, x).is_one for x in h)
+    if group.order <= 8:  # the Gram table costs N^4 pairings: 20736 at N = 12
+        gram = gram_of(delta)
+        assert gram[i][j] == pairing(a, b).exponent
+        assert gram[k][i] == pairing(c, a).exponent
 
 
 def test_span_examples():

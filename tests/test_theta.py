@@ -8,14 +8,17 @@ from jordanlab import theta
 from jordanlab.ellcurve import (
     Curve,
     Divisor,
+    TrackedFunction,
     enumerate_points,
     iter_admissible_curves,
+    miller_function,
     torsion_subgroup,
     weil_pairing,
 )
 from jordanlab.errors import (
     BasisMismatch,
     BudgetExceeded,
+    CertificateError,
     DegenerateAfterRetries,
     LevelMismatch,
     NotAdmissible,
@@ -27,6 +30,8 @@ from jordanlab.finab import FinAbGroup
 from jordanlab.heisenberg import HeisElement, group_table
 from jordanlab.scalars import RootOfUnity, multiplicative_order, mu_generator
 from jordanlab.theta import (
+    ThetaElement,
+    certify_divisor,
     find_theta_curve,
     h_of_level,
     mu_commutator,
@@ -239,7 +244,7 @@ def test_theta_group_axioms_on_mu_layer(curve, n):
 def test_theta_power_closes():
     structure = theta_structure(C3, 3)
     for ij, s in structure.section.items():
-        cube = theta_power(s, 3)
+        cube = certify_divisor(theta_power(s, 3))
         assert cube.x.is_infinity
         value = cube.f.constant_value()
         assert value ** 3 == C3.fe(1)
@@ -312,3 +317,79 @@ def test_find_theta_curve_skips_a_degenerate_curve(monkeypatch):
             continue
         break
     assert found == curve != first
+
+
+def test_products_derive_no_divisor(monkeypatch):
+    structure = theta_structure(C3, 3)
+    g, h = structure.section[(1, 0)], structure.section[(1, 2)]
+    calls = 0
+    honest = TrackedFunction.divisor
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return honest(self)
+
+    monkeypatch.setattr(TrackedFunction, "divisor", counted)
+    made = [theta_mul(g, h), theta_inv(g), g.scaled(5), theta_power(h, 4), theta_power(g, -2)]
+    assert calls == 0
+    for e in made:
+        certify_divisor(e)
+    assert calls == len(made)
+
+
+@pytest.mark.parametrize("curve,n", [(C2, 2), (C3, 3)])
+def test_products_keep_the_divisor_law(curve, n):
+    # div(T_x^* h * f) = T_x^* div h + div f: what lets theta_mul skip the check
+    layer = theta_enumerate_mu(curve, n)
+    pairs = list(itertools.product(layer, repeat=2))
+    for g, h in pairs[::max(1, len(pairs) // 80)]:
+        certify_divisor(theta_mul(g, h))
+        certify_divisor(theta_inv(g))
+        certify_divisor(theta_power(g, n + 1))
+
+
+def test_certify_divisor_rejects_a_wrong_function(monkeypatch):
+    x = theta_structure(C3, 3).basis[0]
+    g = theta_make(3, x)
+    with pytest.raises(CertificateError, match="!= required"):
+        certify_divisor(ThetaElement(3, x, g.f * g.f))
+    # theta_mul without T_x^*: the point is right, the function is not
+    with pytest.raises(CertificateError, match="!= required"):
+        certify_divisor(ThetaElement(3, x + x, g.f * g.f))
+    # theta_make certifies the function it is handed
+    monkeypatch.setattr(theta, "miller_function", lambda n, p: miller_function(n, p) ** 2)
+    with pytest.raises(CertificateError, match="!= required"):
+        theta_make(3, x)
+
+
+def test_only_elements_over_o_have_a_scalar():
+    x = theta_structure(C3, 3).basis[0]
+    assert theta._scalar(theta_make(3, C3.infinity(), 5)) == C3.fe(5)
+    with pytest.raises(CertificateError, match="does not lie over O"):
+        theta._scalar(theta_make(3, x))
+
+
+def test_commutator_certifies_its_divisor(monkeypatch):
+    a, b = theta_structure(C3, 3).basis
+    g, h = theta_make(3, a), theta_make(3, b)
+    monkeypatch.setattr(theta, "theta_mul",
+                        lambda g, h: ThetaElement(g.level, g.x + h.x, h.f * g.f))
+    with pytest.raises(CertificateError, match="!= required 0"):
+        theta_commutator(g, h)
+
+
+def test_structure_certifies_each_section_element(monkeypatch):
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    certified = []
+    honest = theta.certify_divisor
+
+    def recorded(g):
+        certified.append(g)
+        return honest(g)
+
+    monkeypatch.setattr(theta, "certify_divisor", recorded)
+    structure = theta_structure(C3, 3)
+    assert all(any(g is c for c in certified) for g in structure.section.values())
+    # and the commutator t: an element over O whose constant is t
+    assert any(c.x.is_infinity and c.f.constant_value() == structure.t for c in certified)
