@@ -27,7 +27,7 @@ from typing import Iterator
 from .errors import CurveMismatch, EvalAtSupport, Undefined
 from .ellcurve import Curve, CurvePoint, TrackedFunction, affine_points, ratio_constant
 from .scalars import FpElement
-from .theta import MuTables, ThetaElement, Values
+from .theta import ThetaElement
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,6 @@ def compose(second: BirAuto, first: BirAuto) -> BirAuto:
     if second.curve != first.curve:
         raise CurveMismatch("cannot compose over different curves")
     return BirAuto(first.y + second.y, second.f.translate(first.y) * first.f)
-
-
-def compose_values(tables: MuTables, second: Values, first: Values) -> Values:
-    """`compose` on the value vectors of embedded mu-layer elements (theta.MuTables).
-
-    Written from `compose`, apart from theta.mu_product, so that theta-verify's
-    embed-homomorphism compares the two group laws rather than one with itself.
-    """
-    (y, f_first), (z, f_second) = first, second
-    p = tables.p
-    return tables.add[y][z], tuple(f_second[s] * v % p for s, v in zip(tables.shift[y], f_first))
 
 
 def inverse(a: BirAuto) -> BirAuto:

@@ -90,9 +90,9 @@ class Curve:
 class CurvePoint:
     """Affine point (x, y) or the identity O (x = y = None).
 
-    The group law is _affine_add on the integer coordinates, and k * P runs the
-    ladder of _affine_mul over +; every point built, results included, is
-    checked on the curve.
+    The group law is _chord_tangent on the integer coordinates, and k * P runs
+    the ladder of _affine_mul over +; every point built, results included, is
+    checked on the curve once, by __post_init__.
     """
 
     curve: Curve
@@ -130,7 +130,9 @@ class CurvePoint:
         if other.x is None:
             return self
         curve = self.curve
-        point = _affine_add(curve.p, curve.a.value, curve.b.value, self._coords(), other._coords())
+        # the law unchecked: __post_init__ checks the sum on the curve
+        point = _chord_tangent(curve.p, curve.a.value, self.x.value, self.y.value,
+                               other.x.value, other.y.value)
         return curve.infinity() if point is None else curve.point(*point)
 
     def __neg__(self) -> "CurvePoint":
@@ -196,20 +198,23 @@ def _slope(p: int, a: int, x1: int, y1: int, x2: int, y2: int) -> int:
     return (y2 - y1) * pow(x2 - x1, -1, p) % p
 
 
-def _affine_add(p: int, a: int, b: int, P: tuple[int, int] | None,
-                Q: tuple[int, int] | None) -> tuple[int, int] | None:
-    """P + Q by the chord-tangent law (Silverman III.2.3)."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
+def _chord_tangent(p: int, a: int, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int] | None:
+    """P + Q for affine P, Q by the chord-tangent law (Silverman III.2.3); unchecked."""
     if x1 == x2 and (y1 + y2) % p == 0:
         return None
     lam = _slope(p, a, x1, y1, x2, y2)
     x3 = (lam * lam - x1 - x2) % p
-    return _on_curve(p, a, b, (x3, (lam * (x1 - x3) - y1) % p))
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _affine_add(p: int, a: int, b: int, P: tuple[int, int] | None,
+                Q: tuple[int, int] | None) -> tuple[int, int] | None:
+    """P + Q, checked on the curve."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    return _on_curve(p, a, b, _chord_tangent(p, a, *P, *Q))
 
 
 def _double_and_add(k: int, step, add):

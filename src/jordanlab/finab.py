@@ -31,7 +31,6 @@ from .errors import BadDelta, BudgetExceeded, GroupMismatch, NotASubgroup, NotIs
 from .gtable import GroupTable
 from .scalars import RootOfUnity
 
-DEFAULT_SPAN_BUDGET = 20736  # default cap on #H = N^2 for abstract's subgroup scan
 H_TABLE_BUDGET = 1 << 20  # cap on the #H^2 = N^4 entries of one H table (N <= 32)
 
 

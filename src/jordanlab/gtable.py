@@ -167,33 +167,3 @@ class GroupTable:
             frontier = fresh
         return found
 
-
-def light_associative(mul: Callable[[int, int], int], gens: Sequence[int], order: int) -> bool:
-    """True when Light's test (Clifford & Preston 1961, section 1.2) proves mul associative.
-
-    The elements a with (x a) y == x (a y) for all x, y form a submagma.  So when
-    right multiplication by gens reaches all of 0..order-1 from gens, and every
-    g in gens passes that identity (2 * len(gens) * order^2 products), mul is
-    associative.  False means only that the test is inconclusive.
-    """
-    seen = set(gens)
-    frontier = list(gens)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                z = mul(x, g)
-                if z not in seen:
-                    seen.add(z)
-                    fresh.append(z)
-        frontier = fresh
-    if len(seen) != order:
-        return False
-    everything = range(order)
-    for g in gens:
-        xg = [mul(x, g) for x in everything]
-        gy = [mul(g, y) for y in everything]
-        for x in everything:
-            if any(mul(xg[x], y) != mul(x, gy[y]) for y in everything):
-                return False
-    return True

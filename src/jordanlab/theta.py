@@ -20,10 +20,10 @@ fails on some curves; admissibility is checked, not assumed), and
 
 which satisfies s(u) s(v) = t^(i_u * j_v) s(u + v) exactly.  That is the same
 cocycle as the Heisenberg-type group over Z/n, so labelling an element
-t^k s(i,j) by (zeta_n^k, i, chi_j) is an isomorphism onto it, verified by
-full multiplication-table comparison against heisenberg.group_table.
+t^k s(i,j) by (zeta_n^k, i, chi_j) is an isomorphism onto it, verified against
+heisenberg.group_table on the generators s(1, 0) and s(0, 1).
 
-For those per-pair checks the layer is also held as integers (MuTables): each
+For those checks the layer is also held as integers (MuTables): each
 function as its value vector on the points outside E[n], where the product is
 a gather through a translation table and a pointwise multiply mod p.  The
 objects above build the tables and stay the oracle they are tested against.
@@ -222,6 +222,13 @@ def symplectic_basis(curve: Curve, n: int) -> tuple[CurvePoint, CurvePoint]:
     n-th powers are n-th powers in F_p^*); the second condition is what makes
     the canonical section, and hence the structure transport, exist over F_p.
     """
+    (p1, _), (p2, _) = _liftable_basis(curve, n)
+    return p1, p2
+
+
+def _liftable_basis(curve: Curve, n: int) -> tuple[tuple[CurvePoint, FpElement], ...]:
+    """symplectic_basis, each point x with the certified constant c of
+    theta_make(n, x)^n, which decided that x lifts."""
     points = enumerate_points(curve)
     torsion = [x for x in torsion_subgroup(curve, n) if not x.is_infinity]
     if len(torsion) + 1 != n * n:
@@ -230,13 +237,13 @@ def symplectic_basis(curve: Curve, n: int) -> tuple[CurvePoint, CurvePoint]:
         raise NotAdmissible(
             f"{curve!r} has no points outside the level-{n} part; evaluations degenerate"
         )
-    liftable: dict[CurvePoint, bool] = {}
+    power: dict[CurvePoint, FpElement | None] = {}  # c, or None when x does not lift
 
     def is_liftable(x: CurvePoint) -> bool:
-        if x not in liftable:
+        if x not in power:
             c = _scalar(theta_power(theta_make(n, x), n))
-            liftable[x] = nth_root(c, n) is not None
-        return liftable[x]
+            power[x] = c if nth_root(c, n) is not None else None
+        return power[x] is not None
 
     for p1 in torsion:
         if not is_liftable(p1):
@@ -245,7 +252,7 @@ def symplectic_basis(curve: Curve, n: int) -> tuple[CurvePoint, CurvePoint]:
             if p2 == p1 or not is_liftable(p2):
                 continue
             if weil_pairing(p1, p2, n).order() == n:
-                return (p1, p2)
+                return (p1, power[p1]), (p2, power[p2])
     raise NotAdmissible(f"no admissible symplectic basis on {curve!r} at level {n}")
 
 
@@ -268,10 +275,10 @@ class ThetaStructure:
             self.decomposition = {curve.infinity(): (0, 0)}
             self.scalar_log = {curve.fe(1).value: 0}
             return
-        p1, p2 = symplectic_basis(curve, n)
+        (p1, c1), (p2, c2) = _liftable_basis(curve, n)
         self.basis = (p1, p2)
-        lift_a = self._order_n_lift(p1)
-        lift_b = self._order_n_lift(p2)
+        lift_a = self._order_n_lift(p1, c1)
+        lift_b = self._order_n_lift(p2, c2)
         self.t = theta_commutator(lift_a, lift_b)
         if multiplicative_order(self.t) != n:
             raise NotAdmissible(f"commutator {self.t} is not a primitive level-{n} root")
@@ -291,15 +298,16 @@ class ThetaStructure:
         if len(self.decomposition) != n * n:
             raise BasisMismatch(f"{self.basis!r} does not generate E[{n}]")
 
-    def _order_n_lift(self, x: CurvePoint) -> ThetaElement:
+    def _order_n_lift(self, x: CurvePoint, c: FpElement) -> ThetaElement:
+        """kappa * theta_make(n, x), whose n-th power kappa^n c is 1, given the
+        certified constant c of theta_make(n, x)^n."""
         n = self.level
-        kappa = nth_root(_scalar(theta_power(theta_make(n, x), n)).inverse(), n)
+        kappa = nth_root(c.inverse(), n)
         if kappa is None:
             raise NotAdmissible(f"no order-{n} lift over {x!r}")
-        lift = theta_make(n, x, kappa)
-        if _scalar(theta_power(lift, n)) != self.curve.fe(1):
+        if kappa ** n * c != self.curve.fe(1):
             raise CertificateError("rescaled lift failed to have exact order n")
-        return lift
+        return theta_make(n, x, kappa)
 
     def scalar_exponent(self, value: FpElement) -> int:
         k = self.scalar_log.get(value.value)
@@ -426,8 +434,10 @@ def theta_enumerate_mu(curve: Curve, n: int, budget: int = THETA_BUDGET) -> list
     """The full mu_n layer: the n^3 elements over the canonical section.
 
     Multiplies nothing.  Closure of the layer is certified by `theta-verify`
-    (cli.run_theta_verify), which looks up every product g h of the layer's
-    value vectors in MuTables.index and fails the run if one escapes.
+    (cli.run_theta_verify): it looks up each product of a layer element with
+    s(1, 0) and s(0, 1) in MuTables.index, fails the run if one escapes or if
+    these steps do not reach the whole layer from the identity, and gets every
+    other product as a chain of such steps.
     """
     if n > budget:
         raise BudgetExceeded(f"level {n} exceeds the mu-layer budget {budget}")

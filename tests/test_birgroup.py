@@ -146,12 +146,12 @@ def test_sample_points_deterministic():
 
 
 def test_compose_values_match_composed_functions():
-    from jordanlab.theta import theta_structure
+    from jordanlab.theta import mu_product, theta_structure
 
     tables = theta_structure(C2, 2).tables
     auts = embedded_layer(C2, 2)
     for (a, va), (b, vb) in itertools.product(zip(auts, tables.layer), repeat=2):
-        both = compose(b, a)
-        y, values = birgroup.compose_values(tables, vb, va)
+        both = compose(b, a)  # a first: the value vector of a b
+        y, values = mu_product(tables, va, vb)
         assert tables.points[y] == both.y
         assert values == tuple(both.f(s).value for s in tables.others)

@@ -13,7 +13,6 @@ import pytest
 from jordanlab import birgroup, cli, ellcurve, finab, theta
 from jordanlab.cli import main
 from jordanlab.finab import (
-    DEFAULT_SPAN_BUDGET,
     FinAbGroup,
     HPoint,
     all_h_subgroups,
@@ -169,6 +168,11 @@ def test_isotropic_skip_names_the_bound(capsys, monkeypatch):
         "#H = 16 exceeds ISOTROPIC_SCAN_CAP 10")
 
 
+def test_budget_defaults_to_the_scan_cap(capsys):
+    _, report, _ = run_json(capsys, ["abstract", "--delta", "2"])
+    assert report["params"]["budget"] == cli.ISOTROPIC_SCAN_CAP == 400
+
+
 def test_skewed_pairing_fails_bi_additivity(capsys, monkeypatch):
     h = FinAbGroup((4,)).h_elements()
     bad_pair = (h[5], h[6])
@@ -227,18 +231,26 @@ def test_optimized_interpreter_gives_the_same_claims():
 THETA_N2 = ["theta-verify", "--n", "2", "--p", "7", "--a", "3", "--b", "0"]
 
 
+def generators(curve, n):
+    """Layer indices of s(1, 0) and s(0, 1)."""
+    labels = theta.theta_structure(curve, n).mu_labels()
+    return [labels.index((1, 0, 0)), labels.index((0, 1, 0))]
+
+
 def test_theta_verify_multiplies_each_pair_once(capsys, monkeypatch):
-    calls = 0
+    calls = []
 
     def counted(tables, g, h):
-        nonlocal calls
-        calls += 1
+        calls.append((tables.index[g], tables.index[h]))
         return mu_product(tables, g, h)
 
     monkeypatch.setattr(cli, "mu_product", counted)
     code, report, _ = run_json(capsys, THETA_N2)
     assert code == 0
-    assert calls == 8 ** 2  # one product per pair of the mu layer
+    # each pair (g, c) of an element and a generator once, then one per compose sample
+    gens = generators(cli.Curve.make(7, 3, 0), 2)
+    assert calls[:2 * 8] == [(g, c) for g in range(8) for c in gens]
+    assert len(calls) == 2 * 8 + claim_map(report)["compose-semantics"]["checked"] == 2 * 8 + 100
     # with the structure built, listing the layer multiplies nothing
     monkeypatch.setattr(theta, "theta_mul", lambda g, h: pytest.fail("theta_mul called"))
     monkeypatch.setattr(theta, "mu_product", lambda *args: pytest.fail("mu_product called"))
@@ -288,13 +300,14 @@ def test_wrong_miller_divisor_exits_1(capsys, monkeypatch):
     assert out.err.startswith("error: CertificateError: function divisor ")
 
 
-def noncommuting_pairs(curve, n):
-    """Pairs (g, h) of the mu layer with g h != h g, in layer order, on the objects."""
+def noncommuting_generator_pairs(curve, n):
+    """Pairs (g, c) with g c != c g, for g in layer order and c = s(1, 0), s(0, 1), on
+    the objects."""
     structure = theta.theta_structure(curve, n)
     layer = theta_enumerate_mu(curve, n)
-    return [(g, h) for g, h in itertools.product(layer, repeat=2)
-            if structure.to_heisenberg(theta_mul(g, h))
-            != structure.to_heisenberg(theta_mul(h, g))]
+    return [(g, layer[c]) for g in layer for c in generators(curve, n)
+            if structure.to_heisenberg(theta_mul(g, layer[c]))
+            != structure.to_heisenberg(theta_mul(layer[c], g))]
 
 
 def test_wrong_heisenberg_product_fails_isomorphism(capsys, monkeypatch):
@@ -308,12 +321,14 @@ def test_wrong_heisenberg_product_fails_isomorphism(capsys, monkeypatch):
     code, report, _ = run_json(capsys, THETA_N2)
     assert code == 1
     claims = claim_map(report)
-    bad = noncommuting_pairs(cli.Curve.make(7, 3, 0), 2)
+    bad = noncommuting_generator_pairs(cli.Curve.make(7, 3, 0), 2)
     claim = claims["structure-isomorphism"]
     assert claim["status"] == "failed" and claim["failures"] == len(bad) > 0
-    assert claim["detail"] == ("full multiplication-table comparison; "
-                               "first counterexample (g, h) = ({!r}, {!r})".format(*bad[0]))
+    assert claim["checked"] == 8 ** 2
+    assert claim["detail"] == ("labels checked on the generators, every pair by induction; "
+                               "first counterexample (g, c) = ({!r}, {!r})".format(*bad[0]))
     assert claims["embed-homomorphism"]["status"] == "verified"
+    assert claims["theta-group-axioms"]["status"] == "verified"
 
 
 def test_theta_verify_uses_no_object_transport(capsys, monkeypatch):
@@ -360,16 +375,25 @@ def test_theta_max_budget_fails_before_any_row(capsys, monkeypatch):
 
 
 def test_wrong_composition_fails_embed_homomorphism(capsys, monkeypatch):
-    compose = birgroup.compose_values
-    monkeypatch.setattr(birgroup, "compose_values",
-                        lambda tables, second, first: compose(tables, first, second))
+    # each map multiplies after translating, (s, t) -> (s + x, f(s + x) t)
+    monkeypatch.setattr(birgroup, "theta_embed",
+                        lambda g: birgroup.BirAuto(g.x, g.f.translate(g.x)))
     code, report, _ = run_json(capsys, THETA_N2)
     assert code == 1
     claims = claim_map(report)
-    bad = noncommuting_pairs(cli.Curve.make(7, 3, 0), 2)
+    curve = cli.Curve.make(7, 3, 0)
+    base = birgroup.SamplePoint(theta.theta_structure(curve, 2).tables.others[0], curve.fe(1))
+    layer = theta_enumerate_mu(curve, 2)
+    bad = [(g, layer[c]) for g in layer for c in generators(curve, 2)
+           if birgroup.apply(birgroup.theta_embed(layer[c]),
+                             birgroup.apply(birgroup.theta_embed(g), base))
+           != birgroup.apply(birgroup.theta_embed(theta_mul(g, layer[c])), base)]
     claim = claims["embed-homomorphism"]
     assert claim["status"] == "failed" and claim["failures"] == len(bad) > 0
-    assert claim["detail"] == "first counterexample (g, h) = ({!r}, {!r})".format(*bad[0])
+    assert claim["checked"] == 8 ** 2
+    assert claim["detail"] == (f"the action at ({base.x!r}, 1) checked on the generators, "
+                               "every pair by induction; "
+                               "first counterexample (g, c) = ({!r}, {!r})".format(*bad[0]))
     assert claims["structure-isomorphism"]["status"] == "verified"
 
 
@@ -402,18 +426,19 @@ def test_noncentral_commutator_exits_1(capsys, monkeypatch):
 
 def test_optimized_interpreter_gives_the_same_theta_claims():
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    claims = []
-    for flags in ([], ["-O"]):
-        proc = subprocess.run([sys.executable, *flags, "-m", "jordanlab.cli", *THETA_N2],
-                              capture_output=True, text=True, env=env, check=True)
-        claims.append(json.loads(proc.stdout)["claims"])
-    assert claims[0] == claims[1]
-    assert all(c["status"] == "verified" for c in claims[0])
+    for argv in (THETA_N2, THETA_N3):
+        claims = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable, *flags, "-m", "jordanlab.cli", *argv],
+                                  capture_output=True, text=True, env=env, check=True)
+            claims.append(json.loads(proc.stdout)["claims"])
+        assert claims[0] == claims[1]
+        assert all(c["status"] == "verified" for c in claims[0])
 
 
 @pytest.mark.parametrize("delta", [(2,), (3,), (4,), (2, 2), (5,), (6,), (4, 2)])
 def test_isotropic_claim_counts_match_the_object_layer(delta):
-    report = cli.run_abstract(delta, DEFAULT_SPAN_BUDGET).to_dict()
+    report = cli.run_abstract(delta, cli.ISOTROPIC_SCAN_CAP).to_dict()
     claim = claim_map(report)["isotropic-index-divisibility"]
     subgroups = all_h_subgroups(FinAbGroup(delta))
     isotropic = [s for s in subgroups if is_isotropic(s)]
@@ -449,7 +474,7 @@ def test_abstract_fills_one_h_addition_table(monkeypatch):
 
     monkeypatch.setattr(HPoint, "__add__", counted)
     finab._h_group.cache_clear()
-    cli.run_abstract((4,), DEFAULT_SPAN_BUDGET)
+    cli.run_abstract((4,), cli.ISOTROPIC_SCAN_CAP)
     assert calls == 16 ** 2  # every addition of H fills the one table, once
 
 
@@ -459,7 +484,7 @@ def test_abstract_finds_the_h_identity_once(monkeypatch):
     monkeypatch.setattr(GroupTable, "_find_identity",
                         lambda self: orders.append(self.order) or find(self))
     finab._h_group.cache_clear()
-    cli.run_abstract((4,), DEFAULT_SPAN_BUDGET)
+    cli.run_abstract((4,), cli.ISOTROPIC_SCAN_CAP)
     assert orders.count(16) == 1  # the cached table of H serves every claim
 
 
@@ -512,104 +537,130 @@ def test_trivial_pairing_fails_isotropic_claim(capsys, monkeypatch):
                                f"first counterexample E = <{first.elements[1]!r}> of order 2")
 
 
-def honest_product_table(curve, n):
-    """The product index table of the mu layer, from the value vectors."""
-    tables = theta.theta_structure(curve, n).tables
-    return [[tables.index[mu_product(tables, g, h)] for h in tables.layer] for g in tables.layer]
-
-
 def test_product_table_without_identity_exits_1(capsys, monkeypatch):
-    honest = honest_product_table(cli.Curve.make(7, 3, 0), 2)
-    identity = honest.index(list(range(len(honest))))
+    curve = cli.Curve.make(7, 3, 0)
+    tables = theta.theta_structure(curve, 2).tables
+    identity = tables.index[(tables.origin, (1,) * len(tables.others))]
+    c = generators(curve, 2)[0]
 
     def doctored(tables, g, h):
-        if (tables.index[g], tables.index[h]) == (identity, identity):
-            return tables.layer[identity - 1]  # the identity squared is no longer the identity
+        if (tables.index[g], tables.index[h]) == (identity, c):
+            return mu_product(tables, h, h)  # the identity times c is c^2, as c c is
         return mu_product(tables, g, h)
 
     monkeypatch.setattr(cli, "mu_product", doctored)
-    assert main(THETA_N2) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == "error: CertificateError: table has no identity element\n"
+    code, report, _ = run_json(capsys, THETA_N2)
+    assert code == 1
+    layer = theta_enumerate_mu(curve, 2)
+    assert identity > c  # the identity lies over O, listed last, so its product repeats
+    claims = claim_map(report)
+    claim = claims["theta-group-axioms"]
+    assert claim["status"] == "failed" and claim["failures"] == 1
+    assert claim["checked"] == 8 ** 3
+    assert claim["detail"] == (
+        "associativity from the translation action, identity and inverses from the "
+        "generators permuting the layer; "
+        "first counterexample (g, c) = ({!r}, {!r})".format(layer[identity], layer[c]))
+    for id in ("structure-isomorphism", "embed-homomorphism"):
+        assert claims[id]["status"] == "failed" and claims[id]["failures"] == 1
+        assert claims[id]["detail"].endswith(
+            "first counterexample (g, c) = ({!r}, {!r})".format(layer[identity], layer[c]))
+
+
+def broken_shift_row(tables):
+    """tables.shift with the images in the row of the first point but O rotated by one."""
+    shift = [list(row) for row in tables.shift]
+    x = next(x for x in range(len(shift)) if x != tables.origin)
+    shift[x] = shift[x][1:] + shift[x][:1]
+    return shift
 
 
 def test_broken_associativity_names_the_first_triple(capsys, monkeypatch):
     curve = cli.Curve.make(7, 3, 0)
-    honest = honest_product_table(curve, 2)
+    tables = theta.theta_structure(curve, 2).tables
+    shift = broken_shift_row(tables)
+    monkeypatch.setattr(tables, "shift", shift)
+    assert main(THETA_N2) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    # the first (x, y, s) where translating by x, then y, is not translating by x + y
+    points, others = tables.points, tables.others
+    x, y, s = next((x, y, s) for x, y in itertools.product(range(len(points)), repeat=2)
+                   for s in range(len(others))
+                   if shift[y][shift[x][s]] != shift[tables.add[x][y]][s])
+    assert out.err == (f"error: CertificateError: translation by (x, y) = ({points[x]!r}, "
+                       f"{points[y]!r}) is not by x then by y at {others[s]!r}\n")
 
-    def doctored(self, a, b):
-        return 2 if (a, b) == (1, 1) else self.table[a][b]
 
-    def mul(a, b):
-        return 2 if (a, b) == (1, 1) else honest[a][b]
-
-    monkeypatch.setattr(GroupTable, "mul", doctored)
-    code, report, _ = run_json(capsys, THETA_N2)
-    assert code == 1
-    bad = [t for t in itertools.product(range(len(honest)), repeat=3)
-           if mul(mul(t[0], t[1]), t[2]) != mul(t[0], mul(t[1], t[2]))]
-    layer = theta_enumerate_mu(curve, 2)
-    claim = claim_map(report)["theta-group-axioms"]
-    assert claim["status"] == "failed" and claim["failures"] == len(bad) > 0
-    assert claim["checked"] == len(layer) ** 3
-    assert claim["detail"] == (
-        "associativity, identity and inverses on the index table; "
-        "first counterexample (i, j, k) = ({!r}, {!r}, {!r})".format(*(layer[i] for i in bad[0])))
+def test_unfaithful_translation_exits_1(capsys, monkeypatch):
+    tables = theta.theta_structure(cli.Curve.make(7, 3, 0), 2).tables
+    size = len(tables.others)
+    # both compose as an action would: every point fixed, and every point sent to S[0]
+    for rows in ([list(range(size))] * 4, [[0] * size] * 4):
+        monkeypatch.setattr(tables, "shift", rows)
+        assert main(THETA_N2) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: CertificateError: E[2] does not act faithfully on the "
+                           "points off E[2]\n")
 
 
 THETA_N3 = ["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0"]
 
 
-def test_corrupted_product_falls_back_to_the_triple_loop(capsys, monkeypatch):
+def test_corrupted_product_fails_at_the_first_generator_pair(capsys, monkeypatch):
     curve = cli.Curve.make(13, 7, 0)
-    corrupted = honest_product_table(curve, 3)
-    size = len(corrupted)
-    identity = corrupted.index(list(range(size)))
-    # one entry off the identity's row and column, and neither old nor new value the
-    # identity, so the table keeps its identity and inverses
-    a, b = next((a, b) for a, b in itertools.product(range(size), repeat=2)
-                if identity not in (a, b, corrupted[a][b]))
-    corrupted[a][b] = next(c for c in range(size) if c not in (identity, corrupted[a][b]))
-    monkeypatch.setattr(cli, "GroupTable", lambda table: GroupTable(corrupted))
+    c = generators(curve, 3)[1]
+    g = 5  # g c becomes (g - 1) c, so c maps g - 1 and g alike
+
+    def doctored(tables, a, b):
+        if (tables.index[a], tables.index[b]) == (g, c):
+            a = tables.layer[g - 1]
+        return mu_product(tables, a, b)
+
+    monkeypatch.setattr(cli, "mu_product", doctored)
     code, report, _ = run_json(capsys, THETA_N3)
     assert code == 1
-    t = corrupted
-    bad = [(i, j, k) for i, j, k in itertools.product(range(size), repeat=3)
-           if t[t[i][j]][k] != t[i][t[j][k]]]
     layer = theta_enumerate_mu(curve, 3)
-    claim = claim_map(report)["theta-group-axioms"]
-    assert claim["status"] == "failed" and claim["failures"] == len(bad) > 0
-    assert claim["checked"] == size ** 3
-    assert claim["detail"] == (
-        "associativity, identity and inverses on the index table; "
-        "first counterexample (i, j, k) = ({!r}, {!r}, {!r})".format(*(layer[i] for i in bad[0])))
+    claims = claim_map(report)
+    for id in ("structure-isomorphism", "theta-group-axioms", "embed-homomorphism"):
+        claim = claims[id]
+        assert claim["status"] == "failed" and claim["failures"] == 1, id
+        assert claim["detail"].endswith(
+            "; first counterexample (g, c) = ({!r}, {!r})".format(layer[g], layer[c]))
+    assert claims["mu-layer-closure"]["status"] == "verified"
 
 
-def test_light_test_spares_the_triple_loop(capsys, monkeypatch):
+def test_generators_that_miss_part_of_the_layer_exit_1(capsys, monkeypatch):
+    c = generators(cli.Curve.make(13, 7, 0), 3)[1]
+
+    def doctored(tables, g, h):  # right multiplication by s(0, 1) fixes every element
+        return g if tables.index[h] == c else mu_product(tables, g, h)
+
+    monkeypatch.setattr(cli, "mu_product", doctored)
+    assert main(THETA_N3) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    # s(1, 0) has order 3: its powers, and s(0, 1) times them
+    assert out.err == ("error: CertificateError: s(1, 0) and s(0, 1) generate 6 of the 27 "
+                       "mu_3 layer elements\n")
+
+
+def test_generator_checks_spare_the_pair_loop(capsys, monkeypatch):
     calls = 0
-    mul = GroupTable.mul
 
-    def counted(self, a, b):
+    def counted(tables, g, h):
         nonlocal calls
         calls += 1
-        return mul(self, a, b)
+        return mu_product(tables, g, h)
 
-    monkeypatch.setattr(GroupTable, "mul", counted)
-    code, report, _ = run_json(capsys, THETA_N3)
+    monkeypatch.setattr(cli, "mu_product", counted)  # mu_commutator multiplies in theta
+    code, report, _ = run_json(capsys, ["theta-verify", "--n", "4"])
     assert code == 0
     claim = claim_map(report)["theta-group-axioms"]
-    assert claim["status"] == "verified" and claim["checked"] == 27 ** 3
-    assert "Light's test" in claim["detail"]
-    # generation from s(1, 0), s(0, 1), then 2 * 27^2 triples at two products each
-    assert calls <= 2 * 27 + 2 * (2 * 27 + 2 * 27 ** 2) < 27 ** 3 // 4
-
-
-class UncheckedTable(GroupTable):
-    """A product table taken as it is: equal rows leave it without an identity."""
-
-    def __init__(self, table):
-        self.table = table
+    assert claim["status"] == "verified" and claim["checked"] == 64 ** 3
+    # two generator products per element, then one per compose-semantics sample
+    assert calls <= 2 * 64 + 100 < 64 ** 2
 
 
 def test_equal_layer_vectors_fail_embed_injective(capsys, monkeypatch):
@@ -619,7 +670,6 @@ def test_equal_layer_vectors_fail_embed_injective(capsys, monkeypatch):
     assert layer[0][0] == layer[1][0]  # the layer lists elements by point, then scale
     layer[1] = layer[0]
     monkeypatch.setattr(tables, "layer", layer)
-    monkeypatch.setattr(cli, "GroupTable", UncheckedTable)
     code, report, _ = run_json(capsys, THETA_N2)
     assert code == 1
     elements = theta_enumerate_mu(curve, 2)
@@ -628,6 +678,118 @@ def test_equal_layer_vectors_fail_embed_injective(capsys, monkeypatch):
     assert claim["status"] == "failed" and claim["failures"] == 1
     assert claim["detail"] == "first counterexample (g, h) = ({!r}, {!r})".format(*elements[:2])
     assert claims["transport-bijective"]["status"] == "failed"
+
+
+def test_embed_injective_counts_equal_pairs_by_multiplicity(capsys, monkeypatch):
+    curve = cli.Curve.make(13, 7, 0)
+    tables = theta.theta_structure(curve, 3).tables
+    layer = list(tables.layer)
+    assert layer[3][0] == layer[4][0] == layer[5][0]  # the three scales over one point
+    layer[4] = layer[5] = layer[3]
+    monkeypatch.setattr(tables, "layer", layer)
+    code, report, _ = run_json(capsys, THETA_N3)
+    assert code == 1
+    elements = theta_enumerate_mu(curve, 3)
+    claim = claim_map(report)["embed-injective"]
+    # n^2 points with n elements each: n^3 (n - 1) / 2 pairs over one point
+    assert claim["checked"] == 27 * 2 // 2
+    assert claim["status"] == "failed" and claim["failures"] == 3  # three equal pairs
+    assert claim["detail"] == "first counterexample (g, h) = ({!r}, {!r})".format(*elements[3:5])
+
+
+PAIR_CLAIMS = ("mu-layer-closure", "structure-isomorphism", "theta-group-axioms",
+               "embed-homomorphism")
+
+
+def per_pair_verdicts(curve, n):
+    """The verdicts of the PAIR_CLAIMS by the exhaustive loop over every pair of the layer
+    (every triple, for associativity): "exit 1" when a product leaves the layer."""
+    structure = theta.theta_structure(curve, n)
+    tables = structure.tables
+    layer = tables.layer
+    r = range(len(layer))
+    prod = [[tables.index.get(cli.mu_product(tables, g, h)) for h in layer] for g in layer]
+    if any(None in row for row in prod):
+        return "exit 1"
+    heis = [(i * n + j) * n + k for i, j, k in structure.mu_labels()]
+    g1 = cli.group_table(structure.group)[0].table
+    identity = [e for e in r if all(prod[e][g] == g == prod[g][e] for g in r)]
+    group = bool(identity) and all(identity[0] in row for row in prod) and all(
+        prod[prod[a][b]][c] == prod[a][prod[b][c]] for a in r for b in r for c in r)
+    embedded = [birgroup.theta_embed(g) for g in structure.mu_elements()]
+    base = birgroup.SamplePoint(tables.others[0], curve.fe(1))
+    moved = [birgroup.apply(e, base) for e in embedded]
+    verdicts = [len(layer) == n ** 3,
+                all(heis[prod[a][b]] == g1[heis[a]][heis[b]] for a in r for b in r),
+                group,
+                all(birgroup.apply(embedded[b], moved[a]) == moved[prod[a][b]]
+                    for a in r for b in r)]
+    return {id: "verified" if ok else "failed" for id, ok in zip(PAIR_CLAIMS, verdicts)}
+
+
+def generator_verdicts(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr()
+    if not out.out:
+        return f"exit {code}"
+    claims = claim_map(json.loads(out.out))
+    return {id: claims[id]["status"] for id in PAIR_CLAIMS}
+
+
+@pytest.mark.parametrize("n,curve", [(2, (7, 3, 0)), (3, (13, 7, 0)), (3, (19, 0, 5)),
+                                     (3, (31, 1, 11)), (4, None)])
+def test_generator_checks_match_the_pair_loop_on_honest_curves(capsys, n, curve):
+    curve = theta.find_theta_curve(n) if curve is None else cli.Curve.make(*curve)
+    argv = ["theta-verify", "--n", str(n), "--p", str(curve.p),
+            "--a", str(curve.a.value), "--b", str(curve.b.value)]
+    verdicts = per_pair_verdicts(curve, n)
+    assert verdicts == dict.fromkeys(PAIR_CLAIMS, "verified")
+    assert generator_verdicts(capsys, argv) == verdicts
+
+
+def doctor_shift(monkeypatch, tables):
+    monkeypatch.setattr(tables, "shift", broken_shift_row(tables))
+
+
+def doctor_g1(monkeypatch, tables):
+    honest = cli.group_table
+    monkeypatch.setattr(cli, "group_table", lambda group: (
+        GroupTable([list(column) for column in zip(*honest(group)[0].table)]), None))
+
+
+def doctor_embed(monkeypatch, tables):
+    monkeypatch.setattr(birgroup, "theta_embed",
+                        lambda g: birgroup.BirAuto(g.x, g.f.scale(2)))
+
+
+def doctor_translation(monkeypatch, tables):  # T_x^* dropped from the product
+    monkeypatch.setattr(cli, "mu_product", lambda tables, g, h: (
+        tables.add[g[0]][h[0]], tuple(u * v % tables.p for u, v in zip(g[1], h[1]))))
+
+
+def doctor_layer(monkeypatch, tables):
+    layer = list(tables.layer)
+    layer[1] = layer[0]
+    monkeypatch.setattr(tables, "layer", layer)
+
+
+def doctor_identity(monkeypatch, tables):
+    identity = tables.index[(tables.origin, (1,) * len(tables.others))]
+    monkeypatch.setattr(cli, "mu_product", lambda tables, g, h: mu_product(
+        tables, *((h, h) if tables.index[g] == identity else (g, h))))
+
+
+@pytest.mark.parametrize("doctor", [doctor_shift, doctor_g1, doctor_embed, doctor_translation,
+                                    doctor_layer, doctor_identity])
+@pytest.mark.parametrize("argv", [THETA_N2, THETA_N3])
+def test_generator_checks_match_the_pair_loop_on_doctored_cases(capsys, monkeypatch,
+                                                                doctor, argv):
+    curve = cli.Curve.make(*map(int, argv[4::2]))
+    n = int(argv[2])
+    doctor(monkeypatch, theta.theta_structure(curve, n).tables)
+    verdicts = per_pair_verdicts(curve, n)
+    assert verdicts != dict.fromkeys(PAIR_CLAIMS, "verified")
+    assert generator_verdicts(capsys, argv) == verdicts
 
 
 def test_hasse_violation_exits_1(capsys, monkeypatch):

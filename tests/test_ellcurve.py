@@ -189,6 +189,18 @@ def test_integer_kernel_rejects_off_curve_points():
         _affine_add(13, 7, 1, *ints)  # the sum lies on b = 0, not on b = 1
 
 
+def test_point_sum_is_checked_on_the_curve_once(monkeypatch):
+    monkeypatch.setattr(ellcurve, "_on_curve", lambda *args: pytest.fail("sum checked twice"))
+    points = enumerate_points(C1370)
+    assert [P + Q for P, Q in itertools.product(points, repeat=2)] == [
+        reference_add(P, Q) for P, Q in itertools.product(points, repeat=2)]
+    # a law gone wrong still meets the one check, in CurvePoint.__post_init__
+    monkeypatch.setattr(ellcurve, "_chord_tangent", lambda p, a, x1, y1, x2, y2: (x1, y1 + 1))
+    P, Q = [R for R in points if not R.is_infinity and R.y.value != 6][:2]  # (y + 1)^2 != y^2
+    with pytest.raises(OffCurve):
+        P + Q
+
+
 def test_integer_kernel_budget_and_hasse(monkeypatch):
     monkeypatch.setattr(ellcurve, "_sqrt_table", lambda p: pytest.fail("prime was scanned"))
     for count in (_point_count, lambda p, a, b: _torsion_count(p, a, b, 2)):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanlab.finab import FinAbGroup, _h_group
-from jordanlab.gtable import GroupTable, light_associative
+from jordanlab.gtable import GroupTable
 from jordanlab.heisenberg import group_table
 
 
@@ -95,31 +95,3 @@ def test_commuting_masks_match_the_table(delta):
         assert [h for h in range(table.order) if table.commuting[g] >> h & 1] == [
             h for h in range(table.order) if table.commutes(g, h)]
 
-
-def associative(table):
-    r = range(len(table))
-    return all(table[table[a][b]][c] == table[a][table[b][c]] for a in r for b in r for c in r)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n),
-    st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))))
-def test_light_test_passes_only_associative_magmas(case):
-    table, gens = case
-    if light_associative(lambda a, b: table[a][b], gens, len(table)):
-        assert associative(table)
-
-
-@pytest.mark.parametrize("m", [3, 4, 5])
-def test_light_test_on_dihedral_groups(m):
-    relabel = list(range(2 * m))[::-1]
-    table = dihedral(m, relabel)
-    r, s = relabel[1], relabel[m]  # the rotation r and the reflection s
-    assert light_associative(table.mul, [r, s], table.order)
-    # r alone reaches only the rotations: inconclusive, though D_m is associative
-    assert not light_associative(table.mul, [r], table.order)
-    broken = [list(row) for row in table.table]
-    broken[r][s] = table.identity
-    assert not light_associative(lambda a, b: broken[a][b], [r, s], table.order)
-    assert not associative(broken)

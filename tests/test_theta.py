@@ -393,3 +393,27 @@ def test_structure_certifies_each_section_element(monkeypatch):
     assert all(any(g is c for c in certified) for g in structure.section.values())
     # and the commutator t: an element over O whose constant is t
     assert any(c.x.is_infinity and c.f.constant_value() == structure.t for c in certified)
+
+
+def test_structure_reuses_the_liftability_constant(monkeypatch):
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    made, powers = [], []
+    make, power = theta.theta_make, theta.theta_power
+    monkeypatch.setattr(theta, "theta_make",
+                        lambda n, x, scale=1: made.append((x, scale)) or make(n, x, scale))
+    monkeypatch.setattr(theta, "theta_power", lambda g, k: powers.append(g.x) or power(g, k))
+    structure = theta_structure(C3, 3)
+    for x in structure.basis:
+        scales = [scale for y, scale in made if y == x]
+        assert scales[0] == 1 and len(scales) == 2  # the Miller lift, then the rescaled lift
+        assert powers.count(x) == 1  # one n-th power, in symplectic_basis
+        assert certify_divisor(power(make(3, x, scales[1]), 3)).f.constant_value() == C3.fe(1)
+
+
+def test_wrong_lift_scale_fails_exact_order(monkeypatch):
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    honest = theta.nth_root
+    monkeypatch.setattr(theta, "nth_root",
+                        lambda value, n: None if honest(value, n) is None else honest(value, n) * 2)
+    with pytest.raises(CertificateError, match="rescaled lift failed to have exact order n"):
+        theta_structure(C3, 3)
