@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import CurveMismatch, EvalAtSupport, Undefined
-from .ellcurve import Curve, CurvePoint, TrackedFunction, affine_points, ratio_constant
+from .ellcurve import Curve, CurvePoint, TrackedFunction, affine_points, same_function
 from .scalars import FpElement
 from .theta import ThetaElement
 
@@ -94,12 +94,8 @@ def apply(a: BirAuto, s: SamplePoint) -> SamplePoint:
 
 
 def bir_equal(a: BirAuto, b: BirAuto) -> bool:
-    """Same translation, same divisor, and constant function ratio 1."""
-    if a.curve != b.curve or a.y != b.y:
-        return False
-    if a.f.divisor() != b.f.divisor():
-        return False
-    return ratio_constant(a.f, b.f) == a.curve.fe(1)
+    """Same translation and the same function."""
+    return a.curve == b.curve and a.y == b.y and same_function(a.f, b.f)
 
 
 def theta_embed(g: ThetaElement) -> BirAuto:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from . import birgroup
 from .errors import (
     BadArgument,
-    BudgetExceeded,
     CertificateError,
     DegenerateAfterRetries,
     JordanLabError,
@@ -29,7 +28,8 @@ from .errors import (
     Undefined,
 )
 from .ellcurve import Curve, curve_search, iter_admissible_curves, weil_pairing
-from .finab import FinAbGroup, h_tables, pairing, parse_delta
+from .finab import FinAbGroup, h_subgroups, h_tables, pairing, parse_delta
+from .gtable import reach
 from .heisenberg import (
     EXHAUSTIVE_CAP,
     HeisElement,
@@ -39,7 +39,7 @@ from .heisenberg import (
 )
 from .scalars import RootOfUnity, mu_generator
 from .theta import (
-    THETA_BUDGET,
+    check_theta_budget,
     find_theta_curve,
     h_of_level,
     mu_commutator,
@@ -188,7 +188,7 @@ def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
 
     if group.h_order() <= min(budget, ISOTROPIC_SCAN_CAP):
         # gram holds mu_N exponents, so 0 is a trivial pairing
-        subs = sorted(h_table.abelian_subgroups(max_gens=None), key=lambda s: (len(s), sorted(s)))
+        subs = h_subgroups(group)
         iso = [s for s in subs if not any(gram[a][b] for a in s for b in s)]
         bad = []
         for s in iso:
@@ -288,8 +288,7 @@ def _with_pair(detail: str, bad: list[tuple], names: str = "(g, h)") -> str:
 
 def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunReport:
     start = time.perf_counter()
-    if n > THETA_BUDGET:  # before any curve is searched or structure built
-        raise BudgetExceeded(f"level {n} exceeds the mu-layer budget {THETA_BUDGET}")
+    check_theta_budget(n)  # before any curve is searched or structure built
     if curve is None and n >= 2:
         curve = find_theta_curve(n, p_max)
     params = {"n": n, "seed": seed}
@@ -340,10 +339,7 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
         g, c = escaped[0]
         raise CertificateError(f"product of (g, h) = ({elements[g]!r}, {elements[c]!r}) "
                                f"leaves the mu_{n} layer")
-    reached = frontier = set(gens)
-    while frontier:
-        frontier = {k for g in frontier for k in right[g]} - reached
-        reached |= frontier
+    reached = reach(gens, lambda g: right[g])
     if len(reached) != size:
         raise CertificateError(
             f"s(1, 0) and s(0, 1) generate {len(reached)} of the {size} mu_{n} layer elements")
@@ -439,8 +435,7 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
 
 def run_nonjordan(n_max: int, p_max: int, exhaustive_max: int, theta_max: int, seed: int) -> RunReport:
     start = time.perf_counter()
-    if theta_max > THETA_BUDGET:  # before any row, as theta-verify --n does
-        raise BudgetExceeded(f"level {theta_max} exceeds the mu-layer budget {THETA_BUDGET}")
+    check_theta_budget(theta_max)  # before any row, as theta-verify --n does
     exact_max = min(n_max, exhaustive_max)  # the largest n whose G1 table is built
     if exact_max > 0:
         check_g1_budget(exact_max)

@@ -39,6 +39,9 @@ from .errors import (
 from .scalars import FpElement, RootOfUnity, discrete_log_in_mu, is_prime, mu_generator
 
 POINT_BUDGET = 2000  # largest field size enumerate_points will scan
+ORDER_CAP = 10 * POINT_BUDGET  # largest point order CurvePoint.order will step to
+CONSTANT_SAMPLES = 3  # points at which constant_value cross-checks a function
+PAIRING_RETRIES = 16  # offset pairs weil_pairing tries before giving up
 
 
 @dataclass(frozen=True)
@@ -149,13 +152,13 @@ class CurvePoint:
         acc = _double_and_add(k, self, operator.add)
         return self.curve.infinity() if acc is None else acc
 
-    def order(self, cap: int = 10 * POINT_BUDGET) -> int:
+    def order(self) -> int:
         acc = self
-        for k in range(1, cap + 1):
+        for k in range(1, ORDER_CAP + 1):
             if acc.is_infinity:
                 return k
             acc = acc + self
-        raise JordanLabError(f"order of {self!r} exceeds cap {cap}")
+        raise JordanLabError(f"order of {self!r} exceeds cap {ORDER_CAP}")
 
     def sort_key(self):
         if self.is_infinity:
@@ -178,9 +181,9 @@ def _sqrt_table(p: int) -> dict[int, tuple[int, ...]]:
 # every point it computes is checked on the curve, as CurvePoint does.
 
 
-def _budget_check(p: int, budget: int = POINT_BUDGET) -> None:
-    if p > budget:
-        raise BudgetExceeded(f"p = {p} exceeds point enumeration budget {budget}")
+def _budget_check(p: int) -> None:
+    if p > POINT_BUDGET:
+        raise BudgetExceeded(f"p = {p} exceeds point enumeration budget {POINT_BUDGET}")
 
 
 def _on_curve(p: int, a: int, b: int, point: tuple[int, int] | None) -> tuple[int, int] | None:
@@ -260,9 +263,9 @@ def _torsion_count(p: int, a: int, b: int, n: int) -> int:
 
 
 @lru_cache(maxsize=512)
-def enumerate_points(curve: Curve, budget: int = POINT_BUDGET) -> tuple[CurvePoint, ...]:
+def enumerate_points(curve: Curve) -> tuple[CurvePoint, ...]:
     """All F_p-points in sorted order, the identity last; Hasse-checked."""
-    _budget_check(curve.p, budget)
+    _budget_check(curve.p)
     sqrts = _sqrt_table(curve.p)
     points = []
     for x in range(curve.p):
@@ -531,7 +534,7 @@ class TrackedFunction:
             value = value * atom.eval(point) % p
         return FpElement(p, value)
 
-    def constant_value(self, samples: int = 3) -> FpElement:
+    def constant_value(self) -> FpElement:
         """Value of a function known to have divisor 0, cross-checked at several points."""
         values = []
         for point in affine_points(self.curve):
@@ -539,7 +542,7 @@ class TrackedFunction:
                 values.append(self(point))
             except EvalAtSupport:
                 continue
-            if len(values) >= samples:
+            if len(values) >= CONSTANT_SAMPLES:
                 break
         if not values:
             raise EvalAtSupport("no sample point avoids the atom supports")
@@ -557,6 +560,12 @@ def ratio_constant(f: TrackedFunction, g: TrackedFunction) -> FpElement:
     if not quotient.divisor().is_zero:
         raise JordanLabError("ratio_constant of functions with different divisors")
     return quotient.constant_value()
+
+
+def same_function(f: TrackedFunction, g: TrackedFunction) -> bool:
+    """f and g are one function: f/g has divisor 0 and constant value 1."""
+    quotient = f * g.inverse()
+    return quotient.divisor().is_zero and quotient.constant_value() == f.curve.fe(1)
 
 
 def line_function(p1: CurvePoint, p2: CurvePoint) -> TrackedFunction:
@@ -636,13 +645,7 @@ def miller_function(n: int, point: CurvePoint) -> TrackedFunction:
     return _normalize(f)
 
 
-def weil_pairing(
-    p1: CurvePoint,
-    p2: CurvePoint,
-    n: int,
-    seed: int = 0,
-    max_retries: int = 16,
-) -> RootOfUnity:
+def weil_pairing(p1: CurvePoint, p2: CurvePoint, n: int, seed: int = 0) -> RootOfUnity:
     """The level-n pairing of two n-torsion points, as an exponent in mu_n.
 
     Computed as f_A(B) / f_B(A) with A ~ (P) - (O) and B ~ (Q) - (O) moved by
@@ -660,7 +663,7 @@ def weil_pairing(
     f2 = miller_function(n, p2)
     rng = random.Random(f"{seed}:{curve.p}:{n}")
     pool = affine_points(curve)
-    for _ in range(max_retries):
+    for _ in range(PAIRING_RETRIES):
         r = rng.choice(pool)
         s = rng.choice(pool)
         fa = f1.translate(-r)  # divisor n(P + R) - n(R)
@@ -673,7 +676,7 @@ def weil_pairing(
             raise CertificateError(f"pairing value {value} escaped mu_{n}")
         return RootOfUnity(n, discrete_log_in_mu(value, generator, n))
     raise DegenerateAfterRetries(
-        f"no offset choice avoided the supports after {max_retries} tries on {curve!r}"
+        f"no offset choice avoided the supports after {PAIRING_RETRIES} tries on {curve!r}"
     )
 
 

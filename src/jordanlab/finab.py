@@ -343,7 +343,14 @@ def all_h_subgroups(group: FinAbGroup) -> list[HSubgroup]:
     H is abelian, so each lattice step is a coset product rather than a
     closure search; the walk covers the entire lattice.
     """
-    h, table = _h_group(group)
-    # index order is sort_key order, so these sort by order, then elements
-    found = sorted(table.abelian_subgroups(max_gens=None), key=lambda s: (len(s), sorted(s)))
-    return [HSubgroup(group, tuple(h[i] for i in sorted(members))) for members in found]
+    h = _h_group(group)[0]
+    return [HSubgroup(group, tuple(h[i] for i in sorted(members)))
+            for members in h_subgroups(group)]
+
+
+def h_subgroups(group: FinAbGroup) -> list[frozenset[int]]:
+    """Every subgroup of H as a set of indices into h_elements(), sorted by order,
+    then elements: index order is sort_key order.  This order fixes which
+    counterexample a claim names first."""
+    table = _h_group(group)[1]
+    return sorted(table.abelian_subgroups(max_gens=None), key=lambda s: (len(s), sorted(s)))

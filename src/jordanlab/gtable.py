@@ -13,6 +13,15 @@ from typing import Callable, Iterable, Sequence
 from .errors import CertificateError
 
 
+def reach(start: Iterable[int], step: Callable[[int], Iterable[int]]) -> frozenset[int]:
+    """Everything reachable from start by repeated steps, in a breadth-first search."""
+    seen = frontier = set(start)
+    while frontier:
+        frontier = {y for x in frontier for y in step(x)} - seen
+        seen |= frontier
+    return frozenset(seen)
+
+
 class GroupTable:
     """A finite group as elements 0..n-1 with a dense multiplication table."""
 
@@ -48,9 +57,6 @@ class GroupTable:
                 raise CertificateError(f"element {g} has no inverse")
         return inv
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def __getitem__(self, a: int) -> list[int]:
         """Row a, so that table[a][b] is the index of a b."""
         return self.table[a]
@@ -63,21 +69,11 @@ class GroupTable:
         return all(self.commutes(a, b) for i, a in enumerate(members) for b in members[i + 1:])
 
     def closure(self, gens: Iterable[int]) -> frozenset[int]:
-        # inverses come for free in a finite group: powers of g reach g^-1
-        seen = {self.identity}
-        frontier = [g for g in gens if g not in seen]
-        seen.update(frontier)
+        """The subgroup generated by gens: the identity, stepped by right multiplication.
+        Inverses come for free in a finite group, since powers of g reach g^-1."""
+        gens = tuple(gens)
         table = self.table
-        while frontier:
-            fresh = []
-            for g in frontier:
-                for s in list(seen):
-                    for cand in (table[g][s], table[s][g]):
-                        if cand not in seen:
-                            seen.add(cand)
-                            fresh.append(cand)
-            frontier = fresh
-        return frozenset(seen)
+        return reach([self.identity], lambda x: [table[x][g] for g in gens])
 
     def generators(self, members: frozenset[int]) -> tuple[int, ...]:
         """Generators of the subgroup `members`: each element, in index order, not yet reached."""

@@ -56,6 +56,7 @@ from .ellcurve import (
     enumerate_points,
     miller_function,
     ratio_constant,
+    same_function,
     torsion_subgroup,
     weil_pairing,
 )
@@ -63,7 +64,13 @@ from .finab import FinAbGroup
 from .heisenberg import HeisElement
 from .scalars import FpElement, RootOfUnity, mu_generator, multiplicative_order, nth_root
 
-THETA_BUDGET = 4  # largest level enumerated as a full mu-layer by default
+THETA_BUDGET = 4  # largest level enumerated as a full mu-layer
+
+
+def check_theta_budget(n: int) -> None:
+    """Refuse a level whose mu layer would be enumerated past THETA_BUDGET."""
+    if n > THETA_BUDGET:
+        raise BudgetExceeded(f"level {n} exceeds the mu-layer budget {THETA_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -159,10 +166,8 @@ def theta_power(g: ThetaElement, k: int) -> ThetaElement:
 
 
 def theta_equal(g: ThetaElement, h: ThetaElement) -> bool:
-    """Equality as group elements: same point and literally the same function."""
-    if g.level != h.level or g.curve != h.curve or g.x != h.x:
-        return False
-    return ratio_constant(g.f, h.f) == g.curve.fe(1)
+    """Equality as group elements: same point and the same function."""
+    return g.level == h.level and g.curve == h.curve and g.x == h.x and same_function(g.f, h.f)
 
 
 def theta_commutator(g: ThetaElement, h: ThetaElement) -> FpElement:
@@ -268,13 +273,6 @@ class ThetaStructure:
         self.curve = curve
         self.level = n
         self.group = FinAbGroup((n,))
-        if n == 1:
-            self.basis = None
-            self.t = curve.fe(1)
-            self.section = {(0, 0): theta_identity(curve, 1)}
-            self.decomposition = {curve.infinity(): (0, 0)}
-            self.scalar_log = {curve.fe(1).value: 0}
-            return
         (p1, c1), (p2, c2) = _liftable_basis(curve, n)
         self.basis = (p1, p2)
         lift_a = self._order_n_lift(p1, c1)
@@ -423,24 +421,23 @@ def theta_structure(curve: Curve, n: int) -> ThetaStructure:
 def theta_to_heisenberg(g: ThetaElement, basis: tuple[CurvePoint, CurvePoint]) -> HeisElement:
     """Transport along the canonical section over the given symplectic basis."""
     structure = theta_structure(g.curve, g.level)
-    if structure.basis is not None and tuple(basis) != structure.basis:
+    if tuple(basis) != structure.basis:
         raise BasisMismatch(
             f"transport is built on basis {structure.basis!r}, got {tuple(basis)!r}"
         )
     return structure.to_heisenberg(g)
 
 
-def theta_enumerate_mu(curve: Curve, n: int, budget: int = THETA_BUDGET) -> list[ThetaElement]:
+def theta_enumerate_mu(curve: Curve, n: int) -> list[ThetaElement]:
     """The full mu_n layer: the n^3 elements over the canonical section.
 
     Multiplies nothing.  Closure of the layer is certified by `theta-verify`
     (cli.run_theta_verify): it looks up each product of a layer element with
     s(1, 0) and s(0, 1) in MuTables.index, fails the run if one escapes or if
-    these steps do not reach the whole layer from the identity, and gets every
+    these steps do not reach the whole layer from the generators, and gets every
     other product as a chain of such steps.
     """
-    if n > budget:
-        raise BudgetExceeded(f"level {n} exceeds the mu-layer budget {budget}")
+    check_theta_budget(n)
     return theta_structure(curve, n).mu_elements()
 
 
@@ -453,8 +450,6 @@ def orientation_sigma(curve: Curve, n: int) -> int:
     across instances.  Any other outcome is an error.
     """
     structure = theta_structure(curve, n)
-    if structure.basis is None:
-        return 1
     p1, p2 = structure.basis
     w = weil_pairing(p1, p2, n)
     embedded = w.embed_in_field(curve.p, mu_generator(curve.p, n))

@@ -7,7 +7,7 @@ import pytest
 
 from jordanlab import birgroup
 from jordanlab.birgroup import SamplePoint, bir_equal, compose, identity, inverse, theta_embed
-from jordanlab.ellcurve import line_function, miller_function, torsion_subgroup
+from jordanlab.ellcurve import TrackedFunction, line_function, miller_function, torsion_subgroup
 from jordanlab.errors import CurveMismatch, Undefined
 from jordanlab.theta import find_theta_curve, theta_enumerate_mu, theta_make, theta_mul
 
@@ -136,6 +136,25 @@ def test_theta_embed_injective_on_mu_layer():
         for i, a in enumerate(embedded):
             for b in embedded[i + 1:]:
                 assert not bir_equal(a, b)
+
+
+def test_bir_equal_derives_one_divisor(monkeypatch):
+    a, b = embedded_layer(C2, 2)[1:3]
+    calls = 0
+    honest = TrackedFunction.divisor
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return honest(self)
+
+    monkeypatch.setattr(TrackedFunction, "divisor", counted)
+    cases = [(a, a, True), (a, compose(identity(C2), a), True),
+             (a, birgroup.BirAuto(a.y, b.f), False)]
+    for x, y, same in cases:
+        calls = 0
+        assert bir_equal(x, y) == same
+        assert calls == 1
 
 
 def test_sample_points_deterministic():

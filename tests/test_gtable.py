@@ -1,4 +1,7 @@
-"""The abelian-subgroup scan against the plain walk over every centralizing element."""
+"""The abelian-subgroup scan against the plain walk over every centralizing element,
+and closure by generators against the two-sided closure."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +51,25 @@ def reference_abelian_subgroups(table, max_gens=None):
     return found
 
 
+def reference_closure(table, gens):
+    """The closure as it stood before the search by generators: every new element
+    multiplied by every reached element, on both sides."""
+    t = table.table
+    seen = {table.identity}
+    frontier = [g for g in gens if g not in seen]
+    seen.update(frontier)
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for s in list(seen):
+                for cand in (t[g][s], t[s][g]):
+                    if cand not in seen:
+                        seen.add(cand)
+                        fresh.append(cand)
+        frontier = fresh
+    return frozenset(seen)
+
+
 def dihedral(m, relabel):
     """D_m as r^i s^j, relabelled so that r^i s^j gets index relabel[i + m j]."""
     def product(e, f):  # r^i s^j r^k s^l = r^(i + (-1)^j k) s^(j + l)
@@ -95,3 +117,35 @@ def test_commuting_masks_match_the_table(delta):
         assert [h for h in range(table.order) if table.commuting[g] >> h & 1] == [
             h for h in range(table.order) if table.commutes(g, h)]
 
+
+
+DELTAS = [(2,), (3,), (4,), (2, 2), (5,), (6,)]
+
+
+@pytest.mark.parametrize("which", ["G1", "H"])
+@pytest.mark.parametrize("delta", DELTAS)
+def test_closure_matches_the_two_sided_closure(delta, which):
+    group = FinAbGroup(delta)
+    table = group_table(group)[0] if which == "G1" else _h_group(group)[1]
+    rng = random.Random(f"{delta}:{which}")
+    for _ in range(12):
+        gens = rng.sample(range(table.order), rng.randint(0, 3))
+        assert table.closure(gens) == reference_closure(table, gens)
+    assert table.closure(iter(gens)) == reference_closure(table, gens)  # a one-pass iterable
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 12).flatmap(lambda m: st.tuples(
+    st.just(m), st.permutations(range(2 * m)), st.lists(st.integers(0, 2 * m - 1), max_size=3))))
+def test_dihedral_closure_matches_the_two_sided_closure(case):
+    m, relabel, gens = case
+    table = dihedral(m, relabel)
+    assert table.closure(gens) == reference_closure(table, gens)
+
+
+@pytest.mark.parametrize("delta,max_gens", [((2,), None), ((3,), None), ((4,), 2), ((2, 2), 2)])
+def test_subgroup_lattice_matches_the_two_sided_closure(delta, max_gens, monkeypatch):
+    table = group_table(FinAbGroup(delta))[0]
+    got = list(table.subgroups(max_gens).items())
+    monkeypatch.setattr(table, "closure", lambda gens: reference_closure(table, gens))
+    assert got == list(table.subgroups(max_gens).items())

@@ -417,3 +417,17 @@ def test_wrong_lift_scale_fails_exact_order(monkeypatch):
                         lambda value, n: None if honest(value, n) is None else honest(value, n) * 2)
     with pytest.raises(CertificateError, match="rescaled lift failed to have exact order n"):
         theta_structure(C3, 3)
+
+
+def test_level_one_has_no_structure(monkeypatch):
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    with pytest.raises(NotAdmissible, match="no admissible symplectic basis"):
+        theta_structure(C2, 1)
+
+
+def test_theta_equal_is_false_for_functions_with_different_divisors():
+    g = next(e for e in theta_enumerate_mu(C2, 2) if not e.x.is_infinity)
+    h = ThetaElement(2, g.x, TrackedFunction.one(C2))
+    assert g.f.divisor() != h.f.divisor()
+    assert not theta_equal(g, h) and not theta_equal(h, g)
+    assert theta_equal(g, g.scaled(1)) and not theta_equal(g, g.scaled(-1))
