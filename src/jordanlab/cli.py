@@ -28,16 +28,15 @@ from .errors import (
     Undefined,
 )
 from .ellcurve import Curve, curve_search, iter_admissible_curves, weil_pairing
-from .finab import FinAbGroup, h_subgroups, h_tables, pairing, parse_delta
+from .finab import FinAbGroup, h_subgroups, h_tables, parse_delta
 from .gtable import reach
 from .heisenberg import (
     EXHAUSTIVE_CAP,
-    HeisElement,
     check_g1_budget,
     group_table,
     min_abelian_index,
 )
-from .scalars import RootOfUnity, mu_generator
+from .scalars import mu_generator
 from .theta import (
     check_theta_budget,
     find_theta_curve,
@@ -155,8 +154,8 @@ def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
     report.data["n"] = n
     report.data["group_order"] = n ** 3
 
-    # every pairing claim is a lookup into integer tables of H built once
-    h, h_table, gram = h_tables(group, pairing)
+    # every pairing claim is a lookup into integer tables of H built from K's two tables
+    h, h_table, gram = h_tables(group)
     add = h_table.table
     m = len(h)
     if m ** 3 <= PAIRING_TRIPLE_CAP:
@@ -207,21 +206,15 @@ def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
         report.skip("isotropic-index-divisibility", f"#H = {group.h_order()} exceeds {bound}")
 
     if n <= EXHAUSTIVE_CAP:
-        # g h g^-1 h^-1 must be the central element zeta^e(g, h), for every pair
+        # g h g^-1 h^-1 must be the central element zeta^e(g, h), for every pair; G1
+        # label g lies over H label g // n, and zeta^k is label k
         table, elems = group_table(group)
-        t = table.table
-        index_of = {e: i for i, e in enumerate(elems)}
-        h_index = {p: i for i, p in enumerate(h)}
-        inv = [index_of[e.inverse()] for e in elems]
-        proj = [h_index[e.project()] for e in elems]
-        zero, triv = group.zero(), group.trivial_character()
-        central = [index_of[HeisElement(RootOfUnity(n, k), zero, triv)] for k in range(n)]
+        t, inv = table.table, table.inverse
         failures, first = 0, None
         for g, t_g in enumerate(t):
             t_ginv = [t[gh][inv[g]] for gh in t_g]
             got = [t[ghg][ih] for ghg, ih in zip(t_ginv, inv)]
-            e_g = gram[proj[g]]
-            want = [central[e_g[ph]] for ph in proj]
+            want = [e for e in gram[g // n] for _ in range(n)]
             if got == want:
                 continue
             bad = [hh for hh in range(len(elems)) if got[hh] != want[hh]]

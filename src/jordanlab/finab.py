@@ -22,10 +22,9 @@ has order dividing N and index divisible by N.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BadDelta, BudgetExceeded, GroupMismatch, NotASubgroup, NotIsotropic
 from .gtable import GroupTable
@@ -223,28 +222,57 @@ def pairing(h1: HPoint, h2: HPoint) -> RootOfUnity:
 
 
 @lru_cache(maxsize=16)
+def k_tables(group: FinAbGroup) -> tuple[list[list[int]], list[list[int]]]:
+    """K's addition table and character table, indexed in group.elements() order.
+
+    add[x][y] is the index of x + y, from KElement.__add__; characters share
+    the coordinates, so it also multiplies them.  chi[l][x] is the mu_N
+    exponent of ell_l(x).  N^2 object calls each, once per group: every H and
+    G1 table is built from these two.  Cached and shared, so read only.
+    """
+    ks = group.elements()
+    k_index = {x: i for i, x in enumerate(ks)}
+    add = [[k_index[x + y] for y in ks] for x in ks]
+    chi = [[ell(x).exponent for x in ks] for ell in group.characters()]
+    return add, chi
+
+
+@lru_cache(maxsize=16)
 def _h_group(group: FinAbGroup) -> tuple[list[HPoint], GroupTable]:
-    """H in h_elements() order with its addition table, filled once per group from
-    HPoint.__add__.  Cached and shared by every caller, so read only.  Refused
-    before anything is allocated when the table would exceed H_TABLE_BUDGET."""
+    """H in h_elements() order with its addition table, cached per group: read only.
+
+    (x, l) has index x * N + l, and (x, l) + (x', l') = (x + x', l l') gives
+    add[x*N + l][x'*N + l'] = add_K[x][x'] * N + add_K[l][l'] from K's addition
+    table.  Refused before anything is allocated when it would exceed
+    H_TABLE_BUDGET.
+    """
     if group.h_order() ** 2 > H_TABLE_BUDGET:
         raise BudgetExceeded(f"#H^2 = {group.h_order() ** 2} table entries exceed "
                              f"H_TABLE_BUDGET {H_TABLE_BUDGET}")
-    h = group.h_elements()
-    return h, GroupTable.from_elements(h, operator.add)
+    n = group.order
+    add = k_tables(group)[0]
+    scaled = [[s * n for s in row] for row in add]
+    return group.h_elements(), GroupTable([[s + t for s in scaled[x] for t in add[l]]
+                                           for x in range(n) for l in range(n)])
 
 
-def h_tables(group: FinAbGroup, form: Callable[[HPoint, HPoint], RootOfUnity]
-             ) -> tuple[list[HPoint], GroupTable, list[list[int]]]:
-    """H in h_elements() order with its addition table and the Gram table of form.
+def h_tables(group: FinAbGroup) -> tuple[list[HPoint], GroupTable, list[list[int]]]:
+    """H in h_elements() order with its addition table and the Gram table of pairing.
 
     add[i][j] is the index of h_i + h_j and gram[i][j] the mu_N exponent of
-    form(h_i, h_j), normally pairing.  Both are filled once from the object
-    operations, so a claim checked on the tables is a claim about
-    HPoint.__add__ and the form.  add is the cached GroupTable of H: read only.
+    pairing(h_i, h_j) = l'(x) / l(x') for h_i = (x, l), h_j = (x', l'), that is
+    gram[x*N + l][x'*N + l'] = chi[l'][x] - chi[l][x'] mod N.  Both tables rest
+    on K's two tables (k_tables), so a claim checked on them is a claim about
+    KElement.__add__ and the character values; HPoint.__add__ and pairing are
+    the oracles the tests compare them against.  add is the cached GroupTable
+    of H: read only.
     """
     h, table = _h_group(group)
-    gram = [[form(a, b).exponent for b in h] for a in h]
+    n = group.order
+    chi = k_tables(group)[1]
+    columns = list(zip(*chi))  # columns[x][l'] = chi[l'][x]
+    gram = [[(c - d) % n for d in chi[l] for c in columns[x]]
+            for x in range(n) for l in range(n)]
     return h, table, gram
 
 

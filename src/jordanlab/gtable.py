@@ -47,14 +47,12 @@ class GroupTable:
         raise CertificateError("table has no identity element")
 
     def _build_inverses(self) -> list[int]:
-        inv = [-1] * self.order
-        for g in range(self.order):
-            for h in range(self.order):
-                if self.table[g][h] == self.identity:
-                    inv[g] = h
-                    break
-            if inv[g] < 0:
+        """inverse[g] is the first h in row g with g h the identity."""
+        inv = []
+        for g, row in enumerate(self.table):
+            if self.identity not in row:
                 raise CertificateError(f"element {g} has no inverse")
+            inv.append(row.index(self.identity))
         return inv
 
     def __getitem__(self, a: int) -> list[int]:
@@ -86,32 +84,6 @@ class GroupTable:
                 if current == members:
                     break
         return tuple(gens)
-
-    def subgroups(self, max_gens: int | None = None) -> dict[frozenset[int], tuple[int, ...]]:
-        """All subgroups reachable with at most max_gens generators.
-
-        Returns a map from element set to the generator tuple that first
-        produced it.  max_gens=None iterates to a fixpoint, which enumerates
-        the full subgroup lattice.
-        """
-        trivial = frozenset({self.identity})
-        found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-        frontier = [(trivial, ())]
-        level = 0
-        while frontier and (max_gens is None or level < max_gens):
-            level += 1
-            fresh = []
-            for members, gens in frontier:
-                for g in range(self.order):
-                    if g in members:
-                        continue
-                    bigger = self.closure(gens + (g,))
-                    if bigger not in found:
-                        new_gens = gens + (g,)
-                        found[bigger] = new_gens
-                        fresh.append((bigger, new_gens))
-            frontier = fresh
-        return found
 
     @cached_property
     def commuting(self) -> list[int]:

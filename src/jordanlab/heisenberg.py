@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 from .errors import BudgetExceeded, CertificateError, GroupMismatch
-from .finab import H_TABLE_BUDGET, Character, FinAbGroup, HPoint, KElement
+from .finab import H_TABLE_BUDGET, Character, FinAbGroup, HPoint, KElement, _h_group, k_tables
 from .gtable import GroupTable
 from .scalars import RootOfUnity
 
@@ -101,31 +102,25 @@ def group_table(group: FinAbGroup) -> tuple[GroupTable, tuple[HeisElement, ...]]
     """G1's multiplication table and its elements in sort_key order.
 
     Element (zeta^k, x, ell) has index (x * N + ell) * N + k, with x and ell
-    indexed in group.elements() order.  The twisted product runs over two
-    integer tables of K built once from the object operations: the addition
-    table from KElement.__add__ (characters share the coordinates, so it also
-    multiplies them) and the character values ell(x).exponent.  Refused before
+    indexed in group.elements() order: its image in H has index // N and
+    zeta^k has index k.  The twisted product (zeta^k, h) (zeta^k', h') =
+    (zeta^(k + k' + ell'(x)), h + h') runs over H's addition table and K's
+    character table (finab.k_tables), so row (h, k) is, for each h', the block
+    of the N labels (h + h') * N + (k + ell'(x) + k') mod N.  Refused before
     anything is allocated when the N^6 entries would exceed H_TABLE_BUDGET
     (N <= 10), which also bounds the table's commuting masks.
     """
     n = group.order
     check_g1_budget(n)
-    ks = group.elements()
-    k_index = {x: i for i, x in enumerate(ks)}
-    add = [[k_index[x + y] for y in ks] for x in ks]
-    chi = [[ell(x).exponent for x in ks] for ell in group.characters()]
+    h_add = _h_group(group)[1].table
+    twists = [list(column) * n for column in zip(*k_tables(group)[1])]  # twists[x][h'] = ell'(x)
+    blocks = [[[q * n + (s + k2) % n for k2 in range(n)] for s in range(n)] for q in range(n * n)]
     table = []
-    for x in range(n):
-        for ell in range(n):
-            for k in range(n):
-                row = []
-                for x2 in range(n):
-                    x_base = add[x][x2] * n
-                    for ell2 in range(n):
-                        base = (x_base + add[ell][ell2]) * n
-                        twist = k + chi[ell2][x]
-                        row.extend(base + (twist + k2) % n for k2 in range(n))
-                table.append(row)
+    for p, row in enumerate(h_add):
+        twist = twists[p // n]
+        for k in range(n):
+            table.append(list(chain.from_iterable(blocks[q][(k + t) % n]
+                                                  for q, t in zip(row, twist))))
     return GroupTable(table), tuple(elements(group))
 
 
@@ -138,6 +133,12 @@ def lagrangian_lift(group: FinAbGroup) -> list[HeisElement]:
         for x in group.elements()
         for k in range(n)
     ]
+
+
+def lagrangian_labels(group: FinAbGroup) -> frozenset[int]:
+    """The indices in group_table of mu_N x K x {1}: (x * N + 0) * N + k."""
+    n = group.order
+    return frozenset(x * n * n + k for x in range(n) for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -210,8 +211,7 @@ def min_abelian_index(
         )
 
     table, elems = group_table(group)
-    index_of = {e: i for i, e in enumerate(elems)}
-    lagr = frozenset(index_of[e] for e in lagrangian_lift(group))
+    lagr = lagrangian_labels(group)
     if not table.is_abelian_subset(lagr):
         raise CertificateError(f"the lagrangian lift mu_N x K x 1 over {group!r} is not abelian")
 

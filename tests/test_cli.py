@@ -6,15 +6,18 @@ import json
 import os
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from jordanlab import birgroup, cli, ellcurve, finab, theta
+from jordanlab import birgroup, cli, ellcurve, finab, heisenberg, theta
 from jordanlab.cli import main
 from jordanlab.finab import (
     FinAbGroup,
     HPoint,
+    KElement,
     all_h_subgroups,
     is_isotropic,
     pairing,
@@ -181,7 +184,15 @@ def test_skewed_pairing_fails_bi_additivity(capsys, monkeypatch):
         value = pairing(a, b)
         return value * RootOfUnity(value.modulus, 1) if (a, b) == bad_pair else value
 
-    monkeypatch.setattr(cli, "pairing", skewed)
+    honest = cli.h_tables
+
+    def skewed_tables(group):  # the Gram entry of bad_pair one step off
+        h, add, gram = honest(group)
+        gram = [row[:] for row in gram]
+        gram[5][6] = (gram[5][6] + 1) % group.order
+        return h, add, gram
+
+    monkeypatch.setattr(cli, "h_tables", skewed_tables)
     code, report, _ = run_json(capsys, ["abstract", "--delta", "4"])
     assert code == 1
     claim = claim_map(report)["pairing-bi-additive"]
@@ -195,7 +206,8 @@ def test_skewed_pairing_fails_bi_additivity(capsys, monkeypatch):
 
 
 def test_doctored_inverse_fails_commutator_identity(capsys, monkeypatch):
-    monkeypatch.setattr(HeisElement, "inverse", lambda self: self)  # g h g h: not central
+    table = cli.group_table(FinAbGroup((4,)))[0]  # the cached table that run_abstract reads
+    monkeypatch.setattr(table, "inverse", list(range(table.order)))  # g h g h: not central
     code, report, _ = run_json(capsys, ["abstract", "--delta", "4"])
     assert code == 1
     claims = claim_map(report)
@@ -464,18 +476,17 @@ def test_abstract_verifies_every_claim_up_to_the_exhaustive_cap(capsys, delta, s
 
 
 def test_abstract_fills_one_h_addition_table(monkeypatch):
-    calls = 0
-    add = HPoint.__add__
-
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
-        return add(a, b)
-
-    monkeypatch.setattr(HPoint, "__add__", counted)
-    finab._h_group.cache_clear()
+    calls = Counter()
+    for owner, name in ((HPoint, "__add__"), (KElement, "__add__"), (HeisElement, "__mul__"),
+                        (HeisElement, "inverse"), (HeisElement, "project"), (finab, "pairing")):
+        label = f"{owner.__name__}.{name}"
+        monkeypatch.setattr(owner, name, lambda *args, honest=getattr(owner, name), label=label:
+                            calls.update([label]) or honest(*args))
+    for cached in (finab.k_tables, finab._h_group, heisenberg.group_table):
+        cached.cache_clear()
     cli.run_abstract((4,), cli.ISOTROPIC_SCAN_CAP)
-    assert calls == 16 ** 2  # every addition of H fills the one table, once
+    # K's addition table is the only object arithmetic; H and G1 are built from it by formula
+    assert calls == Counter({"KElement.__add__": 4 ** 2})
 
 
 def test_abstract_finds_the_h_identity_once(monkeypatch):
@@ -514,7 +525,7 @@ def test_exhaustive_budget_admits_the_sizes_it_builds(monkeypatch, argv):
 
 
 def test_h_table_budget_refuses_before_filling(capsys, monkeypatch):
-    monkeypatch.setattr(HPoint, "__add__", lambda a, b: pytest.fail("H table filled"))
+    monkeypatch.setattr(KElement, "__add__", lambda a, b: pytest.fail("K table filled"))
     assert 144 ** 4 > finab.H_TABLE_BUDGET
     assert main(["abstract", "--delta", "144"]) == 2
     out = capsys.readouterr()
@@ -523,8 +534,26 @@ def test_h_table_budget_refuses_before_filling(capsys, monkeypatch):
                        f"H_TABLE_BUDGET {finab.H_TABLE_BUDGET}\n")
 
 
+def test_abstract_delta_32_runs_on_the_tables_in_seconds(capsys):
+    start = time.perf_counter()
+    code, report, _ = run_json(capsys, ["abstract", "--delta", "32"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert {c["id"]: c["status"] for c in report["claims"]} == {
+        "pairing-bi-additive": "skipped-budget",
+        "pairing-alternating": "verified",
+        "pairing-nondegenerate": "verified",
+        "isotropic-index-divisibility": "skipped-budget",
+        "commutator-identity": "skipped-budget",
+        "min-abelian-index": "skipped-budget",
+    }
+    assert claim_map(report)["pairing-nondegenerate"]["checked"] == 32 ** 2
+
+
 def test_trivial_pairing_fails_isotropic_claim(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "pairing", lambda a, b: RootOfUnity(a.group.order, 0))
+    honest = finab.k_tables
+    monkeypatch.setattr(finab, "k_tables", lambda group: (  # every character value 0
+        honest(group)[0], [[0] * group.order for _ in range(group.order)]))
     code, report, _ = run_json(capsys, ["abstract", "--delta", "4"])
     assert code == 1
     claim = claim_map(report)["isotropic-index-divisibility"]

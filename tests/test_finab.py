@@ -124,8 +124,9 @@ def chains(bound):
 
 
 @lru_cache(maxsize=None)
-def gram_of(delta):
-    return h_tables(FinAbGroup(delta), pairing)[2]
+def tables_of(delta):
+    _, add, gram = h_tables(FinAbGroup(delta))
+    return add, gram
 
 
 @settings(max_examples=80, deadline=None)
@@ -141,10 +142,11 @@ def test_pairing_laws_on_random_triples(delta, data):
     assert pairing(a, b) == pairing(b, a).inverse()
     if not a.is_zero:
         assert any(not pairing(a, x).is_one for x in h)
-    if group.order <= 8:  # the Gram table costs N^4 pairings: 20736 at N = 12
-        gram = gram_of(delta)
-        assert gram[i][j] == pairing(a, b).exponent
-        assert gram[k][i] == pairing(c, a).exponent
+    # the tables against HPoint.__add__ and pairing, on random entries up to N = 12
+    add, gram = tables_of(delta)
+    assert h[add[i][j]] == a + b and h[add[k][i]] == c + a
+    assert gram[i][j] == pairing(a, b).exponent
+    assert gram[k][i] == pairing(c, a).exponent
 
 
 def test_span_examples():
@@ -241,10 +243,10 @@ def test_subgroup_lattice_sizes():
     assert len(all_h_subgroups(FinAbGroup((2, 2)))) == 67
 
 
-@pytest.mark.parametrize("delta", SMALL_DELTAS + [(6,)])
+@pytest.mark.parametrize("delta", chains(8))
 def test_h_tables_match_object_operations(delta):
     g = FinAbGroup(delta)
-    h, add, gram = h_tables(g, pairing)
+    h, add, gram = h_tables(g)
     assert h == g.h_elements()
     for i, a in enumerate(h):
         for j, b in enumerate(h):

@@ -16,10 +16,13 @@ from jordanlab.heisenberg import (
     elements,
     group_table,
     identity,
+    lagrangian_labels,
     lagrangian_lift,
     min_abelian_index,
 )
 from jordanlab.scalars import RootOfUnity
+from test_finab import chains
+from test_gtable import reference_subgroups
 
 
 def heis(group, a, x, ell):
@@ -109,7 +112,7 @@ def test_scalars_are_central_and_commutator_matches_pairing(delta):
 def test_abelian_iff_isotropic_image(delta):
     g = FinAbGroup(delta)
     table, els = group_table(g)
-    found = table.subgroups(max_gens=2 if g.order >= 4 else None)
+    found = reference_subgroups(table, max_gens=2 if g.order >= 4 else None)
     for members in found:
         subgroup = [els[i] for i in members]
         image_points = {e.project().sort_key(): e.project() for e in subgroup}
@@ -145,7 +148,7 @@ def test_bounded_generators_match_full_lattice_up_to_4():
     for delta in [(2,), (3,), (4,), (2, 2)]:
         table, _ = group_table(FinAbGroup(delta))
         bounded = table.abelian_subgroups(max_gens=3)
-        full = {m for m in table.subgroups(max_gens=None) if table.is_abelian_subset(m)}
+        full = {m for m in reference_subgroups(table, max_gens=None) if table.is_abelian_subset(m)}
         assert set(bounded) == full
 
 
@@ -215,12 +218,24 @@ def test_index_report_serialization():
     assert all({"a", "x", "ell"} <= set(g) for g in data["witness_generators"])
 
 
-@pytest.mark.parametrize("delta", [(1,), (2,), (3,), (4,), (2, 2), (5,), (6,)])
+@pytest.mark.parametrize("delta", chains(6))
 def test_group_table_matches_object_product(delta):
     assert FinAbGroup(delta).order <= EXHAUSTIVE_CAP
     table, els = group_table(FinAbGroup(delta))
     assert list(els) == sorted(elements(FinAbGroup(delta)), key=HeisElement.sort_key)
     assert table.table == GroupTable.from_elements(els, lambda a, b: a * b).table
+
+
+@pytest.mark.parametrize("delta", chains(EXHAUSTIVE_CAP))
+def test_labels_match_inverse_projection_and_lift(delta):
+    group = FinAbGroup(delta)
+    table, els = group_table(group)
+    index_of = {e: i for i, e in enumerate(els)}
+    h = group.h_elements()
+    for g, e in enumerate(els):
+        assert table.inverse[g] == index_of[e.inverse()]
+        assert h[g // group.order] == e.project()
+    assert lagrangian_labels(group) == {index_of[e] for e in lagrangian_lift(group)}
 
 
 def test_noncentral_commutator_raises(monkeypatch):
@@ -232,7 +247,8 @@ def test_noncentral_commutator_raises(monkeypatch):
 
 
 def test_nonabelian_lagrangian_lift_raises(monkeypatch):
-    monkeypatch.setattr(heisenberg, "lagrangian_lift", elements)
+    monkeypatch.setattr(heisenberg, "lagrangian_labels",
+                        lambda group: frozenset(range(group.order ** 3)))  # all of G1
     with pytest.raises(CertificateError, match="lagrangian lift"):
         min_abelian_index((2,))
 
