@@ -296,15 +296,18 @@ def iter_admissible_curves(n: int, p_max: int) -> Iterator[Curve]:
     so they have the same group order and the same E[n].  Points are counted on
     integer coordinates once per isomorphism class, at its first member, and the
     verdict is marked on the whole class; a Curve is built only for the curves
-    yielded.
+    yielded.  A prime p = 1 (mod n) past the point budget, where the scan would stop,
+    is refused before the first prime is scanned.
     """
     if n < 2:
         raise ValueError("level must be at least 2")
+    for q in range(POINT_BUDGET + 1, p_max + 1):
+        if (q - 1) % n == 0 and is_prime(q):
+            _budget_check(q)  # raises BudgetExceeded
     n2 = n * n
     for p in range(5, p_max + 1):
         if not is_prime(p) or (p - 1) % n != 0:
             continue
-        _budget_check(p)  # before the p^2 verdict table is allocated
         twists = [(u ** 4 % p, u ** 6 % p) for u in range(1, p)]
         verdict = bytearray(p * p)  # at a * p + b: 0 unknown, 1 admissible, 2 not
         for a in range(p):
@@ -320,11 +323,7 @@ def iter_admissible_curves(n: int, p_max: int) -> Iterator[Curve]:
 
 
 def curve_search(n: int, p_max: int) -> list[Curve]:
-    """All admissible (p, a, b) with p <= p_max, in lexicographic order.  A prime
-    q = 1 (mod n) past the point budget, where the scan would stop, is refused up front."""
-    for q in range(POINT_BUDGET + 1, p_max + 1):
-        if n >= 2 and (q - 1) % n == 0 and is_prime(q):  # n < 2: the scan raises ValueError
-            _budget_check(q)  # raises BudgetExceeded
+    """All admissible (p, a, b) with p <= p_max, in lexicographic order."""
     return list(iter_admissible_curves(n, p_max))
 
 
@@ -555,7 +554,9 @@ class TrackedFunction:
 
 
 def ratio_constant(f: TrackedFunction, g: TrackedFunction) -> FpElement:
-    """The constant f/g for functions with equal divisors."""
+    """The constant f/g for functions with equal divisors.
+
+    An object oracle for the tests, under ThetaStructure.to_heisenberg; no claim calls it."""
     quotient = f * g.inverse()
     if not quotient.divisor().is_zero:
         raise JordanLabError("ratio_constant of functions with different divisors")
@@ -678,27 +679,3 @@ def weil_pairing(p1: CurvePoint, p2: CurvePoint, n: int, seed: int = 0) -> RootO
     raise DegenerateAfterRetries(
         f"no offset choice avoided the supports after {PAIRING_RETRIES} tries on {curve!r}"
     )
-
-
-# ---------------------------------------------------------------------------
-# CLI literals
-
-
-def parse_curve(text: str) -> Curve:
-    """Parse the "p:a:b" curve literal."""
-    try:
-        p, a, b = (int(part) for part in text.split(":"))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse curve literal {text!r}, want p:a:b") from exc
-    return Curve.make(p, a, b)
-
-
-def parse_point(curve: Curve, text: str) -> CurvePoint:
-    """Parse "inf" or "x,y" into a point on the curve."""
-    if text.strip().lower() == "inf":
-        return curve.infinity()
-    try:
-        x, y = (int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse point literal {text!r}, want x,y or inf") from exc
-    return curve.point(x, y)

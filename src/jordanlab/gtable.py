@@ -23,10 +23,12 @@ def reach(start: Iterable[int], step: Callable[[int], Iterable[int]]) -> frozens
 
 
 class GroupTable:
-    """A finite group as elements 0..n-1 with a dense multiplication table."""
+    """A finite group as elements 0..n-1 with a dense multiplication table.
 
-    def __init__(self, table: Sequence[Sequence[int]]):
-        self.table = [list(row) for row in table]
+    The caller's rows are kept, not copied: a table is read only once built."""
+
+    def __init__(self, table: list[list[int]]):
+        self.table = table
         self.order = len(self.table)
         self.identity = self._find_identity()
         self.inverse = self._build_inverses()

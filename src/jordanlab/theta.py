@@ -166,7 +166,9 @@ def theta_power(g: ThetaElement, k: int) -> ThetaElement:
 
 
 def theta_equal(g: ThetaElement, h: ThetaElement) -> bool:
-    """Equality as group elements: same point and the same function."""
+    """Equality as group elements: same point and the same function.
+
+    An object oracle for the tests; no claim calls it."""
     return g.level == h.level and g.curve == h.curve and g.x == h.x and same_function(g.f, h.f)
 
 
@@ -314,6 +316,10 @@ class ThetaStructure:
         return k
 
     def to_heisenberg(self, g: ThetaElement) -> HeisElement:
+        """The label (zeta^k, i, chi_j) of g = t^k s(i, j), read off the functions.
+
+        An object oracle for the tests: the claims read labels from mu_labels, and
+        no claim calls this."""
         ij = self.decomposition.get(g.x)
         if ij is None:
             raise BasisMismatch(f"{g.x!r} is not a level-{self.level} point here")

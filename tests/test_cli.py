@@ -21,6 +21,7 @@ from jordanlab.finab import (
     all_h_subgroups,
     is_isotropic,
     pairing,
+    parse_delta,
 )
 from jordanlab.gtable import GroupTable
 from jordanlab.heisenberg import HeisElement, elements
@@ -78,6 +79,18 @@ def test_curve_search_past_the_budget_exits_2_before_scanning(capsys, monkeypatc
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: BudgetExceeded: p = 2003 exceeds point enumeration budget 2000\n"
+
+
+@pytest.mark.parametrize("argv, over", [(["theta-verify", "--n", "3"], 2011),
+                                        (["nonjordan", "--n-max", "2"], 2003)])
+def test_curve_lookup_past_the_budget_exits_2_before_scanning(capsys, monkeypatch, argv, over):
+    # both commands stop at their first good curve, which lies on a small prime
+    for name in ("_point_count", "_torsion_count"):
+        monkeypatch.setattr(ellcurve, name, lambda *args: pytest.fail("a prime was scanned"))
+    assert main([*argv, "--p-max", "2100"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: BudgetExceeded: p = {over} exceeds point enumeration budget 2000\n"
 
 
 def test_theta_verify_explicit_curve(capsys):
@@ -185,6 +198,9 @@ def test_skewed_pairing_fails_bi_additivity(capsys, monkeypatch):
         return value * RootOfUnity(value.modulus, 1) if (a, b) == bad_pair else value
 
     honest = cli.h_tables
+    table = honest(FinAbGroup((4,)))[1]
+    gens = [h[g] for g in table.generators(frozenset(range(table.order)))]
+    assert gens == [h[1], h[4]]  # (0, chi) and (1, 1): the generators the claim checks
 
     def skewed_tables(group):  # the Gram entry of bad_pair one step off
         h, add, gram = honest(group)
@@ -196,13 +212,64 @@ def test_skewed_pairing_fails_bi_additivity(capsys, monkeypatch):
     code, report, _ = run_json(capsys, ["abstract", "--delta", "4"])
     assert code == 1
     claim = claim_map(report)["pairing-bi-additive"]
-    assert claim["status"] == "failed" and claim["failures"] > 0
-    # the first bad triple in (a, b, c) order, found on the objects
-    first = next(t for t in itertools.product(h, repeat=3)
-                 if skewed(t[0] + t[1], t[2]) != skewed(t[0], t[2]) * skewed(t[1], t[2])
-                 or skewed(t[0], t[1] + t[2]) != skewed(t[0], t[1]) * skewed(t[0], t[2]))
-    assert claim["detail"] == "first counterexample (a, b, c) = ({!r}, {!r}, {!r})".format(*first)
+    assert claim["status"] == "failed" and claim["checked"] == 2 * 16 ** 3
+    # each law failed at (a, g, c), in order of a, then the generators, then c, on the objects
+    bad = [(a, g, c, (skewed(a + g, c) != skewed(a, c) * skewed(g, c))
+            + (skewed(a, g + c) != skewed(a, g) * skewed(a, c)))
+           for a in h for g in gens for c in h]
+    assert claim["failures"] == sum(t[3] for t in bad) > 0
+    first = next(t[:3] for t in bad if t[3])
+    assert claim["detail"] == "first counterexample (a, g, c) = ({!r}, {!r}, {!r})".format(*first)
     assert claim_map(report)["commutator-identity"]["status"] == "failed"
+
+
+def triple_loop_claim(group):
+    """pairing-bi-additive as the full triple loop over the tables: (ok, checked, failures)."""
+    _, table, gram = finab.h_tables(group)
+    add, m, n = table.table, table.order, group.order
+    failures = sum((gram[add[a][b]][c] - gram[a][c] - gram[b][c]) % n != 0
+                   for a, b, c in itertools.product(range(m), repeat=3))
+    failures += sum((gram[a][add[b][c]] - gram[a][b] - gram[a][c]) % n != 0
+                    for a, b, c in itertools.product(range(m), repeat=3))
+    return failures == 0, 2 * m ** 3, failures
+
+
+@pytest.mark.parametrize("delta", ["1", "2", "3", "4", "2,2", "5", "6"])
+def test_generator_certificate_matches_the_triple_loop(capsys, delta):
+    code, report, _ = run_json(capsys, ["abstract", "--delta", delta])
+    claim = claim_map(report)["pairing-bi-additive"]
+    ok, checked, failures = triple_loop_claim(FinAbGroup(parse_delta(delta)))
+    assert (claim["status"], claim["checked"], claim["failures"]) == (
+        "verified" if ok else "failed", checked, failures)
+    assert code == 0 and ok
+
+
+def test_non_associative_h_addition_fails_the_certificate(capsys, monkeypatch):
+    honest = cli.h_tables
+    group = FinAbGroup((4,))
+    h, table, gram = honest(group)
+    rows = [row[:] for row in table.table]
+    rows[5][6], rows[5][7] = rows[5][7], rows[5][6]  # h_5 + h_6 and h_5 + h_7 swapped
+    doctored = GroupTable(rows)
+    gens = doctored.generators(frozenset(range(16)))
+    a, g = next((a, g) for a in range(16) for g in gens
+                if any(rows[rows[a][b]][g] != rows[a][rows[b][g]] for b in range(16)))
+    monkeypatch.setattr(cli, "h_tables", lambda group: (h, doctored, gram))
+    assert main(["abstract", "--delta", "4"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: CertificateError: addition of H is not associative at "
+                              f"(a, g) = ({h[a]!r}, {h[g]!r}): ")
+
+
+@pytest.mark.parametrize("delta", ["12", "16"])
+def test_abstract_verifies_bi_additivity_past_the_old_triple_cap(capsys, delta):
+    code, report, _ = run_json(capsys, ["abstract", "--delta", delta])
+    assert code == 0
+    claim = claim_map(report)["pairing-bi-additive"]
+    m = int(delta) ** 2
+    assert (claim["status"], claim["checked"], claim["failures"]) == ("verified", 2 * m ** 3, 0)
+    assert claim["detail"] == "2 generators checked, every triple by induction"
 
 
 def test_doctored_inverse_fails_commutator_identity(capsys, monkeypatch):
@@ -540,7 +607,7 @@ def test_abstract_delta_32_runs_on_the_tables_in_seconds(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 0
     assert {c["id"]: c["status"] for c in report["claims"]} == {
-        "pairing-bi-additive": "skipped-budget",
+        "pairing-bi-additive": "verified",
         "pairing-alternating": "verified",
         "pairing-nondegenerate": "verified",
         "isotropic-index-divisibility": "skipped-budget",
@@ -548,6 +615,7 @@ def test_abstract_delta_32_runs_on_the_tables_in_seconds(capsys):
         "min-abelian-index": "skipped-budget",
     }
     assert claim_map(report)["pairing-nondegenerate"]["checked"] == 32 ** 2
+    assert claim_map(report)["pairing-bi-additive"]["checked"] == 2 * 1024 ** 3
 
 
 def test_trivial_pairing_fails_isotropic_claim(capsys, monkeypatch):

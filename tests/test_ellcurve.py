@@ -25,8 +25,6 @@ from jordanlab.ellcurve import (
     enumerate_points,
     line_function,
     miller_function,
-    parse_curve,
-    parse_point,
     ratio_constant,
     torsion_subgroup,
     weil_pairing,
@@ -411,19 +409,6 @@ def test_every_produced_function_has_principal_divisor():
         assert d.point_sum().is_infinity
 
 
-def test_parse_literals():
-    c = parse_curve("7:3:0")
-    assert c == C730
-    assert parse_point(c, "inf").is_infinity
-    assert parse_point(c, "0,0") == c.point(0, 0)
-    with pytest.raises(ValueError):
-        parse_curve("7:3")
-    with pytest.raises(ValueError):
-        parse_point(c, "1")
-    with pytest.raises(OffCurve):
-        parse_point(c, "1,1")
-
-
 def test_point_order_and_scalar_mul():
     orders = {p.order() for p in enumerate_points(C1370)}
     assert orders <= {1, 2, 3, 6, 9, 18}
@@ -678,3 +663,20 @@ def test_curve_search_refuses_a_prime_past_the_budget_before_scanning(monkeypatc
     # no prime 1 mod 4 lies in (2000, 2016]: the scan itself decides, as before
     monkeypatch.setattr(ellcurve, "iter_admissible_curves", lambda n, p_max: iter(()))
     assert curve_search(4, 2016) == []
+
+
+def test_scan_refuses_a_prime_past_the_budget_before_its_first_prime(monkeypatch):
+    class Scanned(Exception):
+        pass
+
+    def first_count(p, a, b):
+        raise Scanned(p)
+
+    monkeypatch.setattr(ellcurve, "_point_count", first_count)
+    # no prime 1 mod 4 lies in (2000, 2016], so the scan starts at 5; 2017 is refused up front
+    with pytest.raises(Scanned) as exc:
+        next(ellcurve.iter_admissible_curves(4, 2016))
+    assert exc.value.args == (5,)
+    with pytest.raises(BudgetExceeded) as exc:
+        next(ellcurve.iter_admissible_curves(4, 2017))
+    assert str(exc.value) == f"p = 2017 exceeds point enumeration budget {POINT_BUDGET}"
