@@ -27,7 +27,7 @@ from .errors import (
     NotAdmissible,
     Undefined,
 )
-from .ellcurve import Curve, curve_search, iter_admissible_curves, weil_pairing
+from .ellcurve import Curve, curve_search, iter_admissible_curves, weil_pairing_table
 from .finab import FinAbGroup, h_subgroups, h_tables, parse_delta
 from .gtable import reach
 from .heisenberg import (
@@ -36,7 +36,7 @@ from .heisenberg import (
     group_table,
     min_abelian_index,
 )
-from .scalars import mu_generator
+from .scalars import RootOfUnity, mu_generator
 from .theta import (
     check_theta_budget,
     find_theta_curve,
@@ -369,15 +369,20 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
                     "from the generators permuting the layer", perm_bad)
     sigma = orientation_sigma(curve, n)
     report.data["orientation_sigma"] = sigma
+    # each commutator against Miller's formula for its own pair, from one table
     gen = mu_generator(curve.p, n)
+    embedded = [RootOfUnity(n, k).embed_in_field(curve.p, gen).value for k in range(n)]
+    section = list(structure.section.items())
+    weil = weil_pairing_table([g.x for _, g in section], n, seed=seed)
+    inverses = tables.section_inverses()
     comm_bad: list[tuple] = []
-    for (a, g), (b, h) in itertools.product(structure.section.items(), repeat=2):
+    for (ia, (a, g)), (ib, (b, h)) in itertools.product(enumerate(section), repeat=2):
         try:
-            value = mu_commutator(tables, tables.section[a], tables.section[b])
+            value = mu_commutator(tables, tables.section[a], tables.section[b],
+                                  inverses[a], inverses[b])
         except NonConstantCommutator as exc:
             raise CertificateError(f"commutator of (g, h) = ({g!r}, {h!r}): {exc}") from exc
-        expected = (weil_pairing(g.x, h.x, n, seed=seed) ** sigma).embed_in_field(curve.p, gen)
-        if value != expected.value:
+        if value != embedded[(weil[ia][ib] ** sigma).exponent]:
             comm_bad.append((g, h))
     report.claim("commutator-matches-weil", not comm_bad, len(structure.section) ** 2,
                  len(comm_bad), _with_pair(f"sigma = {sigma}", comm_bad))

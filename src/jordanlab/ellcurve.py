@@ -15,7 +15,9 @@ plus a constant-ratio check at sample points.
 Miller functions (divisor n(P) - n(O)) are accumulated from lines by the
 standard double-and-add ladder, and the Weil pairing is computed from two
 Miller functions evaluated on translated divisors, retrying the random
-auxiliary offsets whenever supports collide.
+auxiliary offsets whenever supports collide.  function_values evaluates a
+function at many points on integer coordinates, and weil_pairing_table gives
+the pairing of every pair of a point list from one evaluation per point.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -114,6 +116,10 @@ class CurvePoint:
             u = x.value
             if y.p != p or (y.value * y.value - (u * u + curve.a.value) * u - curve.b.value) % p:
                 raise OffCurve(f"({x},{y}) is not on {curve!r}")
+
+    def __hash__(self):
+        # the coordinates alone, without hashing the Curve and two FpElements
+        return hash(None if self.x is None else (self.x.value, self.y.value))
 
     @property
     def is_infinity(self) -> bool:
@@ -419,6 +425,11 @@ class VerticalLine:
     def eval(self, x: int, y: int) -> int:
         return (x - self.c.value) % self.c.p
 
+    def values(self, points: Sequence[tuple[int, int] | None]) -> list[int]:
+        """eval at each point, 0 at O (its pole)."""
+        c, p = self.c.value, self.c.p
+        return [0 if P is None else (P[0] - c) % p for P in points]
+
 
 @dataclass(frozen=True)
 class ChordLine:
@@ -429,6 +440,11 @@ class ChordLine:
 
     def eval(self, x: int, y: int) -> int:
         return (y - self.lam.value * x - self.nu.value) % self.nu.p
+
+    def values(self, points: Sequence[tuple[int, int] | None]) -> list[int]:
+        """eval at each point, 0 at O (its pole)."""
+        lam, nu, p = self.lam.value, self.nu.value, self.nu.p
+        return [0 if P is None else (P[1] - lam * P[0] - nu) % p for P in points]
 
 
 @dataclass(frozen=True)
@@ -551,6 +567,62 @@ class TrackedFunction:
 
     def __repr__(self):
         return f"Fn({self.const}; {len(self.atoms)} atoms)"
+
+
+def _function_values(fn: TrackedFunction,
+                     points: Sequence[tuple[int, int] | None]) -> list[int | None]:
+    """fn at each point given on integer coordinates (None is O), or None where an atom
+    meets its support: TrackedFunction.__call__ on ints.
+
+    Each atom's argument point + offset is taken on _affine_add once per point and
+    offset, and the lines of negative exponent are multiplied apart, so a point costs
+    one inverse; p is prime, so a product is 0 exactly when one of its lines is."""
+    curve = fn.curve
+    p, a, b = curve.p, curve.a.value, curve.b.value
+    num = [fn.const.value] * len(points)
+    den = [1] * len(points)
+    moved: dict[tuple[int, int] | None, list] = {}
+    for atom in fn.atoms:
+        offset = atom.offset._coords()
+        args = moved.get(offset)
+        if args is None:
+            args = moved[offset] = (points if offset is None else
+                                    [_affine_add(p, a, b, P, offset) for P in points])
+        values = atom.line.values(args)
+        e = abs(atom.exponent)
+        if e != 1:
+            values = [pow(v, e, p) for v in values]
+        if atom.exponent > 0:
+            num = [u * v % p for u, v in zip(num, values)]
+        else:
+            den = [u * v % p for u, v in zip(den, values)]
+    return [u * pow(d, -1, p) % p if u and d else None for u, d in zip(num, den)]
+
+
+def function_values(fn: TrackedFunction, points: Sequence[CurvePoint]) -> list[int | None]:
+    """The value of fn at each point, or None where an atom meets its support (where
+    fn(point) raises EvalAtSupport), computed on integer coordinates."""
+    for point in points:
+        if point.curve is not fn.curve and point.curve != fn.curve:
+            raise CurveMismatch(f"{point!r} is not on {fn.curve!r}")
+    return _function_values(fn, [point._coords() for point in points])
+
+
+def translation_indices(points: Sequence[CurvePoint],
+                        moves: Sequence[CurvePoint]) -> list[list[int]]:
+    """table[i][k] is the index in points of points[k] + moves[i], summed on integer
+    coordinates; CertificateError unless every such sum lies in points."""
+    coords = [point._coords() for point in points]
+    where = {c: k for k, c in enumerate(coords)}
+    table = []
+    for move in moves:
+        points[0]._check(move)
+        curve, m = move.curve, move._coords()
+        row = [where.get(_affine_add(curve.p, curve.a.value, curve.b.value, q, m)) for q in coords]
+        if None in row:
+            raise CertificateError(f"translation by {move!r} does not map the points to themselves")
+        table.append(row)
+    return table
 
 
 def ratio_constant(f: TrackedFunction, g: TrackedFunction) -> FpElement:
@@ -679,3 +751,67 @@ def weil_pairing(p1: CurvePoint, p2: CurvePoint, n: int, seed: int = 0) -> RootO
     raise DegenerateAfterRetries(
         f"no offset choice avoided the supports after {PAIRING_RETRIES} tries on {curve!r}"
     )
+
+
+def weil_pairing_table(points: Sequence[CurvePoint], n: int,
+                       seed: int = 0) -> list[list[RootOfUnity]]:
+    """weil_pairing(P, Q, n, seed) for every P, Q of points, as table[i][j].
+
+    Every pair draws the same offsets R, S first, so each f_P is translated by -R
+    and evaluated on the points Q + S, and f_P^-1 by -S on the points P + R, once per
+    point; the quotient of a pair is then two lookups.  A pair whose quotient meets a
+    support at that draw goes to weil_pairing, which meets it too and retries.
+    """
+    for point in points:
+        points[0]._check(point)
+        if not (n * point).is_infinity:
+            raise NotTorsion(f"{point!r} is not killed by {n}")
+    one = RootOfUnity.one(n)
+    if n == 1 or not points:
+        return [[one] * len(points) for _ in points]
+    curve = points[0].curve
+    p, a, b = curve.p, curve.a.value, curve.b.value
+    generator = mu_generator(p, n)
+    log = {(generator ** k).value: k for k in range(n)}
+    rng = random.Random(f"{seed}:{curve.p}:{n}")
+    pool = affine_points(curve)
+    r = rng.choice(pool)
+    s = rng.choice(pool)
+    coords = [point._coords() for point in points]
+    at_s = [_affine_add(p, a, b, q, s._coords()) for q in coords] + [s._coords()]
+    at_r = [_affine_add(p, a, b, q, r._coords()) for q in coords] + [r._coords()]
+
+    def quotients(f: TrackedFunction, at: list) -> list[int | None] | None:
+        """f at each point of at over f at the last one; None where a value meets a support."""
+        *values, base = _function_values(f, at)
+        if base is None:
+            return None
+        inv = pow(base, -1, p)
+        return [None if v is None else v * inv % p for v in values]
+
+    # left[i][j] = f_i(Q_j + S - R) / f_i(S - R); right[j][i] = f_j(R - S) / f_j(P_i + R - S)
+    left: list[list[int | None] | None] = []
+    right: list[list[int | None] | None] = []
+    for point in points:
+        if point.is_infinity:
+            left.append(None)
+            right.append(None)
+        else:
+            f = miller_function(n, point)
+            left.append(quotients(f.translate(-r), at_s))
+            right.append(quotients(f.inverse().translate(-s), at_r))
+    table = []
+    for i, (point, row) in enumerate(zip(points, left)):
+        out = []
+        for j, (other, col) in enumerate(zip(points, right)):
+            if point.is_infinity or other.is_infinity:
+                out.append(one)
+            elif row is None or col is None or row[j] is None or col[i] is None:
+                out.append(weil_pairing(point, other, n, seed))
+            else:
+                value = row[j] * col[i] % p
+                if value not in log:
+                    raise CertificateError(f"pairing value {value} escaped mu_{n}")
+                out.append(RootOfUnity(n, log[value]))
+        table.append(out)
+    return table

@@ -7,10 +7,14 @@ object arithmetic.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import CertificateError
+
+
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bytes of bools to a binary string
 
 
 def reach(start: Iterable[int], step: Callable[[int], Iterable[int]]) -> frozenset[int]:
@@ -91,7 +95,8 @@ class GroupTable:
     def commuting(self) -> list[int]:
         """Commuting bitmasks: bit h of commuting[g] is set when g h = h g.  Built once."""
         table = self.table
-        return [int("".join("1" if gh == hg else "0" for gh, hg in zip(row[::-1], col[::-1])), 2)
+        # bit h is character h from the right of the binary string: b"\x01" for g h = h g
+        return [int(bytes(map(operator.eq, row[::-1], col[::-1])).translate(_TO_DIGITS), 2)
                 for row, col in zip(table, zip(*table))]
 
     def abelian_subgroups(self, max_gens: int | None = None) -> dict[frozenset[int], tuple[int, ...]]:

@@ -191,9 +191,12 @@ def discrete_log_in_mu(value: FpElement, generator: FpElement, n: int) -> int:
 
 
 def nth_root(value: FpElement, n: int) -> FpElement | None:
-    """Some x with x^n == value, or None when value is not an n-th power."""
-    for v in range(1, value.p):
-        x = FpElement(value.p, v)
-        if x ** n == value:
-            return x
-    return None
+    """The least x with x^n == value, or None when value is not an n-th power.
+
+    Euler's criterion: a nonzero value is an n-th power in the cyclic group F_p^*
+    exactly when value^((p - 1) / gcd(n, p - 1)) = 1, so a value without a root is
+    refused before the scan."""
+    p, target = value.p, value.value
+    if target and pow(target, (p - 1) // gcd(n, p - 1), p) != 1:
+        return None
+    return next((FpElement(p, x) for x in range(1, p) if pow(x, n, p) == target), None)

@@ -26,7 +26,10 @@ heisenberg.group_table on the generators s(1, 0) and s(0, 1).
 For those checks the layer is also held as integers (MuTables): each
 function as its value vector on the points outside E[n], where the product is
 a gather through a translation table and a pointwise multiply mod p.  The
-objects above build the tables and stay the oracle they are tested against.
+objects above give the functions, evaluated on integer coordinates, and stay
+the oracle the tables are tested against.  The basis search works on integers
+too: one Weil pairing per curve, and each lift's n-th power read from its
+function's values (_liftable_basis).
 """
 
 from __future__ import annotations
@@ -54,17 +57,19 @@ from .ellcurve import (
     Divisor,
     TrackedFunction,
     enumerate_points,
+    function_values,
     miller_function,
     ratio_constant,
     same_function,
     torsion_subgroup,
+    translation_indices,
     weil_pairing,
 )
 from .finab import FinAbGroup
 from .heisenberg import HeisElement
 from .scalars import FpElement, RootOfUnity, mu_generator, multiplicative_order, nth_root
 
-THETA_BUDGET = 4  # largest level enumerated as a full mu-layer
+THETA_BUDGET = 8  # largest level enumerated as a full mu-layer
 
 
 def check_theta_budget(n: int) -> None:
@@ -107,8 +112,8 @@ class ThetaElement:
 
 def certify_divisor(g: ThetaElement) -> ThetaElement:
     """g, once div f is derived from its atoms and found to be n(O) - n(-x).  Run on
-    theta_make's output, the n-th powers that decide liftability and exact order,
-    the commutator t, and the n^2 section elements MuTables' soundness assumes."""
+    theta_make's output (so on the f whose n-th power _lift_power evaluates), the
+    commutator t, and the n^2 section elements MuTables' soundness assumes."""
     curve, n = g.curve, g.level
     expected = Divisor.of(curve, [(curve.infinity(), n), (-g.x, -n)])  # 0 over O
     got = g.f.divisor()
@@ -233,9 +238,88 @@ def symplectic_basis(curve: Curve, n: int) -> tuple[CurvePoint, CurvePoint]:
     return p1, p2
 
 
+def _coordinates(torsion: list[CurvePoint], n: int) -> tuple[CurvePoint, CurvePoint,
+                                                             dict[CurvePoint, tuple[int, int]]]:
+    """Generators G, H of E[n] and each point of it as (a, b) with x = aG + bH: G is the
+    first point of order n in torsion, H the first whose nonzero multiples miss <G>."""
+    g = next((x for x in torsion if x.order() == n), torsion[0])
+    g_multiples = [k * g for k in range(n)]
+    for h in torsion:
+        h_multiples = [k * h for k in range(n)]
+        if set(g_multiples).isdisjoint(h_multiples[1:]):
+            coords = {ga + hb: (a, b) for a, ga in enumerate(g_multiples)
+                      for b, hb in enumerate(h_multiples)}
+            if len(coords) == n * n:
+                return g, h, coords
+    raise CertificateError(f"E[{n}] has {n * n} points but no pair of generators")
+
+
+def _pairing(w: RootOfUnity, u: tuple[int, int], v: tuple[int, int]) -> RootOfUnity:
+    """e_n(x, y) for x = u_1 G + u_2 H and y = v_1 G + v_2 H, from w = e_n(G, H)."""
+    return w ** (u[0] * v[1] - u[1] * v[0])
+
+
+class _Cosets:
+    """S = E(F_p) \\ E[n] as its cosets r + E[n], each listed as r + aG + bH in the
+    order of the labels (a, b) of x = aG + bH, so translation by x is label arithmetic."""
+
+    def __init__(self, points: tuple[CurvePoint, ...], coords: dict[CurvePoint, tuple[int, int]],
+                 n: int):
+        self.coords, self.level = coords, n
+        torsion = sorted(coords, key=coords.get)
+        self.points: list[CurvePoint] = []
+        covered = set(coords)
+        for r in points:
+            if r not in covered:
+                coset = [r + y for y in torsion]
+                covered.update(coset)
+                self.points.extend(coset)
+
+    def step(self, x: CurvePoint) -> list[int]:
+        """step[k] is the index of points[k] + x."""
+        n = self.level
+        a, b = self.coords[x]
+        within = [(i + a) % n * n + (j + b) % n for i in range(n) for j in range(n)]
+        return [base + k for base in range(0, len(self.points), n * n) for k in within]
+
+
+def _lift_power(n: int, x: CurvePoint, cosets: _Cosets) -> FpElement:
+    """The constant of theta_make(n, x)^n, evaluated on S = E(F_p) \\ E[n].
+
+    That power is (O, F) with F(s) = prod_{k<n} f(s + kx) for the certified f of
+    theta_make(n, x), so div F = 0 and F is a constant.  F is read from f's value
+    vector on S, multiplied along the orbits of translation by x, and must take one
+    value on all of S."""
+    values = _values(theta_make(n, x), cosets.points)
+    p = x.curve.p
+    step = cosets.step(x)
+    power, at = values, step
+    for _ in range(n - 1):
+        power = [u * values[k] % p for u, k in zip(power, at)]
+        at = [step[k] for k in at]
+    if any(v != power[0] for v in power):
+        raise CertificateError(f"the level-{n} power of the lift over {x!r} takes "
+                               f"{len(set(power))} values on the points off E[{n}]")
+    return x.curve.fe(power[0])
+
+
+def _values(g: ThetaElement, others: list[CurvePoint]) -> list[int]:
+    """The value vector of g's function on S = others, which no atom of it meets."""
+    values = function_values(g.f, others)
+    if None in values:
+        raise CertificateError(f"{g!r} has a zero or pole off E[{g.level}] at "
+                               f"{others[values.index(None)]!r}")
+    return values
+
+
 def _liftable_basis(curve: Curve, n: int) -> tuple[tuple[CurvePoint, FpElement], ...]:
-    """symplectic_basis, each point x with the certified constant c of
-    theta_make(n, x)^n, which decided that x lifts."""
+    """symplectic_basis, each point x with the constant c of theta_make(n, x)^n,
+    which decided that x lifts.
+
+    The Weil pairing is computed once: with E[n] written on generators G, H and
+    w = e_n(G, H), bilinearity gives e_n(aG + bH, cG + dH) = w^(ad - bc)
+    (Silverman, AEC III.8.1), so each pair's pairing is an exponent.  The pairs
+    are tried in the same order as ever, so the basis found is the same."""
     points = enumerate_points(curve)
     torsion = [x for x in torsion_subgroup(curve, n) if not x.is_infinity]
     if len(torsion) + 1 != n * n:
@@ -244,11 +328,19 @@ def _liftable_basis(curve: Curve, n: int) -> tuple[tuple[CurvePoint, FpElement],
         raise NotAdmissible(
             f"{curve!r} has no points outside the level-{n} part; evaluations degenerate"
         )
+    if not torsion:
+        raise NotAdmissible(f"no admissible symplectic basis on {curve!r} at level {n}")
+    g, h, coords = _coordinates(torsion, n)
+    w = weil_pairing(g, h, n)
+    if w.order() != n:
+        raise CertificateError(f"e_{n}(G, H) = {w} is not primitive for the generators "
+                               f"G = {g!r}, H = {h!r} of E[{n}]")
+    cosets = _Cosets(points, coords, n)
     power: dict[CurvePoint, FpElement | None] = {}  # c, or None when x does not lift
 
     def is_liftable(x: CurvePoint) -> bool:
         if x not in power:
-            c = _scalar(theta_power(theta_make(n, x), n))
+            c = _lift_power(n, x, cosets)
             power[x] = c if nth_root(c, n) is not None else None
         return power[x] is not None
 
@@ -256,9 +348,7 @@ def _liftable_basis(curve: Curve, n: int) -> tuple[tuple[CurvePoint, FpElement],
         if not is_liftable(p1):
             continue
         for p2 in torsion:
-            if p2 == p1 or not is_liftable(p2):
-                continue
-            if weil_pairing(p1, p2, n).order() == n:
+            if _pairing(w, coords[p1], coords[p2]).order() == n and is_liftable(p2):
                 return (p1, power[p1]), (p2, power[p2])
     raise NotAdmissible(f"no admissible symplectic basis on {curve!r} at level {n}")
 
@@ -300,7 +390,7 @@ class ThetaStructure:
 
     def _order_n_lift(self, x: CurvePoint, c: FpElement) -> ThetaElement:
         """kappa * theta_make(n, x), whose n-th power kappa^n c is 1, given the
-        certified constant c of theta_make(n, x)^n."""
+        constant c of theta_make(n, x)^n that _lift_power evaluated."""
         n = self.level
         kappa = nth_root(c.inverse(), n)
         if kappa is None:
@@ -354,7 +444,7 @@ class MuTables:
 
     E[n] is indexed in decomposition order, with addition and negation tables;
     `shift[x][k]` is the index in S of S[k] + P_x (translation by E[n] maps S to
-    itself).  Every atom of a layer function is a line through points of E[n],
+    itself), summed on integer coordinates, as the section functions are evaluated.  Every atom of a layer function is a line through points of E[n],
     translated by E[n], so evaluating on S never meets a zero or a pole.  A section
     element over x has certified divisor n(O) - n(-x), which fixes its function up
     to one constant: equal vectors over the same point are equal theta elements.
@@ -367,24 +457,23 @@ class MuTables:
         self.points = tuple(structure.decomposition)
         where = {x: i for i, x in enumerate(self.points)}
         self.origin = where[curve.infinity()]
-        self.add = [[where[x + y] for y in self.points] for x in self.points]
+        self.add = translation_indices(self.points, self.points)
         self.neg = [where[-x] for x in self.points]
         self.others = tuple(s for s in enumerate_points(curve) if s not in where)
-        at = {s: k for k, s in enumerate(self.others)}
-        self.shift = [[at[s + x] for s in self.others] for x in self.points]
-        self.section: dict[tuple[int, int], Values] = {}
-        for ij, g in structure.section.items():
-            try:
-                values = tuple(g.f(s).value for s in self.others)
-            except EvalAtSupport as exc:
-                raise CertificateError(f"{g!r} has a zero or pole off E[{n}]: {exc}") from exc
-            self.section[ij] = (where[g.x], values)
+        self.shift = translation_indices(self.others, self.points)
+        self.section: dict[tuple[int, int], Values] = {
+            ij: (where[g.x], tuple(_values(g, self.others)))
+            for ij, g in structure.section.items()}
         t_pow = [(structure.t ** k).value for k in range(n)]
         self.layer: list[Values] = []
         for i, j, k in structure.mu_labels():
             x, values = self.section[(i, j)]
             self.layer.append((x, tuple(v * t_pow[k] % self.p for v in values)))
         self.index = {g: e for e, g in enumerate(self.layer)}
+
+    def section_inverses(self) -> dict[tuple[int, int], Values]:
+        """mu_inverse of each section vector, by (i, j)."""
+        return {ij: mu_inverse(self, g) for ij, g in self.section.items()}
 
 
 def mu_product(tables: MuTables, g: Values, h: Values) -> Values:
@@ -401,10 +490,13 @@ def mu_inverse(tables: MuTables, g: Values) -> Values:
     return minus, tuple(pow(f[s], -1, tables.p) for s in tables.shift[minus])
 
 
-def mu_commutator(tables: MuTables, g: Values, h: Values) -> int:
-    """theta_commutator on value vectors: the constant value of g h g^-1 h^-1."""
-    x, c = mu_product(tables, mu_product(tables, mu_product(tables, g, h),
-                                         mu_inverse(tables, g)), mu_inverse(tables, h))
+def mu_commutator(tables: MuTables, g: Values, h: Values,
+                  g_inv: Values | None = None, h_inv: Values | None = None) -> int:
+    """theta_commutator on value vectors: the constant value of g h g^-1 h^-1.  A
+    caller holding mu_inverse of g or h passes it as g_inv or h_inv."""
+    g_inv = mu_inverse(tables, g) if g_inv is None else g_inv
+    h_inv = mu_inverse(tables, h) if h_inv is None else h_inv
+    x, c = mu_product(tables, mu_product(tables, mu_product(tables, g, h), g_inv), h_inv)
     if x != tables.origin or any(v != c[0] for v in c):
         raise NonConstantCommutator(f"commutator lies over {tables.points[x]!r} with "
                                     f"{len(set(c))} distinct values on S")

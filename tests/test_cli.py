@@ -438,19 +438,19 @@ def test_theta_verify_level4_runs_every_claim(capsys):
 def test_theta_budget_fails_before_any_search(capsys, monkeypatch):
     monkeypatch.setattr(cli, "find_theta_curve", lambda *args: pytest.fail("curve searched"))
     monkeypatch.setattr(cli, "theta_structure", lambda *args: pytest.fail("structure built"))
-    assert main(["theta-verify", "--n", "5"]) == 2
+    assert main(["theta-verify", "--n", "9"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "error: BudgetExceeded: level 5 exceeds the mu-layer budget 4\n"
+    assert out.err == "error: BudgetExceeded: level 9 exceeds the mu-layer budget 8\n"
 
 
 def test_theta_max_budget_fails_before_any_row(capsys, monkeypatch):
     monkeypatch.setattr(cli, "find_theta_curve", lambda *args: pytest.fail("curve searched"))
     monkeypatch.setattr(cli, "min_abelian_index", lambda *args, **kw: pytest.fail("row built"))
-    assert main(["nonjordan", "--theta-max", "5"]) == 2
+    assert main(["nonjordan", "--theta-max", "9"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "error: BudgetExceeded: level 5 exceeds the mu-layer budget 4\n"
+    assert out.err == "error: BudgetExceeded: level 9 exceeds the mu-layer budget 8\n"
 
 
 def test_wrong_composition_fails_embed_homomorphism(capsys, monkeypatch):
@@ -479,13 +479,15 @@ def test_wrong_composition_fails_embed_homomorphism(capsys, monkeypatch):
 def test_wrong_pairing_fails_commutator_check(capsys, monkeypatch):
     section = list(theta.theta_structure(cli.Curve.make(7, 3, 0), 2).section.values())
     g, h = section[1], section[2]
-    pairing_of = cli.weil_pairing
+    table_of = cli.weil_pairing_table
 
-    def skewed(p1, p2, n, seed=0):
-        value = pairing_of(p1, p2, n, seed=seed)
-        return value * RootOfUnity(n, 1) if (p1, p2) == (g.x, h.x) else value
+    def skewed(points, n, seed=0):
+        table = table_of(points, n, seed=seed)
+        i, j = points.index(g.x), points.index(h.x)
+        table[i][j] = table[i][j] * RootOfUnity(n, 1)
+        return table
 
-    monkeypatch.setattr(cli, "weil_pairing", skewed)
+    monkeypatch.setattr(cli, "weil_pairing_table", skewed)
     code, report, _ = run_json(capsys, THETA_N2)
     assert code == 1
     claim = claim_map(report)["commutator-matches-weil"]

@@ -23,14 +23,17 @@ from jordanlab.ellcurve import (
     affine_points,
     curve_search,
     enumerate_points,
+    function_values,
     line_function,
     miller_function,
     ratio_constant,
     torsion_subgroup,
+    translation_indices,
     weil_pairing,
 )
 from jordanlab.errors import (
     BudgetExceeded,
+    CertificateError,
     CurveMismatch,
     DegenerateAfterRetries,
     EvalAtSupport,
@@ -644,6 +647,32 @@ def test_evaluation_matches_the_object_formula(curve, n):
                 assert isinstance(got, FpElement) and got == want
                 evaluated += 1
     assert raised and evaluated  # both branches are exercised
+
+
+@pytest.mark.parametrize("curve, n", [(C730, 2), (C1370, 3)])
+def test_function_values_match_the_call_at_every_point(curve, n):
+    points = enumerate_points(curve)
+    unevaluable = 0
+    for fn in tracked_functions(curve, n):
+        want = [outcome(lambda: fn(point)) for point in points]
+        assert function_values(fn, points) == [None if w is EvalAtSupport else w.value
+                                               for w in want]
+        unevaluable += want.count(EvalAtSupport)
+    assert unevaluable  # zeros and poles of numerator and denominator lines are met
+    with pytest.raises(CurveMismatch):
+        function_values(miller_function(2, torsion_subgroup(C730, 2)[0]), [C1370.infinity()])
+
+
+def test_translation_indices_match_point_addition():
+    points = enumerate_points(C1370)
+    torsion = torsion_subgroup(C1370, 3)
+    table = translation_indices(points, torsion)
+    assert table == [[points.index(s + x) for s in points] for x in torsion]
+    others = [s for s in points if s not in torsion]
+    assert translation_indices(others, torsion) == [[others.index(s + x) for s in others]
+                                                    for x in torsion]
+    with pytest.raises(CertificateError, match="does not map the points to themselves"):
+        translation_indices(others, [others[0]])
 
 
 @pytest.mark.parametrize("curve, n", [(C730, 2), (C1370, 3)])

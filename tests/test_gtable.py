@@ -147,8 +147,18 @@ def test_commuting_masks_match_the_table(delta):
             h for h in range(table.order) if table.commutes(g, h)]
 
 
+DELTAS = [(2,), (3,), (4,), (2, 2), (5,), (6,)]  # every chain with N <= 6
 
-DELTAS = [(2,), (3,), (4,), (2, 2), (5,), (6,)]
+
+@pytest.mark.parametrize("which", ["G1", "H"])
+@pytest.mark.parametrize("delta", DELTAS)
+def test_commuting_masks_match_a_per_bit_reference(delta, which):
+    group = FinAbGroup(delta)
+    table = group_table(group)[0] if which == "G1" else _h_group(group)[1]
+    t = table.table
+    reference = [sum(1 << h for h in range(table.order) if t[g][h] == t[h][g])
+                 for g in range(table.order)]
+    assert table.commuting == reference
 
 
 @pytest.mark.parametrize("which", ["G1", "H"])

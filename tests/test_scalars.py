@@ -13,6 +13,7 @@ from jordanlab.scalars import (
     mu_generator,
     multiplicative_order,
     nth_root,
+    primes_up_to,
 )
 
 
@@ -124,3 +125,16 @@ def test_order_log_and_roots():
         assert discrete_log_in_mu(g ** k, g, 3) == k
     assert nth_root(FpElement(7, 1), 2) is not None
     assert nth_root(FpElement(7, 3), 2) is None  # 3 is not a square mod 7
+
+
+def test_nth_root_matches_the_plain_scan():
+    # Euler's criterion refuses the values without a root; the rest keep the least root.
+    # Every n dividing p - 1, and every n <= 12, which need not divide it
+    for p in primes_up_to(199):
+        for n in sorted({d for d in range(1, p) if (p - 1) % d == 0} | set(range(1, 13))):
+            least = {}  # the plain scan's answer: the least x with x^n = v
+            for x in range(p - 1, 0, -1):
+                least[pow(x, n, p)] = x
+            for v in range(p):
+                got = nth_root(FpElement(p, v), n)
+                assert (got and got.value) == least.get(v), (p, n, v)

@@ -1,25 +1,33 @@
 """Theta group of the degree-one bundle: product law, commutators, transport."""
 
+import functools
 import itertools
+import json
+import random
+from pathlib import Path
 
 import pytest
 
-from jordanlab import theta
+from jordanlab import ellcurve, theta
+from jordanlab.cli import main
 from jordanlab.ellcurve import (
     Curve,
     Divisor,
     TrackedFunction,
+    affine_points,
     enumerate_points,
     iter_admissible_curves,
     miller_function,
     torsion_subgroup,
     weil_pairing,
+    weil_pairing_table,
 )
 from jordanlab.errors import (
     BasisMismatch,
     BudgetExceeded,
     CertificateError,
     DegenerateAfterRetries,
+    EvalAtSupport,
     LevelMismatch,
     NotAdmissible,
     NotTorsion,
@@ -28,7 +36,7 @@ from jordanlab.errors import (
 )
 from jordanlab.finab import FinAbGroup
 from jordanlab.heisenberg import HeisElement, group_table
-from jordanlab.scalars import RootOfUnity, multiplicative_order, mu_generator
+from jordanlab.scalars import RootOfUnity, multiplicative_order, mu_generator, nth_root
 from jordanlab.theta import (
     ThetaElement,
     certify_divisor,
@@ -186,7 +194,7 @@ def test_theta_enumerate_mu_sizes_and_closure():
     els3 = theta_enumerate_mu(C3, 3)
     assert len(els3) == 27
     with pytest.raises(BudgetExceeded):
-        theta_enumerate_mu(C2, 5)
+        theta_enumerate_mu(C2, 9)
 
 
 def test_transport_identity_and_center():
@@ -397,16 +405,19 @@ def test_structure_certifies_each_section_element(monkeypatch):
 
 def test_structure_reuses_the_liftability_constant(monkeypatch):
     monkeypatch.setattr(theta, "_STRUCTURES", {})
-    made, powers = [], []
-    make, power = theta.theta_make, theta.theta_power
+    made, powers, evaluated = [], [], []
+    make, power, lift_power = theta.theta_make, theta.theta_power, theta._lift_power
     monkeypatch.setattr(theta, "theta_make",
                         lambda n, x, scale=1: made.append((x, scale)) or make(n, x, scale))
     monkeypatch.setattr(theta, "theta_power", lambda g, k: powers.append(g.x) or power(g, k))
+    monkeypatch.setattr(theta, "_lift_power",
+                        lambda n, x, cosets: evaluated.append(x) or lift_power(n, x, cosets))
     structure = theta_structure(C3, 3)
+    assert powers == []  # the n-th powers are evaluated, not multiplied out
     for x in structure.basis:
         scales = [scale for y, scale in made if y == x]
         assert scales[0] == 1 and len(scales) == 2  # the Miller lift, then the rescaled lift
-        assert powers.count(x) == 1  # one n-th power, in symplectic_basis
+        assert evaluated.count(x) == 1  # one n-th power, in symplectic_basis
         assert certify_divisor(power(make(3, x, scales[1]), 3)).f.constant_value() == C3.fe(1)
 
 
@@ -431,3 +442,160 @@ def test_theta_equal_is_false_for_functions_with_different_divisors():
     assert g.f.divisor() != h.f.divisor()
     assert not theta_equal(g, h) and not theta_equal(h, g)
     assert theta_equal(g, g.scaled(1)) and not theta_equal(g, g.scaled(-1))
+
+
+# ---------------------------------------------------------------------------
+# pairings and lift constants from Miller values on integer points
+
+POOL = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "expected.json")
+                  .read_text())["theta_pool"]
+
+
+@functools.cache
+def theta_curve(n):
+    return find_theta_curve(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_pairing_table_equals_weil_pairing_on_every_pair(n):
+    curve = theta_curve(n)
+    torsion = list(torsion_subgroup(curve, n))
+    for seed in range(3):
+        assert weil_pairing_table(torsion, n, seed) == [
+            [weil_pairing(x, y, n, seed) for y in torsion] for x in torsion]
+
+
+def test_pairing_table_retries_a_pair_whose_first_offsets_meet_a_support(monkeypatch):
+    curve, n, seed = theta_curve(2), 2, 0
+    torsion = list(torsion_subgroup(curve, n))
+    retried = []
+    honest = ellcurve.weil_pairing
+    monkeypatch.setattr(ellcurve, "weil_pairing", lambda P, Q, n, seed=0:
+                        retried.append((P, Q)) or honest(P, Q, n, seed))
+    table = weil_pairing_table(torsion, n, seed)
+    assert retried
+    # weil_pairing's first draw: the quotient of the first retried pair meets a support
+    P, Q = retried[0]
+    rng = random.Random(f"{seed}:{curve.p}:{n}")
+    r, s = rng.choice(affine_points(curve)), rng.choice(affine_points(curve))
+    fa, fb = miller_function(n, P).translate(-r), miller_function(n, Q).translate(-s)
+    with pytest.raises(EvalAtSupport):
+        (fa(Q + s) / fa(s)) / (fb(P + r) / fb(r))
+    assert table[torsion.index(P)][torsion.index(Q)] == weil_pairing(P, Q, n, seed)
+
+
+def test_pairing_table_keeps_weil_pairings_preconditions():
+    x = theta_structure(C3, 3).basis[0]
+    with pytest.raises(NotTorsion):
+        weil_pairing_table([x], 2)
+    o = C3.infinity()
+    assert weil_pairing_table([o, o], 1) == [[RootOfUnity(1, 0)] * 2] * 2
+    assert weil_pairing_table([x, o], 3) == [[RootOfUnity(3, 0)] * 2] * 2
+    assert weil_pairing_table([], 3) == []
+
+
+def old_liftable_basis(curve, n):
+    """_liftable_basis as it stood before: a weil_pairing call per pair, and the n-th
+    power of each lift multiplied out and certified."""
+    points = enumerate_points(curve)
+    torsion = [x for x in torsion_subgroup(curve, n) if not x.is_infinity]
+    if len(torsion) + 1 != n * n or len(points) <= n * n:
+        raise NotAdmissible("no full level-n structure, or no points outside it")
+    power = {}
+
+    def is_liftable(x):
+        if x not in power:
+            c = certify_divisor(theta_power(theta_make(n, x), n)).f.constant_value()
+            power[x] = c if nth_root(c, n) is not None else None
+        return power[x] is not None
+
+    for p1 in torsion:
+        if not is_liftable(p1):
+            continue
+        for p2 in torsion:
+            if p2 == p1 or not is_liftable(p2):
+                continue
+            if weil_pairing(p1, p2, n).order() == n:
+                return (p1, power[p1]), (p2, power[p2])
+    raise NotAdmissible("no admissible symplectic basis")
+
+
+def same_basis_search(curve, n):
+    try:
+        old = old_liftable_basis(curve, n)
+    except NotAdmissible:
+        with pytest.raises(NotAdmissible):
+            theta._liftable_basis(curve, n)
+        return False
+    assert theta._liftable_basis(curve, n) == old
+    assert symplectic_basis(curve, n) == (old[0][0], old[1][0])
+    return True
+
+
+def test_basis_equals_the_per_pair_search_on_the_pool():
+    assert all(same_basis_search(Curve.make(*abc), 3) for abc in POOL[:20])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_basis_equals_the_per_pair_search_on_the_found_curves(n):
+    # every curve find_theta_curve tries: those it refuses and the one it takes
+    found = theta_curve(n)
+    tried = [c for c in iter_admissible_curves(n, found.p)
+             if c.point_count() > n * n and (c.p, c.a.value, c.b.value) <=
+             (found.p, found.a.value, found.b.value)]
+    assert [same_basis_search(c, n) for c in tried] == [c == found for c in tried]
+
+
+def lift_constants(curve, n):
+    torsion = [x for x in torsion_subgroup(curve, n) if not x.is_infinity]
+    _, _, coords = theta._coordinates(torsion, n)
+    cosets = theta._Cosets(enumerate_points(curve), coords, n)
+    return {x: theta._lift_power(n, x, cosets) for x in coords}
+
+
+@pytest.mark.parametrize("curve,n", [(C2, 2), (C3, 3), (Curve.make(7, 0, 1), 2),
+                                     (Curve.make(29, 4, 7), 4), (Curve.make(41, 6, 0), 5)])
+def test_evaluated_lift_constant_equals_the_certified_power(curve, n):
+    constants = lift_constants(curve, n)
+    assert len(constants) == n * n
+    for x, c in constants.items():
+        assert c == certify_divisor(theta_power(theta_make(n, x), n)).f.constant_value()
+    if curve == Curve.make(7, 0, 1):  # the obstructed curve: some constant has no root
+        assert any(nth_root(c, n) is None for c in constants.values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_bilinear_pairing_equals_weil_pairing_on_every_pair(n):
+    curve = theta_curve(n)
+    torsion = [x for x in torsion_subgroup(curve, n) if not x.is_infinity]
+    g, h, coords = theta._coordinates(torsion, n)
+    assert set(coords) == set(torsion_subgroup(curve, n))
+    assert all(a * g + b * h == x for x, (a, b) in coords.items())
+    w = weil_pairing(g, h, n)
+    for x, y in itertools.product(coords, repeat=2):
+        assert theta._pairing(w, coords[x], coords[y]) == weil_pairing(x, y, n)
+
+
+def test_non_constant_lift_power_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    honest = theta.function_values
+
+    def doctored(fn, points):  # one value of every vector doubled
+        values = honest(fn, points)
+        return [values[0] * 2 % fn.curve.p] + values[1:]
+
+    monkeypatch.setattr(theta, "function_values", doctored)
+    with pytest.raises(CertificateError, match="power of the lift over .* takes 2 values"):
+        theta_structure(C3, 3)
+    assert main(["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: CertificateError: the level-3 power of the lift over ")
+
+
+@pytest.mark.parametrize("curve,n,exponent", [(C3, 3, 0), (Curve.make(29, 4, 7), 4, 2)])
+def test_non_primitive_basis_pairing_is_a_certificate_error(monkeypatch, curve, n, exponent):
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    monkeypatch.setattr(theta, "weil_pairing", lambda p1, p2, n, seed=0: RootOfUnity(n, exponent))
+    with pytest.raises(CertificateError, match="is not primitive for the generators"):
+        theta_structure(curve, n)
