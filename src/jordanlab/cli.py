@@ -34,6 +34,8 @@ from .heisenberg import (
     EXHAUSTIVE_CAP,
     check_g1_budget,
     group_table,
+    label_commutator,
+    label_product,
     min_abelian_index,
 )
 from .scalars import RootOfUnity, mu_generator
@@ -292,11 +294,9 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     check_theta_budget(n)  # before any curve is searched or structure built
     if curve is None and n >= 2:
         curve = find_theta_curve(n, p_max)
-    params = {"n": n, "seed": seed}
+    report = RunReport("theta-verify", {"n": n, "seed": seed})
     if curve is not None:
-        params.update({"p": curve.p, "a": curve.a.value, "b": curve.b.value})
-    report = RunReport("theta-verify", params)
-    if curve is not None:
+        report.params.update({"p": curve.p, "a": curve.a.value, "b": curve.b.value})
         report.data.update({"n": n, "p": curve.p, "a": curve.a.value, "b": curve.b.value})
 
     if n < 2:
@@ -347,18 +347,16 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     report.claim("mu-layer-closure", size == n ** 3, size * size,
                  detail=f"{size} elements, all words in the generators; "
                         "every product by induction")
-    heis = [(i * n + j) * n + k for i, j, k in labels]
-    clashes = (size - len(set(heis))) + (size - len(set(layer)))
+    clashes = (size - len(set(labels))) + (size - len(set(layer)))
     report.claim("transport-bijective", clashes == 0, size, clashes)
 
     def generator_claim(id: str, checked: int, detail: str, bad: list[tuple]) -> None:
         report.claim(id, not bad, checked, len(bad), _with_pair(detail, bad, "(g, c)"))
 
-    g1 = group_table(structure.group)[0].table
+    iso_bad = [(elements[g], elements[c]) for g, row in enumerate(right)
+               for c, k in zip(gens, row) if labels[k] != label_product(n, labels[g], labels[c])]
     generator_claim("structure-isomorphism", size * size,
-                    "labels checked on the generators, every pair by induction",
-                    [(elements[g], elements[c]) for g, row in enumerate(right)
-                     for c, k in zip(gens, row) if heis[k] != g1[heis[g]][heis[c]]])
+                    "labels checked on the generators, every pair by induction", iso_bad)
     # a group: right multiplication by a generator c permutes the layer, so some power
     # of c fixes every element; that power is the identity, and c, like every word in
     # the generators, has an inverse
@@ -369,23 +367,31 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
                     "from the generators permuting the layer", perm_bad)
     sigma = orientation_sigma(curve, n)
     report.data["orientation_sigma"] = sigma
-    # each commutator against Miller's formula for its own pair, from one table
+    # with the labelling a homomorphism, (0, 0, k) the constant t^k over O and one vector
+    # commutator t, the commutator of s(u) and s(v) is t^(i_u j_v - i_v j_u); each is
+    # compared with Miller's formula for its own pair, from one table
+    t_pow = [(structure.t ** k).value for k in range(n)]
+    try:
+        t_vec = mu_commutator(tables, tables.section[(1, 0)], tables.section[(0, 1)])
+    except NonConstantCommutator as exc:
+        raise CertificateError("commutator of (g, h) = ({!r}, {!r}): {}".format(
+            structure.section[(1, 0)], structure.section[(0, 1)], exc)) from exc
+    central = [layer[labels.index((0, 0, k))] for k in range(n)]
+    unmet = [premise for premise, ok in (
+        ("structure-isomorphism verified", not iso_bad),
+        ("the labels (0, 0, k) are the constants t^k over O",
+         central == [(tables.origin, (v,) * len(others)) for v in t_pow]),
+        ("the vector commutator of s(1, 0) and s(0, 1) is t", t_vec == t_pow[1])) if not ok]
     gen = mu_generator(curve.p, n)
     embedded = [RootOfUnity(n, k).embed_in_field(curve.p, gen).value for k in range(n)]
     section = list(structure.section.items())
     weil = weil_pairing_table([g.x for _, g in section], n, seed=seed)
-    inverses = tables.section_inverses()
-    comm_bad: list[tuple] = []
-    for (ia, (a, g)), (ib, (b, h)) in itertools.product(enumerate(section), repeat=2):
-        try:
-            value = mu_commutator(tables, tables.section[a], tables.section[b],
-                                  inverses[a], inverses[b])
-        except NonConstantCommutator as exc:
-            raise CertificateError(f"commutator of (g, h) = ({g!r}, {h!r}): {exc}") from exc
-        if value != embedded[(weil[ia][ib] ** sigma).exponent]:
-            comm_bad.append((g, h))
-    report.claim("commutator-matches-weil", not comm_bad, len(structure.section) ** 2,
-                 len(comm_bad), _with_pair(f"sigma = {sigma}", comm_bad))
+    comm_bad = [] if unmet else [
+        (g, h) for (ia, (u, g)), (ib, (v, h)) in itertools.product(enumerate(section), repeat=2)
+        if t_pow[label_commutator(n, u, v)] != embedded[(weil[ia][ib] ** sigma).exponent]]
+    detail = f"sigma = {sigma}" + "".join(f"; premise failed: {premise}" for premise in unmet)
+    report.claim("commutator-matches-weil", not (unmet or comm_bad), len(section) ** 2,
+                 len(unmet or comm_bad), _with_pair(detail, comm_bad))
 
     # embed(g c) and embed(c) after embed(g) both carry the function divisor
     # n(O) - n(-(x_g + x_c)), so agreeing at one point of S they agree everywhere

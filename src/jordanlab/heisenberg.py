@@ -124,6 +124,17 @@ def group_table(group: FinAbGroup) -> tuple[GroupTable, tuple[HeisElement, ...]]
     return GroupTable(table), tuple(elements(group))
 
 
+def label_product(n: int, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, int, int]:
+    """G1's law for K = Z/n on labels (i, j, k) = (zeta^k, i, chi_j), index (i*n + j)*n + k."""
+    (i, j, k), (i2, j2, k2) = u, v
+    return (i + i2) % n, (j + j2) % n, (k + k2 + i * j2) % n
+
+
+def label_commutator(n: int, u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """The e of u v u^-1 v^-1 = (0, 0, e) under label_product; u, v may omit k."""
+    return (u[0] * v[1] - v[0] * u[1]) % n
+
+
 def lagrangian_lift(group: FinAbGroup) -> list[HeisElement]:
     """The abelian subgroup mu_N x K x {1}; its index in G1 is exactly N."""
     n = group.order

@@ -389,14 +389,13 @@ def noncommuting_generator_pairs(curve, n):
             != structure.to_heisenberg(theta_mul(layer[c], g))]
 
 
+def transposed_label_law(monkeypatch):  # the opposite group: g * h is read as h * g
+    honest = cli.label_product
+    monkeypatch.setattr(cli, "label_product", lambda n, u, v: honest(n, v, u))
+
+
 def test_wrong_heisenberg_product_fails_isomorphism(capsys, monkeypatch):
-    honest = cli.group_table
-
-    def transposed(group):  # the opposite group: g * h is read as h * g
-        table, elems = honest(group)
-        return GroupTable([list(column) for column in zip(*table.table)]), elems
-
-    monkeypatch.setattr(cli, "group_table", transposed)
+    transposed_label_law(monkeypatch)
     code, report, _ = run_json(capsys, THETA_N2)
     assert code == 1
     claims = claim_map(report)
@@ -418,6 +417,59 @@ def test_theta_verify_uses_no_object_transport(capsys, monkeypatch):
     code, report, _ = run_json(capsys, THETA_N2)
     assert code == 0
     assert all(c["status"] == "verified" for c in report["claims"])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_theta_verify_builds_no_g1_table_and_one_vector_commutator(capsys, monkeypatch, n):
+    for owner in (cli, heisenberg):
+        monkeypatch.setattr(owner, "group_table", lambda group: pytest.fail("group_table called"))
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return theta.mu_commutator(*args)
+
+    monkeypatch.setattr(cli, "mu_commutator", counted)
+    code, report, _ = run_json(capsys, ["theta-verify", "--n", str(n)])
+    assert code == 0
+    assert all(c["status"] == "verified" for c in report["claims"])
+    assert calls == 1
+
+
+def test_transposed_label_law_fails_the_derived_commutators(capsys, monkeypatch):
+    transposed_label_law(monkeypatch)
+    code, report, _ = run_json(capsys, THETA_N3)
+    assert code == 1
+    claims = claim_map(report)
+    assert claims["structure-isomorphism"]["status"] == "failed"
+    claim = claims["commutator-matches-weil"]
+    assert claim["status"] == "failed" and claim["failures"] == 1
+    assert claim["checked"] == 3 ** 4
+    assert claim["detail"] == "sigma = -1; premise failed: structure-isomorphism verified"
+
+
+def test_wrong_vector_commutator_fails_its_premise(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "mu_commutator", lambda tables, g, h: 1)
+    code, report, _ = run_json(capsys, THETA_N3)
+    assert code == 1
+    claims = claim_map(report)
+    assert [id for id, c in claims.items() if c["status"] != "verified"] == [
+        "commutator-matches-weil"]
+    assert claims["commutator-matches-weil"]["detail"] == (
+        "sigma = -1; premise failed: the vector commutator of s(1, 0) and s(0, 1) is t")
+
+
+def test_wrong_central_scalar_fails_its_premises(capsys, monkeypatch):
+    structure = theta.theta_structure(cli.Curve.make(13, 7, 0), 3)
+    monkeypatch.setattr(structure, "t", structure.t ** 2)  # the layer keeps the true t
+    code, report, _ = run_json(capsys, THETA_N3)
+    assert code == 1
+    claim = claim_map(report)["commutator-matches-weil"]
+    assert claim["status"] == "failed" and claim["failures"] == 2
+    assert claim["detail"] == (
+        "sigma = 1; premise failed: the labels (0, 0, k) are the constants t^k over O; "
+        "premise failed: the vector commutator of s(1, 0) and s(0, 1) is t")
 
 
 def test_theta_verify_level4_runs_every_claim(capsys):
@@ -502,7 +554,7 @@ def test_noncentral_commutator_exits_1(capsys, monkeypatch):
     assert out.out == ""
     assert out.err.startswith("error: CertificateError: commutator of (g, h) = ")
     section = theta.theta_structure(cli.Curve.make(13, 7, 0), 3).section
-    assert "({!r}, {!r})".format(section[(0, 0)], section[(0, 1)]) in out.err
+    assert "({!r}, {!r})".format(section[(1, 0)], section[(0, 1)]) in out.err
 
 
 def test_optimized_interpreter_gives_the_same_theta_claims():
@@ -810,8 +862,7 @@ def per_pair_verdicts(curve, n):
     prod = [[tables.index.get(cli.mu_product(tables, g, h)) for h in layer] for g in layer]
     if any(None in row for row in prod):
         return "exit 1"
-    heis = [(i * n + j) * n + k for i, j, k in structure.mu_labels()]
-    g1 = cli.group_table(structure.group)[0].table
+    labels = structure.mu_labels()
     identity = [e for e in r if all(prod[e][g] == g == prod[g][e] for g in r)]
     group = bool(identity) and all(identity[0] in row for row in prod) and all(
         prod[prod[a][b]][c] == prod[a][prod[b][c]] for a in r for b in r for c in r)
@@ -819,7 +870,8 @@ def per_pair_verdicts(curve, n):
     base = birgroup.SamplePoint(tables.others[0], curve.fe(1))
     moved = [birgroup.apply(e, base) for e in embedded]
     verdicts = [len(layer) == n ** 3,
-                all(heis[prod[a][b]] == g1[heis[a]][heis[b]] for a in r for b in r),
+                all(labels[prod[a][b]] == cli.label_product(n, labels[a], labels[b])
+                    for a in r for b in r),
                 group,
                 all(birgroup.apply(embedded[b], moved[a]) == moved[prod[a][b]]
                     for a in r for b in r)]
@@ -851,9 +903,7 @@ def doctor_shift(monkeypatch, tables):
 
 
 def doctor_g1(monkeypatch, tables):
-    honest = cli.group_table
-    monkeypatch.setattr(cli, "group_table", lambda group: (
-        GroupTable([list(column) for column in zip(*honest(group)[0].table)]), None))
+    transposed_label_law(monkeypatch)
 
 
 def doctor_embed(monkeypatch, tables):

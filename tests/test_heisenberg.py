@@ -16,6 +16,8 @@ from jordanlab.heisenberg import (
     elements,
     group_table,
     identity,
+    label_commutator,
+    label_product,
     lagrangian_labels,
     lagrangian_lift,
     min_abelian_index,
@@ -236,6 +238,18 @@ def test_labels_match_inverse_projection_and_lift(delta):
         assert table.inverse[g] == index_of[e.inverse()]
         assert h[g // group.order] == e.project()
     assert lagrangian_labels(group) == {index_of[e] for e in lagrangian_lift(group)}
+
+
+@pytest.mark.parametrize("n", range(1, EXHAUSTIVE_CAP + 1))
+def test_label_law_matches_the_group_table(n):
+    table = group_table(FinAbGroup((n,)))[0]
+    labels = list(itertools.product(range(n), repeat=3))  # (i, j, k) has index (i*n + j)*n + k
+    index = {ijk: e for e, ijk in enumerate(labels)}
+    t, inv = table.table, table.inverse
+    for g, u in enumerate(labels):
+        assert t[g] == [index[label_product(n, u, v)] for v in labels]
+        commutators = [t[t[t[g][h]][inv[g]]][inv[h]] for h in range(len(labels))]
+        assert commutators == [index[(0, 0, label_commutator(n, u, v))] for v in labels]
 
 
 def test_noncentral_commutator_raises(monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from jordanlab import ellcurve, theta
+from jordanlab import cli, ellcurve, theta
 from jordanlab.cli import main
 from jordanlab.ellcurve import (
     Curve,
@@ -35,7 +35,7 @@ from jordanlab.errors import (
     ZeroScale,
 )
 from jordanlab.finab import FinAbGroup
-from jordanlab.heisenberg import HeisElement, group_table
+from jordanlab.heisenberg import HeisElement, group_table, label_commutator
 from jordanlab.scalars import RootOfUnity, multiplicative_order, mu_generator, nth_root
 from jordanlab.theta import (
     ThetaElement,
@@ -573,7 +573,61 @@ def test_bilinear_pairing_equals_weil_pairing_on_every_pair(n):
     assert all(a * g + b * h == x for x, (a, b) in coords.items())
     w = weil_pairing(g, h, n)
     for x, y in itertools.product(coords, repeat=2):
-        assert theta._pairing(w, coords[x], coords[y]) == weil_pairing(x, y, n)
+        assert w ** label_commutator(n, coords[x], coords[y]) == weil_pairing(x, y, n)
+
+
+def per_pair_commutator_claim(curve, n, table=weil_pairing_table):
+    """commutator-matches-weil by the per-pair vector loop: each of the n^4 section
+    commutators multiplied out with mu_commutator and compared with its Miller value."""
+    structure = theta_structure(curve, n)
+    tables = structure.tables
+    sigma = orientation_sigma(curve, n)
+    gen = mu_generator(curve.p, n)
+    section = list(structure.section.items())
+    weil = table([g.x for _, g in section], n, seed=0)
+    bad = [(g, h) for (ia, (a, g)), (ib, (b, h)) in itertools.product(enumerate(section), repeat=2)
+           if mu_commutator(tables, tables.section[a], tables.section[b])
+           != (weil[ia][ib] ** sigma).embed_in_field(curve.p, gen).value]
+    detail = f"sigma = {sigma}"
+    if bad:
+        detail += "; first counterexample (g, h) = ({!r}, {!r})".format(*bad[0])
+    return {"id": "commutator-matches-weil", "status": "failed" if bad else "verified",
+            "checked": n ** 4, "failures": len(bad), "detail": detail}
+
+
+def assert_derived_commutators_match_the_vector_loop(curve, n):
+    structure = theta_structure(curve, n)
+    tables = structure.tables
+    for (u, _), (v, _) in itertools.product(structure.section.items(), repeat=2):
+        derived = (structure.t ** label_commutator(n, u, v)).value
+        assert derived == mu_commutator(tables, tables.section[u], tables.section[v]), (u, v)
+    report = cli.run_theta_verify(curve, n, 0, 0).to_dict()
+    claims = {c["id"]: c for c in report["claims"]}
+    oracle = per_pair_commutator_claim(curve, n, cli.weil_pairing_table)  # skewed or not
+    assert claims["commutator-matches-weil"] == oracle
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_derived_commutators_equal_the_vector_loop_on_the_found_curves(n):
+    assert_derived_commutators_match_the_vector_loop(theta_curve(n), n)
+
+
+def test_derived_commutators_equal_the_vector_loop_on_the_pool():
+    for abc in POOL[:20]:
+        assert_derived_commutators_match_the_vector_loop(Curve.make(*abc), 3)
+
+
+def test_derived_commutators_equal_the_vector_loop_on_a_skewed_pairing(monkeypatch):
+    honest = cli.weil_pairing_table
+
+    def skewed(points, n, seed=0):
+        table = honest(points, n, seed=seed)
+        table[1][2] = table[1][2] * RootOfUnity(n, 1)
+        return table
+
+    monkeypatch.setattr(cli, "weil_pairing_table", skewed)
+    assert_derived_commutators_match_the_vector_loop(C3, 3)
+    assert per_pair_commutator_claim(C3, 3, skewed)["failures"] == 1
 
 
 def test_non_constant_lift_power_exits_1(capsys, monkeypatch):
