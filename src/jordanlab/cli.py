@@ -347,7 +347,7 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     report.claim("mu-layer-closure", size == n ** 3, size * size,
                  detail=f"{size} elements, all words in the generators; "
                         "every product by induction")
-    clashes = (size - len(set(labels))) + (size - len(set(layer)))
+    clashes = size - len(set(layer))  # the labels are distinct: mu_labels orders all n^3
     report.claim("transport-bijective", clashes == 0, size, clashes)
 
     def generator_claim(id: str, checked: int, detail: str, bad: list[tuple]) -> None:
@@ -372,7 +372,7 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     # compared with Miller's formula for its own pair, from one table
     t_pow = [(structure.t ** k).value for k in range(n)]
     try:
-        t_vec = mu_commutator(tables, tables.section[(1, 0)], tables.section[(0, 1)])
+        t_vec = mu_commutator(tables, layer[gens[0]], layer[gens[1]])
     except NonConstantCommutator as exc:
         raise CertificateError("commutator of (g, h) = ({!r}, {!r}): {}".format(
             structure.section[(1, 0)], structure.section[(0, 1)], exc)) from exc
@@ -393,17 +393,16 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     report.claim("commutator-matches-weil", not (unmet or comm_bad), len(section) ** 2,
                  len(unmet or comm_bad), _with_pair(detail, comm_bad))
 
-    # embed(g c) and embed(c) after embed(g) both carry the function divisor
-    # n(O) - n(-(x_g + x_c)), so agreeing at one point of S they agree everywhere
-    embedded = [birgroup.theta_embed(g) for g in elements]
-    base = birgroup.SamplePoint(tables.others[0], curve.fe(1))
-    moved = [birgroup.apply(e, base) for e in embedded]
+    # embed(g c) and embed(c) after embed(g) carry the divisor n(O) - n(-(x_g + x_c)), so
+    # agreeing at (S[0], 1), where embed(g) is read from g's vector, they agree everywhere
+    moved = [birgroup.SamplePoint(others[shift[x][0]], curve.fe(values[0]))
+             for x, values in layer]
+    maps = {c: birgroup.theta_embed(elements[c]) for c in gens}
     generator_claim("embed-homomorphism", size * size,
-                    f"the action at ({base.x!r}, 1) checked on the generators, "
+                    f"the action at ({others[0]!r}, 1) checked on the generators, "
                     "every pair by induction",
                     [(elements[g], elements[c]) for g, row in enumerate(right)
-                     for c, k in zip(gens, row)
-                     if birgroup.apply(embedded[c], moved[g]) != moved[k]])
+                     for c, k in zip(gens, row) if birgroup.apply(maps[c], moved[g]) != moved[k]])
 
     # maps over one point are equal exactly when their value vectors are
     copies = Counter(layer)
@@ -415,7 +414,7 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
 
     # pointwise through the functions; at a sample in S the composed value vector
     # must give the same fiber coordinate, which ties the vectors to the functions
-    at = {s: k for k, s in enumerate(tables.others)}
+    at = {s: k for k, s in enumerate(others)}
     sem_ok = sem_skipped = sem_failures = 0
     samples = list(birgroup.sample_points(curve, seed=seed, count=400))
     rng = random.Random(f"{seed}:compose")
@@ -424,8 +423,9 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
         b = rng.choice(range(size))
         s = rng.choice(samples)
         try:
-            lhs = birgroup.apply(birgroup.compose(embedded[b], embedded[a]), s)
-            rhs = birgroup.apply(embedded[b], birgroup.apply(embedded[a], s))
+            first, second = birgroup.theta_embed(elements[a]), birgroup.theta_embed(elements[b])
+            lhs = birgroup.apply(birgroup.compose(second, first), s)
+            rhs = birgroup.apply(second, birgroup.apply(first, s))
         except Undefined:
             sem_skipped += 1
             continue

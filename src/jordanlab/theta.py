@@ -25,11 +25,11 @@ the label law heisenberg.label_product on the generators s(1, 0) and s(0, 1).
 
 For those checks the layer is also held as integers (MuTables): each
 function as its value vector on the points outside E[n], where the product is
-a gather through a translation table and a pointwise multiply mod p.  The
-objects above give the functions, evaluated on integer coordinates, and stay
-the oracle the tables are tested against.  The basis search works on integers
-too: one Weil pairing per curve, and each lift's n-th power read from its
-function's values (_liftable_basis).
+a gather through a translation table and a pointwise multiply mod p.  Only A
+and B are evaluated there; every other vector is their product, as above.  The
+section objects name elements and stay the oracle the tables are tested
+against.  The basis search works on integers too: one Weil pairing per curve,
+and each lift's n-th power read from its function's values (_liftable_basis).
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ class ThetaElement:
 
 def certify_divisor(g: ThetaElement) -> ThetaElement:
     """g, once div f is derived from its atoms and found to be n(O) - n(-x).  Run on
-    theta_make's output (so on the f whose n-th power _lift_power evaluates), the
-    commutator t, and the n^2 section elements MuTables' soundness assumes."""
+    theta_make's output (so on the f whose n-th power _lift_power evaluates, and on
+    the lifts A and B that MuTables multiplies out) and on the commutator t."""
     curve, n = g.curve, g.level
     expected = Divisor.of(curve, [(curve.infinity(), n), (-g.x, -n)])  # 0 over O
     got = g.f.divisor()
@@ -351,9 +351,9 @@ def _liftable_basis(curve: Curve, n: int) -> tuple[tuple[CurvePoint, FpElement],
 class ThetaStructure:
     """Canonical mu_n layer of the theta group with its Heisenberg labelling.
 
-    Carries the basis (P, Q), order-n lifts A, B, the primitive commutator
-    value t, the section s(i,j) = t^(-ij) A^i B^j, and the resulting exact
-    isomorphism with mu_n x Z/n x dual(Z/n).
+    Carries the basis (P, Q), the certified order-n lifts A, B, the primitive
+    commutator value t, the section s(i,j) = t^(-ij) A^i B^j (not certified: it
+    names elements), and the exact isomorphism with mu_n x Z/n x dual(Z/n).
     """
 
     def __init__(self, curve: Curve, n: int):
@@ -362,23 +362,17 @@ class ThetaStructure:
         self.group = FinAbGroup((n,))
         (p1, c1), (p2, c2) = _liftable_basis(curve, n)
         self.basis = (p1, p2)
-        lift_a = self._order_n_lift(p1, c1)
-        lift_b = self._order_n_lift(p2, c2)
-        self.t = theta_commutator(lift_a, lift_b)
+        self.lifts = self._order_n_lift(p1, c1), self._order_n_lift(p2, c2)
+        self.t = theta_commutator(*self.lifts)
         if multiplicative_order(self.t) != n:
             raise NotAdmissible(f"commutator {self.t} is not a primitive level-{n} root")
         t_pow = [self.t ** k for k in range(n)]
         self.scalar_log = {v.value: k for k, v in enumerate(t_pow)}
-        a_pow = [theta_identity(curve, n)]
-        b_pow = [theta_identity(curve, n)]
-        for _ in range(n - 1):
-            a_pow.append(theta_mul(a_pow[-1], lift_a))
-            b_pow.append(theta_mul(b_pow[-1], lift_b))
-        self.section = {
-            (i, j): certify_divisor(theta_mul(a_pow[i], b_pow[j]).scaled(t_pow[(-i * j) % n]))
-            for i in range(n)
-            for j in range(n)
-        }
+        a_pow, b_pow = (list(itertools.accumulate([g] * (n - 1), theta_mul,
+                                                  initial=theta_identity(curve, n)))
+                        for g in self.lifts)
+        self.section = {(i, j): theta_mul(a_pow[i], b_pow[j]).scaled(t_pow[(-i * j) % n])
+                        for i in range(n) for j in range(n)}
         self.decomposition = {elem.x: ij for ij, elem in self.section.items()}
         if len(self.decomposition) != n * n:
             raise BasisMismatch(f"{self.basis!r} does not generate E[{n}]")
@@ -431,16 +425,16 @@ Values = tuple[int, tuple[int, ...]]
 
 
 class MuTables:
-    """The mu_n layer as integer value vectors, built once from the object layer.
+    """The mu_n layer as integer value vectors, multiplied out from the two lifts.
 
     E[n] is indexed in decomposition order, with addition and negation tables;
     `shift[x][k]` is the index in S of S[k] + P_x (translation by E[n] maps S to
-    itself), summed on integer coordinates, as the section functions are evaluated.
-    Every atom of a layer function is a line through points of E[n], translated by
-    E[n], so evaluating on S never meets a zero or a pole.  A section element over x
-    has certified divisor n(O) - n(-x), which fixes its function up to one constant:
-    equal vectors over the same point are equal theta elements.  `layer` holds the
-    n^3 elements in mu_elements order, `index` inverts it.
+    itself), summed on integer coordinates, as A and B are evaluated: their atoms are
+    lines through points of E[n], so S meets no zero or pole.  Every other vector is
+    t^k s(i, j) = t^(k - ij) A^i B^j by mu_product, which keeps the divisor law, so
+    with A, B and t certified the vector over x has divisor n(O) - n(-x), fixing it
+    up to one constant: equal vectors over the same point are equal theta elements.
+    `layer` holds the n^3 elements in mu_elements order, `index` inverts it.
     """
 
     def __init__(self, structure: ThetaStructure):
@@ -453,14 +447,16 @@ class MuTables:
         self.neg = [where[-x] for x in self.points]
         self.others = tuple(s for s in enumerate_points(curve) if s not in where)
         self.shift = translation_indices(self.others, self.points)
-        self.section: dict[tuple[int, int], Values] = {
-            ij: (where[g.x], tuple(_values(g, self.others)))
-            for ij, g in structure.section.items()}
+        one = self.origin, (1,) * len(self.others)
+        a_pow, b_pow = (list(itertools.accumulate(
+            [(where[g.x], tuple(_values(g, self.others)))] * (n - 1),
+            lambda u, v: mu_product(self, u, v), initial=one)) for g in structure.lifts)
+        section = {(i, j): mu_product(self, a_pow[i], b_pow[j]) for i in range(n) for j in range(n)}
         t_pow = [(structure.t ** k).value for k in range(n)]
         self.layer: list[Values] = []
         for i, j, k in structure.mu_labels():
-            x, values = self.section[(i, j)]
-            self.layer.append((x, tuple(v * t_pow[k] % self.p for v in values)))
+            x, values = section[(i, j)]
+            self.layer.append((x, tuple(v * t_pow[(k - i * j) % n] % self.p for v in values)))
         self.index = {g: e for e, g in enumerate(self.layer)}
 
 

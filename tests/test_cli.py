@@ -310,6 +310,12 @@ def test_optimized_interpreter_gives_the_same_claims():
 THETA_N2 = ["theta-verify", "--n", "2", "--p", "7", "--a", "3", "--b", "0"]
 
 
+def theta_argv(curve, n):
+    """theta-verify at level n on the given curve."""
+    return ["theta-verify", "--n", str(n), "--p", str(curve.p),
+            "--a", str(curve.a.value), "--b", str(curve.b.value)]
+
+
 def generators(curve, n):
     """Layer indices of s(1, 0) and s(0, 1)."""
     labels = theta.theta_structure(curve, n).mu_labels()
@@ -513,12 +519,16 @@ def test_wrong_composition_fails_embed_homomorphism(capsys, monkeypatch):
     assert code == 1
     claims = claim_map(report)
     curve = cli.Curve.make(7, 3, 0)
-    base = birgroup.SamplePoint(theta.theta_structure(curve, 2).tables.others[0], curve.fe(1))
+    tables = theta.theta_structure(curve, 2).tables
+    base = birgroup.SamplePoint(tables.others[0], curve.fe(1))
     layer = theta_enumerate_mu(curve, 2)
-    bad = [(g, layer[c]) for g in layer for c in generators(curve, 2)
-           if birgroup.apply(birgroup.theta_embed(layer[c]),
-                             birgroup.apply(birgroup.theta_embed(g), base))
-           != birgroup.apply(birgroup.theta_embed(theta_mul(g, layer[c])), base)]
+    # the induction form: each element's image of base read from its vector, and the map
+    # of each generator c applied after it
+    moved = [birgroup.SamplePoint(tables.others[tables.shift[x][0]], curve.fe(values[0]))
+             for x, values in tables.layer]
+    bad = [(layer[g], layer[c]) for g in range(len(layer)) for c in generators(curve, 2)
+           if birgroup.apply(birgroup.theta_embed(layer[c]), moved[g])
+           != moved[tables.index[mu_product(tables, tables.layer[g], tables.layer[c])]]]
     claim = claims["embed-homomorphism"]
     assert claim["status"] == "failed" and claim["failures"] == len(bad) > 0
     assert claim["checked"] == 8 ** 2
@@ -891,8 +901,7 @@ def generator_verdicts(capsys, argv):
                                      (3, (31, 1, 11)), (4, None)])
 def test_generator_checks_match_the_pair_loop_on_honest_curves(capsys, n, curve):
     curve = theta.find_theta_curve(n) if curve is None else cli.Curve.make(*curve)
-    argv = ["theta-verify", "--n", str(n), "--p", str(curve.p),
-            "--a", str(curve.a.value), "--b", str(curve.b.value)]
+    argv = theta_argv(curve, n)
     verdicts = per_pair_verdicts(curve, n)
     assert verdicts == dict.fromkeys(PAIR_CLAIMS, "verified")
     assert generator_verdicts(capsys, argv) == verdicts
@@ -911,9 +920,12 @@ def doctor_embed(monkeypatch, tables):
                         lambda g: birgroup.BirAuto(g.x, g.f.scale(2)))
 
 
-def doctor_translation(monkeypatch, tables):  # T_x^* dropped from the product
-    monkeypatch.setattr(cli, "mu_product", lambda tables, g, h: (
-        tables.add[g[0]][h[0]], tuple(u * v % tables.p for u, v in zip(g[1], h[1]))))
+def untranslated_product(tables, g, h):  # mu_product with T_x^* dropped
+    return tables.add[g[0]][h[0]], tuple(u * v % tables.p for u, v in zip(g[1], h[1]))
+
+
+def doctor_translation(monkeypatch, tables):
+    monkeypatch.setattr(cli, "mu_product", untranslated_product)
 
 
 def doctor_layer(monkeypatch, tables):
@@ -939,6 +951,72 @@ def test_generator_checks_match_the_pair_loop_on_doctored_cases(capsys, monkeypa
     verdicts = per_pair_verdicts(curve, n)
     assert verdicts != dict.fromkeys(PAIR_CLAIMS, "verified")
     assert generator_verdicts(capsys, argv) == verdicts
+
+
+def rebuilt_tables(monkeypatch, structure, **doctored):
+    """structure.tables built again with the names in doctored replaced in theta while it
+    is built; the honest tables come back when the test ends."""
+    assert structure.tables  # built honestly first, so that monkeypatch restores them
+    monkeypatch.delitem(vars(structure), "tables")
+    with monkeypatch.context() as patch:
+        for name, value in doctored.items():
+            patch.setattr(theta, name, value)
+        return structure.tables
+
+
+def lift_doctoring(monkeypatch, structure):  # one value of the vector of A doubled
+    honest, lift = theta._values, structure.lifts[0]
+
+    def doctored(g, others):
+        values = honest(g, others)
+        return [values[0] * 2 % structure.curve.p] + values[1:] if g is lift else values
+
+    return rebuilt_tables(monkeypatch, structure, _values=doctored)
+
+
+def translation_doctoring(monkeypatch, structure):
+    return rebuilt_tables(monkeypatch, structure, mu_product=untranslated_product)
+
+
+@pytest.mark.parametrize("doctoring", [lift_doctoring, translation_doctoring])
+@pytest.mark.parametrize("n,curve", [(3, (13, 7, 0)), (4, None)])
+def test_doctored_layer_trust_root_exits_1(capsys, monkeypatch, doctoring, n, curve):
+    # the layer rests on the two lift vectors and on mu_product; with either doctored
+    # while the tables are built, no claim is verified: the closure check finds a
+    # generator product outside the layer and the run exits 1 before any record
+    curve = theta.find_theta_curve(n) if curve is None else cli.Curve.make(*curve)
+    structure = theta.theta_structure(curve, n)
+    honest = structure.tables.layer
+    assert doctoring(monkeypatch, structure).layer != honest
+    assert main(theta_argv(curve, n)) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: CertificateError: product of (g, h) = (")
+    assert out.err.endswith(f") leaves the mu_{n} layer\n")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_theta_verify_evaluates_two_functions_and_applies_two_maps(capsys, monkeypatch, n):
+    curve = theta.find_theta_curve(n)
+    structure = theta.theta_structure(curve, n)
+    evaluated, applied = [], []
+    values, apply = theta.function_values, birgroup.apply
+    monkeypatch.setattr(theta, "function_values",
+                        lambda fn, points: evaluated.append(fn) or values(fn, points))
+    monkeypatch.setattr(birgroup, "apply", lambda a, s: applied.append(a) or apply(a, s))
+    rebuilt_tables(monkeypatch, structure)
+    assert not hasattr(structure.tables, "section")
+    assert evaluated == [lift.f for lift in structure.lifts]
+    code, report, _ = run_json(capsys, theta_argv(curve, n))
+    assert code == 0
+    assert all(c["status"] == "verified" for c in report["claims"])
+    assert len(evaluated) == 2  # the run evaluates nothing more on S
+    # embed-homomorphism applies the maps of the two generators, once per element each;
+    # then compose-semantics applies at most three maps per sample it draws
+    assert len({id(a) for a in applied[:2 * n ** 3]}) == 2
+    semantics = claim_map(report)["compose-semantics"]
+    drawn = semantics["checked"] + int(semantics["detail"].split()[0])
+    assert 2 * n ** 3 < len(applied) <= 2 * n ** 3 + 3 * drawn
 
 
 def test_hasse_violation_exits_1(capsys, monkeypatch):

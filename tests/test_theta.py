@@ -294,12 +294,39 @@ def test_value_tables_match_the_object_layer(curve, n):
         assert images[k] == structure.to_heisenberg(theta_mul(g, h))
     # the label t^k s(i, j) -> (i*n + j)*n + k names each element's transport in G1
     g1 = group_table(FinAbGroup((n,)))[1]
-    for e, (i, j, k) in enumerate(structure.mu_labels()):
+    labels = structure.mu_labels()
+    assert sorted(labels) == list(itertools.product(range(n), repeat=3))  # all distinct
+    for e, (i, j, k) in enumerate(labels):
         assert g1[(i * n + j) * n + k] == structure.to_heisenberg(elements[e])
     # every section commutator is theta_commutator's value
+    vectors = section_vectors(structure)
     for (a, g), (b, h) in itertools.product(structure.section.items(), repeat=2):
-        value = mu_commutator(tables, tables.section[a], tables.section[b])
+        value = mu_commutator(tables, vectors[a], vectors[b])
         assert value == theta_commutator(g, h).value
+
+
+def section_vectors(structure):
+    """The layer vector of each s(i, j), looked up through mu_labels."""
+    labels = structure.mu_labels()
+    return {ij: structure.tables.layer[labels.index((*ij, 0))] for ij in structure.section}
+
+
+def assert_layer_is_the_objects_evaluated(curve, n):
+    structure = theta_structure(curve, n)
+    tables = structure.tables
+    assert tables.layer == [
+        (tables.points.index(g.x), tuple(ellcurve.function_values(g.f, tables.others)))
+        for g in structure.mu_elements()]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_layer_from_the_lifts_is_the_objects_evaluated_on_the_found_curves(n):
+    assert_layer_is_the_objects_evaluated(theta_curve(n), n)
+
+
+def test_layer_from_the_lifts_is_the_objects_evaluated_on_the_pool():
+    for abc in POOL[:20]:
+        assert_layer_is_the_objects_evaluated(Curve.make(*abc), 3)
 
 
 def test_find_theta_curve_skips_a_degenerate_curve(monkeypatch):
@@ -387,20 +414,26 @@ def test_commutator_certifies_its_divisor(monkeypatch):
         theta_commutator(g, h)
 
 
-def test_structure_certifies_each_section_element(monkeypatch):
+def test_structure_certifies_the_lifts_and_t_and_no_section_element(monkeypatch):
     monkeypatch.setattr(theta, "_STRUCTURES", {})
-    certified = []
-    honest = theta.certify_divisor
+    certified, made = [], []
+    honest, make = theta.certify_divisor, theta.theta_make
 
     def recorded(g):
         certified.append(g)
         return honest(g)
 
     monkeypatch.setattr(theta, "certify_divisor", recorded)
+    monkeypatch.setattr(theta, "theta_make",
+                        lambda n, x, scale=1: made.append(make(n, x, scale)) or made[-1])
     structure = theta_structure(C3, 3)
-    assert all(any(g is c for c in certified) for g in structure.section.values())
+    assert structure.tables.layer  # multiplied out from the lifts, certifying nothing more
+    assert all(any(g is c for c in certified) for g in structure.lifts)
+    assert not any(g is c for g in structure.section.values() for c in certified)
     # and the commutator t: an element over O whose constant is t
-    assert any(c.x.is_infinity and c.f.constant_value() == structure.t for c in certified)
+    over_o = [c for c in certified if not any(c is g for g in made)]
+    assert over_o and all(c.x.is_infinity and c.f.constant_value() == structure.t
+                          for c in over_o)
 
 
 def test_structure_reuses_the_liftability_constant(monkeypatch):
@@ -584,9 +617,10 @@ def per_pair_commutator_claim(curve, n, table=weil_pairing_table):
     sigma = orientation_sigma(curve, n)
     gen = mu_generator(curve.p, n)
     section = list(structure.section.items())
+    vectors = section_vectors(structure)
     weil = table([g.x for _, g in section], n, seed=0)
     bad = [(g, h) for (ia, (a, g)), (ib, (b, h)) in itertools.product(enumerate(section), repeat=2)
-           if mu_commutator(tables, tables.section[a], tables.section[b])
+           if mu_commutator(tables, vectors[a], vectors[b])
            != (weil[ia][ib] ** sigma).embed_in_field(curve.p, gen).value]
     detail = f"sigma = {sigma}"
     if bad:
@@ -598,9 +632,10 @@ def per_pair_commutator_claim(curve, n, table=weil_pairing_table):
 def assert_derived_commutators_match_the_vector_loop(curve, n):
     structure = theta_structure(curve, n)
     tables = structure.tables
-    for (u, _), (v, _) in itertools.product(structure.section.items(), repeat=2):
+    vectors = section_vectors(structure)
+    for u, v in itertools.product(structure.section, repeat=2):
         derived = (structure.t ** label_commutator(n, u, v)).value
-        assert derived == mu_commutator(tables, tables.section[u], tables.section[v]), (u, v)
+        assert derived == mu_commutator(tables, vectors[u], vectors[v]), (u, v)
     report = cli.run_theta_verify(curve, n, 0, 0).to_dict()
     claims = {c["id"]: c for c in report["claims"]}
     oracle = per_pair_commutator_claim(curve, n, cli.weil_pairing_table)  # skewed or not
