@@ -757,29 +757,28 @@ def weil_pairing_table(points: Sequence[CurvePoint], n: int,
                        seed: int = 0) -> list[list[RootOfUnity]]:
     """weil_pairing(P, Q, n, seed) for every P, Q of points, as table[i][j].
 
-    Every pair draws the same offsets R, S first, so each f_P is translated by -R
-    and evaluated on the points Q + S, and f_P^-1 by -S on the points P + R, once per
-    point; the quotient of a pair is then two lookups.  A pair whose quotient meets a
-    support at that draw goes to weil_pairing, which meets it too and retries.
-    """
+    Each draw of offsets R, S serves every pair still open: each f_P is translated by
+    -R and evaluated on the points Q + S, and f_P^-1 by -S on the points P + R, once
+    per point, so the quotient of a pair is two lookups.  A pair whose quotient meets
+    a support takes the next draw of the same stream, as weil_pairing retries, up to
+    PAIRING_RETRIES draws."""
     for point in points:
         points[0]._check(point)
         if not (n * point).is_infinity:
             raise NotTorsion(f"{point!r} is not killed by {n}")
     one = RootOfUnity.one(n)
+    table = [[one] * len(points) for _ in points]
     if n == 1 or not points:
-        return [[one] * len(points) for _ in points]
+        return table
     curve = points[0].curve
     p, a, b = curve.p, curve.a.value, curve.b.value
     generator = mu_generator(p, n)
     log = {(generator ** k).value: k for k in range(n)}
     rng = random.Random(f"{seed}:{curve.p}:{n}")
     pool = affine_points(curve)
-    r = rng.choice(pool)
-    s = rng.choice(pool)
     coords = [point._coords() for point in points]
-    at_s = [_affine_add(p, a, b, q, s._coords()) for q in coords] + [s._coords()]
-    at_r = [_affine_add(p, a, b, q, r._coords()) for q in coords] + [r._coords()]
+    open_pairs = [(i, j) for i, P in enumerate(points) if not P.is_infinity
+                  for j, Q in enumerate(points) if not Q.is_infinity]
 
     def quotients(f: TrackedFunction, at: list) -> list[int | None] | None:
         """f at each point of at over f at the last one; None where a value meets a support."""
@@ -789,29 +788,28 @@ def weil_pairing_table(points: Sequence[CurvePoint], n: int,
         inv = pow(base, -1, p)
         return [None if v is None else v * inv % p for v in values]
 
-    # left[i][j] = f_i(Q_j + S - R) / f_i(S - R); right[j][i] = f_j(R - S) / f_j(P_i + R - S)
-    left: list[list[int | None] | None] = []
-    right: list[list[int | None] | None] = []
-    for point in points:
-        if point.is_infinity:
-            left.append(None)
-            right.append(None)
-        else:
-            f = miller_function(n, point)
-            left.append(quotients(f.translate(-r), at_s))
-            right.append(quotients(f.inverse().translate(-s), at_r))
-    table = []
-    for i, (point, row) in enumerate(zip(points, left)):
-        out = []
-        for j, (other, col) in enumerate(zip(points, right)):
-            if point.is_infinity or other.is_infinity:
-                out.append(one)
-            elif row is None or col is None or row[j] is None or col[i] is None:
-                out.append(weil_pairing(point, other, n, seed))
-            else:
-                value = row[j] * col[i] % p
-                if value not in log:
-                    raise CertificateError(f"pairing value {value} escaped mu_{n}")
-                out.append(RootOfUnity(n, log[value]))
-        table.append(out)
-    return table
+    for _ in range(PAIRING_RETRIES):
+        r = rng.choice(pool)
+        s = rng.choice(pool)
+        at_s = [_affine_add(p, a, b, q, s._coords()) for q in coords] + [s._coords()]
+        at_r = [_affine_add(p, a, b, q, r._coords()) for q in coords] + [r._coords()]
+        # left[i][j] = f_i(Q_j + S - R) / f_i(S - R); right[j][i] = f_j(R - S) / f_j(P_i + R - S)
+        left = {i: quotients(miller_function(n, points[i]).translate(-r), at_s)
+                for i in {i for i, _ in open_pairs}}
+        right = {j: quotients(miller_function(n, points[j]).inverse().translate(-s), at_r)
+                 for j in {j for _, j in open_pairs}}
+        missed = []
+        for i, j in open_pairs:
+            row, col = left[i], right[j]
+            if row is None or col is None or row[j] is None or col[i] is None:
+                missed.append((i, j))
+                continue
+            value = row[j] * col[i] % p
+            if value not in log:
+                raise CertificateError(f"pairing value {value} escaped mu_{n}")
+            table[i][j] = RootOfUnity(n, log[value])
+        open_pairs = missed
+        if not open_pairs:
+            return table
+    raise DegenerateAfterRetries(
+        f"no offset choice avoided the supports after {PAIRING_RETRIES} tries on {curve!r}")

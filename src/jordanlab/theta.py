@@ -26,8 +26,9 @@ the label law heisenberg.label_product on the generators s(1, 0) and s(0, 1).
 For those checks the layer is also held as integers (MuTables): each
 function as its value vector on the points outside E[n], where the product is
 a gather through a translation table and a pointwise multiply mod p.  Only A
-and B are evaluated there; every other vector is their product, as above.  The
-section objects name elements and stay the oracle the tables are tested
+and B are evaluated there; t is the commutator of their two vectors, and every
+other vector is their product, as above.  The section objects are built on
+first use: they name elements and stay the oracle the tables are tested
 against.  The basis search works on integers too: one Weil pairing per curve,
 and each lift's n-th power read from its function's values (_liftable_basis).
 """
@@ -112,8 +113,8 @@ class ThetaElement:
 
 def certify_divisor(g: ThetaElement) -> ThetaElement:
     """g, once div f is derived from its atoms and found to be n(O) - n(-x).  Run on
-    theta_make's output (so on the f whose n-th power _lift_power evaluates, and on
-    the lifts A and B that MuTables multiplies out) and on the commutator t."""
+    theta_make's output: the f whose n-th power _lift_power evaluates, and the lifts A
+    and B that MuTables multiplies out.  theta_commutator, an oracle, runs it too."""
     curve, n = g.curve, g.level
     expected = Divisor.of(curve, [(curve.infinity(), n), (-g.x, -n)])  # 0 over O
     got = g.f.divisor()
@@ -351,42 +352,47 @@ def _liftable_basis(curve: Curve, n: int) -> tuple[tuple[CurvePoint, FpElement],
 class ThetaStructure:
     """Canonical mu_n layer of the theta group with its Heisenberg labelling.
 
-    Carries the basis (P, Q), the certified order-n lifts A, B, the primitive
-    commutator value t, the section s(i,j) = t^(-ij) A^i B^j (not certified: it
-    names elements), and the exact isomorphism with mu_n x Z/n x dual(Z/n).
+    Carries the basis (P, Q), the certified order-n lifts A, B, the layer's integer
+    tables with the primitive commutator value t read off the vectors of A and B, and
+    the exact isomorphism with mu_n x Z/n x dual(Z/n).  The section s(i, j) =
+    t^(-ij) A^i B^j as objects is built on first use: it names elements.
     """
 
     def __init__(self, curve: Curve, n: int):
         self.curve = curve
         self.level = n
-        self.group = FinAbGroup((n,))
         (p1, c1), (p2, c2) = _liftable_basis(curve, n)
         self.basis = (p1, p2)
         self.lifts = self._order_n_lift(p1, c1), self._order_n_lift(p2, c2)
-        self.t = theta_commutator(*self.lifts)
-        if multiplicative_order(self.t) != n:
-            raise NotAdmissible(f"commutator {self.t} is not a primitive level-{n} root")
-        t_pow = [self.t ** k for k in range(n)]
-        self.scalar_log = {v.value: k for k, v in enumerate(t_pow)}
-        a_pow, b_pow = (list(itertools.accumulate([g] * (n - 1), theta_mul,
-                                                  initial=theta_identity(curve, n)))
-                        for g in self.lifts)
-        self.section = {(i, j): theta_mul(a_pow[i], b_pow[j]).scaled(t_pow[(-i * j) % n])
-                        for i in range(n) for j in range(n)}
-        self.decomposition = {elem.x: ij for ij, elem in self.section.items()}
+        self.decomposition = {i * p1 + j * p2: (i, j) for i in range(n) for j in range(n)}
         if len(self.decomposition) != n * n:
-            raise BasisMismatch(f"{self.basis!r} does not generate E[{n}]")
+            raise CertificateError(f"{self.basis!r} does not generate E[{n}]")
+        self.tables = MuTables(self)
+        self.t = curve.fe(self.tables.t)
 
     def _order_n_lift(self, x: CurvePoint, c: FpElement) -> ThetaElement:
         """kappa * theta_make(n, x), whose n-th power kappa^n c is 1, given the
-        constant c of theta_make(n, x)^n that _lift_power evaluated."""
+        constant c of theta_make(n, x)^n that _lift_power evaluated.  _liftable_basis
+        took x because c is an n-th power, so 1/c is one too."""
         n = self.level
         kappa = nth_root(c.inverse(), n)
         if kappa is None:
-            raise NotAdmissible(f"no order-{n} lift over {x!r}")
+            raise CertificateError(f"no order-{n} lift over {x!r}, which the basis search took")
         if kappa ** n * c != self.curve.fe(1):
             raise CertificateError("rescaled lift failed to have exact order n")
         return theta_make(n, x, kappa)
+
+    @cached_property
+    def section(self) -> dict[tuple[int, int], ThetaElement]:
+        """s(i, j) = t^(-ij) A^i B^j as objects, built on first use.  Not certified:
+        they name counterexamples, give compose-semantics its samples and are the
+        oracle the tables are tested against."""
+        n = self.level
+        a_pow, b_pow = (list(itertools.accumulate([g] * (n - 1), theta_mul,
+                                                  initial=theta_identity(self.curve, n)))
+                        for g in self.lifts)
+        return {(i, j): theta_mul(a_pow[i], b_pow[j]).scaled(self.t ** (-i * j % n))
+                for i in range(n) for j in range(n)}
 
     def to_heisenberg(self, g: ThetaElement) -> HeisElement:
         """The label (zeta^k, i, chi_j) of g = t^k s(i, j), read off the functions.
@@ -396,28 +402,23 @@ class ThetaStructure:
         ij = self.decomposition.get(g.x)
         if ij is None:
             raise BasisMismatch(f"{g.x!r} is not a level-{self.level} point here")
-        i, j = ij
+        n, (i, j) = self.level, ij
         ratio = ratio_constant(g.f, self.section[ij].f)
-        k = self.scalar_log.get(ratio.value)
+        k = next((k for k in range(n) if self.t ** k == ratio), None)
         if k is None:
-            raise ScaleNotRootOfUnity(f"scale {ratio} lies outside mu_{self.level}")
-        return HeisElement(
-            RootOfUnity(self.level, k), self.group.element([i]), self.group.character([j])
-        )
+            raise ScaleNotRootOfUnity(f"scale {ratio} lies outside mu_{n}")
+        group = FinAbGroup((n,))
+        return HeisElement(RootOfUnity(n, k), group.element([i]), group.character([j]))
 
     def mu_labels(self) -> list[tuple[int, int, int]]:
         """(i, j, k) of each element t^k s(i, j) of the mu layer, by point, then k."""
+        point = {ij: x for x, ij in self.decomposition.items()}
         return sorted(itertools.product(range(self.level), repeat=3),
-                      key=lambda ijk: (self.section[ijk[:2]].x.sort_key(), ijk[2]))
+                      key=lambda ijk: (point[ijk[:2]].sort_key(), ijk[2]))
 
     def mu_elements(self) -> list[ThetaElement]:
         """All n^3 elements with a mu_n scale over the canonical section."""
         return [self.section[(i, j)].scaled(self.t ** k) for i, j, k in self.mu_labels()]
-
-    @cached_property
-    def tables(self) -> "MuTables":
-        """Integer tables of the mu layer, built on first use."""
-        return MuTables(self)
 
 
 # (index of the point in E[n], value vector on S = E(F_p) \ E[n]) of a function over it
@@ -430,11 +431,12 @@ class MuTables:
     E[n] is indexed in decomposition order, with addition and negation tables;
     `shift[x][k]` is the index in S of S[k] + P_x (translation by E[n] maps S to
     itself), summed on integer coordinates, as A and B are evaluated: their atoms are
-    lines through points of E[n], so S meets no zero or pole.  Every other vector is
-    t^k s(i, j) = t^(k - ij) A^i B^j by mu_product, which keeps the divisor law, so
-    with A, B and t certified the vector over x has divisor n(O) - n(-x), fixing it
-    up to one constant: equal vectors over the same point are equal theta elements.
-    `layer` holds the n^3 elements in mu_elements order, `index` inverts it.
+    lines through points of E[n], so S meets no zero or pole.  mu_product keeps the
+    divisor law, so with A and B certified their vector commutator has divisor 0 over
+    O: t is its one value on S, a primitive n-th root.  Every other vector is
+    t^k s(i, j) = t^(k - ij) A^i B^j, whose divisor n(O) - n(-x) fixes it up to one
+    constant: equal vectors over the same point are equal theta elements.  `layer`
+    holds the n^3 elements in mu_elements order, `index` inverts it.
     """
 
     def __init__(self, structure: ThetaStructure):
@@ -447,12 +449,19 @@ class MuTables:
         self.neg = [where[-x] for x in self.points]
         self.others = tuple(s for s in enumerate_points(curve) if s not in where)
         self.shift = translation_indices(self.others, self.points)
+        lifts = [(where[g.x], tuple(_values(g, self.others))) for g in structure.lifts]
+        try:
+            self.t = mu_commutator(self, *lifts)
+            if multiplicative_order(curve.fe(self.t)) != n:
+                raise NonConstantCommutator(f"value {self.t} is not a primitive level-{n} root")
+        except NonConstantCommutator as exc:
+            raise CertificateError("commutator of the lifts (A, B) = ({!r}, {!r}): {}".format(
+                *structure.lifts, exc)) from exc
         one = self.origin, (1,) * len(self.others)
         a_pow, b_pow = (list(itertools.accumulate(
-            [(where[g.x], tuple(_values(g, self.others)))] * (n - 1),
-            lambda u, v: mu_product(self, u, v), initial=one)) for g in structure.lifts)
+            [g] * (n - 1), lambda u, v: mu_product(self, u, v), initial=one)) for g in lifts)
         section = {(i, j): mu_product(self, a_pow[i], b_pow[j]) for i in range(n) for j in range(n)}
-        t_pow = [(structure.t ** k).value for k in range(n)]
+        t_pow = [pow(self.t, k, self.p) for k in range(n)]
         self.layer: list[Values] = []
         for i, j, k in structure.mu_labels():
             x, values = section[(i, j)]
@@ -475,7 +484,8 @@ def mu_inverse(tables: MuTables, g: Values) -> Values:
 
 
 def mu_commutator(tables: MuTables, g: Values, h: Values) -> int:
-    """The constant value of g h g^-1 h^-1 on value vectors; its order is left unchecked."""
+    """The constant value of g h g^-1 h^-1 on value vectors; NonConstantCommutator if
+    it does not lie over O or is not constant on S.  MuTables reads t from it."""
     x, c = mu_product(tables, mu_product(tables, mu_product(tables, g, h), mu_inverse(tables, g)),
                       mu_inverse(tables, h))
     if x != tables.origin or any(v != c[0] for v in c):

@@ -14,6 +14,7 @@ import pytest
 
 from jordanlab import birgroup, cli, ellcurve, finab, heisenberg, theta
 from jordanlab.cli import main
+from jordanlab.errors import CertificateError
 from jordanlab.finab import (
     FinAbGroup,
     HPoint,
@@ -366,13 +367,16 @@ THETA_N3 = ["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0"]
 
 
 def test_product_without_translation_exits_1(capsys, monkeypatch):
+    # the object product builds no vector: the vector claims stay verified, and the
+    # objects it gives fail compose-semantics against the vectors
     monkeypatch.setattr(theta, "_STRUCTURES", {})  # build the structure under the doctoring
     monkeypatch.setattr(theta, "theta_mul",
                         lambda g, h: theta.ThetaElement(g.level, g.x + h.x, h.f * g.f))
-    assert main(THETA_N3) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("error: CertificateError: function divisor ")
+    code, report, _ = run_json(capsys, THETA_N3)
+    assert code == 1
+    claims = claim_map(report)
+    assert [id for id, c in claims.items() if c["status"] != "verified"] == ["compose-semantics"]
+    assert claims["compose-semantics"]["failures"] == 60
 
 
 def test_wrong_miller_divisor_exits_1(capsys, monkeypatch):
@@ -429,18 +433,18 @@ def test_theta_verify_uses_no_object_transport(capsys, monkeypatch):
 def test_theta_verify_builds_no_g1_table_and_one_vector_commutator(capsys, monkeypatch, n):
     for owner in (cli, heisenberg):
         monkeypatch.setattr(owner, "group_table", lambda group: pytest.fail("group_table called"))
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return theta.mu_commutator(*args)
-
-    monkeypatch.setattr(cli, "mu_commutator", counted)
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    calls = []
+    honest = theta.mu_commutator
+    monkeypatch.setattr(theta, "mu_commutator",
+                        lambda *args: calls.append(args) or honest(*args))
     code, report, _ = run_json(capsys, ["theta-verify", "--n", str(n)])
     assert code == 0
     assert all(c["status"] == "verified" for c in report["claims"])
-    assert calls == 1
+    # one call, by MuTables on the vectors of A = s(1, 0) and B = s(0, 1)
+    curve = theta.find_theta_curve(n)
+    tables = theta.theta_structure(curve, n).tables
+    assert calls == [(tables, *(tables.layer[c] for c in generators(curve, n)))]
 
 
 def test_transposed_label_law_fails_the_derived_commutators(capsys, monkeypatch):
@@ -453,29 +457,47 @@ def test_transposed_label_law_fails_the_derived_commutators(capsys, monkeypatch)
     assert claim["status"] == "failed" and claim["failures"] == 1
     assert claim["checked"] == 3 ** 4
     assert claim["detail"] == "sigma = -1; premise failed: structure-isomorphism verified"
+    # with the premise unmet no pair is compared, so a skewed Weil entry changes nothing
+    honest = cli.weil_pairing_table
+
+    def skewed(points, n, seed=0):
+        table = honest(points, n, seed=seed)
+        table[1][2] = table[1][2] * RootOfUnity(n, 1)
+        return table
+
+    monkeypatch.setattr(cli, "weil_pairing_table", skewed)
+    assert claim_map(run_json(capsys, THETA_N3)[1])["commutator-matches-weil"] == claim
+
+
+def doctored_t_claims(capsys, monkeypatch, argv, power):
+    """The failed claims of argv, run with t read as t^power while the tables are built."""
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    honest = theta.mu_commutator
+    monkeypatch.setattr(theta, "mu_commutator",
+                        lambda tables, g, h: pow(honest(tables, g, h), power, tables.p))
+    code, report, _ = run_json(capsys, argv)
+    assert code == 1
+    return {id: c for id, c in claim_map(report).items() if c["status"] != "verified"}
 
 
 def test_wrong_vector_commutator_fails_its_premise(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "mu_commutator", lambda tables, g, h: 1)
-    code, report, _ = run_json(capsys, THETA_N3)
-    assert code == 1
-    claims = claim_map(report)
-    assert [id for id, c in claims.items() if c["status"] != "verified"] == [
-        "commutator-matches-weil"]
-    assert claims["commutator-matches-weil"]["detail"] == (
-        "sigma = -1; premise failed: the vector commutator of s(1, 0) and s(0, 1) is t")
+    # t^2 is the other primitive cube root: the layer is built on it, and its labels
+    # miss the label law wherever a product by s(1, 0) passes s(0, 1)
+    failed = doctored_t_claims(capsys, monkeypatch, THETA_N3, 2)
+    assert list(failed) == ["structure-isomorphism", "commutator-matches-weil"]
+    assert failed["structure-isomorphism"]["failures"] == 18
+    assert failed["commutator-matches-weil"]["failures"] == 1
+    assert failed["commutator-matches-weil"]["detail"] == (
+        "sigma = 1; premise failed: structure-isomorphism verified")
 
 
 def test_wrong_central_scalar_fails_its_premises(capsys, monkeypatch):
-    structure = theta.theta_structure(cli.Curve.make(13, 7, 0), 3)
-    monkeypatch.setattr(structure, "t", structure.t ** 2)  # the layer keeps the true t
-    code, report, _ = run_json(capsys, THETA_N3)
-    assert code == 1
-    claim = claim_map(report)["commutator-matches-weil"]
-    assert claim["status"] == "failed" and claim["failures"] == 2
-    assert claim["detail"] == (
-        "sigma = 1; premise failed: the labels (0, 0, k) are the constants t^k over O; "
-        "premise failed: the vector commutator of s(1, 0) and s(0, 1) is t")
+    failed = doctored_t_claims(capsys, monkeypatch, ["theta-verify", "--n", "4"], 3)
+    assert list(failed) == ["structure-isomorphism", "commutator-matches-weil"]
+    assert failed["structure-isomorphism"]["failures"] == 32
+    claim = failed["commutator-matches-weil"]
+    assert claim["failures"] == 1
+    assert claim["detail"] == "sigma = 1; premise failed: structure-isomorphism verified"
 
 
 def test_theta_verify_level4_runs_every_claim(capsys):
@@ -558,13 +580,15 @@ def test_wrong_pairing_fails_commutator_check(capsys, monkeypatch):
 
 
 def test_noncentral_commutator_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(theta, "_STRUCTURES", {})  # t is read while the tables are built
     monkeypatch.setattr(theta, "mu_inverse", lambda tables, g: g)  # g h g h: not over O
     assert main(["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("error: CertificateError: commutator of (g, h) = ")
-    section = theta.theta_structure(cli.Curve.make(13, 7, 0), 3).section
-    assert "({!r}, {!r})".format(section[(1, 0)], section[(0, 1)]) in out.err
+    monkeypatch.undo()
+    lifts = theta.theta_structure(cli.Curve.make(13, 7, 0), 3).lifts
+    assert out.err.startswith("error: CertificateError: commutator of the lifts (A, B) = "
+                              "({!r}, {!r}): commutator lies over ".format(*lifts))
 
 
 def test_optimized_interpreter_gives_the_same_theta_claims():
@@ -956,43 +980,50 @@ def test_generator_checks_match_the_pair_loop_on_doctored_cases(capsys, monkeypa
 def rebuilt_tables(monkeypatch, structure, **doctored):
     """structure.tables built again with the names in doctored replaced in theta while it
     is built; the honest tables come back when the test ends."""
-    assert structure.tables  # built honestly first, so that monkeypatch restores them
-    monkeypatch.delitem(vars(structure), "tables")
     with monkeypatch.context() as patch:
         for name, value in doctored.items():
             patch.setattr(theta, name, value)
-        return structure.tables
+        tables = theta.MuTables(structure)
+    monkeypatch.setattr(structure, "tables", tables)
+    return tables
 
 
-def lift_doctoring(monkeypatch, structure):  # one value of the vector of A doubled
+def lift_doctoring(structure):  # one value of the vector of A doubled
     honest, lift = theta._values, structure.lifts[0]
+    # the Miller lift whose n-th power the basis search evaluates is left honest
+    assert theta.theta_make(structure.level, lift.x).f != lift.f
 
     def doctored(g, others):
         values = honest(g, others)
-        return [values[0] * 2 % structure.curve.p] + values[1:] if g is lift else values
+        return [values[0] * 2 % structure.curve.p] + values[1:] if g.f == lift.f else values
 
-    return rebuilt_tables(monkeypatch, structure, _values=doctored)
+    return {"_values": doctored}
 
 
-def translation_doctoring(monkeypatch, structure):
-    return rebuilt_tables(monkeypatch, structure, mu_product=untranslated_product)
+def translation_doctoring(structure):
+    return {"mu_product": untranslated_product}
 
 
 @pytest.mark.parametrize("doctoring", [lift_doctoring, translation_doctoring])
 @pytest.mark.parametrize("n,curve", [(3, (13, 7, 0)), (4, None)])
 def test_doctored_layer_trust_root_exits_1(capsys, monkeypatch, doctoring, n, curve):
     # the layer rests on the two lift vectors and on mu_product; with either doctored
-    # while the tables are built, no claim is verified: the closure check finds a
-    # generator product outside the layer and the run exits 1 before any record
+    # while the tables are built, t is not read off the commutator of the lifts, so no
+    # layer is built and the run exits 1 before any record
     curve = theta.find_theta_curve(n) if curve is None else cli.Curve.make(*curve)
     structure = theta.theta_structure(curve, n)
-    honest = structure.tables.layer
-    assert doctoring(monkeypatch, structure).layer != honest
+    doctored = doctoring(structure)
+    with pytest.raises(CertificateError) as exc:
+        rebuilt_tables(monkeypatch, structure, **doctored)
+    assert str(exc.value).startswith(
+        "commutator of the lifts (A, B) = ({!r}, {!r}): ".format(*structure.lifts))
+    monkeypatch.setattr(theta, "_STRUCTURES", {})  # built in the run, under the doctoring
+    for name, value in doctored.items():
+        monkeypatch.setattr(theta, name, value)
     assert main(theta_argv(curve, n)) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("error: CertificateError: product of (g, h) = (")
-    assert out.err.endswith(f") leaves the mu_{n} layer\n")
+    assert out.err == f"error: CertificateError: {exc.value}\n"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1004,6 +1035,8 @@ def test_theta_verify_evaluates_two_functions_and_applies_two_maps(capsys, monke
     monkeypatch.setattr(theta, "function_values",
                         lambda fn, points: evaluated.append(fn) or values(fn, points))
     monkeypatch.setattr(birgroup, "apply", lambda a, s: applied.append(a) or apply(a, s))
+    # A and B were certified when made; the tables and the run certify no divisor
+    monkeypatch.setattr(theta, "certify_divisor", lambda g: pytest.fail("certify_divisor called"))
     rebuilt_tables(monkeypatch, structure)
     assert not hasattr(structure.tables, "section")
     assert evaluated == [lift.f for lift in structure.lifts]

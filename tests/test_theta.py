@@ -329,6 +329,88 @@ def test_layer_from_the_lifts_is_the_objects_evaluated_on_the_pool():
         assert_layer_is_the_objects_evaluated(Curve.make(*abc), 3)
 
 
+def assert_structure_is_the_object_build(curve, n):
+    """t, the points, the labels and the section as the structure built them before from
+    objects: t the certified object commutator of the lifts, s(i, j) their theta_mul
+    products, E[n] the points of s(i, j) and the labels sorted by them."""
+    structure = theta_structure(curve, n)
+    t = theta_commutator(*structure.lifts)
+    assert structure.t == t
+    a_pow, b_pow = (list(itertools.accumulate([g] * (n - 1), theta_mul,
+                                              initial=theta_identity(curve, n)))
+                    for g in structure.lifts)
+    section = {(i, j): theta_mul(a_pow[i], b_pow[j]).scaled(t ** ((-i * j) % n))
+               for i in range(n) for j in range(n)}
+    decomposition = {elem.x: ij for ij, elem in section.items()}
+    assert list(structure.decomposition.items()) == list(decomposition.items())
+    assert structure.mu_labels() == sorted(itertools.product(range(n), repeat=3),
+                                           key=lambda ijk: (section[ijk[:2]].x.sort_key(), ijk[2]))
+    assert structure.section == section
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_structure_is_the_object_build_on_the_found_curves(n):
+    assert_structure_is_the_object_build(theta_curve(n), n)
+
+
+def test_structure_is_the_object_build_on_the_pool():
+    for abc in POOL[:20]:
+        assert_structure_is_the_object_build(Curve.make(*abc), 3)
+
+
+def test_structures_are_built_without_object_products(monkeypatch):
+    for name in ("theta_mul", "theta_commutator"):
+        monkeypatch.setattr(theta, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    for n in (2, 3, 4):
+        find_theta_curve(n)
+    assert len(theta._STRUCTURES) == 3
+    theta._STRUCTURES.clear()
+    assert main(["nonjordan", "--n-max", "4"]) == 0
+    assert len(theta._STRUCTURES) == 3
+
+
+def test_non_primitive_t_is_a_certificate_error(capsys, monkeypatch):
+    # t^2 has order 2 at level 4: a fault, so the search stops there instead of skipping
+    structure = theta_structure(theta_curve(4), 4)  # honest, built before the doctoring
+    honest = theta.mu_commutator
+    monkeypatch.setattr(theta, "mu_commutator",
+                        lambda tables, g, h: pow(honest(tables, g, h), 2, tables.p))
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    with pytest.raises(CertificateError, match="is not a primitive level-4 root"):
+        find_theta_curve(4)
+    assert main(["theta-verify", "--n", "4"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: CertificateError: commutator of the lifts (A, B) = ({!r}, {!r}): "
+                       "value {} is not a primitive level-4 root\n".format(
+                           *structure.lifts, (structure.t ** 2).value))
+
+
+def test_basis_that_does_not_generate_is_a_certificate_error(capsys, monkeypatch):
+    honest = theta._liftable_basis
+    monkeypatch.setattr(theta, "_liftable_basis", lambda curve, n: (honest(curve, n)[0],) * 2)
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    with pytest.raises(CertificateError, match=r"does not generate E\[3\]"):
+        find_theta_curve(3)
+    assert main(["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    p1 = honest(C3, 3)[0][0]
+    assert out.err == f"error: CertificateError: ({p1!r}, {p1!r}) does not generate E[3]\n"
+
+
+def test_lift_constant_without_a_root_is_a_certificate_error(monkeypatch):
+    # 2 is no cube mod 13, so the doctored constant of P has no cube root
+    honest = theta._liftable_basis
+    monkeypatch.setattr(theta, "_liftable_basis", lambda curve, n: tuple(
+        (x, c * 2 if i == 0 else c) for i, (x, c) in enumerate(honest(curve, n))))
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    assert nth_root(C3.fe(2), 3) is None
+    with pytest.raises(CertificateError, match="no order-3 lift over "):
+        find_theta_curve(3)
+
+
 def test_find_theta_curve_skips_a_degenerate_curve(monkeypatch):
     first = find_theta_curve(2)
     pairing_of = theta.weil_pairing
@@ -428,12 +510,13 @@ def test_structure_certifies_the_lifts_and_t_and_no_section_element(monkeypatch)
                         lambda n, x, scale=1: made.append(make(n, x, scale)) or made[-1])
     structure = theta_structure(C3, 3)
     assert structure.tables.layer  # multiplied out from the lifts, certifying nothing more
+    assert structure.section  # built on first use, certifying nothing either
     assert all(any(g is c for c in certified) for g in structure.lifts)
     assert not any(g is c for g in structure.section.values() for c in certified)
-    # and the commutator t: an element over O whose constant is t
-    over_o = [c for c in certified if not any(c is g for g in made)]
-    assert over_o and all(c.x.is_infinity and c.f.constant_value() == structure.t
-                          for c in over_o)
+    # certify_divisor sees theta_make's outputs only; t is read off the vector
+    # commutator of the lifts, and the certified object commutator agrees
+    assert all(any(c is g for g in made) for c in certified)
+    assert structure.t == theta_commutator(*structure.lifts)
 
 
 def test_structure_reuses_the_liftability_constant(monkeypatch):
@@ -498,23 +581,37 @@ def test_pairing_table_equals_weil_pairing_on_every_pair(n):
             [weil_pairing(x, y, n, seed) for y in torsion] for x in torsion]
 
 
+def first_draw_misses(curve, n, seed, torsion):
+    """The pairs whose quotient meets a support at weil_pairing's first draw."""
+    rng = random.Random(f"{seed}:{curve.p}:{n}")
+    r, s = rng.choice(affine_points(curve)), rng.choice(affine_points(curve))
+    missed = []
+    for P, Q in itertools.product([x for x in torsion if not x.is_infinity], repeat=2):
+        fa, fb = miller_function(n, P).translate(-r), miller_function(n, Q).translate(-s)
+        try:
+            (fa(Q + s) / fa(s)) / (fb(P + r) / fb(r))
+        except EvalAtSupport:
+            missed.append((P, Q))
+    return missed
+
+
 def test_pairing_table_retries_a_pair_whose_first_offsets_meet_a_support(monkeypatch):
     curve, n, seed = theta_curve(2), 2, 0
     torsion = list(torsion_subgroup(curve, n))
-    retried = []
-    honest = ellcurve.weil_pairing
-    monkeypatch.setattr(ellcurve, "weil_pairing", lambda P, Q, n, seed=0:
-                        retried.append((P, Q)) or honest(P, Q, n, seed))
-    table = weil_pairing_table(torsion, n, seed)
-    assert retried
-    # weil_pairing's first draw: the quotient of the first retried pair meets a support
-    P, Q = retried[0]
-    rng = random.Random(f"{seed}:{curve.p}:{n}")
-    r, s = rng.choice(affine_points(curve)), rng.choice(affine_points(curve))
-    fa, fb = miller_function(n, P).translate(-r), miller_function(n, Q).translate(-s)
-    with pytest.raises(EvalAtSupport):
-        (fa(Q + s) / fa(s)) / (fb(P + r) / fb(r))
-    assert table[torsion.index(P)][torsion.index(Q)] == weil_pairing(P, Q, n, seed)
+    missed = first_draw_misses(curve, n, seed, torsion)
+    assert missed
+    with monkeypatch.context() as patch:  # the table takes the next draw itself
+        patch.setattr(ellcurve, "weil_pairing",
+                      lambda *args, **kwargs: pytest.fail("weil_pairing called"))
+        table = weil_pairing_table(torsion, n, seed)
+    assert table == [[weil_pairing(x, y, n, seed) for y in torsion] for x in torsion]
+    # with one draw allowed, a pair that misses it is degenerate in both
+    monkeypatch.setattr(ellcurve, "PAIRING_RETRIES", 1)
+    P, Q = missed[0]
+    with pytest.raises(DegenerateAfterRetries):
+        weil_pairing(P, Q, n, seed)
+    with pytest.raises(DegenerateAfterRetries):
+        weil_pairing_table(torsion, n, seed)
 
 
 def test_pairing_table_keeps_weil_pairings_preconditions():
