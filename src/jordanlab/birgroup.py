@@ -21,33 +21,54 @@ function representation has no canonical form.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import CurveMismatch, EvalAtSupport, Undefined
 from .ellcurve import Curve, CurvePoint, TrackedFunction, affine_points, same_function
+from .frozen import Frozen, set_field
 from .scalars import FpElement
 from .theta import ThetaElement
 
 
-@dataclass(frozen=True)
-class SamplePoint:
+class SamplePoint(Frozen):
     """A point (x, t) of E x A^1 used to evaluate automorphisms pointwise."""
 
-    x: CurvePoint
-    t: FpElement
+    __slots__ = ("x", "t")
+
+    def __init__(self, x: CurvePoint, t: FpElement):
+        set_field(self, "x", x)
+        set_field(self, "t", t)
+
+    def __eq__(self, other):
+        if other.__class__ is not SamplePoint:
+            return NotImplemented
+        return (self.x, self.t) == (other.x, other.t)
+
+    def __hash__(self):
+        return hash((self.x, self.t))
+
+    def __repr__(self):
+        return f"SamplePoint(x={self.x!r}, t={self.t!r})"
 
 
-@dataclass(frozen=True)
-class BirAuto:
+class BirAuto(Frozen):
     """The automorphism (x, t) -> (x + y, f(x) * t)."""
 
-    y: CurvePoint
-    f: TrackedFunction
+    __slots__ = ("y", "f")
 
-    def __post_init__(self):
-        if self.y.curve != self.f.curve:
+    def __init__(self, y: CurvePoint, f: TrackedFunction):
+        if y.curve != f.curve:
             raise CurveMismatch("translation and function live on different curves")
+        set_field(self, "y", y)
+        set_field(self, "f", f)
+
+    def __eq__(self, other):
+        if other.__class__ is not BirAuto:
+            return NotImplemented
+        return (self.y, self.f) == (other.y, other.f)
+
+    def __hash__(self):
+        return hash((self.y, self.f))
 
     @property
     def curve(self) -> Curve:

@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import operator
 import random
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import birgroup
 from .errors import (
@@ -54,13 +54,21 @@ SKIPPED = "skipped-budget"
 ISOTROPIC_SCAN_CAP = 400  # largest #H whose subgroups abstract scans for isotropy
 
 
-@dataclass
 class Claim:
-    id: str
-    status: str
-    checked: int = 0
-    failures: int = 0
-    detail: str = ""
+    """One verdict of a run.  wall_s, the seconds since the run's previous claim or its
+    start, is timing only: the record carries it apart from the claims, under
+    claim_wall_s, and the repr leaves it out."""
+
+    __slots__ = ("id", "status", "checked", "failures", "detail", "wall_s")
+
+    def __init__(self, id: str, status: str, checked: int = 0, failures: int = 0,
+                 detail: str = ""):
+        self.id = id
+        self.status = status
+        self.checked = checked
+        self.failures = failures
+        self.detail = detail
+        self.wall_s = 0.0  # set by RunReport when the claim is made
 
     def to_dict(self) -> dict:
         out = {"id": self.id, "status": self.status, "checked": self.checked,
@@ -69,24 +77,38 @@ class Claim:
             out["detail"] = self.detail
         return out
 
+    def __repr__(self):
+        return (f"Claim(id={self.id!r}, status={self.status!r}, checked={self.checked!r}, "
+                f"failures={self.failures!r}, detail={self.detail!r})")
 
-@dataclass
+
 class RunReport:
-    command: str
-    params: dict
-    claims: list[Claim] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
+    """The record of one run, built as the run starts: each claim's wall_s is the time
+    since the previous claim, or since the report was built."""
+
+    __slots__ = ("command", "params", "claims", "data", "wall_time_s", "_mark")
+
+    def __init__(self, command: str, params: dict, claims: list[Claim] | None = None,
+                 data: dict | None = None, wall_time_s: float = 0.0):
+        self.command = command
+        self.params = params
+        self.claims = [] if claims is None else claims
+        self.data = {} if data is None else data
+        self.wall_time_s = wall_time_s
+        self._mark = time.perf_counter()
+
+    def _add(self, c: Claim) -> Claim:
+        now = time.perf_counter()
+        c.wall_s = round(now - self._mark, 3)
+        self._mark = now
+        self.claims.append(c)
+        return c
 
     def claim(self, id: str, ok: bool, checked: int, failures: int = 0, detail: str = "") -> Claim:
-        c = Claim(id, VERIFIED if ok else FAILED, checked, failures, detail)
-        self.claims.append(c)
-        return c
+        return self._add(Claim(id, VERIFIED if ok else FAILED, checked, failures, detail))
 
     def skip(self, id: str, detail: str) -> Claim:
-        c = Claim(id, SKIPPED, detail=detail)
-        self.claims.append(c)
-        return c
+        return self._add(Claim(id, SKIPPED, detail=detail))
 
     @property
     def failed(self) -> bool:
@@ -96,6 +118,7 @@ class RunReport:
         out = {"command": self.command, "params": self.params}
         out.update(self.data)
         out["claims"] = [c.to_dict() for c in self.claims]
+        out["claim_wall_s"] = {c.id: c.wall_s for c in self.claims}
         out["wall_time_s"] = round(self.wall_time_s, 3)
         return out
 
@@ -120,6 +143,10 @@ class RunReport:
                          + (f"  ({c.detail})" if c.detail else ""))
         lines.append(f"  wall time {self.wall_time_s:.2f}s  -> {'FAIL' if self.failed else 'OK'}")
         return lines
+
+    def __repr__(self):
+        return (f"RunReport(command={self.command!r}, params={self.params!r}, "
+                f"claims={self.claims!r}, data={self.data!r}, wall_time_s={self.wall_time_s!r})")
 
 
 def _emit(report: RunReport, fmt: str) -> int:
@@ -162,19 +189,32 @@ def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
     # Light's criterion: (a + b) + g = a + (b + g) for every a, b and generator g makes
     # the addition associative.  Every b is then a word (...(g_1 + g_2) + ...) + g_k, so
     # e(a + g, c) = e(a, c) e(g, c) and e(a, g + c) = e(a, g) e(a, c) for every a, c and
-    # generator g give both laws on every triple (a, b, c) by induction on k
+    # generator g give both laws on every triple (a, b, c) by induction on k.
+    # Each row of a law is built in C and compared whole.  Gram rows are bytes, as the
+    # exponents stay below N <= 32 (H_TABLE_BUDGET), and integers with a byte per entry,
+    # so one sum adds two rows without a carry; translate tables reduce mod N or add a
+    # constant; itemgetters gather through the addition table (tuples, as m >= 2 when
+    # there is a generator)
+    rows = [bytes(e) for e in gram]
+    packed = [int.from_bytes(e, "big") for e in rows]
+    cycle = bytes(range(n)) * (256 // n + 2)  # cycle[k] is k % n
+    mod_n = cycle[:256]
+    plus = [cycle[s:s + 256] for s in range(n)]  # plus[s][k] is (k + s) % n
+    through_g = [operator.itemgetter(*add[g]) for g in gens]  # through_g[i](v)[c] is v[g + c]
+    through_col = [operator.itemgetter(*col) for col in cols]  # through_col[i](v)[b]: v[b + g]
     failures, first = 0, None
-    for a, (e_a, row) in enumerate(zip(gram, add)):
-        for g, col in zip(gens, cols):
-            if [col[ab] for ab in row] != [row[bg] for bg in col]:
+    for a, (e_a, row) in enumerate(zip(rows, add)):
+        through_row = operator.itemgetter(*row)  # through_row(v)[b] is v[a + b]
+        for g, col, at_g, at_col in zip(gens, cols, through_g, through_col):
+            if through_row(col) != at_col(row):
                 b = next(b for b in range(m) if col[row[b]] != row[col[b]])
                 raise CertificateError(f"addition of H is not associative at (a, g) = "
                                        f"({h[a]!r}, {h[g]!r}): (a + b) + g != a + (b + g) "
                                        f"for b = {h[b]!r}")
-            e_ag = gram[row[g]]
-            left = [(u + v) % n for u, v in zip(e_a, gram[g])]
-            shifted = [e_a[gc] for gc in add[g]]
-            right = [(e_a[g] + u) % n for u in e_a]
+            e_ag = rows[row[g]]
+            left = (packed[a] + packed[g]).to_bytes(m, "big").translate(mod_n)
+            shifted = bytes(at_g(e_a))
+            right = e_a.translate(plus[e_a[g]])
             if e_ag == left and shifted == right:
                 continue
             bad = [c for c in range(m) if e_ag[c] != left[c] or shifted[c] != right[c]]
@@ -289,10 +329,10 @@ def _with_pair(detail: str, bad: list[tuple], names: str = "(g, h)") -> str:
 
 def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunReport:
     start = time.perf_counter()
+    report = RunReport("theta-verify", {"n": n, "seed": seed})
     check_theta_budget(n)  # before any curve is searched or structure built
     if curve is None and n >= 2:
         curve = find_theta_curve(n, p_max)
-    report = RunReport("theta-verify", {"n": n, "seed": seed})
     if curve is not None:
         report.params.update({"p": curve.p, "a": curve.a.value, "b": curve.b.value})
         report.data.update({"n": n, "p": curve.p, "a": curve.a.value, "b": curve.b.value})
@@ -437,14 +477,14 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
 
 def run_nonjordan(n_max: int, p_max: int, exhaustive_max: int, theta_max: int, seed: int) -> RunReport:
     start = time.perf_counter()
-    check_theta_budget(theta_max)  # before any row, as theta-verify --n does
-    exact_max = min(n_max, exhaustive_max)  # the largest n whose G1 table is built
-    if exact_max > 0:
-        check_g1_budget(exact_max)
     report = RunReport("nonjordan", {
         "n_max": n_max, "p_max": p_max,
         "exhaustive_max": exhaustive_max, "theta_max": theta_max, "seed": seed,
     })
+    check_theta_budget(theta_max)  # before any row, as theta-verify --n does
+    exact_max = min(n_max, exhaustive_max)  # the largest n whose G1 table is built
+    if exact_max > 0:
+        check_g1_budget(exact_max)
     rows = []
     sigma_seen: set[int] = set()
     for n in range(1, n_max + 1):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -38,6 +37,7 @@ from .errors import (
     NotTorsion,
     OffCurve,
 )
+from .frozen import Frozen, set_field
 from .scalars import FpElement, RootOfUnity, discrete_log_in_mu, is_prime, mu_generator
 
 POINT_BUDGET = 2000  # largest field size enumerate_points will scan
@@ -46,22 +46,21 @@ CONSTANT_SAMPLES = 3  # points at which constant_value cross-checks a function
 PAIRING_RETRIES = 16  # offset pairs weil_pairing tries before giving up
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Frozen):
     """y^2 = x^3 + a*x + b over F_p, p >= 5, nonsingular."""
 
-    p: int
-    a: FpElement
-    b: FpElement
+    __slots__ = ("p", "a", "b")
 
-    def __post_init__(self):
-        if self.p < 5 or not is_prime(self.p):
-            raise ValueError(f"need a prime p >= 5, got {self.p}")
-        if self.a.p != self.p or self.b.p != self.p:
+    def __init__(self, p: int, a: FpElement, b: FpElement):
+        if p < 5 or not is_prime(p):
+            raise ValueError(f"need a prime p >= 5, got {p}")
+        if a.p != p or b.p != p:
             raise ValueError("coefficients live in the wrong field")
-        disc = self.fe(4) * self.a ** 3 + self.fe(27) * self.b ** 2
-        if disc.is_zero:
-            raise ValueError(f"curve {self.p}:{self.a}:{self.b} is singular")
+        if (4 * a.value ** 3 + 27 * b.value ** 2) % p == 0:
+            raise ValueError(f"curve {p}:{a}:{b} is singular")
+        set_field(self, "p", p)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
     @classmethod
     def make(cls, p: int, a: int, b: int) -> "Curve":
@@ -83,39 +82,47 @@ class Curve:
         """#E(F_p), counted on integer coordinates and Hasse-checked."""
         return _point_count(self.p, self.a.value, self.b.value)
 
+    def __eq__(self, other):
+        if other.__class__ is not Curve:
+            return NotImplemented
+        return (self.p, self.a, self.b) == (other.p, other.a, other.b)
+
     def __hash__(self):
-        # the ints the dataclass __eq__ compares, without hashing two FpElements
+        # the ints __eq__ compares, without hashing two FpElements
         return hash((self.p, self.a.value, self.b.value))
 
     def __repr__(self):
         return f"E({self.p}:{self.a}:{self.b})"
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(Frozen):
     """Affine point (x, y) or the identity O (x = y = None).
 
     The group law is _chord_tangent on the integer coordinates, and k * P runs
     the ladder of _affine_mul over +; every point built, results included, is
-    checked on the curve once, by __post_init__.
+    checked on the curve once, by __init__.
     """
 
-    curve: Curve
-    x: FpElement | None
-    y: FpElement | None
+    __slots__ = ("curve", "x", "y")
 
-    def __post_init__(self):
-        x, y = self.x, self.y
+    def __init__(self, curve: Curve, x: FpElement | None, y: FpElement | None):
         if (x is None) != (y is None):
             raise OffCurve("half-infinite coordinates")
         if x is not None:
-            curve = self.curve
             p = curve.p
             if x.p != p:
                 raise ValueError(f"mixed characteristics {p} and {x.p}")
             u = x.value
             if y.p != p or (y.value * y.value - (u * u + curve.a.value) * u - curve.b.value) % p:
                 raise OffCurve(f"({x},{y}) is not on {curve!r}")
+        set_field(self, "curve", curve)
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+
+    def __eq__(self, other):
+        if other.__class__ is not CurvePoint:
+            return NotImplemented
+        return (self.curve, self.x, self.y) == (other.curve, other.x, other.y)
 
     def __hash__(self):
         # the coordinates alone, without hashing the Curve and two FpElements
@@ -139,7 +146,7 @@ class CurvePoint:
         if other.x is None:
             return self
         curve = self.curve
-        # the law unchecked: __post_init__ checks the sum on the curve
+        # the law unchecked: __init__ checks the sum on the curve
         point = _chord_tangent(curve.p, curve.a.value, self.x.value, self.y.value,
                                other.x.value, other.y.value)
         return curve.infinity() if point is None else curve.point(*point)
@@ -337,12 +344,22 @@ def curve_search(n: int, p_max: int) -> list[Curve]:
 # divisors
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(Frozen):
     """Finite formal sum of points with nonzero integer multiplicities."""
 
-    curve: Curve
-    items: tuple[tuple[CurvePoint, int], ...]
+    __slots__ = ("curve", "items")
+
+    def __init__(self, curve: Curve, items: tuple[tuple[CurvePoint, int], ...]):
+        set_field(self, "curve", curve)
+        set_field(self, "items", items)
+
+    def __eq__(self, other):
+        if other.__class__ is not Divisor:
+            return NotImplemented
+        return (self.curve, self.items) == (other.curve, other.items)
+
+    def __hash__(self):
+        return hash((self.curve, self.items))
 
     @classmethod
     def of(cls, curve: Curve, data: dict[CurvePoint, int] | Iterable[tuple[CurvePoint, int]]) -> "Divisor":
@@ -416,11 +433,24 @@ def is_principal(divisor: Divisor) -> bool:
 # tracked rational functions
 
 
-@dataclass(frozen=True)
-class VerticalLine:
+class VerticalLine(Frozen):
     """The function x - c."""
 
-    c: FpElement
+    __slots__ = ("c",)
+
+    def __init__(self, c: FpElement):
+        set_field(self, "c", c)
+
+    def __eq__(self, other):
+        if other.__class__ is not VerticalLine:
+            return NotImplemented
+        return (self.c,) == (other.c,)
+
+    def __hash__(self):
+        return hash((self.c,))
+
+    def __repr__(self):
+        return f"VerticalLine(c={self.c!r})"
 
     def eval(self, x: int, y: int) -> int:
         return (x - self.c.value) % self.c.p
@@ -431,12 +461,25 @@ class VerticalLine:
         return [0 if P is None else (P[0] - c) % p for P in points]
 
 
-@dataclass(frozen=True)
-class ChordLine:
+class ChordLine(Frozen):
     """The function y - lam*x - nu."""
 
-    lam: FpElement
-    nu: FpElement
+    __slots__ = ("lam", "nu")
+
+    def __init__(self, lam: FpElement, nu: FpElement):
+        set_field(self, "lam", lam)
+        set_field(self, "nu", nu)
+
+    def __eq__(self, other):
+        if other.__class__ is not ChordLine:
+            return NotImplemented
+        return (self.lam, self.nu) == (other.lam, other.nu)
+
+    def __hash__(self):
+        return hash((self.lam, self.nu))
+
+    def __repr__(self):
+        return f"ChordLine(lam={self.lam!r}, nu={self.nu!r})"
 
     def eval(self, x: int, y: int) -> int:
         return (y - self.lam.value * x - self.nu.value) % self.nu.p
@@ -447,14 +490,30 @@ class ChordLine:
         return [0 if P is None else (P[1] - lam * P[0] - nu) % p for P in points]
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Frozen):
     """One factor line(point + offset) ^ exponent with its known base divisor."""
 
-    line: VerticalLine | ChordLine
-    base_divisor: Divisor
-    offset: CurvePoint
-    exponent: int
+    __slots__ = ("line", "base_divisor", "offset", "exponent")
+
+    def __init__(self, line: VerticalLine | ChordLine, base_divisor: Divisor, offset: CurvePoint,
+                 exponent: int):
+        set_field(self, "line", line)
+        set_field(self, "base_divisor", base_divisor)
+        set_field(self, "offset", offset)
+        set_field(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return ((self.line, self.base_divisor, self.offset, self.exponent)
+                == (other.line, other.base_divisor, other.offset, other.exponent))
+
+    def __hash__(self):
+        return hash((self.line, self.base_divisor, self.offset, self.exponent))
+
+    def __repr__(self):
+        return (f"Atom(line={self.line!r}, base_divisor={self.base_divisor!r}, "
+                f"offset={self.offset!r}, exponent={self.exponent!r})")
 
     def eval(self, point: CurvePoint) -> int:
         """line(point + offset) ^ exponent mod p; the sum is taken on _affine_add."""
@@ -468,17 +527,25 @@ class Atom:
         return pow(value, self.exponent, c.p)
 
 
-@dataclass(frozen=True)
-class TrackedFunction:
+class TrackedFunction(Frozen):
     """A nonzero rational function as constant * product of offset line atoms."""
 
-    curve: Curve
-    const: FpElement
-    atoms: tuple[Atom, ...]
+    __slots__ = ("curve", "const", "atoms")
 
-    def __post_init__(self):
-        if self.const.is_zero:
+    def __init__(self, curve: Curve, const: FpElement, atoms: tuple[Atom, ...]):
+        if const.value == 0:
             raise ValueError("tracked functions are nonzero")
+        set_field(self, "curve", curve)
+        set_field(self, "const", const)
+        set_field(self, "atoms", atoms)
+
+    def __eq__(self, other):
+        if other.__class__ is not TrackedFunction:
+            return NotImplemented
+        return (self.curve, self.const, self.atoms) == (other.curve, other.const, other.atoms)
+
+    def __hash__(self):
+        return hash((self.curve, self.const, self.atoms))
 
     @classmethod
     def constant(cls, curve: Curve, value: FpElement | int) -> "TrackedFunction":

@@ -22,11 +22,11 @@ has order dividing N and index divisible by N.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import BadDelta, BudgetExceeded, GroupMismatch, NotASubgroup, NotIsotropic
+from .frozen import Frozen, set_field
 from .gtable import GroupTable
 from .scalars import RootOfUnity
 
@@ -54,15 +54,23 @@ def validate_delta(delta: Sequence[int]) -> None:
             raise BadDelta(f"{below} does not divide {above} in delta={tuple(delta)}")
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Frozen):
     """K(delta) = Z/d_1 x ... x Z/d_r with d_{i+1} | d_i."""
 
-    delta: tuple[int, ...]
+    __slots__ = ("delta",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", tuple(int(d) for d in self.delta))
-        validate_delta(self.delta)
+    def __init__(self, delta: tuple[int, ...]):
+        delta = tuple(int(d) for d in delta)
+        validate_delta(delta)
+        set_field(self, "delta", delta)
+
+    def __eq__(self, other):
+        if other.__class__ is not FinAbGroup:
+            return NotImplemented
+        return self.delta == other.delta
+
+    def __hash__(self):
+        return hash((self.delta,))
 
     @property
     def order(self) -> int:
@@ -122,15 +130,22 @@ def _same_group(a, b) -> None:
         raise GroupMismatch(f"{a!r} and {b!r} live in different groups")
 
 
-@dataclass(frozen=True)
-class KElement:
+class KElement(Frozen):
     """Element of K(delta), written additively."""
 
-    group: FinAbGroup
-    coords: tuple[int, ...]
+    __slots__ = ("group", "coords")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _reduce(self.group, self.coords))
+    def __init__(self, group: FinAbGroup, coords: tuple[int, ...]):
+        set_field(self, "group", group)
+        set_field(self, "coords", _reduce(group, coords))
+
+    def __eq__(self, other):
+        if other.__class__ is not KElement:
+            return NotImplemented
+        return (self.group, self.coords) == (other.group, other.coords)
+
+    def __hash__(self):
+        return hash((self.group, self.coords))
 
     def __add__(self, other: "KElement") -> "KElement":
         _same_group(self, other)
@@ -150,15 +165,22 @@ class KElement:
         return f"{self.coords}"
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Frozen):
     """Character of K(delta), written multiplicatively; values lie in mu_N."""
 
-    group: FinAbGroup
-    coords: tuple[int, ...]
+    __slots__ = ("group", "coords")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _reduce(self.group, self.coords))
+    def __init__(self, group: FinAbGroup, coords: tuple[int, ...]):
+        set_field(self, "group", group)
+        set_field(self, "coords", _reduce(group, coords))
+
+    def __eq__(self, other):
+        if other.__class__ is not Character:
+            return NotImplemented
+        return (self.group, self.coords) == (other.group, other.coords)
+
+    def __hash__(self):
+        return hash((self.group, self.coords))
 
     def __call__(self, x: KElement) -> RootOfUnity:
         _same_group(self, x)
@@ -181,15 +203,23 @@ class Character:
         return f"chi{self.coords}"
 
 
-@dataclass(frozen=True)
-class HPoint:
+class HPoint(Frozen):
     """Point (x, ell) of H = K x K^."""
 
-    x: KElement
-    ell: Character
+    __slots__ = ("x", "ell")
 
-    def __post_init__(self):
-        _same_group(self.x, self.ell)
+    def __init__(self, x: KElement, ell: Character):
+        _same_group(x, ell)
+        set_field(self, "x", x)
+        set_field(self, "ell", ell)
+
+    def __eq__(self, other):
+        if other.__class__ is not HPoint:
+            return NotImplemented
+        return (self.x, self.ell) == (other.x, other.ell)
+
+    def __hash__(self):
+        return hash((self.x, self.ell))
 
     @property
     def group(self) -> FinAbGroup:
@@ -276,12 +306,25 @@ def h_tables(group: FinAbGroup) -> tuple[list[HPoint], GroupTable, list[list[int
     return h, table, gram
 
 
-@dataclass(frozen=True)
-class HSubgroup:
+class HSubgroup(Frozen):
     """An enumerated subgroup of H = K x K^, kept in canonical sorted order."""
 
-    group: FinAbGroup
-    elements: tuple[HPoint, ...]
+    __slots__ = ("group", "elements")
+
+    def __init__(self, group: FinAbGroup, elements: tuple[HPoint, ...]):
+        set_field(self, "group", group)
+        set_field(self, "elements", elements)
+
+    def __eq__(self, other):
+        if other.__class__ is not HSubgroup:
+            return NotImplemented
+        return (self.group, self.elements) == (other.group, other.elements)
+
+    def __hash__(self):
+        return hash((self.group, self.elements))
+
+    def __repr__(self):
+        return f"HSubgroup(group={self.group!r}, elements={self.elements!r})"
 
     @property
     def order(self) -> int:
@@ -333,13 +376,28 @@ def orthogonal_complement(e) -> HSubgroup:
     return HSubgroup(sub.group, tuple(sorted(perp, key=HPoint.sort_key)))
 
 
-@dataclass(frozen=True)
-class IsotropicWitness:
+class IsotropicWitness(Frozen):
     """An isotropic subgroup with its complement and verified index facts."""
 
-    elements: HSubgroup
-    complement: HSubgroup
-    index: int
+    __slots__ = ("elements", "complement", "index")
+
+    def __init__(self, elements: HSubgroup, complement: HSubgroup, index: int):
+        set_field(self, "elements", elements)
+        set_field(self, "complement", complement)
+        set_field(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not IsotropicWitness:
+            return NotImplemented
+        return ((self.elements, self.complement, self.index)
+                == (other.elements, other.complement, other.index))
+
+    def __hash__(self):
+        return hash((self.elements, self.complement, self.index))
+
+    def __repr__(self):
+        return (f"IsotropicWitness(elements={self.elements!r}, "
+                f"complement={self.complement!r}, index={self.index!r})")
 
     @property
     def group(self) -> FinAbGroup:

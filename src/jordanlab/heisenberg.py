@@ -14,34 +14,40 @@ mu_N x K x {1} realizes index exactly N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
 from .errors import BudgetExceeded, CertificateError, GroupMismatch
 from .finab import H_TABLE_BUDGET, Character, FinAbGroup, HPoint, KElement, _h_group, k_tables
+from .frozen import Frozen, set_field
 from .gtable import GroupTable
 from .scalars import RootOfUnity
 
 EXHAUSTIVE_CAP = 9  # largest N for which the subgroup scan runs by default
 
 
-@dataclass(frozen=True)
-class HeisElement:
+class HeisElement(Frozen):
     """Element (a, x, ell) of G1 = mu_N x K x K^."""
 
-    a: RootOfUnity
-    x: KElement
-    ell: Character
+    __slots__ = ("a", "x", "ell")
 
-    def __post_init__(self):
-        if self.x.group != self.ell.group:
+    def __init__(self, a: RootOfUnity, x: KElement, ell: Character):
+        if x.group != ell.group:
             raise GroupMismatch("group part and character part disagree")
-        if self.a.modulus != self.x.group.order:
-            raise GroupMismatch(
-                f"scalar lives in mu_{self.a.modulus}, expected mu_{self.x.group.order}"
-            )
+        if a.modulus != x.group.order:
+            raise GroupMismatch(f"scalar lives in mu_{a.modulus}, expected mu_{x.group.order}")
+        set_field(self, "a", a)
+        set_field(self, "x", x)
+        set_field(self, "ell", ell)
+
+    def __eq__(self, other):
+        if other.__class__ is not HeisElement:
+            return NotImplemented
+        return (self.a, self.x, self.ell) == (other.a, other.x, other.ell)
+
+    def __hash__(self):
+        return hash((self.a, self.x, self.ell))
 
     @property
     def group(self) -> FinAbGroup:
@@ -152,19 +158,45 @@ def lagrangian_labels(group: FinAbGroup) -> frozenset[int]:
     return frozenset(x * n * n + k for x in range(n) for k in range(n))
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(Frozen):
     """Result of the minimal-abelian-index computation on G1."""
 
-    delta: tuple[int, ...]
-    group_order: int
-    certified_lower_bound: int
-    min_abelian_index: int | None
-    witness_generators: tuple[HeisElement, ...]
-    witness_order: int
-    witness_index: int
-    exhaustive: bool
-    subgroups_scanned: int
+    __slots__ = ("delta", "group_order", "certified_lower_bound", "min_abelian_index",
+                 "witness_generators", "witness_order", "witness_index", "exhaustive",
+                 "subgroups_scanned")
+
+    def __init__(self, delta: tuple[int, ...], group_order: int, certified_lower_bound: int,
+                 min_abelian_index: int | None, witness_generators: tuple[HeisElement, ...],
+                 witness_order: int, witness_index: int, exhaustive: bool,
+                 subgroups_scanned: int):
+        set_field(self, "delta", delta)
+        set_field(self, "group_order", group_order)
+        set_field(self, "certified_lower_bound", certified_lower_bound)
+        set_field(self, "min_abelian_index", min_abelian_index)
+        set_field(self, "witness_generators", witness_generators)
+        set_field(self, "witness_order", witness_order)
+        set_field(self, "witness_index", witness_index)
+        set_field(self, "exhaustive", exhaustive)
+        set_field(self, "subgroups_scanned", subgroups_scanned)
+
+    def _fields(self) -> tuple:
+        return (self.delta, self.group_order, self.certified_lower_bound, self.min_abelian_index,
+                self.witness_generators, self.witness_order, self.witness_index,
+                self.exhaustive, self.subgroups_scanned)
+
+    def __eq__(self, other):
+        if other.__class__ is not IndexReport:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return ("IndexReport(delta={!r}, group_order={!r}, certified_lower_bound={!r}, "
+                "min_abelian_index={!r}, witness_generators={!r}, witness_order={!r}, "
+                "witness_index={!r}, exhaustive={!r}, subgroups_scanned={!r})"
+                .format(*self._fields()))
 
     def to_dict(self) -> dict:
         return {

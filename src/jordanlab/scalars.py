@@ -9,11 +9,11 @@ multiplicative order N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from .errors import BadGenerator, ModulusMismatch, NoRootsOfUnity
+from .frozen import Frozen, set_field
 
 
 @lru_cache(maxsize=None)
@@ -34,17 +34,24 @@ def primes_up_to(bound: int) -> list[int]:
     return [n for n in range(2, bound + 1) if is_prime(n)]
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
+class RootOfUnity(Frozen):
     """The value zeta_N^exponent for a fixed abstract primitive N-th root zeta_N."""
 
-    modulus: int
-    exponent: int
+    __slots__ = ("modulus", "exponent")
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(self, "exponent", self.exponent % self.modulus)
+    def __init__(self, modulus: int, exponent: int):
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        set_field(self, "modulus", modulus)
+        set_field(self, "exponent", exponent % modulus)
+
+    def __eq__(self, other):
+        if other.__class__ is not RootOfUnity:
+            return NotImplemented
+        return self.modulus == other.modulus and self.exponent == other.exponent
+
+    def __hash__(self):
+        return hash((self.modulus, self.exponent))
 
     @classmethod
     def one(cls, modulus: int) -> "RootOfUnity":
@@ -89,17 +96,24 @@ class RootOfUnity:
         return f"zeta{self.modulus}^{self.exponent}"
 
 
-@dataclass(frozen=True)
-class FpElement:
+class FpElement(Frozen):
     """An element of the prime field F_p."""
 
-    p: int
-    value: int
+    __slots__ = ("p", "value")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"characteristic {self.p} is not prime")
-        object.__setattr__(self, "value", self.value % self.p)
+    def __init__(self, p: int, value: int):
+        if not is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
+        set_field(self, "p", p)
+        set_field(self, "value", value % p)
+
+    def __eq__(self, other):
+        if other.__class__ is not FpElement:
+            return NotImplemented
+        return self.p == other.p and self.value == other.value
+
+    def __hash__(self):
+        return hash((self.p, self.value))
 
     def _coerce(self, other) -> "FpElement":
         if isinstance(other, FpElement):

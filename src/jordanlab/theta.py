@@ -36,7 +36,6 @@ and each lift's n-th power read from its function's values (_liftable_basis).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -67,6 +66,7 @@ from .ellcurve import (
     weil_pairing,
 )
 from .finab import FinAbGroup
+from .frozen import Frozen, set_field
 from .heisenberg import HeisElement, label_commutator
 from .scalars import FpElement, RootOfUnity, mu_generator, multiplicative_order, nth_root
 
@@ -79,20 +79,28 @@ def check_theta_budget(n: int) -> None:
         raise BudgetExceeded(f"level {n} exceeds the mu-layer budget {THETA_BUDGET}")
 
 
-@dataclass(frozen=True)
-class ThetaElement:
+class ThetaElement(Frozen):
     """Pair (x, f) with div(f) = n(O) - n(-x); the scale of f is central data.
 
     Products keep the law, div(T_x^* h * f) = T_x^* div h + div f, so building
     one derives no divisor; certify_divisor checks it where a conclusion rests on it."""
 
-    level: int
-    x: CurvePoint
-    f: TrackedFunction
+    __slots__ = ("level", "x", "f")
 
-    def __post_init__(self):
-        if self.x.curve != self.f.curve:
+    def __init__(self, level: int, x: CurvePoint, f: TrackedFunction):
+        if x.curve != f.curve:
             raise LevelMismatch("point and function live on different curves")
+        set_field(self, "level", level)
+        set_field(self, "x", x)
+        set_field(self, "f", f)
+
+    def __eq__(self, other):
+        if other.__class__ is not ThetaElement:
+            return NotImplemented
+        return (self.level, self.x, self.f) == (other.level, other.x, other.f)
+
+    def __hash__(self):
+        return hash((self.level, self.x, self.f))
 
     @property
     def curve(self) -> Curve:
@@ -190,12 +198,25 @@ def theta_commutator(g: ThetaElement, h: ThetaElement) -> FpElement:
     return value
 
 
-@dataclass(frozen=True)
-class HofL:
+class HofL(Frozen):
     """The translation-stabilizer group of the level-n bundle: equals E[n]."""
 
-    level: int
-    elements: tuple[CurvePoint, ...]
+    __slots__ = ("level", "elements")
+
+    def __init__(self, level: int, elements: tuple[CurvePoint, ...]):
+        set_field(self, "level", level)
+        set_field(self, "elements", elements)
+
+    def __eq__(self, other):
+        if other.__class__ is not HofL:
+            return NotImplemented
+        return (self.level, self.elements) == (other.level, other.elements)
+
+    def __hash__(self):
+        return hash((self.level, self.elements))
+
+    def __repr__(self):
+        return f"HofL(level={self.level!r}, elements={self.elements!r})"
 
     @property
     def order(self) -> int:

@@ -1078,3 +1078,39 @@ def test_package_checks_nothing_with_assert():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} asserts on lines {lines}"
+
+
+def test_package_imports_no_dataclasses():
+    # each dataclass decoration execs its generated methods at import: plain slotted
+    # classes keep that, and the import of dataclasses and inspect, off every CLI start
+    for path in sorted((SRC / "jordanlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module]
+        assert not [name for name in imported if name.split(".")[0] == "dataclasses"], path.name
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import jordanlab.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["abstract", "--delta", "4"], THETA_N2,
+                                  ["nonjordan", "--n-max", "2"]])
+def test_claim_wall_s_times_each_claim_in_the_record_only(capsys, argv):
+    code, report, err = run_json(capsys, argv)
+    assert code == 0
+    times = report["claim_wall_s"]
+    assert list(times) == [c["id"] for c in report["claims"]]
+    assert all(t >= 0 and round(t, 3) == t for t in times.values())
+    # each is the time since the previous claim, or since the run started
+    assert sum(times.values()) <= report["wall_time_s"] + 0.0005 * (len(times) + 1)
+    assert all("wall_s" not in c for c in report["claims"])
+    assert "claim_wall_s" not in err
