@@ -385,8 +385,8 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     report.claim("mu-layer-closure", size == n ** 3, size * size,
                  detail=f"{size} elements, all words in the generators; "
                         "every product by induction")
-    clashes = size - len(set(layer))  # the labels are distinct: mu_labels orders all n^3
-    report.claim("transport-bijective", clashes == 0, size, clashes)
+    copies = Counter(layer)  # the labels are distinct: mu_labels orders all n^3
+    report.claim("transport-bijective", len(copies) == size, size, size - len(copies))
 
     def generator_claim(id: str, checked: int, detail: str, bad: list[tuple]) -> None:
         report.claim(id, not bad, checked, len(bad), _with_pair(detail, bad, "(g, c)"))
@@ -412,7 +412,7 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     t_pow = [(structure.t ** k).value for k in range(n)]
     gen = mu_generator(curve.p, n)
     embedded = [RootOfUnity(n, k).embed_in_field(curve.p, gen).value for k in range(n)]
-    coords = list(structure.decomposition.values())  # (i, j) of each point, in points order
+    coords = [structure.decomposition[x] for x in points]  # (i, j) of each point
     weil = weil_pairing_table(points, n, seed=seed)
     comm_bad = [] if iso_bad else [
         (structure.section[u], structure.section[v])
@@ -435,7 +435,6 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
                      for c, k in zip(gens, row) if birgroup.apply(maps[c], moved[g]) != moved[k]])
 
     # maps over one point are equal exactly when their value vectors are
-    copies = Counter(layer)
     first = next(([(elements[i], elements[layer.index(g, i + 1)])]
                   for i, g in enumerate(layer) if copies[g] > 1), [])
     report.claim("embed-injective", not first,
@@ -578,7 +577,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="largest n with brute-force exact minimum")
     p_table.add_argument("--theta-max", type=int, default=4,
                          help="largest n for which the curve transport is attempted")
-    p_table.add_argument("--seed", type=int, default=0)
+    p_table.add_argument("--seed", type=int, default=0,
+                         help="recorded in params only: no nonjordan step is random")
     return parser
 
 
@@ -610,6 +610,10 @@ def main(argv: list[str] | None = None) -> int:
         else:
             if args.n_max < 1:
                 raise BadArgument(f"--n-max must be at least 1, got {args.n_max}")
+            for flag, cap in (("--exhaustive-max", args.exhaustive_max),
+                              ("--theta-max", args.theta_max)):
+                if cap < 0:
+                    raise BadArgument(f"{flag} must be non-negative, got {cap}")
             report = run_nonjordan(args.n_max, args.p_max, args.exhaustive_max,
                                    args.theta_max, args.seed)
     except CertificateError as exc:  # a broken certificate fails the run; it is not bad input

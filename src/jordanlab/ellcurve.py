@@ -675,23 +675,6 @@ def function_values(fn: TrackedFunction, points: Sequence[CurvePoint]) -> list[i
     return _function_values(fn, [point._coords() for point in points])
 
 
-def translation_indices(points: Sequence[CurvePoint],
-                        moves: Sequence[CurvePoint]) -> list[list[int]]:
-    """table[i][k] is the index in points of points[k] + moves[i], summed on integer
-    coordinates; CertificateError unless every such sum lies in points."""
-    coords = [point._coords() for point in points]
-    where = {c: k for k, c in enumerate(coords)}
-    table = []
-    for move in moves:
-        points[0]._check(move)
-        curve, m = move.curve, move._coords()
-        row = [where.get(_affine_add(curve.p, curve.a.value, curve.b.value, q, m)) for q in coords]
-        if None in row:
-            raise CertificateError(f"translation by {move!r} does not map the points to themselves")
-        table.append(row)
-    return table
-
-
 def ratio_constant(f: TrackedFunction, g: TrackedFunction) -> FpElement:
     """The constant f/g for functions with equal divisors.
 

@@ -30,13 +30,15 @@ and B are evaluated there; t is the commutator of their two vectors, and every
 other vector is their product, as above.  The section objects are built on
 first use: they name elements and stay the oracle the tables are tested
 against.  The basis search works on integers too: one Weil pairing per curve,
-and each lift's n-th power read from its function's values (_liftable_basis).
+and each lift's n-th power multiplied out from its function's values
+(_liftable_basis).  Both read E[n], S and translation from one _Cosets per
+structure, where translation by E[n] is label arithmetic on generators G, H.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import (
     BasisMismatch,
@@ -62,7 +64,6 @@ from .ellcurve import (
     ratio_constant,
     same_function,
     torsion_subgroup,
-    translation_indices,
     weil_pairing,
 )
 from .finab import FinAbGroup
@@ -256,7 +257,7 @@ def symplectic_basis(curve: Curve, n: int) -> tuple[CurvePoint, CurvePoint]:
     n-th powers are n-th powers in F_p^*); the second condition is what makes
     the canonical section, and hence the structure transport, exist over F_p.
     """
-    (p1, _), (p2, _) = _liftable_basis(curve, n)
+    (p1, _), (p2, _) = _liftable_basis(_Cosets(curve, n))
     return p1, p2
 
 
@@ -277,50 +278,64 @@ def _coordinates(torsion: list[CurvePoint], n: int) -> tuple[CurvePoint, CurvePo
 
 
 class _Cosets:
-    """S = E(F_p) \\ E[n] as its cosets r + E[n], each listed as r + aG + bH in the
-    order of the labels (a, b) of x = aG + bH, so translation by x is label arithmetic."""
+    """E[n] and S = E(F_p) \\ E[n] of one curve, listed once for the basis search and
+    the theta layer.
 
-    def __init__(self, points: tuple[CurvePoint, ...], coords: dict[CurvePoint, tuple[int, int]],
-                 n: int):
-        self.coords, self.level = coords, n
-        torsion = sorted(coords, key=coords.get)
-        self.points: list[CurvePoint] = []
+    E[n] is written on the generators G, H of _coordinates: `points[a*n + b]` is
+    x = aG + bH, and `label` maps x to a*n + b.  S is listed by its cosets r + E[n],
+    each as r + aG + bH in label order, so translation by E[n] is label arithmetic:
+    `add[x][y]` is the label of x + y, `neg[x]` that of -x, `shift[x][k]` the index in
+    S of others[k] + x, and `origin` that of O.  MuTables checks these tables against
+    point addition."""
+
+    def __init__(self, curve: Curve, n: int):
+        points = enumerate_points(curve)
+        torsion = [x for x in torsion_subgroup(curve, n) if not x.is_infinity]
+        if len(torsion) + 1 != n * n:
+            raise NotAdmissible(f"{curve!r} does not carry full level-{n} structure")
+        if len(points) <= n * n:
+            raise NotAdmissible(
+                f"{curve!r} has no points outside the level-{n} part; evaluations degenerate"
+            )
+        if not torsion:
+            raise NotAdmissible(f"no admissible symplectic basis on {curve!r} at level {n}")
+        g, h, coords = _coordinates(torsion, n)
+        self.curve, self.level, self.p = curve, n, curve.p
+        self.torsion, self.generators = torsion, (g, h)  # E[n] but O, in point order
+        self.points = tuple(sorted(coords, key=coords.get))
+        self.label = {x: a * n + b for x, (a, b) in coords.items()}
+        self.origin = 0  # O = 0G + 0H
+        self.add = [[(a + c) % n * n + (b + d) % n for c in range(n) for d in range(n)]
+                    for a in range(n) for b in range(n)]
+        self.neg = [(-a) % n * n + (-b) % n for a in range(n) for b in range(n)]
+        others: list[CurvePoint] = []
         covered = set(coords)
         for r in points:
             if r not in covered:
-                coset = [r + y for y in torsion]
+                coset = [r + y for y in self.points]
                 covered.update(coset)
-                self.points.extend(coset)
-
-    def step(self, x: CurvePoint) -> list[int]:
-        """step[k] is the index of points[k] + x."""
-        n = self.level
-        a, b = self.coords[x]
-        within = [(i + a) % n * n + (j + b) % n for i in range(n) for j in range(n)]
-        return [base + k for base in range(0, len(self.points), n * n) for k in within]
+                others.extend(coset)
+        self.others = tuple(others)
+        self.shift = [[base + k for base in range(0, len(others), n * n) for k in row]
+                      for row in self.add]
 
 
-def _lift_power(n: int, x: CurvePoint, cosets: _Cosets) -> FpElement:
+def _lift_power(cosets: _Cosets, x: CurvePoint) -> FpElement:
     """The constant of theta_make(n, x)^n, evaluated on S = E(F_p) \\ E[n].
 
     That power is (O, F) with F(s) = prod_{k<n} f(s + kx) for the certified f of
-    theta_make(n, x), so div F = 0 and F is a constant.  F is read from f's value
-    vector on S, multiplied along the orbits of translation by x, and must take one
-    value on all of S."""
-    values = _values(theta_make(n, x), cosets.points)
-    p = x.curve.p
-    step = cosets.step(x)
-    power, at = values, step
-    for _ in range(n - 1):
-        power = [u * values[k] % p for u, k in zip(power, at)]
-        at = [step[k] for k in at]
-    if any(v != power[0] for v in power):
+    theta_make(n, x), so div F = 0 and F is a constant.  F is the n-th mu_product
+    power of f's value vector on S, and must take one value on all of S."""
+    n = cosets.level
+    lift = cosets.label[x], _values(theta_make(n, x), cosets.others)
+    values = reduce(lambda u, v: mu_product(cosets, u, v), [lift] * n)[1]
+    if any(v != values[0] for v in values):
         raise CertificateError(f"the level-{n} power of the lift over {x!r} takes "
-                               f"{len(set(power))} values on the points off E[{n}]")
-    return x.curve.fe(power[0])
+                               f"{len(set(values))} values on the points off E[{n}]")
+    return x.curve.fe(values[0])
 
 
-def _values(g: ThetaElement, others: list[CurvePoint]) -> list[int]:
+def _values(g: ThetaElement, others: tuple[CurvePoint, ...]) -> list[int]:
     """The value vector of g's function on S = others, which no atom of it meets."""
     values = function_values(g.f, others)
     if None in values:
@@ -329,7 +344,7 @@ def _values(g: ThetaElement, others: list[CurvePoint]) -> list[int]:
     return values
 
 
-def _liftable_basis(curve: Curve, n: int) -> tuple[tuple[CurvePoint, FpElement], ...]:
+def _liftable_basis(cosets: _Cosets) -> tuple[tuple[CurvePoint, FpElement], ...]:
     """symplectic_basis, each point x with the constant c of theta_make(n, x)^n,
     which decided that x lifts.
 
@@ -337,37 +352,28 @@ def _liftable_basis(curve: Curve, n: int) -> tuple[tuple[CurvePoint, FpElement],
     w = e_n(G, H), bilinearity gives e_n(aG + bH, cG + dH) = w^(ad - bc)
     (Silverman, AEC III.8.1), so each pair's pairing is an exponent.  The pairs
     are tried in the same order as ever, so the basis found is the same."""
-    points = enumerate_points(curve)
-    torsion = [x for x in torsion_subgroup(curve, n) if not x.is_infinity]
-    if len(torsion) + 1 != n * n:
-        raise NotAdmissible(f"{curve!r} does not carry full level-{n} structure")
-    if len(points) <= n * n:
-        raise NotAdmissible(
-            f"{curve!r} has no points outside the level-{n} part; evaluations degenerate"
-        )
-    if not torsion:
-        raise NotAdmissible(f"no admissible symplectic basis on {curve!r} at level {n}")
-    g, h, coords = _coordinates(torsion, n)
+    n, label = cosets.level, cosets.label
+    g, h = cosets.generators
     w = weil_pairing(g, h, n)
     if w.order() != n:
         raise CertificateError(f"e_{n}(G, H) = {w} is not primitive for the generators "
                                f"G = {g!r}, H = {h!r} of E[{n}]")
-    cosets = _Cosets(points, coords, n)
     power: dict[CurvePoint, FpElement | None] = {}  # c, or None when x does not lift
 
     def is_liftable(x: CurvePoint) -> bool:
         if x not in power:
-            c = _lift_power(n, x, cosets)
+            c = _lift_power(cosets, x)
             power[x] = c if nth_root(c, n) is not None else None
         return power[x] is not None
 
-    for p1 in torsion:
+    for p1 in cosets.torsion:
         if not is_liftable(p1):
             continue
-        for p2 in torsion:
-            if (w ** label_commutator(n, coords[p1], coords[p2])).order() == n and is_liftable(p2):
+        u = divmod(label[p1], n)  # (a, b) of p1 = aG + bH
+        for p2 in cosets.torsion:
+            if (w ** label_commutator(n, u, divmod(label[p2], n))).order() == n and is_liftable(p2):
                 return (p1, power[p1]), (p2, power[p2])
-    raise NotAdmissible(f"no admissible symplectic basis on {curve!r} at level {n}")
+    raise NotAdmissible(f"no admissible symplectic basis on {cosets.curve!r} at level {n}")
 
 
 class ThetaStructure:
@@ -382,13 +388,14 @@ class ThetaStructure:
     def __init__(self, curve: Curve, n: int):
         self.curve = curve
         self.level = n
-        (p1, c1), (p2, c2) = _liftable_basis(curve, n)
+        cosets = _Cosets(curve, n)
+        (p1, c1), (p2, c2) = _liftable_basis(cosets)
         self.basis = (p1, p2)
         self.lifts = self._order_n_lift(p1, c1), self._order_n_lift(p2, c2)
         self.decomposition = {i * p1 + j * p2: (i, j) for i in range(n) for j in range(n)}
         if len(self.decomposition) != n * n:
             raise CertificateError(f"{self.basis!r} does not generate E[{n}]")
-        self.tables = MuTables(self)
+        self.tables = MuTables(self, cosets)
         self.t = curve.fe(self.tables.t)
 
     def _order_n_lift(self, x: CurvePoint, c: FpElement) -> ThetaElement:
@@ -449,28 +456,33 @@ Values = tuple[int, tuple[int, ...]]
 class MuTables:
     """The mu_n layer as integer value vectors, multiplied out from the two lifts.
 
-    E[n] is indexed in decomposition order, with addition and negation tables;
-    `shift[x][k]` is the index in S of S[k] + P_x (translation by E[n] maps S to
-    itself), summed on integer coordinates, as A and B are evaluated: their atoms are
-    lines through points of E[n], so S meets no zero or pole.  mu_product keeps the
-    divisor law, so with A and B certified their vector commutator has divisor 0 over
-    O: t is its one value on S, a primitive n-th root.  Every other vector is
-    t^k s(i, j) = t^(k - ij) A^i B^j, whose divisor n(O) - n(-x) fixes it up to one
-    constant: equal vectors over the same point are equal theta elements.  `layer`
-    holds the n^3 elements in mu_elements order, `index` inverts it.
+    E[n], S and their translation tables are those of the structure's _Cosets, the
+    ones the basis search used; translation by the generators G and H is checked
+    against point addition on every point of S and of E[n] (CertificateError naming
+    the point), and theta-verify's action check extends that to all of E[n].  A and
+    B are evaluated on S on integer coordinates: their atoms are lines through points
+    of E[n], so S meets no zero or pole.  mu_product keeps the divisor law, so with A
+    and B certified their vector commutator has divisor 0 over O: t is its one value
+    on S, a primitive n-th root.  Every other vector is t^k s(i, j) =
+    t^(k - ij) A^i B^j, whose divisor n(O) - n(-x) fixes it up to one constant: equal
+    vectors over the same point are equal theta elements.  `layer` holds the n^3
+    elements in mu_elements order, `index` inverts it.
     """
 
-    def __init__(self, structure: ThetaStructure):
+    def __init__(self, structure: ThetaStructure, cosets: _Cosets):
         curve, n = structure.curve, structure.level
-        self.p = curve.p
-        self.points = tuple(structure.decomposition)
-        where = {x: i for i, x in enumerate(self.points)}
-        self.origin = where[curve.infinity()]
-        self.add = translation_indices(self.points, self.points)
-        self.neg = [where[-x] for x in self.points]
-        self.others = tuple(s for s in enumerate_points(curve) if s not in where)
-        self.shift = translation_indices(self.others, self.points)
-        lifts = [(where[g.x], tuple(_values(g, self.others))) for g in structure.lifts]
+        self.p, self.points, self.others = cosets.p, cosets.points, cosets.others
+        self.add, self.neg, self.shift = cosets.add, cosets.neg, cosets.shift
+        self.origin = cosets.origin
+        for x in cosets.generators:
+            column = cosets.label[x]
+            for listed, moved in ((self.others, self.shift[column]),
+                                  (self.points, [row[column] for row in self.add])):
+                for s, k in zip(listed, moved):
+                    if listed[k] != s + x:
+                        raise CertificateError(f"the label tables take {s!r} + {x!r} to "
+                                               f"{listed[k]!r}, not to {s + x!r}")
+        lifts = [(cosets.label[g.x], tuple(_values(g, self.others))) for g in structure.lifts]
         try:
             self.t = mu_commutator(self, *lifts)
             if multiplicative_order(curve.fe(self.t)) != n:
@@ -490,7 +502,7 @@ class MuTables:
         self.index = {g: e for e, g in enumerate(self.layer)}
 
 
-def mu_product(tables: MuTables, g: Values, h: Values) -> Values:
+def mu_product(tables: MuTables | _Cosets, g: Values, h: Values) -> Values:
     """theta_mul on value vectors: (x + y, T_x^* f_h * f_g)."""
     (x, f_g), (y, f_h) = g, h
     p = tables.p

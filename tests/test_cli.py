@@ -161,6 +161,9 @@ def test_table_format_goes_to_stdout(capsys):
     (["nonjordan", "--n-max", "2", "--p-max", "-1"], "--p-max must be non-negative"),
     (["abstract", "--delta", "4", "--budget", "0"], "--budget must be at least 1"),
     (["abstract", "--delta", "2", "--budget", "-3"], "--budget must be at least 1"),
+    (["nonjordan", "--n-max", "3", "--exhaustive-max", "-1"],
+     "--exhaustive-max must be non-negative"),
+    (["nonjordan", "--n-max", "2", "--theta-max", "-3"], "--theta-max must be non-negative"),
 ])
 def test_input_errors_exit_2(capsys, argv, message):
     assert main(argv) == 2
@@ -666,7 +669,7 @@ def test_exhaustive_budget_fails_before_any_row(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["--n-max", "3", "--exhaustive-max", "11"],
                                   ["--n-max", "11", "--exhaustive-max", "10"],
-                                  ["--n-max", "11", "--exhaustive-max", "-11"]])
+                                  ["--n-max", "11", "--exhaustive-max", "0"]])
 def test_exhaustive_budget_admits_the_sizes_it_builds(monkeypatch, argv):
     class RowStarted(Exception):
         pass
@@ -983,7 +986,7 @@ def rebuilt_tables(monkeypatch, structure, **doctored):
     with monkeypatch.context() as patch:
         for name, value in doctored.items():
             patch.setattr(theta, name, value)
-        tables = theta.MuTables(structure)
+        tables = theta.MuTables(structure, theta._Cosets(structure.curve, structure.level))
     monkeypatch.setattr(structure, "tables", tables)
     return tables
 
@@ -1009,7 +1012,8 @@ def translation_doctoring(structure):
 def test_doctored_layer_trust_root_exits_1(capsys, monkeypatch, doctoring, n, curve):
     # the layer rests on the two lift vectors and on mu_product; with either doctored
     # while the tables are built, t is not read off the commutator of the lifts, so no
-    # layer is built and the run exits 1 before any record
+    # layer is built and the run exits 1 before any record.  The basis search multiplies
+    # with mu_product too, so a doctored product stops the run earlier, at a lift power
     curve = theta.find_theta_curve(n) if curve is None else cli.Curve.make(*curve)
     structure = theta.theta_structure(curve, n)
     doctored = doctoring(structure)
@@ -1020,6 +1024,9 @@ def test_doctored_layer_trust_root_exits_1(capsys, monkeypatch, doctoring, n, cu
     monkeypatch.setattr(theta, "_STRUCTURES", {})  # built in the run, under the doctoring
     for name, value in doctored.items():
         monkeypatch.setattr(theta, name, value)
+    if doctoring is translation_doctoring:
+        with pytest.raises(CertificateError, match=f"the level-{n} power of the lift over ") as exc:
+            theta.symplectic_basis(curve, n)
     assert main(theta_argv(curve, n)) == 1
     out = capsys.readouterr()
     assert out.out == ""

@@ -28,12 +28,10 @@ from jordanlab.ellcurve import (
     miller_function,
     ratio_constant,
     torsion_subgroup,
-    translation_indices,
     weil_pairing,
 )
 from jordanlab.errors import (
     BudgetExceeded,
-    CertificateError,
     CurveMismatch,
     DegenerateAfterRetries,
     EvalAtSupport,
@@ -661,18 +659,6 @@ def test_function_values_match_the_call_at_every_point(curve, n):
     assert unevaluable  # zeros and poles of numerator and denominator lines are met
     with pytest.raises(CurveMismatch):
         function_values(miller_function(2, torsion_subgroup(C730, 2)[0]), [C1370.infinity()])
-
-
-def test_translation_indices_match_point_addition():
-    points = enumerate_points(C1370)
-    torsion = torsion_subgroup(C1370, 3)
-    table = translation_indices(points, torsion)
-    assert table == [[points.index(s + x) for s in points] for x in torsion]
-    others = [s for s in points if s not in torsion]
-    assert translation_indices(others, torsion) == [[others.index(s + x) for s in others]
-                                                    for x in torsion]
-    with pytest.raises(CertificateError, match="does not map the points to themselves"):
-        translation_indices(others, [others[0]])
 
 
 @pytest.mark.parametrize("curve, n", [(C730, 2), (C1370, 3)])

@@ -389,22 +389,22 @@ def test_non_primitive_t_is_a_certificate_error(capsys, monkeypatch):
 
 def test_basis_that_does_not_generate_is_a_certificate_error(capsys, monkeypatch):
     honest = theta._liftable_basis
-    monkeypatch.setattr(theta, "_liftable_basis", lambda curve, n: (honest(curve, n)[0],) * 2)
+    monkeypatch.setattr(theta, "_liftable_basis", lambda cosets: (honest(cosets)[0],) * 2)
     monkeypatch.setattr(theta, "_STRUCTURES", {})
     with pytest.raises(CertificateError, match=r"does not generate E\[3\]"):
         find_theta_curve(3)
     assert main(["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    p1 = honest(C3, 3)[0][0]
+    p1 = honest(theta._Cosets(C3, 3))[0][0]
     assert out.err == f"error: CertificateError: ({p1!r}, {p1!r}) does not generate E[3]\n"
 
 
 def test_lift_constant_without_a_root_is_a_certificate_error(monkeypatch):
     # 2 is no cube mod 13, so the doctored constant of P has no cube root
     honest = theta._liftable_basis
-    monkeypatch.setattr(theta, "_liftable_basis", lambda curve, n: tuple(
-        (x, c * 2 if i == 0 else c) for i, (x, c) in enumerate(honest(curve, n))))
+    monkeypatch.setattr(theta, "_liftable_basis", lambda cosets: tuple(
+        (x, c * 2 if i == 0 else c) for i, (x, c) in enumerate(honest(cosets))))
     monkeypatch.setattr(theta, "_STRUCTURES", {})
     assert nth_root(C3.fe(2), 3) is None
     with pytest.raises(CertificateError, match="no order-3 lift over "):
@@ -527,7 +527,7 @@ def test_structure_reuses_the_liftability_constant(monkeypatch):
                         lambda n, x, scale=1: made.append((x, scale)) or make(n, x, scale))
     monkeypatch.setattr(theta, "theta_power", lambda g, k: powers.append(g.x) or power(g, k))
     monkeypatch.setattr(theta, "_lift_power",
-                        lambda n, x, cosets: evaluated.append(x) or lift_power(n, x, cosets))
+                        lambda cosets, x: evaluated.append(x) or lift_power(cosets, x))
     structure = theta_structure(C3, 3)
     assert powers == []  # the n-th powers are evaluated, not multiplied out
     for x in structure.basis:
@@ -655,9 +655,9 @@ def same_basis_search(curve, n):
         old = old_liftable_basis(curve, n)
     except NotAdmissible:
         with pytest.raises(NotAdmissible):
-            theta._liftable_basis(curve, n)
+            theta._liftable_basis(theta._Cosets(curve, n))
         return False
-    assert theta._liftable_basis(curve, n) == old
+    assert theta._liftable_basis(theta._Cosets(curve, n)) == old
     assert symplectic_basis(curve, n) == (old[0][0], old[1][0])
     return True
 
@@ -666,21 +666,102 @@ def test_basis_equals_the_per_pair_search_on_the_pool():
     assert all(same_basis_search(Curve.make(*abc), 3) for abc in POOL[:20])
 
 
+def tried_curves(n):
+    """Every curve find_theta_curve(n) tries: those it refuses and the one it takes."""
+    found = theta_curve(n)
+    return [c for c in iter_admissible_curves(n, found.p)
+            if c.point_count() > n * n and (c.p, c.a.value, c.b.value) <=
+            (found.p, found.a.value, found.b.value)]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_basis_equals_the_per_pair_search_on_the_found_curves(n):
-    # every curve find_theta_curve tries: those it refuses and the one it takes
-    found = theta_curve(n)
-    tried = [c for c in iter_admissible_curves(n, found.p)
-             if c.point_count() > n * n and (c.p, c.a.value, c.b.value) <=
-             (found.p, found.a.value, found.b.value)]
-    assert [same_basis_search(c, n) for c in tried] == [c == found for c in tried]
+    tried = tried_curves(n)
+    assert [same_basis_search(c, n) for c in tried] == [c == theta_curve(n) for c in tried]
+
+
+def assert_label_tables_are_point_addition(curve, n):
+    """The tables of _Cosets, label arithmetic only, against CurvePoint addition."""
+    cosets = theta._Cosets(curve, n)
+    points, others = cosets.points, cosets.others
+    g, h = cosets.generators
+    assert points == tuple(a * g + b * h for a in range(n) for b in range(n))
+    assert cosets.label == {x: e for e, x in enumerate(points)}
+    assert set(points) == set(torsion_subgroup(curve, n))
+    assert cosets.torsion == [x for x in torsion_subgroup(curve, n) if not x.is_infinity]
+    assert points[cosets.origin] == curve.infinity()
+    assert [points[e] for e in cosets.neg] == [-x for x in points]
+    assert [[points[e] for e in row] for row in cosets.add] == [
+        [x + y for y in points] for x in points]
+    assert len(set(others)) == len(others) and set(others) == set(
+        enumerate_points(curve)) - set(points)
+    assert [[others[k] for k in row] for row in cosets.shift] == [
+        [s + x for s in others] for x in points]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_label_tables_are_point_addition_on_the_tried_curves(n):
+    for curve in tried_curves(n):
+        assert_label_tables_are_point_addition(curve, n)
+
+
+def test_label_tables_are_point_addition_on_the_pool():
+    for abc in POOL[:20]:
+        assert_label_tables_are_point_addition(Curve.make(*abc), 3)
+
+
+class TransposedCosets(theta._Cosets):
+    """x = aG + bH added as bG + aH: the label law with its coordinates transposed."""
+
+    def __init__(self, curve, n):
+        super().__init__(curve, n)
+        self.add = [[row[b * n + a] for a in range(n) for b in range(n)] for row in self.add]
+
+
+class SwappedCosets(theta._Cosets):
+    """S with its first two points swapped, the tables left as they were."""
+
+    def __init__(self, curve, n):
+        super().__init__(curve, n)
+        first, second, *rest = self.others
+        self.others = (second, first, *rest)
+
+
+@pytest.mark.parametrize("doctored", [TransposedCosets, SwappedCosets])
+@pytest.mark.parametrize("curve,n", [(C2, 2), (C3, 3)])
+def test_doctored_label_tables_exit_1(capsys, monkeypatch, doctored, curve, n):
+    # the check of the generators against point addition refuses the tables
+    with pytest.raises(CertificateError, match="the label tables take "):
+        theta.MuTables(theta_structure(curve, n), doctored(curve, n))
+    # in a run the basis search shares them, and whichever check comes first stops it
+    monkeypatch.setattr(theta, "_Cosets", doctored)
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    assert main(["theta-verify", "--n", str(n), "--p", str(curve.p),
+                 "--a", str(curve.a.value), "--b", str(curve.b.value)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: CertificateError: ")
+
+
+def test_a_structure_lists_s_once(monkeypatch):
+    built = []
+
+    class Counted(theta._Cosets):
+        def __init__(self, curve, n):
+            built.append((curve, n))
+            super().__init__(curve, n)
+
+    monkeypatch.setattr(theta, "_Cosets", Counted)
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    for curve, n in [(C2, 2), (C3, 3), (theta_curve(6), 6)]:
+        theta_structure(curve, n)
+        assert built == [(curve, n)]  # one S for the basis search and the layer
+        built.clear()
 
 
 def lift_constants(curve, n):
-    torsion = [x for x in torsion_subgroup(curve, n) if not x.is_infinity]
-    _, _, coords = theta._coordinates(torsion, n)
-    cosets = theta._Cosets(enumerate_points(curve), coords, n)
-    return {x: theta._lift_power(n, x, cosets) for x in coords}
+    cosets = theta._Cosets(curve, n)
+    return {x: theta._lift_power(cosets, x) for x in cosets.points}
 
 
 @pytest.mark.parametrize("curve,n", [(C2, 2), (C3, 3), (Curve.make(7, 0, 1), 2),
