@@ -9,6 +9,7 @@ skipped for budget reasons do not fail the run.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import operator
@@ -154,7 +155,7 @@ def _emit(report: RunReport, fmt: str) -> int:
     if fmt == "table":
         print(text)
     else:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report.to_dict()))  # one line, by json's C encoder
         print(text, file=sys.stderr)
     return 1 if report.failed else 0
 
@@ -344,12 +345,12 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
         report.wall_time_s = time.perf_counter() - start
         return report
 
-    level = h_of_level(curve, n)
-    report.claim("h-of-level-order", level.order == n * n, level.order,
-                 detail=f"order {level.order} == {n}^2")
-
+    level = h_of_level(curve, n)  # NotAdmissible on a curve without full level-n structure
     structure = theta_structure(curve, n)
-    elements = structure.mu_elements()
+    torsion, found = set(structure.tables.points), set(level.elements)
+    stray = [x for x in level.elements + structure.tables.points if (x in found) != (x in torsion)]
+    report.claim("h-of-level-order", level.order == n * n and not stray, n * n, len(stray),
+                 _with_pair(f"order {level.order} == {n}^2", [(x,) for x in stray[:1]], "x"))
 
     # every per-pair fact follows from checks on the generators s(1, 0) and s(0, 1), run
     # on the value vectors of the layer (theta.MuTables), with t^k s(i, j) labelled
@@ -372,11 +373,16 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
 
     labels = structure.mu_labels()
     gens = [labels.index((1, 0, 0)), labels.index((0, 1, 0))]
+
+    @functools.cache
+    def element(e: int):  # layer element e, built once, where a claim names or applies it
+        return structure.element(*labels[e])
+
     right = [[tables.index.get(mu_product(tables, g, layer[c])) for c in gens] for g in layer]
     escaped = [(g, c) for g, row in enumerate(right) for c, k in zip(gens, row) if k is None]
     if escaped:
         g, c = escaped[0]
-        raise CertificateError(f"product of (g, h) = ({elements[g]!r}, {elements[c]!r}) "
+        raise CertificateError(f"product of (g, h) = ({element(g)!r}, {element(c)!r}) "
                                f"leaves the mu_{n} layer")
     reached = reach(gens, lambda g: right[g])
     if len(reached) != size:
@@ -391,14 +397,14 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     def generator_claim(id: str, checked: int, detail: str, bad: list[tuple]) -> None:
         report.claim(id, not bad, checked, len(bad), _with_pair(detail, bad, "(g, c)"))
 
-    iso_bad = [(elements[g], elements[c]) for g, row in enumerate(right)
+    iso_bad = [(element(g), element(c)) for g, row in enumerate(right)
                for c, k in zip(gens, row) if labels[k] != label_product(n, labels[g], labels[c])]
     generator_claim("structure-isomorphism", size * size,
                     "labels checked on the generators, every pair by induction", iso_bad)
     # a group: right multiplication by a generator c permutes the layer, so some power
     # of c fixes every element; that power is the identity, and c, like every word in
     # the generators, has an inverse
-    perm_bad = [next((elements[g], elements[c]) for g, k in enumerate(col) if col.index(k) < g)
+    perm_bad = [next((element(g), element(c)) for g, k in enumerate(col) if col.index(k) < g)
                 for col, c in zip(zip(*right), gens) if len(set(col)) < size]
     generator_claim("theta-group-axioms", size ** 3,
                     "associativity from the translation action, identity and inverses "
@@ -427,15 +433,15 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     # agreeing at (S[0], 1), where embed(g) is read from g's vector, they agree everywhere
     moved = [birgroup.SamplePoint(others[shift[x][0]], curve.fe(values[0]))
              for x, values in layer]
-    maps = {c: birgroup.theta_embed(elements[c]) for c in gens}
+    maps = {c: birgroup.theta_embed(element(c)) for c in gens}
     generator_claim("embed-homomorphism", size * size,
                     f"the action at ({others[0]!r}, 1) checked on the generators, "
                     "every pair by induction",
-                    [(elements[g], elements[c]) for g, row in enumerate(right)
+                    [(element(g), element(c)) for g, row in enumerate(right)
                      for c, k in zip(gens, row) if birgroup.apply(maps[c], moved[g]) != moved[k]])
 
     # maps over one point are equal exactly when their value vectors are
-    first = next(([(elements[i], elements[layer.index(g, i + 1)])]
+    first = next(([(element(i), element(layer.index(g, i + 1)))]
                   for i, g in enumerate(layer) if copies[g] > 1), [])
     report.claim("embed-injective", not first,
                  sum(m * (m - 1) // 2 for m in Counter(x for x, _ in layer).values()),
@@ -452,7 +458,7 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
         b = rng.choice(range(size))
         s = rng.choice(samples)
         try:
-            first, second = birgroup.theta_embed(elements[a]), birgroup.theta_embed(elements[b])
+            first, second = birgroup.theta_embed(element(a)), birgroup.theta_embed(element(b))
             lhs = birgroup.apply(birgroup.compose(second, first), s)
             rhs = birgroup.apply(second, birgroup.apply(first, s))
         except Undefined:
@@ -566,7 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_theta.add_argument("--p", type=int)
     p_theta.add_argument("--a", type=int)
     p_theta.add_argument("--b", type=int)
-    p_theta.add_argument("--p-max", type=int, default=200,
+    p_theta.add_argument("--p-max", type=int, default=2000,
                          help="search bound when no curve is given")
     p_theta.add_argument("--seed", type=int, default=0)
 

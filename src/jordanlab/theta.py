@@ -25,20 +25,21 @@ the label law heisenberg.label_product on the generators s(1, 0) and s(0, 1).
 
 For those checks the layer is also held as integers (MuTables): each
 function as its value vector on the points outside E[n], where the product is
-a gather through a translation table and a pointwise multiply mod p.  Only A
-and B are evaluated there; t is the commutator of their two vectors, and every
-other vector is their product, as above.  The section objects are built on
-first use: they name elements and stay the oracle the tables are tested
-against.  The basis search works on integers too: one Weil pairing per curve,
-and each lift's n-th power multiplied out from its function's values
-(_liftable_basis).  Both read E[n], S and translation from one _Cosets per
-structure, where translation by E[n] is label arithmetic on generators G, H.
+a gather through a translation table and a pointwise multiply mod p.  The basis
+search builds, certifies and evaluates each Miller lift once and multiplies its
+n-th power out of its values (_liftable_basis, one Weil pairing per curve); A
+and B are the two lifts it takes, rescaled with their vectors.  t is the
+commutator of those vectors, and every other vector is their product, as above.
+The section objects are built on first use: they name elements and stay the
+oracle the tables are tested against.  E[n], S and translation come from one
+_Cosets per structure, where translation by E[n] is label arithmetic on
+generators G, H; the labels of P and Q give iP + jQ.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 from .errors import (
     BasisMismatch,
@@ -60,6 +61,7 @@ from .ellcurve import (
     TrackedFunction,
     enumerate_points,
     function_values,
+    iter_admissible_curves,
     miller_function,
     ratio_constant,
     same_function,
@@ -122,8 +124,8 @@ class ThetaElement(Frozen):
 
 def certify_divisor(g: ThetaElement) -> ThetaElement:
     """g, once div f is derived from its atoms and found to be n(O) - n(-x).  Run on
-    theta_make's output: the f whose n-th power _lift_power evaluates, and the lifts A
-    and B that MuTables multiplies out.  theta_commutator, an oracle, runs it too."""
+    theta_make's output: the lift whose n-th power _lift_power evaluates, and which A
+    or B rescales.  theta_commutator, an oracle, runs it too."""
     curve, n = g.curve, g.level
     expected = Divisor.of(curve, [(curve.infinity(), n), (-g.x, -n)])  # 0 over O
     got = g.f.divisor()
@@ -228,21 +230,19 @@ def h_of_level(curve: Curve, n: int) -> HofL:
     """Points x with n*x fixing the degree-one bundle, computed via principality.
 
     The base stabilizer {x : (O) - (-x) principal} is trivial on an elliptic
-    curve, so the level-n stabilizer is exactly E[n]; the order n^2 is
-    asserted and failure means the curve lacks full level-n structure.
+    curve, so the level-n stabilizer is exactly E[n], the torsion_subgroup _Cosets
+    reads; the order n^2 is asserted and failure means the curve lacks full
+    level-n structure.
     """
-    points = enumerate_points(curve)
-    base = [x for x in points
+    base = [x for x in enumerate_points(curve)
             if Divisor.of(curve, [(curve.infinity(), 1), (-x, -1)]).is_principal()]
     if base != [curve.infinity()]:
         raise CertificateError(f"base stabilizer should be trivial, got {base!r}")
-    base_set = set(base)
-    level = [x for x in points if (n * x) in base_set]
+    level = torsion_subgroup(curve, n)  # in point order, as HofL lists it
     if len(level) != n * n:
         raise NotAdmissible(
-            f"{curve!r} carries only {len(level)} of the required {n * n} level-{n} points"
-        )
-    return HofL(n, tuple(sorted(level, key=CurvePoint.sort_key)))
+            f"{curve!r} carries only {len(level)} of the required {n * n} level-{n} points")
+    return HofL(n, level)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +257,7 @@ def symplectic_basis(curve: Curve, n: int) -> tuple[CurvePoint, CurvePoint]:
     n-th powers are n-th powers in F_p^*); the second condition is what makes
     the canonical section, and hence the structure transport, exist over F_p.
     """
-    (p1, _), (p2, _) = _liftable_basis(_Cosets(curve, n))
-    return p1, p2
+    return tuple(g.x for g, _, _ in _liftable_basis(_Cosets(curve, n)))
 
 
 def _coordinates(torsion: list[CurvePoint], n: int) -> tuple[CurvePoint, CurvePoint,
@@ -295,8 +294,7 @@ class _Cosets:
             raise NotAdmissible(f"{curve!r} does not carry full level-{n} structure")
         if len(points) <= n * n:
             raise NotAdmissible(
-                f"{curve!r} has no points outside the level-{n} part; evaluations degenerate"
-            )
+                f"{curve!r} has no points outside the level-{n} part; evaluations degenerate")
         if not torsion:
             raise NotAdmissible(f"no admissible symplectic basis on {curve!r} at level {n}")
         g, h, coords = _coordinates(torsion, n)
@@ -320,33 +318,34 @@ class _Cosets:
                       for row in self.add]
 
 
-def _lift_power(cosets: _Cosets, x: CurvePoint) -> FpElement:
-    """The constant of theta_make(n, x)^n, evaluated on S = E(F_p) \\ E[n].
-
-    That power is (O, F) with F(s) = prod_{k<n} f(s + kx) for the certified f of
-    theta_make(n, x), so div F = 0 and F is a constant.  F is the n-th mu_product
-    power of f's value vector on S, and must take one value on all of S."""
-    n = cosets.level
-    lift = cosets.label[x], _values(theta_make(n, x), cosets.others)
-    values = reduce(lambda u, v: mu_product(cosets, u, v), [lift] * n)[1]
-    if any(v != values[0] for v in values):
-        raise CertificateError(f"the level-{n} power of the lift over {x!r} takes "
-                               f"{len(set(values))} values on the points off E[{n}]")
-    return x.curve.fe(values[0])
+Values = tuple[int, tuple[int, ...]]  # (label of x in E[n], values on S) of a function over x
+Lift = tuple[ThetaElement, Values, FpElement]  # certified lift over x, its Values, c of its power
 
 
-def _values(g: ThetaElement, others: tuple[CurvePoint, ...]) -> list[int]:
-    """The value vector of g's function on S = others, which no atom of it meets."""
+def _lift_power(cosets: _Cosets, x: CurvePoint) -> Lift:
+    """The certified g = theta_make(n, x), its vector on S = E(F_p) \\ E[n], which no
+    atom of g meets, and the constant of g^n evaluated there.
+
+    That power is (O, F) with F(s) = prod_{k<n} f(s + kx) for the function f of g,
+    so div F = 0 and F is a constant.  F is the n-th mu_product power of f's value
+    vector on S, and must take one value on all of S."""
+    n, others = cosets.level, cosets.others
+    g = theta_make(n, x)
     values = function_values(g.f, others)
     if None in values:
-        raise CertificateError(f"{g!r} has a zero or pole off E[{g.level}] at "
+        raise CertificateError(f"{g!r} has a zero or pole off E[{n}] at "
                                f"{others[values.index(None)]!r}")
-    return values
+    lift = cosets.label[x], tuple(values)
+    power = reduce(lambda u, v: mu_product(cosets, u, v), [lift] * n)[1]
+    if any(v != power[0] for v in power):
+        raise CertificateError(f"the level-{n} power of the lift over {x!r} takes "
+                               f"{len(set(power))} values on the points off E[{n}]")
+    return g, lift, x.curve.fe(power[0])
 
 
-def _liftable_basis(cosets: _Cosets) -> tuple[tuple[CurvePoint, FpElement], ...]:
-    """symplectic_basis, each point x with the constant c of theta_make(n, x)^n,
-    which decided that x lifts.
+def _liftable_basis(cosets: _Cosets) -> tuple[Lift, Lift]:
+    """symplectic_basis, each point x as its _lift_power: the certified lift, its
+    vector on S and the constant c of its n-th power, which decided that x lifts.
 
     The Weil pairing is computed once: with E[n] written on generators G, H and
     w = e_n(G, H), bilinearity gives e_n(aG + bH, cG + dH) = w^(ad - bc)
@@ -358,22 +357,33 @@ def _liftable_basis(cosets: _Cosets) -> tuple[tuple[CurvePoint, FpElement], ...]
     if w.order() != n:
         raise CertificateError(f"e_{n}(G, H) = {w} is not primitive for the generators "
                                f"G = {g!r}, H = {h!r} of E[{n}]")
-    power: dict[CurvePoint, FpElement | None] = {}  # c, or None when x does not lift
-
-    def is_liftable(x: CurvePoint) -> bool:
-        if x not in power:
-            c = _lift_power(cosets, x)
-            power[x] = c if nth_root(c, n) is not None else None
-        return power[x] is not None
+    @cache
+    def liftable(x: CurvePoint) -> Lift | None:  # None when x does not lift
+        lift = _lift_power(cosets, x)
+        return lift if nth_root(lift[2], n) is not None else None
 
     for p1 in cosets.torsion:
-        if not is_liftable(p1):
+        if liftable(p1) is None:
             continue
         u = divmod(label[p1], n)  # (a, b) of p1 = aG + bH
         for p2 in cosets.torsion:
-            if (w ** label_commutator(n, u, divmod(label[p2], n))).order() == n and is_liftable(p2):
-                return (p1, power[p1]), (p2, power[p2])
+            if (w ** label_commutator(n, u, divmod(label[p2], n))).order() == n and liftable(p2):
+                return liftable(p1), liftable(p2)
     raise NotAdmissible(f"no admissible symplectic basis on {cosets.curve!r} at level {n}")
+
+
+def _order_n_lift(g: ThetaElement, values: Values, c: FpElement) -> tuple[ThetaElement, Values]:
+    """kappa * g and its vector times kappa, for the _lift_power (g, vector, c) of x:
+    the n-th power kappa^n c is 1.  _liftable_basis took x because c is an n-th power,
+    so 1/c is one too."""
+    n, p = g.level, g.curve.p
+    kappa = nth_root(c.inverse(), n)
+    if kappa is None:
+        raise CertificateError(f"no order-{n} lift over {g.x!r}, which the basis search took")
+    if kappa ** n * c != g.curve.fe(1):
+        raise CertificateError("rescaled lift failed to have exact order n")
+    x, f = values
+    return g.scaled(kappa), (x, tuple(v * kappa.value % p for v in f))
 
 
 class ThetaStructure:
@@ -386,29 +396,18 @@ class ThetaStructure:
     """
 
     def __init__(self, curve: Curve, n: int):
-        self.curve = curve
-        self.level = n
+        self.curve, self.level = curve, n
         cosets = _Cosets(curve, n)
-        (p1, c1), (p2, c2) = _liftable_basis(cosets)
-        self.basis = (p1, p2)
-        self.lifts = self._order_n_lift(p1, c1), self._order_n_lift(p2, c2)
-        self.decomposition = {i * p1 + j * p2: (i, j) for i in range(n) for j in range(n)}
+        (a, a_values), (b, b_values) = (_order_n_lift(*lift) for lift in _liftable_basis(cosets))
+        self.basis, self.lifts = (a.x, b.x), (a, b)
+        # iP + jQ = (i pa + j qa)G + (i pb + j qb)H, read off the labels of P and Q
+        (pa, pb), (qa, qb) = (divmod(cosets.label[x], n) for x in self.basis)
+        self.decomposition = {cosets.points[(i * pa + j * qa) % n * n + (i * pb + j * qb) % n]:
+                              (i, j) for i in range(n) for j in range(n)}
         if len(self.decomposition) != n * n:
             raise CertificateError(f"{self.basis!r} does not generate E[{n}]")
-        self.tables = MuTables(self, cosets)
+        self.tables = MuTables(self, cosets, a_values, b_values)
         self.t = curve.fe(self.tables.t)
-
-    def _order_n_lift(self, x: CurvePoint, c: FpElement) -> ThetaElement:
-        """kappa * theta_make(n, x), whose n-th power kappa^n c is 1, given the
-        constant c of theta_make(n, x)^n that _lift_power evaluated.  _liftable_basis
-        took x because c is an n-th power, so 1/c is one too."""
-        n = self.level
-        kappa = nth_root(c.inverse(), n)
-        if kappa is None:
-            raise CertificateError(f"no order-{n} lift over {x!r}, which the basis search took")
-        if kappa ** n * c != self.curve.fe(1):
-            raise CertificateError("rescaled lift failed to have exact order n")
-        return theta_make(n, x, kappa)
 
     @cached_property
     def section(self) -> dict[tuple[int, int], ThetaElement]:
@@ -444,13 +443,13 @@ class ThetaStructure:
         return sorted(itertools.product(range(self.level), repeat=3),
                       key=lambda ijk: (point[ijk[:2]].sort_key(), ijk[2]))
 
+    def element(self, i: int, j: int, k: int) -> ThetaElement:
+        """t^k s(i, j), the mu layer element labelled (i, j, k)."""
+        return self.section[(i, j)].scaled(self.t ** k)
+
     def mu_elements(self) -> list[ThetaElement]:
         """All n^3 elements with a mu_n scale over the canonical section."""
-        return [self.section[(i, j)].scaled(self.t ** k) for i, j, k in self.mu_labels()]
-
-
-# (index of the point in E[n], value vector on S = E(F_p) \ E[n]) of a function over it
-Values = tuple[int, tuple[int, ...]]
+        return [self.element(*ijk) for ijk in self.mu_labels()]
 
 
 class MuTables:
@@ -460,16 +459,15 @@ class MuTables:
     ones the basis search used; translation by the generators G and H is checked
     against point addition on every point of S and of E[n] (CertificateError naming
     the point), and theta-verify's action check extends that to all of E[n].  A and
-    B are evaluated on S on integer coordinates: their atoms are lines through points
-    of E[n], so S meets no zero or pole.  mu_product keeps the divisor law, so with A
-    and B certified their vector commutator has divisor 0 over O: t is its one value
-    on S, a primitive n-th root.  Every other vector is t^k s(i, j) =
+    B come with their vectors from the basis search.  mu_product keeps the divisor
+    law, so with A and B certified their vector commutator has divisor 0 over O: t is
+    its one value on S, a primitive n-th root.  Every other vector is t^k s(i, j) =
     t^(k - ij) A^i B^j, whose divisor n(O) - n(-x) fixes it up to one constant: equal
     vectors over the same point are equal theta elements.  `layer` holds the n^3
     elements in mu_elements order, `index` inverts it.
     """
 
-    def __init__(self, structure: ThetaStructure, cosets: _Cosets):
+    def __init__(self, structure: ThetaStructure, cosets: _Cosets, *lifts: Values):
         curve, n = structure.curve, structure.level
         self.p, self.points, self.others = cosets.p, cosets.points, cosets.others
         self.add, self.neg, self.shift = cosets.add, cosets.neg, cosets.shift
@@ -482,7 +480,6 @@ class MuTables:
                     if listed[k] != s + x:
                         raise CertificateError(f"the label tables take {s!r} + {x!r} to "
                                                f"{listed[k]!r}, not to {s + x!r}")
-        lifts = [(cosets.label[g.x], tuple(_values(g, self.others))) for g in structure.lifts]
         try:
             self.t = mu_commutator(self, *lifts)
             if multiplicative_order(curve.fe(self.t)) != n:
@@ -531,10 +528,9 @@ _STRUCTURES: dict[tuple[Curve, int], ThetaStructure] = {}
 
 
 def theta_structure(curve: Curve, n: int) -> ThetaStructure:
-    key = (curve, n)
-    if key not in _STRUCTURES:
-        _STRUCTURES[key] = ThetaStructure(curve, n)
-    return _STRUCTURES[key]
+    if (curve, n) not in _STRUCTURES:
+        _STRUCTURES[curve, n] = ThetaStructure(curve, n)
+    return _STRUCTURES[curve, n]
 
 
 def theta_to_heisenberg(g: ThetaElement, basis: tuple[CurvePoint, CurvePoint]) -> HeisElement:
@@ -542,19 +538,16 @@ def theta_to_heisenberg(g: ThetaElement, basis: tuple[CurvePoint, CurvePoint]) -
     structure = theta_structure(g.curve, g.level)
     if tuple(basis) != structure.basis:
         raise BasisMismatch(
-            f"transport is built on basis {structure.basis!r}, got {tuple(basis)!r}"
-        )
+            f"transport is built on basis {structure.basis!r}, got {tuple(basis)!r}")
     return structure.to_heisenberg(g)
 
 
 def theta_enumerate_mu(curve: Curve, n: int) -> list[ThetaElement]:
     """The full mu_n layer: the n^3 elements over the canonical section.
 
-    Multiplies nothing.  Closure of the layer is certified by `theta-verify`
-    (cli.run_theta_verify): it looks up each product of a layer element with
-    s(1, 0) and s(0, 1) in MuTables.index, fails the run if one escapes or if
-    these steps do not reach the whole layer from the generators, and gets every
-    other product as a chain of such steps.
+    Multiplies nothing.  `theta-verify` certifies closure: each product with s(1, 0)
+    or s(0, 1) must lie in MuTables.index, these steps must reach the whole layer
+    from the generators, and every other product is a chain of such steps.
     """
     check_theta_budget(n)
     return theta_structure(curve, n).mu_elements()
@@ -581,8 +574,6 @@ def orientation_sigma(curve: Curve, n: int) -> int:
 
 def find_theta_curve(n: int, p_max: int = 200) -> Curve:
     """First curve (by p, a, b) whose level-n structure transports over F_p."""
-    from .ellcurve import iter_admissible_curves
-
     if n == 1:
         raise ValueError("level 1 is trivial; any curve works")
     for curve in iter_admissible_curves(n, p_max):

@@ -116,6 +116,23 @@ def test_theta_verify_explicit_curve(capsys):
     assert ids["compose-semantics"]["checked"] >= 100
 
 
+def test_stray_h_of_level_point_fails_its_claim(capsys, monkeypatch):
+    # one point of E[3] swapped for a point off it: H(L) is compared with the E[3] the
+    # structure is built on, after h_of_level has let the curve through
+    curve = cli.Curve.make(13, 7, 0)
+    honest = theta.h_of_level(curve, 3)
+    off = next(x for x in ellcurve.enumerate_points(curve) if x not in honest.elements)
+    swapped = theta.HofL(3, (off,) + honest.elements[1:])
+    monkeypatch.setattr(cli, "h_of_level", lambda c, n: swapped if (c, n) == (curve, 3)
+                        else pytest.fail("h_of_level on another curve"))
+    code, report, _ = run_json(capsys, THETA_N3)
+    assert code == 1
+    first = report["claims"][0]
+    assert first == {"id": "h-of-level-order", "status": "failed", "checked": 9, "failures": 2,
+                     "detail": f"order 9 == 3^2; first counterexample x = {off!r}"}
+    assert all(c["status"] == "verified" for c in report["claims"][1:])
+
+
 def test_theta_verify_rejects_inadmissible(capsys):
     code = main(["theta-verify", "--n", "3", "--p", "7", "--a", "3", "--b", "0"])
     assert code == 2
@@ -148,6 +165,18 @@ def test_table_format_goes_to_stdout(capsys):
     assert "min_abelian_index" in out.out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out.out)
+
+
+def test_record_is_one_line_of_json(capsys, monkeypatch):
+    # compact, so json uses its C encoder; the record loads back to the dict it came from
+    records, honest = [], cli.RunReport.to_dict
+    monkeypatch.setattr(cli.RunReport, "to_dict", lambda self: records.append(honest(self))
+                        or records[-1])
+    assert main(["curve-search", "--n", "2", "--p-max", "40"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert len(records) == 1 and len(records[0]["rows"]) == 693
+    assert json.loads(out) == records[0]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -796,6 +825,39 @@ def test_unfaithful_translation_exits_1(capsys, monkeypatch):
 THETA_N3 = ["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0"]
 
 
+def test_label_sum_wrong_off_the_generator_columns_exits_1(capsys, monkeypatch):
+    # add[4][4] lies outside the columns of the generators G and H, the only ones MuTables
+    # checks against point addition; the all-pairs action check must catch it
+    class Doctored(theta._Cosets):
+        def __init__(self, curve, n):
+            super().__init__(curve, n)
+            assert [self.label[x] for x in self.generators] == [3, 1]
+            self.add[4][4] = (self.add[4][4] + 1) % (n * n)
+
+    monkeypatch.setattr(theta, "_Cosets", Doctored)
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    assert main(THETA_N3) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    points = theta.theta_structure(cli.Curve.make(13, 7, 0), 3).tables.points
+    assert out.err.startswith(f"error: CertificateError: translation by (x, y) = "
+                              f"({points[4]!r}, {points[4]!r}) is not by x then by y at ")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_theta_verify_builds_no_full_object_layer(capsys, monkeypatch, n):
+    argv = ["theta-verify", "--n", str(n)]
+    _, honest, _ = run_json(capsys, argv)
+    monkeypatch.setattr(theta.ThetaStructure, "mu_elements",
+                        lambda self: pytest.fail("mu_elements called"))
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    code, report, _ = run_json(capsys, argv)
+    assert code == 0
+    for record in (honest, report):
+        del record["wall_time_s"], record["claim_wall_s"]
+    assert report == honest
+
+
 def test_corrupted_product_fails_at_the_first_generator_pair(capsys, monkeypatch):
     curve = cli.Curve.make(13, 7, 0)
     c = generators(curve, 3)[1]
@@ -981,26 +1043,30 @@ def test_generator_checks_match_the_pair_loop_on_doctored_cases(capsys, monkeypa
 
 
 def rebuilt_tables(monkeypatch, structure, **doctored):
-    """structure.tables built again with the names in doctored replaced in theta while it
-    is built; the honest tables come back when the test ends."""
+    """structure.tables built again from the honest basis search's lifts, with the names
+    in doctored replaced in theta while the lifts are rescaled and the tables built; the
+    honest tables come back when the test ends."""
+    cosets = theta._Cosets(structure.curve, structure.level)
+    lifts = theta._liftable_basis(cosets)
     with monkeypatch.context() as patch:
         for name, value in doctored.items():
             patch.setattr(theta, name, value)
-        tables = theta.MuTables(structure, theta._Cosets(structure.curve, structure.level))
+        tables = theta.MuTables(structure, cosets, *(theta._order_n_lift(*g)[1] for g in lifts))
     monkeypatch.setattr(structure, "tables", tables)
     return tables
 
 
 def lift_doctoring(structure):  # one value of the vector of A doubled
-    honest, lift = theta._values, structure.lifts[0]
-    # the Miller lift whose n-th power the basis search evaluates is left honest
-    assert theta.theta_make(structure.level, lift.x).f != lift.f
+    # once rescaled: the vector whose n-th power the basis search evaluates is left honest
+    honest, lift = theta._order_n_lift, structure.lifts[0]
 
-    def doctored(g, others):
-        values = honest(g, others)
-        return [values[0] * 2 % structure.curve.p] + values[1:] if g.f == lift.f else values
+    def doctored(g, values, c):
+        scaled, (x, f) = honest(g, values, c)
+        if scaled == lift:
+            f = (f[0] * 2 % structure.curve.p,) + f[1:]
+        return scaled, (x, f)
 
-    return {"_values": doctored}
+    return {"_order_n_lift": doctored}
 
 
 def translation_doctoring(structure):
@@ -1034,23 +1100,28 @@ def test_doctored_layer_trust_root_exits_1(capsys, monkeypatch, doctoring, n, cu
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_theta_verify_evaluates_two_functions_and_applies_two_maps(capsys, monkeypatch, n):
+def test_theta_verify_evaluates_each_tried_lift_once_and_applies_two_maps(capsys, monkeypatch, n):
     curve = theta.find_theta_curve(n)
-    structure = theta.theta_structure(curve, n)
-    evaluated, applied = [], []
-    values, apply = theta.function_values, birgroup.apply
+    evaluated, applied, tried = [], [], []
+    values, apply, lift_power = theta.function_values, birgroup.apply, theta._lift_power
     monkeypatch.setattr(theta, "function_values",
                         lambda fn, points: evaluated.append(fn) or values(fn, points))
+    monkeypatch.setattr(theta, "_lift_power",
+                        lambda cosets, x: tried.append(x) or lift_power(cosets, x))
     monkeypatch.setattr(birgroup, "apply", lambda a, s: applied.append(a) or apply(a, s))
-    # A and B were certified when made; the tables and the run certify no divisor
-    monkeypatch.setattr(theta, "certify_divisor", lambda g: pytest.fail("certify_divisor called"))
-    rebuilt_tables(monkeypatch, structure)
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    structure = theta.theta_structure(curve, n)
+    # the basis search evaluates the Miller lift over each point it tries, once; A and B
+    # are two of those lifts rescaled, and building the tables evaluates nothing more
+    assert len(set(tried)) == len(tried) and set(structure.basis) <= set(tried)
+    assert evaluated == [theta.theta_make(n, x).f for x in tried]
     assert not hasattr(structure.tables, "section")
-    assert evaluated == [lift.f for lift in structure.lifts]
+    # A and B were certified when made; the run certifies no divisor
+    monkeypatch.setattr(theta, "certify_divisor", lambda g: pytest.fail("certify_divisor called"))
     code, report, _ = run_json(capsys, theta_argv(curve, n))
     assert code == 0
     assert all(c["status"] == "verified" for c in report["claims"])
-    assert len(evaluated) == 2  # the run evaluates nothing more on S
+    assert len(evaluated) == len(tried)  # the run evaluates nothing more on S
     # embed-homomorphism applies the maps of the two generators, once per element each;
     # then compose-semantics applies at most three maps per sample it draws
     assert len({id(a) for a in applied[:2 * n ** 3]}) == 2

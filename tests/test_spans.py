@@ -75,6 +75,17 @@ def test_per_op_imports_resolve(spans):
         assert hasattr(importlib.import_module(module), attr), f"{module}.{attr} is gone"
 
 
+def test_theta_structure_keeps_what_per_op_reads(spans):
+    # per_op reads the basis and the object layer off a level-3 structure
+    source = inspect.getsource(spans.per_op)
+    assert "structure.basis" in source and "structure.mu_elements()" in source
+    from jordanlab.ellcurve import Curve
+    from jordanlab.theta import ThetaStructure, theta_structure
+    structure = theta_structure(Curve.make(13, 7, 0), 3)
+    assert isinstance(structure, ThetaStructure) and callable(ThetaStructure.mu_elements)
+    assert len(structure.basis) == 2 and len(structure.mu_elements()) == 27
+
+
 def test_tracer_installs_and_every_benchmark_span_exists():
     # in a child interpreter: install() rebinds names across the whole package
     script = (

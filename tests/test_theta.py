@@ -12,6 +12,7 @@ from jordanlab import cli, ellcurve, theta
 from jordanlab.cli import main
 from jordanlab.ellcurve import (
     Curve,
+    CurvePoint,
     Divisor,
     TrackedFunction,
     affine_points,
@@ -76,6 +77,27 @@ def test_h_of_level_orders():
     level3 = h_of_level(C3, 3)
     assert level3.order == 9
     assert set(level3.elements) == set(torsion_subgroup(C3, 3))
+
+
+def test_h_of_level_reads_e_n_without_multiplying_by_n(monkeypatch):
+    torsion_subgroup(C3, 3)  # E[3], listed once for the structure
+    factors, honest = [], CurvePoint.__rmul__
+    monkeypatch.setattr(CurvePoint, "__rmul__", lambda x, k: factors.append(k) or honest(x, k))
+    assert h_of_level(C3, 3).elements == torsion_subgroup(C3, 3)
+    assert factors and set(factors) <= {-1, 1}  # the principality scan's point sums only
+
+
+def test_theta_verify_lists_e_n_once_per_curve(monkeypatch):
+    listed, honest = [], ellcurve.torsion_subgroup.__wrapped__
+    counted = functools.lru_cache(maxsize=None)(
+        lambda curve, n: listed.append((curve, n)) or honest(curve, n))
+    monkeypatch.setattr(theta, "torsion_subgroup", counted)
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    assert main(["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0"]) == 0
+    assert listed == [(C3, 3)]
+    listed.clear()
+    assert main(["theta-verify", "--n", "4"]) == 0  # the search tries several curves
+    assert (theta_curve(4), 4) in listed and len(set(listed)) == len(listed)
 
 
 def test_h_of_level_not_admissible():
@@ -396,7 +418,7 @@ def test_basis_that_does_not_generate_is_a_certificate_error(capsys, monkeypatch
     assert main(["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    p1 = honest(theta._Cosets(C3, 3))[0][0]
+    p1 = honest(theta._Cosets(C3, 3))[0][0].x
     assert out.err == f"error: CertificateError: ({p1!r}, {p1!r}) does not generate E[3]\n"
 
 
@@ -404,7 +426,7 @@ def test_lift_constant_without_a_root_is_a_certificate_error(monkeypatch):
     # 2 is no cube mod 13, so the doctored constant of P has no cube root
     honest = theta._liftable_basis
     monkeypatch.setattr(theta, "_liftable_basis", lambda cosets: tuple(
-        (x, c * 2 if i == 0 else c) for i, (x, c) in enumerate(honest(cosets))))
+        (g, values, c * 2 if i == 0 else c) for i, (g, values, c) in enumerate(honest(cosets))))
     monkeypatch.setattr(theta, "_STRUCTURES", {})
     assert nth_root(C3.fe(2), 3) is None
     with pytest.raises(CertificateError, match="no order-3 lift over "):
@@ -511,7 +533,9 @@ def test_structure_certifies_the_lifts_and_t_and_no_section_element(monkeypatch)
     structure = theta_structure(C3, 3)
     assert structure.tables.layer  # multiplied out from the lifts, certifying nothing more
     assert structure.section  # built on first use, certifying nothing either
-    assert all(any(g is c for c in certified) for g in structure.lifts)
+    # A and B are certified lifts rescaled: a constant leaves the divisor as it is
+    assert all(any(g.x == c.x and g.f.atoms == c.f.atoms for c in certified)
+               for g in structure.lifts)
     assert not any(g is c for g in structure.section.values() for c in certified)
     # certify_divisor sees theta_make's outputs only; t is read off the vector
     # commutator of the lifts, and the certified object commutator agrees
@@ -521,20 +545,25 @@ def test_structure_certifies_the_lifts_and_t_and_no_section_element(monkeypatch)
 
 def test_structure_reuses_the_liftability_constant(monkeypatch):
     monkeypatch.setattr(theta, "_STRUCTURES", {})
-    made, powers, evaluated = [], [], []
+    made, powers, evaluated, valued = [], [], [], []
     make, power, lift_power = theta.theta_make, theta.theta_power, theta._lift_power
+    values = theta.function_values
     monkeypatch.setattr(theta, "theta_make",
                         lambda n, x, scale=1: made.append((x, scale)) or make(n, x, scale))
     monkeypatch.setattr(theta, "theta_power", lambda g, k: powers.append(g.x) or power(g, k))
     monkeypatch.setattr(theta, "_lift_power",
                         lambda cosets, x: evaluated.append(x) or lift_power(cosets, x))
+    monkeypatch.setattr(theta, "function_values",
+                        lambda fn, points: valued.append(fn) or values(fn, points))
     structure = theta_structure(C3, 3)
     assert powers == []  # the n-th powers are evaluated, not multiplied out
-    for x in structure.basis:
-        scales = [scale for y, scale in made if y == x]
-        assert scales[0] == 1 and len(scales) == 2  # the Miller lift, then the rescaled lift
+    # one Miller lift built and evaluated per point tried, and nothing more
+    assert made == [(x, 1) for x in evaluated] and len(valued) == len(evaluated)
+    for x, lift in zip(structure.basis, structure.lifts):
+        assert [scale for y, scale in made if y == x] == [1]  # the rescaled lift is no new build
         assert evaluated.count(x) == 1  # one n-th power, in symplectic_basis
-        assert certify_divisor(power(make(3, x, scales[1]), 3)).f.constant_value() == C3.fe(1)
+        assert valued.count(make(3, x).f) == 1  # one vector on S, which the tables rescale
+        assert certify_divisor(power(lift, 3)).f.constant_value() == C3.fe(1)
 
 
 def test_wrong_lift_scale_fails_exact_order(monkeypatch):
@@ -657,7 +686,9 @@ def same_basis_search(curve, n):
         with pytest.raises(NotAdmissible):
             theta._liftable_basis(theta._Cosets(curve, n))
         return False
-    assert theta._liftable_basis(theta._Cosets(curve, n)) == old
+    lifts = theta._liftable_basis(theta._Cosets(curve, n))
+    assert tuple((g.x, c) for g, _, c in lifts) == old
+    assert all(g == theta_make(n, g.x) for g, _, _ in lifts)
     assert symplectic_basis(curve, n) == (old[0][0], old[1][0])
     return True
 
@@ -760,8 +791,15 @@ def test_a_structure_lists_s_once(monkeypatch):
 
 
 def lift_constants(curve, n):
+    """The constant of each point's _lift_power, whose lift and vector are checked as the
+    certified Miller lift and its values on S."""
     cosets = theta._Cosets(curve, n)
-    return {x: theta._lift_power(cosets, x) for x in cosets.points}
+    constants = {}
+    for x in cosets.points:
+        g, (label, values), constants[x] = theta._lift_power(cosets, x)
+        assert g == theta_make(n, x) and cosets.points[label] == x
+        assert list(values) == ellcurve.function_values(g.f, cosets.others)
+    return constants
 
 
 @pytest.mark.parametrize("curve,n", [(C2, 2), (C3, 3), (Curve.make(7, 0, 1), 2),
