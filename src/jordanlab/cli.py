@@ -8,7 +8,6 @@ skipped for budget reasons do not fail the run.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
@@ -17,6 +16,7 @@ import random
 import sys
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 from . import birgroup
 from .errors import (
@@ -297,18 +297,10 @@ def run_curve_search(n: int, p_max: int) -> RunReport:
     start = time.perf_counter()
     report = RunReport("curve-search", {"n": n, "p_max": p_max})
     curves = curve_search(n, p_max)
-    rows = []
-    for curve in curves:
-        rows.append({
-            "n": n,
-            "p": curve.p,
-            "a": curve.a.value,
-            "b": curve.b.value,
-            "group_order": curve.point_count(),
-            "certified_lower_bound": n,
-            "min_abelian_index": None,
-        })
-    report.data["rows"] = rows
+    # each curve carries its isomorphism class's count from the search
+    report.data["rows"] = [{"n": n, "p": c.p, "a": c.a.value, "b": c.b.value,
+                            "group_order": c.point_count(), "certified_lower_bound": n,
+                            "min_abelian_index": None} for c in curves]
     report.data["found"] = len(curves)
     report.claim("search-complete", True, len(curves),
                  detail=f"{len(curves)} admissible curves with p <= {p_max}")
@@ -545,65 +537,94 @@ def run_nonjordan(n_max: int, p_max: int, exhaustive_max: int, theta_max: int, s
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="jordanlab",
-        description="Exact verification suites for Heisenberg-type groups, theta groups "
-                    "and the unbounded abelian-index witness in Bir(E x A^1).",
-    )
-    parser.add_argument("--format", choices=("json", "table"), default="json")
-    # accepted after the subcommand too; SUPPRESS keeps the outer value intact
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "table"), default=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=(
-        lambda **kw: argparse.ArgumentParser(parents=[common], **kw)))
+# subcommand -> (help, {flag: (default, least, help)}).  A default of int or str marks a
+# required flag of that type; every other flag is an int, at least `least` unless that is
+# None.  --format json|table may stand before or after the subcommand
+_COMMANDS = {
+    "abstract": ("verify the symplectic and Heisenberg layers", {
+        "--delta": (str, None, "elementary divisors, e.g. 4,2"),
+        "--budget": (ISOTROPIC_SCAN_CAP, 1,
+                     "scans H for isotropy if #H <= min(--budget, ISOTROPIC_SCAN_CAP)")}),
+    "curve-search": ("list curves with full level-n structure", {
+        "--n": (int, 2, "the level"), "--p-max": (50, 0, "largest prime searched")}),
+    "theta-verify": ("verify the theta layer on one curve", {
+        "--n": (int, 1, "the level"),
+        "--p": (None, None, "the curve y^2 = x^3 + ax + b over F_p; needs --a and --b"),
+        "--a": (None, None, "a of the curve"), "--b": (None, None, "b of the curve"),
+        "--p-max": (2000, 0, "search bound when no curve is given"),
+        "--seed": (0, None, "seed of the sampled claims")}),
+    "nonjordan": ("emit the unbounded-index witness table", {
+        "--n-max": (4, 1, "rows n = 1 .. n-max"),
+        "--p-max": (2000, 0, "largest prime searched"),
+        "--exhaustive-max": (4, 0, "largest n with brute-force exact minimum; 0 for none"),
+        "--theta-max": (4, 0, "largest n given a theta curve; 0 for none"),
+        "--seed": (0, None, "recorded in params only: no nonjordan step is random")}),
+}
 
-    p_abstract = sub.add_parser("abstract", help="verify the symplectic and Heisenberg layers")
-    p_abstract.add_argument("--delta", required=True, help="elementary divisors, e.g. 4,2")
-    p_abstract.add_argument("--budget", type=int, default=ISOTROPIC_SCAN_CAP,
-                            help="scans H for isotropy if #H <= min(--budget, ISOTROPIC_SCAN_CAP)")
 
-    p_search = sub.add_parser("curve-search", help="list curves with full level-n structure")
-    p_search.add_argument("--n", type=int, required=True)
-    p_search.add_argument("--p-max", type=int, default=50)
+def _help() -> str:
+    lines = ["usage: jordanlab [--format json|table] COMMAND [--flag value | --flag=value ...]",
+             "  --format          json or table: what goes to stdout (default json)"]
+    for command, (text, flags) in _COMMANDS.items():
+        lines.append(f"{command}: {text}")
+        for flag, (default, least, about) in flags.items():
+            shown = "required" if default in (int, str) else f"default {default}"
+            lines.append(f"  {flag:<17} {about} ({shown}"
+                         + ("" if least is None else f", at least {least}") + ")")
+    return "\n".join(lines)
 
-    p_theta = sub.add_parser("theta-verify", help="verify the theta layer on one curve")
-    p_theta.add_argument("--n", type=int, required=True)
-    p_theta.add_argument("--p", type=int)
-    p_theta.add_argument("--a", type=int)
-    p_theta.add_argument("--b", type=int)
-    p_theta.add_argument("--p-max", type=int, default=2000,
-                         help="search bound when no curve is given")
-    p_theta.add_argument("--seed", type=int, default=0)
 
-    p_table = sub.add_parser("nonjordan", help="emit the unbounded-index witness table")
-    p_table.add_argument("--n-max", type=int, default=4)
-    p_table.add_argument("--p-max", type=int, default=2000)
-    p_table.add_argument("--exhaustive-max", type=int, default=4,
-                         help="largest n with brute-force exact minimum")
-    p_table.add_argument("--theta-max", type=int, default=4,
-                         help="largest n for which the curve transport is attempted")
-    p_table.add_argument("--seed", type=int, default=0,
-                         help="recorded in params only: no nonjordan step is random")
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace | str:
+    """The values argv gives main, or the help text for -h or --help.  A flag takes the
+    next word or its =value, is never abbreviated, and its last occurrence wins."""
+    command, given = None, {}
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return _help()
+        if command is None and not word.startswith("-"):
+            if word not in _COMMANDS:
+                raise BadArgument(f"{word!r} is not one of the subcommands {', '.join(_COMMANDS)}")
+            command = word
+            continue
+        flag, eq, value = word.partition("=")
+        if flag != "--format" and flag not in (_COMMANDS[command][1] if command else ()):
+            raise BadArgument(f"{command or 'jordanlab'} takes no argument {flag!r}")
+        given[flag] = value if eq else next(words, None)
+        if given[flag] is None:
+            raise BadArgument(f"{flag} needs a value")
+    if command is None:
+        raise BadArgument(f"no subcommand; choose from {', '.join(_COMMANDS)}")
+    args = SimpleNamespace(format=given.pop("--format", "json"), command=command)
+    if args.format not in ("json", "table"):
+        raise BadArgument(f"--format must be json or table, got {args.format!r}")
+    for flag, (default, least, _) in _COMMANDS[command][1].items():
+        value = given.get(flag, default)
+        if value in (int, str):
+            raise BadArgument(f"{command} needs {flag}")
+        if flag in given and default is not str:
+            try:
+                value = int(value)
+            except ValueError:
+                raise BadArgument(f"{flag} takes an integer, got {value!r}") from None
+        if least is not None and value < least:
+            raise BadArgument(f"{flag} must be " + (f"at least {least}" if least else
+                                                     "non-negative") + f", got {value}")
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.command != "abstract" and args.p_max < 0:
-            raise BadArgument(f"--p-max must be non-negative, got {args.p_max}")
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # -h or --help
+            print(args)
+            return 0
         if args.command == "abstract":
-            if args.budget < 1:
-                raise BadArgument(f"--budget must be at least 1, got {args.budget}")
             report = run_abstract(parse_delta(args.delta), args.budget)
         elif args.command == "curve-search":
-            if args.n < 2:
-                raise BadArgument(f"--n must be at least 2, got {args.n}")
             report = run_curve_search(args.n, args.p_max)
         elif args.command == "theta-verify":
-            if args.n < 1:
-                raise BadArgument(f"--n must be at least 1, got {args.n}")
             curve = None
             if args.p is not None:
                 if args.a is None or args.b is None:
@@ -614,12 +635,6 @@ def main(argv: list[str] | None = None) -> int:
                     raise BadArgument(str(exc)) from exc
             report = run_theta_verify(curve, args.n, args.p_max, args.seed)
         else:
-            if args.n_max < 1:
-                raise BadArgument(f"--n-max must be at least 1, got {args.n_max}")
-            for flag, cap in (("--exhaustive-max", args.exhaustive_max),
-                              ("--theta-max", args.theta_max)):
-                if cap < 0:
-                    raise BadArgument(f"{flag} must be non-negative, got {cap}")
             report = run_nonjordan(args.n_max, args.p_max, args.exhaustive_max,
                                    args.theta_max, args.seed)
     except CertificateError as exc:  # a broken certificate fails the run; it is not bad input

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import operator
 import random
+from array import array
 from functools import lru_cache
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -47,11 +49,12 @@ PAIRING_RETRIES = 16  # offset pairs weil_pairing tries before giving up
 
 
 class Curve(Frozen):
-    """y^2 = x^3 + a*x + b over F_p, p >= 5, nonsingular."""
+    """y^2 = x^3 + a*x + b over F_p, p >= 5, nonsingular.  count, if given, is #E(F_p) as
+    the caller counted and Hasse-checked it; equality and hashing read p, a and b only."""
 
-    __slots__ = ("p", "a", "b")
+    __slots__ = ("p", "a", "b", "_count")
 
-    def __init__(self, p: int, a: FpElement, b: FpElement):
+    def __init__(self, p: int, a: FpElement, b: FpElement, count: int | None = None):
         if p < 5 or not is_prime(p):
             raise ValueError(f"need a prime p >= 5, got {p}")
         if a.p != p or b.p != p:
@@ -61,6 +64,7 @@ class Curve(Frozen):
         set_field(self, "p", p)
         set_field(self, "a", a)
         set_field(self, "b", b)
+        set_field(self, "_count", count)
 
     @classmethod
     def make(cls, p: int, a: int, b: int) -> "Curve":
@@ -79,8 +83,8 @@ class Curve(Frozen):
         return CurvePoint(self, self.fe(x), self.fe(y))
 
     def point_count(self) -> int:
-        """#E(F_p), counted on integer coordinates and Hasse-checked."""
-        return _point_count(self.p, self.a.value, self.b.value)
+        """#E(F_p), counted on integer coordinates and Hasse-checked, unless given."""
+        return self._count or _point_count(self.p, self.a.value, self.b.value)
 
     def __eq__(self, other):
         if other.__class__ is not Curve:
@@ -302,15 +306,22 @@ def torsion_subgroup(curve: Curve, n: int) -> tuple[CurvePoint, ...]:
     return tuple(P for P in enumerate_points(curve) if (n * P).is_infinity)
 
 
+def _hasse_allows(p: int, n2: int) -> bool:
+    """Whether Hasse's interval [p + 1 - isqrt(4p), p + 1 + isqrt(4p)] holds a multiple of n2."""
+    r = isqrt(4 * p)
+    return (p + 1 + r) // n2 * n2 >= p + 1 - r
+
+
 def iter_admissible_curves(n: int, p_max: int) -> Iterator[Curve]:
     """Curves with p = 1 (mod n) carrying full level-n structure, (p, a, b) ordered.
 
-    (a, b) and (u^4 a, u^6 b) are isomorphic over F_p by (x, y) -> (u^2 x, u^3 y),
-    so they have the same group order and the same E[n].  Points are counted on
-    integer coordinates once per isomorphism class, at its first member, and the
-    verdict is marked on the whole class; a Curve is built only for the curves
-    yielded.  A prime p = 1 (mod n) past the point budget, where the scan would stop,
-    is refused before the first prime is scanned.
+    Full level-n structure needs n^2 | #E: a prime whose Hasse interval holds no multiple
+    of n^2 is ruled out by the Hasse bound and skipped.  (a, b) and (u^4 a, u^6 b) are
+    isomorphic by (x, y) -> (u^2 x, u^3 y), with the same #E and E[n].  Points are
+    counted on integer coordinates once per isomorphism class, at its first member, and
+    the verdict and count are marked on the whole class; a Curve, carrying the count, is
+    built only for the curves yielded.  A prime p = 1 (mod n) past the point budget,
+    where the scan would stop, is refused before the first prime is scanned.
     """
     if n < 2:
         raise ValueError("level must be at least 2")
@@ -319,20 +330,23 @@ def iter_admissible_curves(n: int, p_max: int) -> Iterator[Curve]:
             _budget_check(q)  # raises BudgetExceeded
     n2 = n * n
     for p in range(5, p_max + 1):
-        if not is_prime(p) or (p - 1) % n != 0:
+        if not is_prime(p) or (p - 1) % n != 0 or not _hasse_allows(p, n2):
             continue
         twists = [(u ** 4 % p, u ** 6 % p) for u in range(1, p)]
-        verdict = bytearray(p * p)  # at a * p + b: 0 unknown, 1 admissible, 2 not
+        # at a * p + b: 0 unknown, 1 not admissible, else #E, which is at least 2
+        verdict = array("H", bytes(2 * p * p))
         for a in range(p):
             for b in range(p):
                 if (4 * a * a * a + 27 * b * b) % p == 0:
                     continue
                 if not verdict[a * p + b]:
-                    ok = _point_count(p, a, b) % n2 == 0 and _torsion_count(p, a, b, n) == n2
+                    count = _point_count(p, a, b)
+                    ok = count % n2 == 0 and _torsion_count(p, a, b, n) == n2
                     for u4, u6 in twists:
-                        verdict[u4 * a % p * p + u6 * b % p] = 1 if ok else 2
-                if verdict[a * p + b] == 1:
-                    yield Curve.make(p, a, b)
+                        verdict[u4 * a % p * p + u6 * b % p] = count if ok else 1
+                count = verdict[a * p + b]
+                if count > 1:
+                    yield Curve(p, FpElement(p, a), FpElement(p, b), count)
 
 
 def curve_search(n: int, p_max: int) -> list[Curve]:

@@ -193,6 +193,28 @@ def test_record_is_one_line_of_json(capsys, monkeypatch):
     (["nonjordan", "--n-max", "3", "--exhaustive-max", "-1"],
      "--exhaustive-max must be non-negative"),
     (["nonjordan", "--n-max", "2", "--theta-max", "-3"], "--theta-max must be non-negative"),
+    ([], "no subcommand; choose from abstract, curve-search, theta-verify, nonjordan"),
+    (["verify", "--n", "2"], "'verify' is not one of the subcommands abstract, curve-search"),
+    (["--format", "table"], "no subcommand"),
+    (["abstract", "--delta", "2", "--bogus", "1"], "abstract takes no argument '--bogus'"),
+    (["abstract", "--delta", "2", "stray"], "abstract takes no argument 'stray'"),
+    (["--delta", "2", "abstract"], "jordanlab takes no argument '--delta'"),
+    (["curve-search", "--n", "2", "--delta", "2"], "curve-search takes no argument '--delta'"),
+    (["theta-verify", "--n-max", "2"], "theta-verify takes no argument '--n-max'"),
+    (["curve-search", "--n"], "--n needs a value"),
+    (["abstract", "--delta", "2", "--format"], "--format needs a value"),
+    (["curve-search", "--n", "two"], "--n takes an integer, got 'two'"),
+    (["theta-verify", "--n", "3", "--p=1.5", "--a", "1", "--b", "1"],
+     "--p takes an integer, got '1.5'"),
+    (["nonjordan", "--seed="], "--seed takes an integer, got ''"),
+    (["abstract"], "abstract needs --delta"),
+    (["abstract", "--budget", "9"], "abstract needs --delta"),
+    (["curve-search", "--p-max", "40"], "curve-search needs --n"),
+    (["theta-verify", "--seed", "1"], "theta-verify needs --n"),
+    (["--format", "xml", "abstract", "--delta", "2"], "--format must be json or table, got 'xml'"),
+    (["abstract", "--delta", "2", "--format=xml"], "--format must be json or table, got 'xml'"),
+    # no prefix abbreviations: --n is not --n-max
+    (["nonjordan", "--n", "2"], "nonjordan takes no argument '--n'"),
 ])
 def test_input_errors_exit_2(capsys, argv, message):
     assert main(argv) == 2
@@ -200,6 +222,73 @@ def test_input_errors_exit_2(capsys, argv, message):
     assert out.out == ""
     assert out.err.startswith("error: BadArgument:") and message in out.err
     assert len(out.err.splitlines()) == 1
+
+
+FLAGS = {
+    "abstract": ["--delta", "--budget"],
+    "curve-search": ["--n", "--p-max"],
+    "theta-verify": ["--n", "--p", "--a", "--b", "--p-max", "--seed"],
+    "nonjordan": ["--n-max", "--p-max", "--exhaustive-max", "--theta-max", "--seed"],
+}
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["abstract", "--help"],
+                                  ["--format", "table", "nonjordan", "--n-max", "2", "-h"]])
+def test_help_exits_0_and_lists_every_subcommand_and_flag(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.startswith("usage: jordanlab [--format json|table] COMMAND")
+    assert "  --format          json or table: what goes to stdout (default json)\n" in out.out
+    assert "  --delta           elementary divisors, e.g. 4,2 (required)\n" in out.out
+    assert "  --p-max           largest prime searched (default 50, at least 0)\n" in out.out
+    assert list(cli._COMMANDS) == list(FLAGS)
+    for command, (about, flags) in cli._COMMANDS.items():
+        assert list(flags) == FLAGS[command]
+        section = out.out.split(f"\n{command}: {about}\n")[1].split("\n")[:len(flags)]
+        for line, (flag, (_, _, text)) in zip(section, flags.items()):
+            assert line.startswith(f"  {flag:<17} {text} (") and text, line
+
+
+# each argv with the values the former argparse parser gave for it, defaults included
+PARSED = [
+    (["abstract", "--delta", "4,2"],
+     {"format": "json", "command": "abstract", "delta": "4,2", "budget": 400}),
+    (["--format", "table", "abstract", "--delta=2", "--budget", "7", "--format", "json"],
+     {"format": "json", "command": "abstract", "delta": "2", "budget": 7}),
+    (["curve-search", "--n", "3"],
+     {"format": "json", "command": "curve-search", "n": 3, "p_max": 50}),
+    (["curve-search", "--n=2", "--p-max", "40", "--format", "table"],
+     {"format": "table", "command": "curve-search", "n": 2, "p_max": 40}),
+    (["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0", "--seed", "5",
+      "--p-max", "300"],
+     {"format": "json", "command": "theta-verify", "n": 3, "p": 13, "a": 7, "b": 0,
+      "p_max": 300, "seed": 5}),
+    (["theta-verify", "--n", "3", "--p", "13", "--a", "-6", "--b=0"],
+     {"format": "json", "command": "theta-verify", "n": 3, "p": 13, "a": -6, "b": 0,
+      "p_max": 2000, "seed": 0}),
+    (["theta-verify", "--n", "4"],
+     {"format": "json", "command": "theta-verify", "n": 4, "p": None, "a": None, "b": None,
+      "p_max": 2000, "seed": 0}),
+    (["nonjordan"],
+     {"format": "json", "command": "nonjordan", "n_max": 4, "p_max": 2000,
+      "exhaustive_max": 4, "theta_max": 4, "seed": 0}),
+    (["nonjordan", "--n-max", "9", "--exhaustive-max", "0", "--theta-max", "8", "--p-max",
+      "100", "--seed", "-3", "--n-max", "2"],
+     {"format": "json", "command": "nonjordan", "n_max": 2, "p_max": 100,
+      "exhaustive_max": 0, "theta_max": 8, "seed": -3}),
+]
+
+
+@pytest.mark.parametrize("argv,values", PARSED)
+def test_flags_parse_to_the_former_values(argv, values):
+    assert vars(cli._parse(argv)) == values
+
+
+def test_negative_values_reach_their_range_check(capsys):
+    assert main(["nonjordan", "--exhaustive-max", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: BadArgument: --exhaustive-max must be non-negative, got -1\n")
 
 
 def claim_map(report):
@@ -1171,13 +1260,29 @@ def test_package_imports_no_dataclasses():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # nor, through a whole run, argparse and the gettext and locale it imports
     script = ("import sys\n"
               "before = set(sys.modules)\n"
               "import jordanlab.cli\n"
-              "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+              "code = jordanlab.cli.main(['abstract', '--delta', '2'])\n"
+              "print(code, sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}\n"
+              "                   & (set(sys.modules) - before)))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_module_entry_point_exits_2_on_one_line_and_0_on_help():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "jordanlab.cli"], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: BadArgument: no subcommand; choose from abstract, "
+                           "curve-search, theta-verify, nonjordan\n")
+    proc = subprocess.run([sys.executable, "-m", "jordanlab.cli", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: jordanlab")
 
 
 @pytest.mark.parametrize("argv", [["abstract", "--delta", "4"], THETA_N2,

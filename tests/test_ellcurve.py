@@ -172,11 +172,47 @@ def test_class_wise_search_counts_each_class_once(monkeypatch):
     assert len(counted) < sum(len(nonsingular(p)) for p in (5, 7, 11, 13)) // 3
 
 
-def test_curve_search_rows_carry_the_object_point_count():
-    rows = run_curve_search(3, 40).data["rows"]
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_curve_search_rows_carry_the_object_point_count(n):
+    rows = run_curve_search(n, 40).data["rows"]
     assert rows
     for row in rows:
         assert row["group_order"] == len(enumerate_points(Curve.make(row["p"], row["a"], row["b"])))
+
+
+def test_search_counts_no_yielded_curve_again(monkeypatch):
+    # the rows read #E from the scan, which counts each isomorphism class once
+    counted = []
+    count = ellcurve._point_count
+    monkeypatch.setattr(ellcurve, "_point_count",
+                        lambda p, a, b: counted.append((p, a, b)) or count(p, a, b))
+    assert run_curve_search(2, 13).data["rows"]
+    in_run = list(counted)
+    counted.clear()
+    curve_search(2, 13)
+    assert in_run == counted and len(set(counted)) == len(counted)
+
+
+def hasse_skipped():
+    return [(n, p) for n in range(2, 17) for p in range(5, 101)
+            if is_prime(p) and (p - 1) % n == 0 and not ellcurve._hasse_allows(p, n * n)]
+
+
+def test_hasse_prefilter_skips_only_primes_without_curves(monkeypatch):
+    skipped = hasse_skipped()
+    assert len(skipped) == 35 and (4, 5) in skipped and (16, 97) in skipped
+    for n, p in skipped:  # no multiple of n^2 within Hasse's bound of p + 1
+        assert all((m - p - 1) ** 2 > 4 * p for m in range(0, 2 * p + 3, n * n))
+    monkeypatch.setattr(ellcurve, "_hasse_allows", lambda p, n2: True)
+    for n, p in skipped:
+        assert not [c for c in ellcurve.iter_admissible_curves(n, p) if c.p == p], (n, p)
+
+
+@pytest.mark.parametrize("n,p_max", [(2, 40), (3, 50), (4, 60)])
+def test_hasse_prefilter_keeps_the_search_result(monkeypatch, n, p_max):
+    filtered = [(c, c.point_count()) for c in curve_search(n, p_max)]
+    monkeypatch.setattr(ellcurve, "_hasse_allows", lambda p, n2: True)
+    assert [(c, c.point_count()) for c in curve_search(n, p_max)] == filtered
 
 
 def test_integer_kernel_rejects_off_curve_points():
@@ -688,10 +724,11 @@ def test_scan_refuses_a_prime_past_the_budget_before_its_first_prime(monkeypatch
         raise Scanned(p)
 
     monkeypatch.setattr(ellcurve, "_point_count", first_count)
-    # no prime 1 mod 4 lies in (2000, 2016], so the scan starts at 5; 2017 is refused up front
+    # no prime 1 mod 4 lies in (2000, 2016], so the scan starts at 13, the first such prime
+    # whose Hasse interval holds a multiple of 16; 2017 is refused up front
     with pytest.raises(Scanned) as exc:
         next(ellcurve.iter_admissible_curves(4, 2016))
-    assert exc.value.args == (5,)
+    assert exc.value.args == (13,)
     with pytest.raises(BudgetExceeded) as exc:
         next(ellcurve.iter_admissible_curves(4, 2017))
     assert str(exc.value) == f"p = 2017 exceeds point enumeration budget {POINT_BUDGET}"
