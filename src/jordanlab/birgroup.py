@@ -57,7 +57,7 @@ class BirAuto(Frozen):
     __slots__ = ("y", "f")
 
     def __init__(self, y: CurvePoint, f: TrackedFunction):
-        if y.curve != f.curve:
+        if y.curve is not f.curve and y.curve != f.curve:
             raise CurveMismatch("translation and function live on different curves")
         set_field(self, "y", y)
         set_field(self, "f", f)
@@ -94,7 +94,7 @@ def identity(curve: Curve) -> BirAuto:
 
 def compose(second: BirAuto, first: BirAuto) -> BirAuto:
     """The composite applying `first` first."""
-    if second.curve != first.curve:
+    if second.y.curve is not first.y.curve and second.curve != first.curve:
         raise CurveMismatch("cannot compose over different curves")
     return BirAuto(first.y + second.y, second.f.translate(first.y) * first.f)
 
@@ -105,7 +105,7 @@ def inverse(a: BirAuto) -> BirAuto:
 
 def apply(a: BirAuto, s: SamplePoint) -> SamplePoint:
     """Evaluate at a sample; Undefined marks the birational locus."""
-    if s.x.curve != a.curve:
+    if s.x.curve is not a.y.curve and s.x.curve != a.curve:
         raise CurveMismatch(f"{s.x!r} is not on {a.curve!r}")
     try:
         factor = a.f(s.x)

@@ -626,6 +626,8 @@ def main(argv: list[str] | None = None) -> int:
             report = run_curve_search(args.n, args.p_max)
         elif args.command == "theta-verify":
             curve = None
+            if args.p is None and (args.a is not None or args.b is not None):
+                raise BadArgument("--a and --b require --p")
             if args.p is not None:
                 if args.a is None or args.b is None:
                     raise BadArgument("--p requires --a and --b")

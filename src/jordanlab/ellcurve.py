@@ -50,9 +50,11 @@ PAIRING_RETRIES = 16  # offset pairs weil_pairing tries before giving up
 
 class Curve(Frozen):
     """y^2 = x^3 + a*x + b over F_p, p >= 5, nonsingular.  count, if given, is #E(F_p) as
-    the caller counted and Hasse-checked it; equality and hashing read p, a and b only."""
+    the caller counted and Hasse-checked it.  Each instance keeps one CurvePoint per
+    coordinate pair in _points, at most #E(F_p) of them; equality and hashing read p, a
+    and b only."""
 
-    __slots__ = ("p", "a", "b", "_count")
+    __slots__ = ("p", "a", "b", "_count", "_points")
 
     def __init__(self, p: int, a: FpElement, b: FpElement, count: int | None = None):
         if p < 5 or not is_prime(p):
@@ -65,6 +67,7 @@ class Curve(Frozen):
         set_field(self, "a", a)
         set_field(self, "b", b)
         set_field(self, "_count", count)
+        set_field(self, "_points", {})
 
     @classmethod
     def make(cls, p: int, a: int, b: int) -> "Curve":
@@ -77,10 +80,20 @@ class Curve(Frozen):
         return x ** 3 + self.a * x + self.b
 
     def infinity(self) -> "CurvePoint":
-        return CurvePoint(self, None, None)
+        point = self._points.get(None)
+        if point is None:
+            point = self._points[None] = CurvePoint(self, None, None)
+        return point
 
     def point(self, x: int, y: int) -> "CurvePoint":
-        return CurvePoint(self, self.fe(x), self.fe(y))
+        """The one point kept for (x, y) mod p, built and checked on the curve at first
+        use; a pair off the curve raises OffCurve on every call and is never kept."""
+        p = self.p
+        key = (x % p, y % p)
+        point = self._points.get(key)
+        if point is None:
+            point = self._points[key] = CurvePoint(self, FpElement(p, x), FpElement(p, y))
+        return point
 
     def point_count(self) -> int:
         """#E(F_p), counted on integer coordinates and Hasse-checked, unless given."""
@@ -103,8 +116,9 @@ class CurvePoint(Frozen):
     """Affine point (x, y) or the identity O (x = y = None).
 
     The group law is _chord_tangent on the integer coordinates, and k * P runs
-    the ladder of _affine_mul over +; every point built, results included, is
-    checked on the curve once, by __init__.
+    the ladder of _affine_mul over +.  Sums, negatives and enumerate_points take
+    their points from Curve.point, so each coordinate pair of a Curve instance is
+    built and checked on the curve once, by __init__, and the point is kept.
     """
 
     __slots__ = ("curve", "x", "y")
@@ -124,6 +138,8 @@ class CurvePoint(Frozen):
         set_field(self, "y", y)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if other.__class__ is not CurvePoint:
             return NotImplemented
         return (self.curve, self.x, self.y) == (other.curve, other.x, other.y)
@@ -158,7 +174,7 @@ class CurvePoint(Frozen):
     def __neg__(self) -> "CurvePoint":
         if self.is_infinity:
             return self
-        return CurvePoint(self.curve, self.x, -self.y)
+        return self.curve.point(self.x.value, -self.y.value)
 
     def __sub__(self, other: "CurvePoint") -> "CurvePoint":
         return self + (-other)
@@ -282,11 +298,12 @@ def _torsion_count(p: int, a: int, b: int, n: int) -> int:
 @lru_cache(maxsize=512)
 def enumerate_points(curve: Curve) -> tuple[CurvePoint, ...]:
     """All F_p-points in sorted order, the identity last; Hasse-checked."""
-    _budget_check(curve.p)
-    sqrts = _sqrt_table(curve.p)
+    p, a, b = curve.p, curve.a.value, curve.b.value
+    _budget_check(p)
+    sqrts = _sqrt_table(p)
     points = []
-    for x in range(curve.p):
-        for y in sqrts.get(curve.rhs(curve.fe(x)).value, ()):
+    for x in range(p):
+        for y in sqrts.get((x * x * x + a * x + b) % p, ()):
             points.append(curve.point(x, y))
     points.sort(key=CurvePoint.sort_key)
     points.append(curve.infinity())
@@ -461,7 +478,7 @@ class VerticalLine(Frozen):
         return (self.c,) == (other.c,)
 
     def __hash__(self):
-        return hash((self.c,))
+        return hash(self.c.value)  # the int __eq__ compares, without hashing an FpElement
 
     def __repr__(self):
         return f"VerticalLine(c={self.c!r})"
@@ -490,7 +507,8 @@ class ChordLine(Frozen):
         return (self.lam, self.nu) == (other.lam, other.nu)
 
     def __hash__(self):
-        return hash((self.lam, self.nu))
+        # the ints __eq__ compares, without hashing two FpElements
+        return hash((self.lam.value, self.nu.value))
 
     def __repr__(self):
         return f"ChordLine(lam={self.lam!r}, nu={self.nu!r})"
@@ -528,17 +546,6 @@ class Atom(Frozen):
     def __repr__(self):
         return (f"Atom(line={self.line!r}, base_divisor={self.base_divisor!r}, "
                 f"offset={self.offset!r}, exponent={self.exponent!r})")
-
-    def eval(self, point: CurvePoint) -> int:
-        """line(point + offset) ^ exponent mod p; the sum is taken on _affine_add."""
-        c = point.curve
-        arg = _affine_add(c.p, c.a.value, c.b.value, point._coords(), self.offset._coords())
-        if arg is None:
-            raise EvalAtSupport(f"atom argument hit the identity at {point!r}")
-        value = self.line.eval(*arg)
-        if not value:
-            raise EvalAtSupport(f"atom vanished at {point!r}")
-        return pow(value, self.exponent, c.p)
 
 
 class TrackedFunction(Frozen):
@@ -592,7 +599,7 @@ class TrackedFunction(Frozen):
         return tuple(merged.values())
 
     def __mul__(self, other: "TrackedFunction") -> "TrackedFunction":
-        if self.curve != other.curve:
+        if self.curve is not other.curve and self.curve != other.curve:
             raise CurveMismatch("functions on different curves")
         return TrackedFunction(self.curve, self.const * other.const,
                                self._merged(self.atoms + other.atoms))
@@ -616,19 +623,35 @@ class TrackedFunction(Frozen):
 
     def translate(self, y: CurvePoint) -> "TrackedFunction":
         """Translation pullback: the function P -> f(P + y)."""
-        if y.curve != self.curve:
+        if y.curve is not self.curve and y.curve != self.curve:
             raise CurveMismatch("offset point on a different curve")
         moved = tuple(Atom(a.line, a.base_divisor, a.offset + y, a.exponent) for a in self.atoms)
         return TrackedFunction(self.curve, self.const, moved)
 
     def __call__(self, point: CurvePoint) -> FpElement:
-        if point.curve != self.curve:
-            raise CurveMismatch(f"{point!r} is not on {self.curve!r}")
-        p = self.curve.p
-        value = self.const.value
+        """The value at point, on integer coordinates: each atom's argument point + offset
+        is taken on _affine_add, and the lines of negative exponent are multiplied apart,
+        so a call costs one inverse.  EvalAtSupport at the first atom, in order, whose
+        argument is O or whose line vanishes there."""
+        curve = self.curve
+        if point.curve is not curve and point.curve != curve:
+            raise CurveMismatch(f"{point!r} is not on {curve!r}")
+        p, a, b = curve.p, curve.a.value, curve.b.value
+        at = point._coords()
+        num, den = self.const.value, 1
         for atom in self.atoms:
-            value = value * atom.eval(point) % p
-        return FpElement(p, value)
+            arg = _affine_add(p, a, b, at, atom.offset._coords())
+            if arg is None:
+                raise EvalAtSupport(f"atom argument hit the identity at {point!r}")
+            value = atom.line.eval(*arg)
+            if not value:
+                raise EvalAtSupport(f"atom vanished at {point!r}")
+            e = atom.exponent
+            if e > 0:
+                num = num * pow(value, e, p) % p
+            else:
+                den = den * pow(value, -e, p) % p
+        return FpElement(p, num * pow(den, -1, p))
 
     def constant_value(self) -> FpElement:
         """Value of a function known to have divisor 0, cross-checked at several points."""

@@ -182,6 +182,9 @@ def test_record_is_one_line_of_json(capsys, monkeypatch):
 @pytest.mark.parametrize("argv,message", [
     (["curve-search", "--n", "1"], "--n must be at least 2"),
     (["theta-verify", "--n", "3", "--p", "31"], "--p requires --a and --b"),
+    # without --p the curve would be searched for, and --a and --b dropped
+    (["theta-verify", "--n", "2", "--a", "5", "--b", "1"], "--a and --b require --p"),
+    (["theta-verify", "--n", "2", "--b=1"], "--a and --b require --p"),
     (["theta-verify", "--n", "3", "--p", "4", "--a", "1", "--b", "1"], "not prime"),
     (["theta-verify", "--n", "0"], "--n must be at least 1"),
     (["theta-verify", "--n", "-2"], "--n must be at least 1"),
@@ -498,6 +501,56 @@ def test_product_without_translation_exits_1(capsys, monkeypatch):
     claims = claim_map(report)
     assert [id for id, c in claims.items() if c["status"] != "verified"] == ["compose-semantics"]
     assert claims["compose-semantics"]["failures"] == 60
+
+
+def test_compose_without_translation_fails_compose_semantics_alone(capsys, monkeypatch):
+    # both sides of lhs == rhs evaluate through TrackedFunction.__call__; a composite
+    # whose second function is not pulled back along the first translation differs
+    monkeypatch.setattr(birgroup, "compose", lambda second, first: birgroup.BirAuto(
+        first.y + second.y, second.f * first.f))
+    code, report, _ = run_json(capsys, THETA_N3)
+    assert code == 1
+    claims = claim_map(report)
+    assert [id for id, c in claims.items() if c["status"] != "verified"] == ["compose-semantics"]
+    assert claims["compose-semantics"]["checked"] == 100
+    assert claims["compose-semantics"]["failures"] > 0
+
+
+def test_evaluation_without_its_denominator_fails_against_the_vectors(capsys, monkeypatch):
+    # the structure is built honestly first; then every function value the claims read
+    # off the objects drops the lines of negative exponent, which the value vectors keep.
+    # embed-homomorphism compares object values with the vectors and nothing else
+    theta.theta_structure(cli.Curve.make(13, 7, 0), 3)
+    honest = ellcurve.TrackedFunction.__call__
+
+    def numerator(fn, point):
+        kept = tuple(atom for atom in fn.atoms if atom.exponent > 0)
+        return honest(ellcurve.TrackedFunction(fn.curve, fn.const, kept), point)
+
+    monkeypatch.setattr(ellcurve.TrackedFunction, "__call__", numerator)
+    code, report, _ = run_json(capsys, THETA_N3)
+    assert code == 1
+    failed = [id for id, c in claim_map(report).items() if c["status"] == "failed"]
+    assert "embed-homomorphism" in failed
+    assert set(failed) <= {"embed-homomorphism", "compose-semantics"}
+
+
+def test_theta_verify_builds_each_point_once(capsys, monkeypatch):
+    # a counter guard, not a timing: with every cache cold, the run builds each point
+    # of its curve at most once, all on the one Curve instance main made
+    built = []
+    honest = ellcurve.CurvePoint.__init__
+    monkeypatch.setattr(ellcurve.CurvePoint, "__init__",
+                        lambda self, curve, x, y: built.append(curve) or honest(self, curve, x, y))
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    for cached in (ellcurve.enumerate_points, ellcurve.torsion_subgroup,
+                   ellcurve.miller_function):
+        cached.cache_clear()
+    code, report, _ = run_json(capsys, THETA_N3)
+    assert code == 0 and all(c["status"] == "verified" for c in report["claims"])
+    (curve,) = {id(c): c for c in built}.values()
+    assert curve == cli.Curve.make(13, 7, 0) and curve.point_count() == 18
+    assert len(curve._points) <= 18 and len(built) <= 18
 
 
 def test_wrong_miller_divisor_exits_1(capsys, monkeypatch):

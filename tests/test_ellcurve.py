@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jordanlab import ellcurve
+from jordanlab.birgroup import compose, theta_embed
 from jordanlab.cli import run_curve_search
 from jordanlab.ellcurve import (
     POINT_BUDGET,
@@ -40,6 +41,7 @@ from jordanlab.errors import (
     OffCurve,
 )
 from jordanlab.scalars import FpElement, RootOfUnity, is_prime, primes_up_to
+from jordanlab.theta import theta_structure
 
 # e2-only curve with 8 points; the workhorse for level-2 checks
 C730 = Curve.make(7, 3, 0)
@@ -67,6 +69,52 @@ def test_point_identities():
         assert 0 * p == o
     t = C730.point(0, 0)
     assert (2 * t).is_infinity  # y = 0 forces self-negation
+
+
+def kept(P):
+    """The point its curve keeps for P's coordinates."""
+    return P.curve.infinity() if P.is_infinity else P.curve.point(P.x.value, P.y.value)
+
+
+@pytest.mark.parametrize("curve", [C730, C1370])
+def test_each_coordinate_pair_is_one_kept_point(curve):
+    points = enumerate_points(curve)
+    curve = points[0].curve  # the cache may hold an equal curve's points
+    p = curve.p
+    assert curve.infinity() is curve.infinity()
+    for P in points:
+        assert kept(P) is P
+        if not P.is_infinity:
+            x, y = P.x.value, P.y.value
+            assert curve.point(x, y) is curve.point(x + p, y - 3 * p) is kept(P)
+        assert -P is kept(-P)
+        for Q in points:
+            assert P + Q is kept(P + Q)
+    assert len(curve._points) <= curve.point_count() == len(points)
+
+
+def test_an_off_curve_pair_raises_every_time_and_is_never_kept():
+    curve = Curve.make(7, 3, 0)  # (1, 1) is off it: 1 != 1 + 3 + 0
+    for _ in range(3):
+        with pytest.raises(OffCurve):
+            curve.point(1, 1)
+        with pytest.raises(OffCurve):
+            curve.point(8, -6)
+    assert (1, 1) not in curve._points
+    assert all(key is None or reference_on_curve(curve, curve.fe(key[0]), curve.fe(key[1]))
+               is None for key in curve._points)
+
+
+def test_points_of_equal_but_distinct_curves_add_and_compare_as_before():
+    twin = Curve.make(13, 7, 0)
+    assert twin is not C1370 and twin == C1370 and hash(twin) == hash(C1370)
+    for P in enumerate_points(C1370):
+        Q = twin.infinity() if P.is_infinity else twin.point(P.x.value, P.y.value)
+        assert Q is not P and Q == P and hash(Q) == hash(P)
+        for R in enumerate_points(C1370)[::4]:
+            assert Q + R == P + R == reference_add(P, R)
+            assert R + Q == reference_add(R, P)
+            assert R - Q == reference_add(R, -P)
 
 
 @pytest.mark.parametrize("curve", [C730, C1370])
@@ -663,24 +711,42 @@ def tracked_functions(curve, n):
     return fns
 
 
+def evaluation(call):
+    """The value of call(), or the type and message of the exception it raised."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the type and message are the result compared
+        return type(exc), str(exc)
+
+
+def assert_evaluation_matches_the_object_formula(fns, curve):
+    """fn(point) and reference_eval agree at every point of curve: the same value, or
+    EvalAtSupport with the same message; both outcomes are met."""
+    outcomes = set()
+    for fn in fns:
+        for point in enumerate_points(curve):
+            got = evaluation(lambda: fn(point))
+            assert got == evaluation(lambda: reference_eval(fn, point))
+            assert isinstance(got, FpElement) or got[0] is EvalAtSupport
+            outcomes.add(type(got))
+    assert outcomes == {FpElement, tuple}
+
+
 @pytest.mark.parametrize("curve, n", [(C730, 2), (C1370, 3)])
 def test_evaluation_matches_the_object_formula(curve, n):
-    raised = evaluated = 0
-    for fn in tracked_functions(curve, n):
-        for point in enumerate_points(curve):
-            want = outcome(lambda: reference_eval(fn, point))
-            got = outcome(lambda: fn(point))
-            if want is EvalAtSupport:
-                with pytest.raises(EvalAtSupport) as exc:
-                    fn(point)
-                with pytest.raises(EvalAtSupport) as ref:
-                    reference_eval(fn, point)
-                assert str(exc.value) == str(ref.value)
-                raised += 1
-            else:
-                assert isinstance(got, FpElement) and got == want
-                evaluated += 1
-    assert raised and evaluated  # both branches are exercised
+    assert_evaluation_matches_the_object_formula(tracked_functions(curve, n), curve)
+
+
+# E(7:3:0) at level 2, and the first five curves of the bench's level-3 theta pool
+@pytest.mark.parametrize("p, a, b, n", [(7, 3, 0, 2), (13, 7, 0, 3), (13, 8, 0, 3),
+                                        (13, 11, 0, 3), (19, 0, 5, 3), (19, 0, 16, 3)])
+def test_evaluation_of_the_mu_layer_and_its_products_matches_the_object_formula(p, a, b, n):
+    # the functions compose-semantics evaluates: each mu layer element's, and the
+    # function of every composite of two of them
+    curve = Curve.make(p, a, b)
+    maps = [theta_embed(g) for g in theta_structure(curve, n).mu_elements()]
+    fns = [m.f for m in maps] + [compose(second, first).f for first in maps for second in maps]
+    assert_evaluation_matches_the_object_formula(fns, curve)
 
 
 @pytest.mark.parametrize("curve, n", [(C730, 2), (C1370, 3)])

@@ -133,6 +133,10 @@ def test_hash_runs_over_the_fields_in_order(cls, args, index, value):
         expected = (g.p, g.a.value, g.b.value)
     elif cls is CurvePoint:  # custom: the coordinates alone
         expected = (g.x.value, g.y.value)
+    elif cls is VerticalLine:  # custom: the int of c, not the FpElement
+        expected = g.c.value
+    elif cls is ChordLine:  # custom: the ints of lam and nu, not the FpElements
+        expected = (g.lam.value, g.nu.value)
     else:
         expected = tuple(getattr(g, name) for name in cls.__slots__)
     assert hash(g) == hash(expected)
