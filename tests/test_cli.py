@@ -182,9 +182,6 @@ def test_record_is_one_line_of_json(capsys, monkeypatch):
 @pytest.mark.parametrize("argv,message", [
     (["curve-search", "--n", "1"], "--n must be at least 2"),
     (["theta-verify", "--n", "3", "--p", "31"], "--p requires --a and --b"),
-    # without --p the curve would be searched for, and --a and --b dropped
-    (["theta-verify", "--n", "2", "--a", "5", "--b", "1"], "--a and --b require --p"),
-    (["theta-verify", "--n", "2", "--b=1"], "--a and --b require --p"),
     (["theta-verify", "--n", "3", "--p", "4", "--a", "1", "--b", "1"], "not prime"),
     (["theta-verify", "--n", "0"], "--n must be at least 1"),
     (["theta-verify", "--n", "-2"], "--n must be at least 1"),
@@ -218,6 +215,9 @@ def test_record_is_one_line_of_json(capsys, monkeypatch):
     (["abstract", "--delta", "2", "--format=xml"], "--format must be json or table, got 'xml'"),
     # no prefix abbreviations: --n is not --n-max
     (["nonjordan", "--n", "2"], "nonjordan takes no argument '--n'"),
+    # without --p the curve would be searched for, and --a and --b dropped
+    (["theta-verify", "--n", "2", "--a", "5", "--b", "1"], "--a and --b require --p"),
+    (["theta-verify", "--n", "2", "--b=1"], "--a and --b require --p"),
 ])
 def test_input_errors_exit_2(capsys, argv, message):
     assert main(argv) == 2
