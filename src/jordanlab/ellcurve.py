@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import operator
 import random
-from array import array
 from functools import lru_cache
+from itertools import repeat
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -210,6 +210,18 @@ def _sqrt_table(p: int) -> dict[int, tuple[int, ...]]:
     return {v: tuple(ys) for v, ys in table.items()}
 
 
+@lru_cache(maxsize=16)  # the scan moves on prime by prime
+def _cubes(p: int) -> list[int]:
+    return [x * x * x % p for x in range(p)]
+
+
+def _rhs_values(p: int, a: int, b: int) -> Iterator[int]:
+    """x^3 + a x + b mod p for x = 0, 1, ..., p - 1, by map over the cubes mod p."""
+    cubes = _cubes(p)
+    shifted = map(operator.add, cubes, range(b, b + a * p, a)) if a else map(b.__add__, cubes)
+    return map(operator.mod, shifted, repeat(p))
+
+
 # Integer kernel for curve search: points are (x, y) int tuples, None is O, and
 # every point it computes is checked on the curve, as CurvePoint does.
 
@@ -266,17 +278,22 @@ def _double_and_add(k: int, step, add):
 
 
 def _affine_mul(p: int, a: int, b: int, k: int, P: tuple[int, int] | None) -> tuple[int, int] | None:
-    """k * P for k >= 0 by double-and-add; P is checked on the curve first."""
-    return _double_and_add(k, _on_curve(p, a, b, P), lambda Q, R: _affine_add(p, a, b, Q, R))
+    """k * P for k >= 0 by double-and-add; P and every point computed are checked on the curve."""
+    acc = None
+    step = _on_curve(p, a, b, P)
+    while k and step is not None:
+        if k & 1:
+            acc = step if acc is None else _on_curve(p, a, b, _chord_tangent(p, a, *acc, *step))
+        k >>= 1
+        if k:
+            step = _on_curve(p, a, b, _chord_tangent(p, a, *step, *step))
+    return acc
 
 
 def _point_count(p: int, a: int, b: int) -> int:
     """#E(F_p), Hasse-checked."""
     _budget_check(p)
-    sqrts = _sqrt_table(p)
-    count = 1
-    for x in range(p):
-        count += len(sqrts.get((x * x * x + a * x + b) % p, ()))
+    count = 1 + sum(map(len, filter(None, map(_sqrt_table(p).get, _rhs_values(p, a, b)))))
     if (count - p - 1) ** 2 > 4 * p:
         raise CertificateError(f"point count {count} violates the Hasse bound on E({p}:{a}:{b})")
     return count
@@ -285,10 +302,8 @@ def _point_count(p: int, a: int, b: int) -> int:
 def _torsion_count(p: int, a: int, b: int, n: int) -> int:
     """#E[n](F_p): the points, O included, that n kills."""
     _budget_check(p)
-    sqrts = _sqrt_table(p)
     killed = 1
-    for x in range(p):
-        ys = sqrts.get((x * x * x + a * x + b) % p)
+    for x, ys in enumerate(map(_sqrt_table(p).get, _rhs_values(p, a, b))):
         # n(-P) = -(nP), so n kills both roots y and -y or neither
         if ys and _affine_mul(p, a, b, n, (x, ys[0])) is None:
             killed += len(ys)
@@ -300,10 +315,9 @@ def enumerate_points(curve: Curve) -> tuple[CurvePoint, ...]:
     """All F_p-points in sorted order, the identity last; Hasse-checked."""
     p, a, b = curve.p, curve.a.value, curve.b.value
     _budget_check(p)
-    sqrts = _sqrt_table(p)
     points = []
-    for x in range(p):
-        for y in sqrts.get((x * x * x + a * x + b) % p, ()):
+    for x, ys in enumerate(map(_sqrt_table(p).get, _rhs_values(p, a, b))):
+        for y in ys or ():
             points.append(curve.point(x, y))
     points.sort(key=CurvePoint.sort_key)
     points.append(curve.infinity())
@@ -329,41 +343,79 @@ def _hasse_allows(p: int, n2: int) -> bool:
     return (p + 1 + r) // n2 * n2 >= p + 1 - r
 
 
+def _coset_leaders(p: int, powers: list[int]) -> list[int]:
+    """The least member of each coset of the subgroup powers of F_p^*."""
+    leaders, seen = [], set()
+    for v in range(1, p):
+        if v not in seen:
+            leaders.append(v)
+            seen.update(v * w % p for w in powers)
+    return leaders
+
+
+def _class_representatives(p: int, coset: list[int]) -> list[tuple[int, int]]:
+    """One (a, b) per isomorphism class whose a lies in coset, a coset of the fourth powers
+    in increasing order.  With ab != 0 the class is fixed by a^3 / b^2 = J and by whether ab
+    is a square (Silverman III.1, X.5): (J, J) and its twist (J d^2, J d^3) for the least
+    nonresidue d, the twist written (c, c d) with c = J d^2 in the coset."""
+    d = next(v for v in range(2, p) if pow(v, (p - 1) // 2, p) == p - 1)
+    singular = -27 * pow(4, -1, p) % p  # 4 J^3 + 27 J^2 = 0 for J != 0
+    return ([(coset[0], 0)] + [(j, j) for j in coset if j != singular]
+            + [(c, c * d % p) for c in coset if c != singular * d * d % p])
+
+
+def _admissible_at(p: int, n: int) -> Iterator[Curve]:
+    """The curves over F_p carrying full level-n structure, in (a, b) order.
+
+    Row 0 holds the classes (0, v), one per coset of the sixth powers.  Every member
+    (u^4 a, u^6 b) of a class with a != 0 has its a in the coset of the fourth powers that
+    holds the representative's.  So the rows a = 0, 1, 2, ... are walked in turn, and when
+    the row of a coset's least member comes up, the classes of that coset are counted, each
+    once at its representative, and the members of the admissible ones are listed by row.
+    Each row is yielded sorted by b."""
+    n2 = n * n
+    units = [(u ** 4 % p, u ** 6 % p) for u in range(1, (p + 1) // 2)]  # u and -u act alike
+    rows: dict[int, list[tuple[int, int]]] = {}
+
+    def count_classes(representatives: Iterable[tuple[int, int]]) -> None:
+        for a, b in representatives:
+            count = _point_count(p, a, b)
+            if count % n2 == 0 and _torsion_count(p, a, b, n) == n2:
+                # a set: the orbit of (0, v) or (v, 0) meets a member twice when u^6 or u^4 does
+                for x, y in {(u4 * a % p, u6 * b % p) for u4, u6 in units}:
+                    rows.setdefault(x, []).append((y, count))
+
+    count_classes((0, v) for v in _coset_leaders(p, [u6 for _, u6 in units]))
+    fourths = [u4 for u4, _ in units]
+    leaders = set(_coset_leaders(p, fourths))
+    for a in range(p):
+        if a in leaders:
+            count_classes(_class_representatives(p, sorted({a * w % p for w in fourths})))
+        for b, count in sorted(rows.pop(a, ())):
+            yield Curve(p, FpElement(p, a), FpElement(p, b), count)
+
+
 def iter_admissible_curves(n: int, p_max: int) -> Iterator[Curve]:
     """Curves with p = 1 (mod n) carrying full level-n structure, (p, a, b) ordered.
 
     Full level-n structure needs n^2 | #E: a prime whose Hasse interval holds no multiple
     of n^2 is ruled out by the Hasse bound and skipped.  (a, b) and (u^4 a, u^6 b) are
-    isomorphic by (x, y) -> (u^2 x, u^3 y), with the same #E and E[n].  Points are
-    counted on integer coordinates once per isomorphism class, at its first member, and
-    the verdict and count are marked on the whole class; a Curve, carrying the count, is
-    built only for the curves yielded.  A prime p = 1 (mod n) past the point budget,
-    where the scan would stop, is refused before the first prime is scanned.
+    isomorphic by (x, y) -> (u^2 x, u^3 y), with the same #E and E[n], so points are
+    counted on integer coordinates once per isomorphism class, at a representative, as
+    _admissible_at lays out; a Curve, carrying the count, is built only for the curves
+    yielded.  Only p = 1 (mod n) is visited.  A prime p = 1 (mod n) past the point
+    budget, where the scan would stop, is refused before the first prime is scanned.
     """
     if n < 2:
         raise ValueError("level must be at least 2")
-    for q in range(POINT_BUDGET + 1, p_max + 1):
-        if (q - 1) % n == 0 and is_prime(q):
+    # the least q > POINT_BUDGET, and the least p >= 5, with q, p = 1 (mod n)
+    for q in range(POINT_BUDGET + 1 + -POINT_BUDGET % n, p_max + 1, n):
+        if is_prime(q):
             _budget_check(q)  # raises BudgetExceeded
     n2 = n * n
-    for p in range(5, p_max + 1):
-        if not is_prime(p) or (p - 1) % n != 0 or not _hasse_allows(p, n2):
-            continue
-        twists = [(u ** 4 % p, u ** 6 % p) for u in range(1, p)]
-        # at a * p + b: 0 unknown, 1 not admissible, else #E, which is at least 2
-        verdict = array("H", bytes(2 * p * p))
-        for a in range(p):
-            for b in range(p):
-                if (4 * a * a * a + 27 * b * b) % p == 0:
-                    continue
-                if not verdict[a * p + b]:
-                    count = _point_count(p, a, b)
-                    ok = count % n2 == 0 and _torsion_count(p, a, b, n) == n2
-                    for u4, u6 in twists:
-                        verdict[u4 * a % p * p + u6 * b % p] = count if ok else 1
-                count = verdict[a * p + b]
-                if count > 1:
-                    yield Curve(p, FpElement(p, a), FpElement(p, b), count)
+    for p in range(5 + -4 % n, min(p_max, POINT_BUDGET) + 1, n):
+        if is_prime(p) and _hasse_allows(p, n2):
+            yield from _admissible_at(p, n)
 
 
 def curve_search(n: int, p_max: int) -> list[Curve]:

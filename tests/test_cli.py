@@ -82,6 +82,14 @@ def test_curve_search_past_the_budget_exits_2_before_scanning(capsys, monkeypatc
     assert out.err == "error: BudgetExceeded: p = 2003 exceeds point enumeration budget 2000\n"
 
 
+def test_curve_search_at_a_huge_level_exits_2_at_the_first_prime_past_the_budget(capsys):
+    # 22000001 is the least prime 1 mod 10^6
+    assert main(["curve-search", "--n", "1000000", "--p-max", "1000000000"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: BudgetExceeded: p = 22000001 exceeds point enumeration budget 2000\n"
+
+
 @pytest.mark.parametrize("argv, over", [(["theta-verify", "--n", "3"], 2011),
                                         (["nonjordan", "--n-max", "2"], 2003)])
 def test_curve_lookup_past_the_budget_exits_2_before_scanning(capsys, monkeypatch, argv, over):

@@ -1,13 +1,15 @@
 """Curve arithmetic, divisors, tracked functions, Miller ladders, pairing."""
 
+import functools
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jordanlab import ellcurve
+from jordanlab import ellcurve, theta
 from jordanlab.birgroup import compose, theta_embed
 from jordanlab.cli import run_curve_search
 from jordanlab.ellcurve import (
@@ -197,14 +199,30 @@ def test_curve_search_matches_object_filter(n, p_max):
     assert curve_search(n, p_max) == reference
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
 def test_class_wise_search_matches_per_curve_filter(n):
     # every nonsingular curve counted on its own, no isomorphism classes
-    reference = [Curve.make(p, a, b) for p in range(5, 41) if is_prime(p) and (p - 1) % n == 0
-                 for a, b in nonsingular(p)
+    p_max = 40 if n < 5 else 100
+    reference = [Curve.make(p, a, b) for p in range(5, p_max + 1)
+                 if is_prime(p) and (p - 1) % n == 0 for a, b in nonsingular(p)
                  if _point_count(p, a, b) % (n * n) == 0 and _torsion_count(p, a, b, n) == n * n]
     assert reference
-    assert curve_search(n, 40) == reference
+    assert curve_search(n, p_max) == reference
+
+
+@functools.lru_cache(maxsize=None)
+def unit_powers(p):
+    """(u^4, u^6) mod p for u = 1, ..., (p - 1) / 2; u and -u give the same pair."""
+    return [(u ** 4 % p, u ** 6 % p) for u in range(1, (p + 1) // 2)]
+
+
+def orbit(p, a, b):
+    """The class of (a, b): its members (u^4 a, u^6 b)."""
+    return {(u4 * a % p, u6 * b % p) for u4, u6 in unit_powers(p)}
+
+
+def class_count(p):
+    return math.gcd(6, p - 1) + math.gcd(4, p - 1) + 2 * (p - 2)
 
 
 def test_class_wise_search_counts_each_class_once(monkeypatch):
@@ -213,11 +231,47 @@ def test_class_wise_search_counts_each_class_once(monkeypatch):
     monkeypatch.setattr(ellcurve, "_point_count",
                         lambda p, a, b: counted.append((p, a, b)) or count(p, a, b))
     curve_search(2, 13)
-    # the least member of each class {(u^4 a, u^6 b)}, met first in (p, a, b) order
-    firsts = {(p, *min((u ** 4 * a % p, u ** 6 * b % p) for u in range(1, p)))
-              for p in (5, 7, 11, 13) for a, b in nonsingular(p)}
-    assert counted == sorted(firsts)
+    assert len(counted) == len(set(counted)) == sum(class_count(p) for p in (5, 7, 11, 13))
+    for p in (5, 7, 11, 13):
+        at_p = [(a, b) for q, a, b in counted if q == p]
+        assert len(at_p) == class_count(p)
+        # each nonsingular pair is (u^4 a, u^6 b) of exactly one counted pair, so no two
+        # counted pairs are isomorphic and every class is counted
+        classes = [orbit(p, a, b) for a, b in at_p]
+        assert sum(map(len, classes)) == len(set().union(*classes)) == len(nonsingular(p))
+        assert set().union(*classes) == set(nonsingular(p))
     assert len(counted) < sum(len(nonsingular(p)) for p in (5, 7, 11, 13)) // 3
+
+
+def test_class_representatives_partition_the_nonsingular_pairs(monkeypatch):
+    counted = {}
+    # a count that n = 2 never admits, so the scan lists no orbit and yields nothing
+    monkeypatch.setattr(ellcurve, "_point_count",
+                        lambda p, a, b: counted.setdefault(p, []).append((a, b)) or 1)
+    assert curve_search(2, 199) == []
+    assert sorted(counted) == primes_up_to(199)[2:]
+    for p, representatives in counted.items():
+        assert len(representatives) == class_count(p)
+        covered = set()
+        for a, b in representatives:
+            members = orbit(p, a, b)
+            assert not covered & members, (p, a, b)
+            covered |= members
+        assert len(covered) == p * p - p
+        assert all((4 * a ** 3 + 27 * b ** 2) % p for a, b in covered)
+
+
+def test_first_level_16_curve_counts_only_row_0_of_its_prime(monkeypatch):
+    counted = []
+    count = ellcurve._point_count
+    monkeypatch.setattr(ellcurve, "_point_count",
+                        lambda p, a, b: counted.append(p) or count(p, a, b))
+    assert repr(next(ellcurve.iter_admissible_curves(16, 2000))) == "E(241:0:17)"
+    assert 0 < counted.count(241) <= math.gcd(6, 240) == 6
+
+
+def test_level_16_theta_curve_is_unchanged():
+    assert repr(theta.find_theta_curve(16, 2000)) == "E(769:0:1)"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -282,6 +336,31 @@ def test_point_sum_is_checked_on_the_curve_once(monkeypatch):
     P, Q = [R for R in points if not R.is_infinity and R.y.value != 6][:2]  # (y + 1)^2 != y^2
     with pytest.raises(OffCurve):
         P + Q
+
+
+@pytest.mark.parametrize("curve", [C1370, Curve.make(19, 0, 5)])
+def test_integer_multiples_match_point_objects(curve):
+    p, a, b = curve.p, curve.a.value, curve.b.value
+    for P in enumerate_points(curve):
+        for k in range(13):
+            assert _affine_mul(p, a, b, k, P._coords()) == (k * P)._coords(), (P, k)
+
+
+@pytest.mark.parametrize("doctored, n", [("every", 3), ("tangent", 2), ("chord", 3)])
+def test_torsion_count_checks_every_point_of_the_ladder(monkeypatch, doctored, n):
+    # at n = 2 the ladder only doubles; at n = 3 it also adds P to 2P along a chord
+    chord_tangent = ellcurve._chord_tangent
+
+    def law(p, a, x1, y1, x2, y2):
+        point = chord_tangent(p, a, x1, y1, x2, y2)
+        if point is None or doctored == ("chord" if x1 == x2 else "tangent"):
+            return point
+        return point[0], point[1] + 1
+
+    assert _torsion_count(13, 7, 0, n) == len(torsion_subgroup(C1370, n))
+    monkeypatch.setattr(ellcurve, "_chord_tangent", law)
+    with pytest.raises(OffCurve):
+        _torsion_count(13, 7, 0, n)
 
 
 def test_integer_kernel_budget_and_hasse(monkeypatch):
@@ -798,3 +877,14 @@ def test_scan_refuses_a_prime_past_the_budget_before_its_first_prime(monkeypatch
     with pytest.raises(BudgetExceeded) as exc:
         next(ellcurve.iter_admissible_curves(4, 2017))
     assert str(exc.value) == f"p = 2017 exceeds point enumeration budget {POINT_BUDGET}"
+
+
+def test_scan_visits_only_candidates_1_mod_n(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ellcurve, "is_prime", lambda q: calls.append(q) or is_prime(q))
+    assert curve_search(10 ** 6, 300000) == []
+    assert len(calls) <= 300000 // 10 ** 6 + 2
+    assert curve_search(10 ** 9, 10 ** 9 - 1) == []
+    calls.clear()
+    found = curve_search(4, 60)
+    assert found and set(calls) <= set(range(5, 61)) and all(q % 4 == 1 for q in calls)
