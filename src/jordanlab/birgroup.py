@@ -39,17 +39,6 @@ class SamplePoint(Frozen):
         set_field(self, "x", x)
         set_field(self, "t", t)
 
-    def __eq__(self, other):
-        if other.__class__ is not SamplePoint:
-            return NotImplemented
-        return (self.x, self.t) == (other.x, other.t)
-
-    def __hash__(self):
-        return hash((self.x, self.t))
-
-    def __repr__(self):
-        return f"SamplePoint(x={self.x!r}, t={self.t!r})"
-
 
 class BirAuto(Frozen):
     """The automorphism (x, t) -> (x + y, f(x) * t)."""
@@ -61,14 +50,6 @@ class BirAuto(Frozen):
             raise CurveMismatch("translation and function live on different curves")
         set_field(self, "y", y)
         set_field(self, "f", f)
-
-    def __eq__(self, other):
-        if other.__class__ is not BirAuto:
-            return NotImplemented
-        return (self.y, self.f) == (other.y, other.f)
-
-    def __hash__(self):
-        return hash((self.y, self.f))
 
     @property
     def curve(self) -> Curve:

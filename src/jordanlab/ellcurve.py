@@ -116,9 +116,10 @@ class CurvePoint(Frozen):
     """Affine point (x, y) or the identity O (x = y = None).
 
     The group law is _chord_tangent on the integer coordinates, and k * P runs
-    the ladder of _affine_mul over +.  Sums, negatives and enumerate_points take
-    their points from Curve.point, so each coordinate pair of a Curve instance is
-    built and checked on the curve once, by __init__, and the point is kept.
+    the ladder of _affine_mul on them.  Sums, negatives, multiples and
+    enumerate_points take their points from Curve.point, so each coordinate pair of
+    a Curve instance is built and checked on the curve once, by __init__, and the
+    point is kept.
     """
 
     __slots__ = ("curve", "x", "y")
@@ -138,7 +139,7 @@ class CurvePoint(Frozen):
         set_field(self, "y", y)
 
     def __eq__(self, other):
-        if self is other:
+        if self is other:  # points are kept per curve, so this decides most comparisons
             return True
         if other.__class__ is not CurvePoint:
             return NotImplemented
@@ -182,8 +183,9 @@ class CurvePoint(Frozen):
     def __rmul__(self, k: int) -> "CurvePoint":
         if k < 0:
             return (-k) * (-self)
-        acc = _double_and_add(k, self, operator.add)
-        return self.curve.infinity() if acc is None else acc
+        curve = self.curve
+        point = _affine_mul(curve.p, curve.a.value, curve.b.value, k, self._coords())
+        return curve.infinity() if point is None else curve.point(*point)
 
     def order(self) -> int:
         acc = self
@@ -263,18 +265,6 @@ def _affine_add(p: int, a: int, b: int, P: tuple[int, int] | None,
     if Q is None:
         return P
     return _on_curve(p, a, b, _chord_tangent(p, a, *P, *Q))
-
-
-def _double_and_add(k: int, step, add):
-    """k * step for k >= 0 under add, with None for 0 * step; k = 2^m costs m additions."""
-    acc = None
-    while k:
-        if k & 1:
-            acc = step if acc is None else add(acc, step)
-        k >>= 1
-        if k:
-            step = add(step, step)
-    return acc
 
 
 def _affine_mul(p: int, a: int, b: int, k: int, P: tuple[int, int] | None) -> tuple[int, int] | None:
@@ -436,14 +426,6 @@ class Divisor(Frozen):
         set_field(self, "curve", curve)
         set_field(self, "items", items)
 
-    def __eq__(self, other):
-        if other.__class__ is not Divisor:
-            return NotImplemented
-        return (self.curve, self.items) == (other.curve, other.items)
-
-    def __hash__(self):
-        return hash((self.curve, self.items))
-
     @classmethod
     def of(cls, curve: Curve, data: dict[CurvePoint, int] | Iterable[tuple[CurvePoint, int]]) -> "Divisor":
         acc: dict[CurvePoint, int] = {}
@@ -524,16 +506,8 @@ class VerticalLine(Frozen):
     def __init__(self, c: FpElement):
         set_field(self, "c", c)
 
-    def __eq__(self, other):
-        if other.__class__ is not VerticalLine:
-            return NotImplemented
-        return (self.c,) == (other.c,)
-
     def __hash__(self):
         return hash(self.c.value)  # the int __eq__ compares, without hashing an FpElement
-
-    def __repr__(self):
-        return f"VerticalLine(c={self.c!r})"
 
     def eval(self, x: int, y: int) -> int:
         return (x - self.c.value) % self.c.p
@@ -553,17 +527,9 @@ class ChordLine(Frozen):
         set_field(self, "lam", lam)
         set_field(self, "nu", nu)
 
-    def __eq__(self, other):
-        if other.__class__ is not ChordLine:
-            return NotImplemented
-        return (self.lam, self.nu) == (other.lam, other.nu)
-
     def __hash__(self):
         # the ints __eq__ compares, without hashing two FpElements
         return hash((self.lam.value, self.nu.value))
-
-    def __repr__(self):
-        return f"ChordLine(lam={self.lam!r}, nu={self.nu!r})"
 
     def eval(self, x: int, y: int) -> int:
         return (y - self.lam.value * x - self.nu.value) % self.nu.p
@@ -586,19 +552,6 @@ class Atom(Frozen):
         set_field(self, "offset", offset)
         set_field(self, "exponent", exponent)
 
-    def __eq__(self, other):
-        if other.__class__ is not Atom:
-            return NotImplemented
-        return ((self.line, self.base_divisor, self.offset, self.exponent)
-                == (other.line, other.base_divisor, other.offset, other.exponent))
-
-    def __hash__(self):
-        return hash((self.line, self.base_divisor, self.offset, self.exponent))
-
-    def __repr__(self):
-        return (f"Atom(line={self.line!r}, base_divisor={self.base_divisor!r}, "
-                f"offset={self.offset!r}, exponent={self.exponent!r})")
-
 
 class TrackedFunction(Frozen):
     """A nonzero rational function as constant * product of offset line atoms."""
@@ -611,14 +564,6 @@ class TrackedFunction(Frozen):
         set_field(self, "curve", curve)
         set_field(self, "const", const)
         set_field(self, "atoms", atoms)
-
-    def __eq__(self, other):
-        if other.__class__ is not TrackedFunction:
-            return NotImplemented
-        return (self.curve, self.const, self.atoms) == (other.curve, other.const, other.atoms)
-
-    def __hash__(self):
-        return hash((self.curve, self.const, self.atoms))
 
     @classmethod
     def constant(cls, curve: Curve, value: FpElement | int) -> "TrackedFunction":

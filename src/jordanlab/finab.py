@@ -64,14 +64,6 @@ class FinAbGroup(Frozen):
         validate_delta(delta)
         set_field(self, "delta", delta)
 
-    def __eq__(self, other):
-        if other.__class__ is not FinAbGroup:
-            return NotImplemented
-        return self.delta == other.delta
-
-    def __hash__(self):
-        return hash((self.delta,))
-
     @property
     def order(self) -> int:
         n = 1
@@ -139,14 +131,6 @@ class KElement(Frozen):
         set_field(self, "group", group)
         set_field(self, "coords", _reduce(group, coords))
 
-    def __eq__(self, other):
-        if other.__class__ is not KElement:
-            return NotImplemented
-        return (self.group, self.coords) == (other.group, other.coords)
-
-    def __hash__(self):
-        return hash((self.group, self.coords))
-
     def __add__(self, other: "KElement") -> "KElement":
         _same_group(self, other)
         return KElement(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -173,14 +157,6 @@ class Character(Frozen):
     def __init__(self, group: FinAbGroup, coords: tuple[int, ...]):
         set_field(self, "group", group)
         set_field(self, "coords", _reduce(group, coords))
-
-    def __eq__(self, other):
-        if other.__class__ is not Character:
-            return NotImplemented
-        return (self.group, self.coords) == (other.group, other.coords)
-
-    def __hash__(self):
-        return hash((self.group, self.coords))
 
     def __call__(self, x: KElement) -> RootOfUnity:
         _same_group(self, x)
@@ -212,14 +188,6 @@ class HPoint(Frozen):
         _same_group(x, ell)
         set_field(self, "x", x)
         set_field(self, "ell", ell)
-
-    def __eq__(self, other):
-        if other.__class__ is not HPoint:
-            return NotImplemented
-        return (self.x, self.ell) == (other.x, other.ell)
-
-    def __hash__(self):
-        return hash((self.x, self.ell))
 
     @property
     def group(self) -> FinAbGroup:
@@ -315,17 +283,6 @@ class HSubgroup(Frozen):
         set_field(self, "group", group)
         set_field(self, "elements", elements)
 
-    def __eq__(self, other):
-        if other.__class__ is not HSubgroup:
-            return NotImplemented
-        return (self.group, self.elements) == (other.group, other.elements)
-
-    def __hash__(self):
-        return hash((self.group, self.elements))
-
-    def __repr__(self):
-        return f"HSubgroup(group={self.group!r}, elements={self.elements!r})"
-
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -385,19 +342,6 @@ class IsotropicWitness(Frozen):
         set_field(self, "elements", elements)
         set_field(self, "complement", complement)
         set_field(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is not IsotropicWitness:
-            return NotImplemented
-        return ((self.elements, self.complement, self.index)
-                == (other.elements, other.complement, other.index))
-
-    def __hash__(self):
-        return hash((self.elements, self.complement, self.index))
-
-    def __repr__(self):
-        return (f"IsotropicWitness(elements={self.elements!r}, "
-                f"complement={self.complement!r}, index={self.index!r})")
 
     @property
     def group(self) -> FinAbGroup:

@@ -41,14 +41,6 @@ class HeisElement(Frozen):
         set_field(self, "x", x)
         set_field(self, "ell", ell)
 
-    def __eq__(self, other):
-        if other.__class__ is not HeisElement:
-            return NotImplemented
-        return (self.a, self.x, self.ell) == (other.a, other.x, other.ell)
-
-    def __hash__(self):
-        return hash((self.a, self.x, self.ell))
-
     @property
     def group(self) -> FinAbGroup:
         return self.x.group
@@ -178,25 +170,6 @@ class IndexReport(Frozen):
         set_field(self, "witness_index", witness_index)
         set_field(self, "exhaustive", exhaustive)
         set_field(self, "subgroups_scanned", subgroups_scanned)
-
-    def _fields(self) -> tuple:
-        return (self.delta, self.group_order, self.certified_lower_bound, self.min_abelian_index,
-                self.witness_generators, self.witness_order, self.witness_index,
-                self.exhaustive, self.subgroups_scanned)
-
-    def __eq__(self, other):
-        if other.__class__ is not IndexReport:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return ("IndexReport(delta={!r}, group_order={!r}, certified_lower_bound={!r}, "
-                "min_abelian_index={!r}, witness_generators={!r}, witness_order={!r}, "
-                "witness_index={!r}, exhaustive={!r}, subgroups_scanned={!r})"
-                .format(*self._fields()))
 
     def to_dict(self) -> dict:
         return {

@@ -45,14 +45,6 @@ class RootOfUnity(Frozen):
         set_field(self, "modulus", modulus)
         set_field(self, "exponent", exponent % modulus)
 
-    def __eq__(self, other):
-        if other.__class__ is not RootOfUnity:
-            return NotImplemented
-        return self.modulus == other.modulus and self.exponent == other.exponent
-
-    def __hash__(self):
-        return hash((self.modulus, self.exponent))
-
     @classmethod
     def one(cls, modulus: int) -> "RootOfUnity":
         return cls(modulus, 0)
@@ -106,14 +98,6 @@ class FpElement(Frozen):
             raise ValueError(f"characteristic {p} is not prime")
         set_field(self, "p", p)
         set_field(self, "value", value % p)
-
-    def __eq__(self, other):
-        if other.__class__ is not FpElement:
-            return NotImplemented
-        return self.p == other.p and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.p, self.value))
 
     def _coerce(self, other) -> "FpElement":
         if isinstance(other, FpElement):

@@ -97,14 +97,6 @@ class ThetaElement(Frozen):
         set_field(self, "x", x)
         set_field(self, "f", f)
 
-    def __eq__(self, other):
-        if other.__class__ is not ThetaElement:
-            return NotImplemented
-        return (self.level, self.x, self.f) == (other.level, other.x, other.f)
-
-    def __hash__(self):
-        return hash((self.level, self.x, self.f))
-
     @property
     def curve(self) -> Curve:
         return self.x.curve
@@ -209,17 +201,6 @@ class HofL(Frozen):
     def __init__(self, level: int, elements: tuple[CurvePoint, ...]):
         set_field(self, "level", level)
         set_field(self, "elements", elements)
-
-    def __eq__(self, other):
-        if other.__class__ is not HofL:
-            return NotImplemented
-        return (self.level, self.elements) == (other.level, other.elements)
-
-    def __hash__(self):
-        return hash((self.level, self.elements))
-
-    def __repr__(self):
-        return f"HofL(level={self.level!r}, elements={self.elements!r})"
 
     @property
     def order(self) -> int:

@@ -584,22 +584,30 @@ def test_point_order_and_scalar_mul():
 
 
 def test_scalar_multiple_makes_the_fewest_additions(monkeypatch):
-    add = CurvePoint.__add__
+    # k * P runs the ladder of _affine_mul: one _chord_tangent per addition or doubling
+    add = ellcurve._chord_tangent
     calls = 0
 
-    def counted(self, other):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return add(self, other)
+        return add(*args)
 
-    point = affine_points(C1370)[0]
-    monkeypatch.setattr(CurvePoint, "__add__", counted)
-    counts = []
-    for k in (1, 2, 3, 4, 8):
-        calls = 0
-        k * point
-        counts.append(calls)
-    assert counts == [0, 1, 2, 2, 3]
+    two, six = affine_points(C1370)[:2]
+    assert (two.order(), six.order()) == (2, 6)
+    monkeypatch.setattr(ellcurve, "_chord_tangent", counted)
+
+    def counts(point):
+        nonlocal calls
+        found = []
+        for k in (1, 2, 3, 4, 8):
+            calls = 0
+            k * point
+            found.append(calls)
+        return found
+
+    assert counts(six) == [0, 1, 2, 2, 3]
+    assert counts(two) == [0, 1, 1, 1, 1]  # the ladder stops once a doubling reaches O
 
 
 def test_scalar_multiple_matches_repeated_addition():
@@ -856,9 +864,8 @@ def test_curve_search_refuses_a_prime_past_the_budget_before_scanning(monkeypatc
         with pytest.raises(BudgetExceeded) as exc:
             curve_search(n, over + 50)
         assert str(exc.value) == f"p = {over} exceeds point enumeration budget {POINT_BUDGET}"
-    # no prime 1 mod 4 lies in (2000, 2016]: the scan itself decides, as before
-    monkeypatch.setattr(ellcurve, "iter_admissible_curves", lambda n, p_max: iter(()))
-    assert curve_search(4, 2016) == []
+    # no prime 1 mod 4 lies in (2000, 2016], so for (4, 2016) the scan itself decides:
+    # test_scan_refuses_a_prime_past_the_budget_before_its_first_prime pins that
 
 
 def test_scan_refuses_a_prime_past_the_budget_before_its_first_prime(monkeypatch):

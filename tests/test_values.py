@@ -2,11 +2,16 @@
 
 Each value type compares and hashes over its fields in order, is frozen and has no
 __dict__; the reprs of one fixed instance per class are pinned to the strings the
-earlier dataclass-generated methods printed.
+earlier dataclass-generated methods printed, and the classes that override a dunder
+of the Frozen base are listed with their reasons.
 """
+
+import importlib
+import pkgutil
 
 import pytest
 
+import jordanlab
 from jordanlab.birgroup import BirAuto, SamplePoint
 from jordanlab.cli import Claim, RunReport
 from jordanlab.ellcurve import (
@@ -19,6 +24,7 @@ from jordanlab.ellcurve import (
     VerticalLine,
 )
 from jordanlab.finab import Character, FinAbGroup, HPoint, HSubgroup, IsotropicWitness, KElement
+from jordanlab.frozen import Frozen
 from jordanlab.heisenberg import HeisElement, IndexReport
 from jordanlab.scalars import FpElement, RootOfUnity
 from jordanlab.theta import HofL, ThetaElement
@@ -66,6 +72,28 @@ CASES = [
     (BirAuto, (P, F), 0, Q),
 ]
 IDS = [cls.__name__ for cls, *_ in CASES]
+
+# Frozen derives __eq__, __hash__ and __repr__ from __slots__; these are the classes that
+# define one of them in their own body, with the dunders they define and why
+OVERRIDES = {
+    Curve: ("__eq__ __hash__ __repr__",
+            "p, a and b only, not the count or the kept points; hashed on ints; E(p:a:b)"),
+    CurvePoint: ("__eq__ __hash__ __repr__",
+                 "identity first, since points are kept; hashed on the int coordinates; (x,y)"),
+    VerticalLine: ("__hash__", "the int of c, not the FpElement"),
+    ChordLine: ("__hash__", "the ints of lam and nu, not the FpElements"),
+    FpElement: ("__repr__", "the value alone"),
+    RootOfUnity: ("__repr__", "zetaN^k"),
+    Divisor: ("__repr__", "the formal sum"),
+    TrackedFunction: ("__repr__", "Fn(const; count atoms)"),
+    FinAbGroup: ("__repr__", "K(delta)"),
+    KElement: ("__repr__", "the coordinates alone"),
+    Character: ("__repr__", "chi(coordinates)"),
+    HPoint: ("__repr__", "(x,ell)"),
+    HeisElement: ("__repr__", "(a,x,ell)"),
+    ThetaElement: ("__repr__", "Thetan(x; f)"),
+    BirAuto: ("__repr__", "A(y, f)"),
+}
 
 # repr of cls(*args) for each case, as printed by the dataclass-generated or custom methods
 REPRS = {
@@ -216,3 +244,15 @@ def test_record_reprs_are_unchanged():
     claim, report = records()
     assert repr(claim) == REPRS["Claim"]
     assert repr(report) == REPRS["RunReport"]
+
+
+def test_every_override_of_the_frozen_base_is_listed():
+    for info in pkgutil.iter_modules(jordanlab.__path__):
+        importlib.import_module(f"jordanlab.{info.name}")
+    classes = Frozen.__subclasses__()
+    assert {cls for cls, *_ in CASES} <= set(classes)
+    assert all(cls.__hash__ is not None for cls in classes)
+    found = {cls: " ".join(name for name in ("__eq__", "__hash__", "__repr__") if name in vars(cls))
+             for cls in classes}
+    assert {cls: names for cls, names in found.items() if names} == {
+        cls: names for cls, (names, _) in OVERRIDES.items()}
