@@ -21,7 +21,7 @@ function representation has no canonical form.
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from collections.abc import Sequence
 
 from .errors import CurveMismatch, EvalAtSupport, Undefined
 from .ellcurve import Curve, CurvePoint, TrackedFunction, affine_points, same_function
@@ -105,11 +105,34 @@ def theta_embed(g: ThetaElement) -> BirAuto:
     return BirAuto(g.x, g.f)
 
 
-def sample_points(curve: Curve, seed: int = 0, count: int = 100) -> Iterator[SamplePoint]:
-    """Deterministic stream of samples with nonzero fiber coordinate."""
+class Samples(Sequence):
+    """count samples (x, t), drawn as ints up front; the SamplePoint at an index is
+    built the first time that index is read, and kept."""
+
+    __slots__ = ("_curve", "_pool", "_draws", "_built")
+
+    def __init__(self, curve: Curve, pool: tuple[CurvePoint, ...], draws: list[tuple[int, int]]):
+        self._curve = curve
+        self._pool = pool
+        self._draws = draws  # (index into pool, t) per sample
+        self._built: dict[int, SamplePoint] = {}
+
+    def __len__(self) -> int:
+        return len(self._draws)
+
+    def __getitem__(self, i: int) -> SamplePoint:
+        sample = self._built.get(i)
+        if sample is None:
+            x, t = self._draws[i]  # IndexError past the end ends iteration
+            sample = self._built[i] = SamplePoint(self._pool[x], self._curve.fe(t))
+        return sample
+
+
+def sample_points(curve: Curve, seed: int = 0, count: int = 100) -> Samples:
+    """Deterministic stream of samples with nonzero fiber coordinate: per sample, a point
+    of affine_points(curve) by rng.choice, then t = rng.randrange(1, p)."""
     rng = random.Random(f"{seed}:{curve.p}:samples")
     pool = affine_points(curve)
-    for _ in range(count):
-        x = rng.choice(pool)
-        t = curve.fe(rng.randrange(1, curve.p))
-        yield SamplePoint(x, t)
+    indices = range(len(pool))
+    return Samples(curve, pool, [(rng.choice(indices), rng.randrange(1, curve.p))
+                                 for _ in range(count)])

@@ -85,7 +85,7 @@ class Claim:
 
 class RunReport:
     """The record of one run, built as the run starts: each claim's wall_s is the time
-    since the previous claim, or since the report was built."""
+    since the previous claim or lap, or since the report was built."""
 
     __slots__ = ("command", "params", "claims", "data", "wall_time_s", "_mark")
 
@@ -98,10 +98,15 @@ class RunReport:
         self.wall_time_s = wall_time_s
         self._mark = time.perf_counter()
 
-    def _add(self, c: Claim) -> Claim:
+    def lap(self) -> float:
+        """Seconds since the previous claim or lap, or since the report was built; the
+        next claim or lap counts from now."""
         now = time.perf_counter()
-        c.wall_s = round(now - self._mark, 3)
-        self._mark = now
+        seconds, self._mark = now - self._mark, now
+        return seconds
+
+    def _add(self, c: Claim) -> Claim:
+        c.wall_s = round(self.lap(), 3)
         self.claims.append(c)
         return c
 
@@ -370,6 +375,10 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     def element(e: int):  # layer element e, built once, where a claim names or applies it
         return structure.element(*labels[e])
 
+    @functools.cache
+    def embedded_map(e: int):  # element e on E x A^1, embedded once
+        return birgroup.theta_embed(element(e))
+
     right = [[tables.index.get(mu_product(tables, g, layer[c])) for c in gens] for g in layer]
     escaped = [(g, c) for g, row in enumerate(right) for c, k in zip(gens, row) if k is None]
     if escaped:
@@ -425,12 +434,12 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     # agreeing at (S[0], 1), where embed(g) is read from g's vector, they agree everywhere
     moved = [birgroup.SamplePoint(others[shift[x][0]], curve.fe(values[0]))
              for x, values in layer]
-    maps = {c: birgroup.theta_embed(element(c)) for c in gens}
     generator_claim("embed-homomorphism", size * size,
                     f"the action at ({others[0]!r}, 1) checked on the generators, "
                     "every pair by induction",
                     [(element(g), element(c)) for g, row in enumerate(right)
-                     for c, k in zip(gens, row) if birgroup.apply(maps[c], moved[g]) != moved[k]])
+                     for c, k in zip(gens, row)
+                     if birgroup.apply(embedded_map(c), moved[g]) != moved[k]])
 
     # maps over one point are equal exactly when their value vectors are
     first = next(([(element(i), element(layer.index(g, i + 1)))]
@@ -443,14 +452,14 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     # must give the same fiber coordinate, which ties the vectors to the functions
     at = {s: k for k, s in enumerate(others)}
     sem_ok = sem_skipped = sem_failures = 0
-    samples = list(birgroup.sample_points(curve, seed=seed, count=400))
+    samples = birgroup.sample_points(curve, seed=seed, count=400)  # built as drawn
     rng = random.Random(f"{seed}:compose")
     while sem_ok < 100 and sem_skipped < 4000:
         a = rng.choice(range(size))
         b = rng.choice(range(size))
         s = rng.choice(samples)
         try:
-            first, second = birgroup.theta_embed(element(a)), birgroup.theta_embed(element(b))
+            first, second = embedded_map(a), embedded_map(b)
             lhs = birgroup.apply(birgroup.compose(second, first), s)
             rhs = birgroup.apply(second, birgroup.apply(first, s))
         except Undefined:
@@ -514,6 +523,8 @@ def run_nonjordan(n_max: int, p_max: int, exhaustive_max: int, theta_max: int, s
             if curve is None:
                 row["theta_transport"] = False if n <= theta_max else None
                 curve = next(iter_admissible_curves(n, p_max), None)
+            # the search apart, so that the next row's min-index claim times its scan only
+            row["curve_wall_s"] = round(report.lap(), 3)
             if curve is None:
                 report.skip(f"curve-n{n}", f"no admissible curve below {p_max}")
             else:

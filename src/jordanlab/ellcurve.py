@@ -51,10 +51,12 @@ PAIRING_RETRIES = 16  # offset pairs weil_pairing tries before giving up
 class Curve(Frozen):
     """y^2 = x^3 + a*x + b over F_p, p >= 5, nonsingular.  count, if given, is #E(F_p) as
     the caller counted and Hasse-checked it.  Each instance keeps one CurvePoint per
-    coordinate pair in _points, at most #E(F_p) of them; equality and hashing read p, a
-    and b only."""
+    coordinate pair in _points, at most #E(F_p) of them, and a memo _sums of the sums of
+    two affine points, keyed on their coordinates (x1, y1, x2, y2), at most #E(F_p)^2
+    entries.  The memo is made at the first sum, so a Curve that never adds, as most that
+    curve_search yields, holds none.  Equality and hashing read p, a and b only."""
 
-    __slots__ = ("p", "a", "b", "_count", "_points")
+    __slots__ = ("p", "a", "b", "_count", "_points", "_sums")
 
     def __init__(self, p: int, a: FpElement, b: FpElement, count: int | None = None):
         if p < 5 or not is_prime(p):
@@ -68,6 +70,7 @@ class Curve(Frozen):
         set_field(self, "b", b)
         set_field(self, "_count", count)
         set_field(self, "_points", {})
+        set_field(self, "_sums", None)  # made by _add at the first addition
 
     @classmethod
     def make(cls, p: int, a: int, b: int) -> "Curve":
@@ -95,6 +98,26 @@ class Curve(Frozen):
             point = self._points[key] = CurvePoint(self, FpElement(p, x), FpElement(p, y))
         return point
 
+    def _add(self, P: "CurvePoint", Q: "CurvePoint") -> "CurvePoint":
+        """P + Q for points of this curve, unchecked: P or Q itself when the other is O,
+        else the kept sum, by _chord_tangent and Curve.point at the first call for the
+        pair of coordinates and from _sums after."""
+        if P.x is None:
+            return Q
+        if Q.x is None:
+            return P
+        key = (P.x.value, P.y.value, Q.x.value, Q.y.value)
+        sums = self._sums
+        if sums is None:
+            sums = {}
+            set_field(self, "_sums", sums)
+        point = sums.get(key)
+        if point is None:
+            # the law unchecked: Curve.point checks a new sum on the curve
+            coords = _chord_tangent(self.p, self.a.value, *key)
+            point = sums[key] = self.infinity() if coords is None else self.point(*coords)
+        return point
+
     def point_count(self) -> int:
         """#E(F_p), counted on integer coordinates and Hasse-checked, unless given."""
         return self._count or _point_count(self.p, self.a.value, self.b.value)
@@ -119,7 +142,9 @@ class CurvePoint(Frozen):
     the ladder of _affine_mul on them.  Sums, negatives, multiples and
     enumerate_points take their points from Curve.point, so each coordinate pair of
     a Curve instance is built and checked on the curve once, by __init__, and the
-    point is kept.
+    point is kept.  P + Q of two affine points is read from the memo of P's curve
+    (Curve._add), keyed on the coordinates of P and Q, never on their ids: a point
+    built directly is not kept, and its id may be reused.
     """
 
     __slots__ = ("curve", "x", "y")
@@ -161,16 +186,9 @@ class CurvePoint(Frozen):
             raise CurveMismatch(f"{self!r} and {other!r} are on different curves")
 
     def __add__(self, other: "CurvePoint") -> "CurvePoint":
-        self._check(other)
-        if self.x is None:
-            return other
-        if other.x is None:
-            return self
-        curve = self.curve
-        # the law unchecked: __init__ checks the sum on the curve
-        point = _chord_tangent(curve.p, curve.a.value, self.x.value, self.y.value,
-                               other.x.value, other.y.value)
-        return curve.infinity() if point is None else curve.point(*point)
+        if other.curve is not self.curve:  # most sums are of points of one instance
+            self._check(other)
+        return self.curve._add(self, other)
 
     def __neg__(self) -> "CurvePoint":
         if self.is_infinity:
@@ -626,21 +644,21 @@ class TrackedFunction(Frozen):
         return TrackedFunction(self.curve, self.const, moved)
 
     def __call__(self, point: CurvePoint) -> FpElement:
-        """The value at point, on integer coordinates: each atom's argument point + offset
-        is taken on _affine_add, and the lines of negative exponent are multiplied apart,
-        so a call costs one inverse.  EvalAtSupport at the first atom, in order, whose
-        argument is O or whose line vanishes there."""
+        """The value at point: each atom's argument point + offset is a kept point, read
+        from the curve's memo of sums (Curve._add), the lines are evaluated on its integer
+        coordinates, and the lines of negative exponent are multiplied apart, so a call
+        costs one inverse.  EvalAtSupport at the first atom, in order, whose argument is O
+        or whose line vanishes there."""
         curve = self.curve
         if point.curve is not curve and point.curve != curve:
             raise CurveMismatch(f"{point!r} is not on {curve!r}")
-        p, a, b = curve.p, curve.a.value, curve.b.value
-        at = point._coords()
+        p = curve.p
         num, den = self.const.value, 1
         for atom in self.atoms:
-            arg = _affine_add(p, a, b, at, atom.offset._coords())
-            if arg is None:
+            arg = curve._add(point, atom.offset)
+            if arg.x is None:
                 raise EvalAtSupport(f"atom argument hit the identity at {point!r}")
-            value = atom.line.eval(*arg)
+            value = atom.line.eval(arg.x.value, arg.y.value)
             if not value:
                 raise EvalAtSupport(f"atom vanished at {point!r}")
             e = atom.exponent

@@ -2,11 +2,11 @@
 
 Each value type is a plain class with __slots__ and a hand-written __init__ (see
 README, "Plain slotted classes").  Frozen derives the rest from __slots__: an
-instance equals only an instance of the same class with equal fields, in order,
-hashes the tuple of those fields and prints as Name(field=value, ...).  A class
-overrides one of these only for a reason its override states.  Frozen also refuses
-assignment and deletion once an instance is built; __init__ sets each field exactly
-once through set_field.
+instance equals itself, and otherwise only an instance of the same class with equal
+fields, in order, hashes the tuple of those fields and prints as Name(field=value,
+...).  A class overrides one of these only for a reason its override states.  Frozen
+also refuses assignment and deletion once an instance is built; __init__ sets each
+field exactly once through set_field.
 """
 
 from operator import attrgetter
@@ -23,6 +23,8 @@ class Frozen:
         cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda g: (get(g),))
 
     def __eq__(self, other):
+        if other is self:  # values are shared, so this decides many comparisons, fields unread
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         fields = self._fields

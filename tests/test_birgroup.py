@@ -7,7 +7,14 @@ import pytest
 
 from jordanlab import birgroup
 from jordanlab.birgroup import SamplePoint, bir_equal, compose, identity, inverse, theta_embed
-from jordanlab.ellcurve import TrackedFunction, line_function, miller_function, torsion_subgroup
+from jordanlab.ellcurve import (
+    Curve,
+    TrackedFunction,
+    affine_points,
+    line_function,
+    miller_function,
+    torsion_subgroup,
+)
 from jordanlab.errors import CurveMismatch, Undefined
 from jordanlab.theta import find_theta_curve, theta_enumerate_mu, theta_make, theta_mul
 
@@ -162,6 +169,37 @@ def test_sample_points_deterministic():
     second = list(birgroup.sample_points(C2, seed=42, count=25))
     assert first == second
     assert all(not s.t.is_zero for s in first)
+
+
+# the curves of the theta bench at seed 1: level 3 on four pool curves, level 2 on 7:3:0
+BENCH_THETA_CURVES = [(31, 0, 2), (31, 15, 20), (37, 10, 0), (43, 27, 36), (7, 3, 0)]
+
+
+def reference_sample_points(curve, seed, count):
+    """The generator sample_points was: a point by rng.choice, then t, per sample."""
+    rng = random.Random(f"{seed}:{curve.p}:samples")
+    pool = affine_points(curve)
+    for _ in range(count):
+        x = rng.choice(pool)
+        t = curve.fe(rng.randrange(1, curve.p))
+        yield SamplePoint(x, t)
+
+
+@pytest.mark.parametrize("p, a, b", BENCH_THETA_CURVES)
+def test_samples_are_the_old_stream_built_on_draw(p, a, b):
+    curve = Curve.make(p, a, b)
+    samples = birgroup.sample_points(curve, seed=1, count=400)
+    reference = list(reference_sample_points(curve, seed=1, count=400))
+    assert len(samples) == 400 and not samples._built
+    # compose-semantics draws from its own stream, seeded by the run's seed
+    draw, again, index = (random.Random("1:compose") for _ in range(3))
+    picks = set()
+    for _ in range(400):
+        s, r = draw.choice(samples), again.choice(reference)
+        picks.add(index.choice(range(400)))
+        assert (s.x, s.t) == (r.x, r.t)
+    assert set(samples._built) == picks and len(picks) < 400
+    assert list(samples) == reference
 
 
 def test_compose_values_match_composed_functions():

@@ -9,6 +9,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -1358,3 +1359,26 @@ def test_claim_wall_s_times_each_claim_in_the_record_only(capsys, argv):
     assert sum(times.values()) <= report["wall_time_s"] + 0.0005 * (len(times) + 1)
     assert all("wall_s" not in c for c in report["claims"])
     assert "claim_wall_s" not in err
+
+
+def test_lap_restarts_the_clock_of_the_next_claim(monkeypatch):
+    clock = iter([10.0, 10.5, 12.0, 12.25])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    report = cli.RunReport("nonjordan", {})
+    assert report.lap() == 0.5
+    report.claim("min-index-n1", True, 1)
+    assert report.claims[0].wall_s == 1.5
+    assert report.lap() == 0.25
+
+
+def test_nonjordan_times_each_curve_search_apart(capsys, monkeypatch):
+    honest = cli.find_theta_curve
+    monkeypatch.setattr(cli, "find_theta_curve",
+                        lambda n, p_max: time.sleep(0.05) or honest(n, p_max))
+    code, report, _ = run_json(capsys, ["nonjordan", "--n-max", "3"])
+    assert code == 0
+    rows = report["rows"]
+    assert "curve_wall_s" not in rows[0]
+    assert rows[1]["curve_wall_s"] >= 0.05 and rows[2]["curve_wall_s"] >= 0.05
+    # row 3's scan starts after row 2's search
+    assert report["claim_wall_s"]["min-index-n3"] < 0.05

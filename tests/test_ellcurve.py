@@ -331,11 +331,43 @@ def test_point_sum_is_checked_on_the_curve_once(monkeypatch):
     points = enumerate_points(C1370)
     assert [P + Q for P, Q in itertools.product(points, repeat=2)] == [
         reference_add(P, Q) for P, Q in itertools.product(points, repeat=2)]
-    # a law gone wrong still meets the one check, in CurvePoint.__post_init__
+    # a law gone wrong still meets the one check, in CurvePoint.__init__.  C1370 has every
+    # sum above memoized, so the wrong law runs on a fresh instance with an empty memo
     monkeypatch.setattr(ellcurve, "_chord_tangent", lambda p, a, x1, y1, x2, y2: (x1, y1 + 1))
-    P, Q = [R for R in points if not R.is_infinity and R.y.value != 6][:2]  # (y + 1)^2 != y^2
+    fresh = Curve.make(13, 7, 0)
+    P, Q = [fresh.point(*R._coords()) for R in points
+            if not R.is_infinity and R.y.value != 6][:2]  # (y + 1)^2 != y^2
     with pytest.raises(OffCurve):
         P + Q
+
+
+@pytest.mark.parametrize("p, a, b", [(13, 7, 0), (43, 0, 1)])
+def test_memoized_sums_match_the_reference_law(p, a, b):
+    curve = Curve.make(p, a, b)  # a fresh instance, so the first sums run the law
+    points = [curve.infinity() if R.is_infinity else curve.point(*R._coords())
+              for R in enumerate_points(curve)]
+    pairs = list(itertools.product(points, repeat=2))
+    want = [reference_add(P, Q) for P, Q in pairs]
+    assert curve._sums is None  # made at the first addition
+    first = [P + Q for P, Q in pairs]
+    assert len(curve._sums) == (len(points) - 1) ** 2  # one entry per pair of affine points
+    second = [P + Q for P, Q in pairs]
+    assert first == want and second == want
+    assert all(R is S and R.curve is curve for R, S in zip(first, second))
+
+
+def test_an_equal_curve_is_not_served_the_sums_of_another():
+    first, second = Curve.make(13, 7, 0), Curve.make(13, 7, 0)
+    u, v = [R._coords() for R in affine_points(first) if R.y.value != 6][:2]  # (y + 1)^2 != y^2
+    total = first.point(*u) + first.point(*v)
+    assert total == reference_add(first.point(*u), first.point(*v))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ellcurve, "_chord_tangent", lambda p, a, x1, y1, x2, y2: (x1, y1 + 1))
+        assert first.point(*u) + first.point(*v) is total  # first's memo, the law unrun
+        with pytest.raises(OffCurve):  # the wrong law runs on second's own, empty memo
+            second.point(*u) + second.point(*v)
+    assert second._sums == {}
+    assert (second.point(*u) + second.point(*v)).curve is second
 
 
 @pytest.mark.parametrize("curve", [C1370, Curve.make(19, 0, 5)])

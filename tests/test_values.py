@@ -170,6 +170,20 @@ def test_hash_runs_over_the_fields_in_order(cls, args, index, value):
     assert hash(g) == hash(expected)
 
 
+def fields_read(g):
+    pytest.fail("a field was read")
+
+
+@pytest.mark.parametrize("cls,args", [(cls, args) for cls, args, *_ in CASES
+                                      if "__eq__" not in vars(cls)])
+def test_an_instance_equals_itself_without_reading_a_field(monkeypatch, cls, args):
+    a, b = cls(*args), cls(*args)
+    monkeypatch.setattr(cls, "_fields", staticmethod(fields_read))
+    assert a == a and not a != a
+    with pytest.raises(pytest.fail.Exception):  # an equal copy still compares its fields
+        a == b
+
+
 @pytest.mark.parametrize("cls,args,index,value", CASES, ids=IDS)
 def test_one_changed_field_breaks_equality(cls, args, index, value):
     a, b = cls(*args), cls(*changed(args, index, value))
