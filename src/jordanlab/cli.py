@@ -169,12 +169,13 @@ def _emit(report: RunReport, fmt: str) -> int:
 # abstract: symplectic layer + Heisenberg-type layer for one delta
 
 
-def _counterexample(names: str, items: tuple | None) -> str:
-    """Claim detail naming the first bad tuple, or "" when there is none."""
-    if items is None:
-        return ""
-    shown = ", ".join(map(repr, items))
-    return f"first counterexample {names} = " + (f"({shown})" if len(items) > 1 else shown)
+def _counterexample(names: str, bad: list[tuple], detail: str = "") -> str:
+    """Claim detail, followed by the first tuple of bad, named by names, when there is one."""
+    if not bad:
+        return detail
+    shown = ", ".join(map(repr, bad[0]))
+    first = f"first counterexample {names} = " + (f"({shown})" if len(bad[0]) > 1 else shown)
+    return f"{detail}; {first}" if detail else first
 
 
 def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
@@ -208,7 +209,7 @@ def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
     plus = [cycle[s:s + 256] for s in range(n)]  # plus[s][k] is (k + s) % n
     through_g = [operator.itemgetter(*add[g]) for g in gens]  # through_g[i](v)[c] is v[g + c]
     through_col = [operator.itemgetter(*col) for col in cols]  # through_col[i](v)[b]: v[b + g]
-    failures, first = 0, None
+    failures, first = 0, []
     for a, (e_a, row) in enumerate(zip(rows, add)):
         through_row = operator.itemgetter(*row)  # through_row(v)[b] is v[a + b]
         for g, col, at_g, at_col in zip(gens, cols, through_g, through_col):
@@ -225,19 +226,19 @@ def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
                 continue
             bad = [c for c in range(m) if e_ag[c] != left[c] or shifted[c] != right[c]]
             failures += sum(e_ag[c] != left[c] for c in bad) + sum(shifted[c] != right[c] for c in bad)
-            if first is None:
-                first = (h[a], h[g], h[bad[0]])
+            if not first:
+                first = [(h[a], h[g], h[bad[0]])]
     report.claim("pairing-bi-additive", failures == 0, 2 * m ** 3, failures,
                  _counterexample("(a, g, c)", first) or
                  f"{len(gens)} generators checked, every triple by induction")
 
     alt_bad = [a for a in range(m) if gram[a][a] != 0]
     report.claim("pairing-alternating", not alt_bad, m, len(alt_bad),
-                 _counterexample("a", (h[alt_bad[0]],) if alt_bad else None))
+                 _counterexample("a", [(h[a],) for a in alt_bad]))
 
     nd_bad = [a for a in range(m) if not h[a].is_zero and not any(gram[a])]
     report.claim("pairing-nondegenerate", not nd_bad, m, len(nd_bad),
-                 _counterexample("a", (h[nd_bad[0]],) if nd_bad else None))
+                 _counterexample("a", [(h[a],) for a in nd_bad]))
 
     if group.h_order() <= min(budget, ISOTROPIC_SCAN_CAP):
         # gram holds mu_N exponents, so 0 is a trivial pairing
@@ -264,7 +265,7 @@ def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
         # label g lies over H label g // n, and zeta^k is label k
         table, elems = group_table(group)
         t, inv = table.table, table.inverse
-        failures, first = 0, None
+        failures, first = 0, []
         for g, t_g in enumerate(t):
             t_ginv = [t[gh][inv[g]] for gh in t_g]
             got = [t[ghg][ih] for ghg, ih in zip(t_ginv, inv)]
@@ -273,8 +274,8 @@ def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
                 continue
             bad = [hh for hh in range(len(elems)) if got[hh] != want[hh]]
             failures += len(bad)
-            if first is None:
-                first = (elems[g], elems[bad[0]])
+            if not first:
+                first = [(elems[g], elems[bad[0]])]
         report.claim("commutator-identity", failures == 0, len(elems) ** 2, failures,
                      _counterexample("(g, h)", first))
     else:
@@ -307,22 +308,18 @@ def run_curve_search(n: int, p_max: int) -> RunReport:
                             "group_order": c.point_count(), "certified_lower_bound": n,
                             "min_abelian_index": None} for c in curves]
     report.data["found"] = len(curves)
-    report.claim("search-complete", True, len(curves),
-                 detail=f"{len(curves)} admissible curves with p <= {p_max}")
+    # level n over F_p needs mu_n in F_p and E[n] in E(F_p); one row per curve, in order
+    keys = [(c.p, c.a.value, c.b.value) for c in curves]
+    bad = [(c,) for c, key, before in zip(curves, keys, [()] + keys)
+           if c.p > p_max or c.p % n != 1 or c.point_count() % (n * n) or key <= before]
+    report.claim("search-complete", not bad, len(curves), len(bad), _counterexample(
+        "curve", bad, f"{len(curves)} admissible curves with p <= {p_max}"))
     report.wall_time_s = time.perf_counter() - start
     return report
 
 
 # ---------------------------------------------------------------------------
 # theta-verify
-
-
-def _with_pair(detail: str, bad: list[tuple], names: str = "(g, h)") -> str:
-    """Claim detail, followed by the first bad tuple, named by names, when there is one."""
-    if not bad:
-        return detail
-    first = _counterexample(names, bad[0])
-    return f"{detail}; {first}" if detail else first
 
 
 def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunReport:
@@ -347,7 +344,7 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     torsion, found = set(structure.tables.points), set(level.elements)
     stray = [x for x in level.elements + structure.tables.points if (x in found) != (x in torsion)]
     report.claim("h-of-level-order", level.order == n * n and not stray, n * n, len(stray),
-                 _with_pair(f"order {level.order} == {n}^2", [(x,) for x in stray[:1]], "x"))
+                 _counterexample("x", [(x,) for x in stray], f"order {level.order} == {n}^2"))
 
     # every per-pair fact follows from checks on the generators s(1, 0) and s(0, 1), run
     # on the value vectors of the layer (theta.MuTables), with t^k s(i, j) labelled
@@ -357,8 +354,7 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     # (...(g c_1)...) c_m, and a law of g c for every g and generator c, in an
     # associative target, holds for g h by induction on m
     tables = structure.tables
-    layer, shift, points, others = tables.layer, tables.shift, tables.points, tables.others
-    size = len(layer)
+    shift, points, others = tables.shift, tables.points, tables.others
     for (x, row), y in itertools.product(enumerate(shift), range(len(shift))):
         xy = shift[tables.add[x][y]]
         if [shift[y][v] for v in row] != xy:
@@ -369,7 +365,9 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
         raise CertificateError(f"E[{n}] does not act faithfully on the points off E[{n}]")
 
     labels = structure.mu_labels()
-    gens = [labels.index((1, 0, 0)), labels.index((0, 1, 0))]
+    size = len(labels)
+    number = {ijk: e for e, ijk in enumerate(labels)}
+    gens = [number[1, 0, 0], number[0, 1, 0]]
 
     @functools.cache
     def element(e: int):  # layer element e, built once, where a claim names or applies it
@@ -379,12 +377,18 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     def embedded_map(e: int):  # element e on E x A^1, embedded once
         return birgroup.theta_embed(element(e))
 
-    right = [[tables.index.get(mu_product(tables, g, layer[c])) for c in gens] for g in layer]
-    escaped = [(g, c) for g, row in enumerate(right) for c, k in zip(gens, row) if k is None]
-    if escaped:
-        g, c = escaped[0]
-        raise CertificateError(f"product of (g, h) = ({element(g)!r}, {element(c)!r}) "
-                               f"leaves the mu_{n} layer")
+    # (t^k s) c = t^k (s c) (MuTables): each section times each generator is located once,
+    # in label order; with s(i, j) c labelled (a, b, k'), t^k s(i, j) c is (a, b, k' + k)
+    located = {}
+    for e, (i, j, k) in enumerate(labels):
+        if k == 0:
+            row = located[i, j] = [tables.locate(mu_product(tables, tables.sections[i, j], c))
+                                   for c in (tables.sections[1, 0], tables.sections[0, 1])]
+            if None in row:
+                c = gens[row.index(None)]
+                raise CertificateError(f"product of (g, h) = ({element(e)!r}, {element(c)!r}) "
+                                       f"leaves the mu_{n} layer")
+    right = [[number[a, b, (c + k) % n] for a, b, c in located[i, j]] for i, j, k in labels]
     reached = reach(gens, lambda g: right[g])
     if len(reached) != size:
         raise CertificateError(
@@ -392,11 +396,14 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     report.claim("mu-layer-closure", size == n ** 3, size * size,
                  detail=f"{size} elements, all words in the generators; "
                         "every product by induction")
-    copies = Counter(layer)  # the labels are distinct: mu_labels orders all n^3
+    # with every s c located, the sections' points are closed under the generators: each
+    # point has one section, and t^a s = t^b s' (units on S) exactly when s = s', t^a = t^b
+    keys = [(tables.sections[i, j][0], tables.t_pow[k]) for i, j, k in labels]
+    copies = Counter(keys)
     report.claim("transport-bijective", len(copies) == size, size, size - len(copies))
 
     def generator_claim(id: str, checked: int, detail: str, bad: list[tuple]) -> None:
-        report.claim(id, not bad, checked, len(bad), _with_pair(detail, bad, "(g, c)"))
+        report.claim(id, not bad, checked, len(bad), _counterexample("(g, c)", bad, detail))
 
     iso_bad = [(element(g), element(c)) for g, row in enumerate(right)
                for c, k in zip(gens, row) if labels[k] != label_product(n, labels[g], labels[c])]
@@ -410,13 +417,11 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     generator_claim("theta-group-axioms", size ** 3,
                     "associativity from the translation action, identity and inverses "
                     "from the generators permuting the layer", perm_bad)
-    sigma = orientation_sigma(curve, n)
-    report.data["orientation_sigma"] = sigma
+    report.data["orientation_sigma"] = sigma = orientation_sigma(curve, n)
     # with the labelling a homomorphism, the commutator of s(u) and s(v) is the element
     # labelled (0, 0, i_u j_v - i_v j_u): by MuTables' formula, the constant t to that
     # power over O, where t is the vector commutator of s(1, 0) = A and s(0, 1) = B.
     # Each is compared with Miller's formula for its own pair, from one table
-    t_pow = [(structure.t ** k).value for k in range(n)]
     gen = mu_generator(curve.p, n)
     embedded = [RootOfUnity(n, k).embed_in_field(curve.p, gen).value for k in range(n)]
     coords = [structure.decomposition[x] for x in points]  # (i, j) of each point
@@ -424,16 +429,16 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     comm_bad = [] if iso_bad else [
         (structure.section[u], structure.section[v])
         for (a, u), (b, v) in itertools.product(enumerate(coords), repeat=2)
-        if t_pow[label_commutator(n, u, v)] != embedded[(weil[a][b] ** sigma).exponent]]
+        if tables.t_pow[label_commutator(n, u, v)] != embedded[(weil[a][b] ** sigma).exponent]]
     detail = f"sigma = {sigma}" + ("; premise failed: structure-isomorphism verified"
                                    if iso_bad else "")
     report.claim("commutator-matches-weil", not (iso_bad or comm_bad), len(coords) ** 2,
-                 1 if iso_bad else len(comm_bad), _with_pair(detail, comm_bad))
+                 1 if iso_bad else len(comm_bad), _counterexample("(g, h)", comm_bad, detail))
 
     # embed(g c) and embed(c) after embed(g) carry the divisor n(O) - n(-(x_g + x_c)), so
     # agreeing at (S[0], 1), where embed(g) is read from g's vector, they agree everywhere
     moved = [birgroup.SamplePoint(others[shift[x][0]], curve.fe(values[0]))
-             for x, values in layer]
+             for x, values in (tables.vector(*ijk) for ijk in labels)]
     generator_claim("embed-homomorphism", size * size,
                     f"the action at ({others[0]!r}, 1) checked on the generators, "
                     "every pair by induction",
@@ -442,21 +447,20 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
                      if birgroup.apply(embedded_map(c), moved[g]) != moved[k]])
 
     # maps over one point are equal exactly when their value vectors are
-    first = next(([(element(i), element(layer.index(g, i + 1)))]
-                  for i, g in enumerate(layer) if copies[g] > 1), [])
+    first = next(([(element(e), element(keys.index(key, e + 1)))]
+                  for e, key in enumerate(keys) if copies[key] > 1), [])
     report.claim("embed-injective", not first,
-                 sum(m * (m - 1) // 2 for m in Counter(x for x, _ in layer).values()),
-                 sum(m * (m - 1) // 2 for m in copies.values()), _with_pair("", first))
+                 sum(m * (m - 1) // 2 for m in Counter(x for x, _ in keys).values()),
+                 sum(m * (m - 1) // 2 for m in copies.values()), _counterexample("(g, h)", first))
 
-    # pointwise through the functions; at a sample in S the composed value vector
-    # must give the same fiber coordinate, which ties the vectors to the functions
+    # pointwise through the functions; at a sample in S the vector of a b, t^(k_a + k_b)
+    # s_a s_b by MuTables' lemma, gives the same fiber coordinate, tying vectors to functions
     at = {s: k for k, s in enumerate(others)}
     sem_ok = sem_skipped = sem_failures = 0
     samples = birgroup.sample_points(curve, seed=seed, count=400)  # built as drawn
     rng = random.Random(f"{seed}:compose")
     while sem_ok < 100 and sem_skipped < 4000:
-        a = rng.choice(range(size))
-        b = rng.choice(range(size))
+        a, b = rng.choice(range(size)), rng.choice(range(size))
         s = rng.choice(samples)
         try:
             first, second = embedded_map(a), embedded_map(b)
@@ -465,9 +469,9 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
         except Undefined:
             sem_skipped += 1
             continue
-        values = mu_product(tables, layer[a], layer[b])[1]
-        k = at.get(s.x)
-        if lhs != rhs or (k is not None and lhs.t.value != values[k] * s.t.value % curve.p):
+        values = mu_product(tables, *(tables.sections[labels[e][:2]] for e in (a, b)))[1]
+        k, scale = at.get(s.x), tables.t_pow[(labels[a][2] + labels[b][2]) % n] * s.t.value
+        if lhs != rhs or (k is not None and lhs.t.value != values[k] * scale % curve.p):
             sem_failures += 1
         sem_ok += 1
     report.claim("compose-semantics", sem_failures == 0 and sem_ok >= 100, sem_ok,

@@ -23,17 +23,17 @@ cocycle as the Heisenberg-type group over Z/n, so labelling an element
 t^k s(i,j) by (zeta_n^k, i, chi_j) is an isomorphism onto it, verified against
 the label law heisenberg.label_product on the generators s(1, 0) and s(0, 1).
 
-For those checks the layer is also held as integers (MuTables): each
-function as its value vector on the points outside E[n], where the product is
-a gather through a translation table and a pointwise multiply mod p.  The basis
-search builds, certifies and evaluates each Miller lift once and multiplies its
-n-th power out of its values (_liftable_basis, one Weil pairing per curve); A
-and B are the two lifts it takes, rescaled with their vectors.  t is the
-commutator of those vectors, and every other vector is their product, as above.
-The section objects are built on first use: they name elements and stay the
-oracle the tables are tested against.  E[n], S and translation come from one
-_Cosets per structure, where translation by E[n] is label arithmetic on
-generators G, H; the labels of P and Q give iP + jQ.
+For those checks the layer is also held as integers (MuTables): a function as
+its value vector on the points outside E[n], where the product is a gather
+through a translation table and a pointwise multiply mod p.  The basis search
+builds, certifies and evaluates each Miller lift once and multiplies its n-th
+power out of its values (_liftable_basis, one Weil pairing per curve); A and B
+are the two lifts it takes, rescaled with their vectors.  t is the commutator of
+those vectors, the n^2 sections s(i, j) are their products, as above, and an
+element is its label (i, j, k), with the vector t^k s(i, j) built when asked.  The
+section objects, built on first use, name elements and are the tables' oracle.
+E[n], S and translation come from one _Cosets per structure, where translation by
+E[n] is label arithmetic on generators G, H; the labels of P and Q give iP + jQ.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .ellcurve import (
     iter_admissible_curves,
     miller_function,
     ratio_constant,
-    same_function,
     torsion_subgroup,
     weil_pairing,
 )
@@ -172,13 +171,6 @@ def theta_power(g: ThetaElement, k: int) -> ThetaElement:
     for _ in range(k):
         acc = theta_mul(acc, g)
     return acc
-
-
-def theta_equal(g: ThetaElement, h: ThetaElement) -> bool:
-    """Equality as group elements: same point and the same function.
-
-    An object oracle for the tests; no claim calls it."""
-    return g.level == h.level and g.curve == h.curve and g.x == h.x and same_function(g.f, h.f)
 
 
 def theta_commutator(g: ThetaElement, h: ThetaElement) -> FpElement:
@@ -434,7 +426,7 @@ class ThetaStructure:
 
 
 class MuTables:
-    """The mu_n layer as integer value vectors, multiplied out from the two lifts.
+    """The mu_n layer as integers: the n^2 section vectors s(i, j) over the scalar t.
 
     E[n], S and their translation tables are those of the structure's _Cosets, the
     ones the basis search used; translation by the generators G and H is checked
@@ -442,10 +434,11 @@ class MuTables:
     the point), and theta-verify's action check extends that to all of E[n].  A and
     B come with their vectors from the basis search.  mu_product keeps the divisor
     law, so with A and B certified their vector commutator has divisor 0 over O: t is
-    its one value on S, a primitive n-th root.  Every other vector is t^k s(i, j) =
-    t^(k - ij) A^i B^j, whose divisor n(O) - n(-x) fixes it up to one constant: equal
-    vectors over the same point are equal theta elements.  `layer` holds the n^3
-    elements in mu_elements order, `index` inverts it.
+    its one value on S, a primitive n-th root, and `t_pow[k]` is t^k.  `sections[i, j]`
+    is s(i, j) = t^(-ij) A^i B^j, fixed up to one constant by its divisor n(O) - n(-x),
+    so equal vectors over one point are equal elements.  The element (i, j, k) is
+    t^k s(i, j), built by `vector`; mu_product is pointwise in its left factor, so
+    (t^k s) c = t^k (s c), and products by c of all n^3 elements need only the sections.
     """
 
     def __init__(self, structure: ThetaStructure, cosets: _Cosets, *lifts: Values):
@@ -468,23 +461,36 @@ class MuTables:
         except NonConstantCommutator as exc:
             raise CertificateError("commutator of the lifts (A, B) = ({!r}, {!r}): {}".format(
                 *structure.lifts, exc)) from exc
+        self.t_pow = [pow(self.t, k, self.p) for k in range(n)]
         one = self.origin, (1,) * len(self.others)
         a_pow, b_pow = (list(itertools.accumulate(
             [g] * (n - 1), lambda u, v: mu_product(self, u, v), initial=one)) for g in lifts)
-        section = {(i, j): mu_product(self, a_pow[i], b_pow[j]) for i in range(n) for j in range(n)}
-        t_pow = [pow(self.t, k, self.p) for k in range(n)]
-        self.layer: list[Values] = []
-        for i, j, k in structure.mu_labels():
-            x, values = section[(i, j)]
-            self.layer.append((x, tuple(v * t_pow[(k - i * j) % n] % self.p for v in values)))
-        self.index = {g: e for e, g in enumerate(self.layer)}
+        self.sections: dict[tuple[int, int], Values] = {}
+        for i, j in itertools.product(range(n), repeat=2):  # A^i B^j, then times t^(-ij)
+            self.sections[i, j] = mu_product(self, a_pow[i], b_pow[j])
+            self.sections[i, j] = self.vector(i, j, -i * j % n)
+        self.ij = {x: ij for ij, (x, _) in self.sections.items()}  # point label -> (i, j)
+
+    def vector(self, i: int, j: int, k: int) -> Values:
+        """t^k s(i, j), the element labelled (i, j, k)."""
+        (x, values), scale, p = self.sections[i, j], self.t_pow[k], self.p
+        return x, tuple(v * scale % p for v in values)
+
+    def locate(self, g: Values) -> tuple[int, int, int] | None:
+        """The label (i, j, k) of g, or None when g is off the layer: (i, j) is read
+        from the point, k from the first value, then the whole vector is compared."""
+        (x, values), p = g, self.p
+        ij = self.ij.get(x)  # None when no section lies over x
+        k = ij and next((k for k, c in enumerate(self.t_pow)
+                         if self.sections[ij][1][0] * c % p == values[0]), None)
+        return None if k is None or self.vector(*ij, k) != g else (*ij, k)
 
 
 def mu_product(tables: MuTables | _Cosets, g: Values, h: Values) -> Values:
     """theta_mul on value vectors: (x + y, T_x^* f_h * f_g)."""
     (x, f_g), (y, f_h) = g, h
     p = tables.p
-    return tables.add[x][y], tuple(f_h[s] * v % p for s, v in zip(tables.shift[x], f_g))
+    return tables.add[x][y], tuple([f_h[s] * v % p for s, v in zip(tables.shift[x], f_g)])
 
 
 def mu_inverse(tables: MuTables, g: Values) -> Values:
@@ -524,12 +530,11 @@ def theta_to_heisenberg(g: ThetaElement, basis: tuple[CurvePoint, CurvePoint]) -
 
 
 def theta_enumerate_mu(curve: Curve, n: int) -> list[ThetaElement]:
-    """The full mu_n layer: the n^3 elements over the canonical section.
+    """The full mu_n layer: the n^3 elements over the canonical section; multiplies nothing.
 
-    Multiplies nothing.  `theta-verify` certifies closure: each product with s(1, 0)
-    or s(0, 1) must lie in MuTables.index, these steps must reach the whole layer
-    from the generators, and every other product is a chain of such steps.
-    """
+    `theta-verify` certifies closure: each product with s(1, 0) or s(0, 1) must lie on the
+    layer (MuTables.locate), these steps must reach the whole layer from the generators,
+    and every other product is a chain of such steps."""
     check_theta_budget(n)
     return theta_structure(curve, n).mu_elements()
 

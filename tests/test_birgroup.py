@@ -205,9 +205,11 @@ def test_samples_are_the_old_stream_built_on_draw(p, a, b):
 def test_compose_values_match_composed_functions():
     from jordanlab.theta import mu_product, theta_structure
 
-    tables = theta_structure(C2, 2).tables
+    structure = theta_structure(C2, 2)
+    tables = structure.tables
     auts = embedded_layer(C2, 2)
-    for (a, va), (b, vb) in itertools.product(zip(auts, tables.layer), repeat=2):
+    vectors = [tables.vector(*ijk) for ijk in structure.mu_labels()]
+    for (a, va), (b, vb) in itertools.product(zip(auts, vectors), repeat=2):
         both = compose(b, a)  # a first: the value vector of a b
         y, values = mu_product(tables, va, vb)
         assert tables.points[y] == both.y

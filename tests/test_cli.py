@@ -1,6 +1,8 @@
 """CLI subcommands: report schema, exit codes, output routing."""
 
 import ast
+import copy
+import functools
 import itertools
 import json
 import os
@@ -73,6 +75,40 @@ def test_curve_search(capsys):
     assert {(r["p"], r["a"], r["b"]) for r in rows} == {(5, 1, 0), (5, 4, 0)}
     code, report, _ = run_json(capsys, ["curve-search", "--n", "2", "--p-max", "2"])
     assert code == 0 and report["rows"] == []
+
+
+def curves_repeated(curves):  # the third curve listed twice
+    return curves[:3] + curves[2:]
+
+
+def curves_past_the_bound(curves):  # a curve of p = 53 > 50 appended
+    return curves + [ellcurve.curve_search(3, 53)[-1]]
+
+
+def curves_of_level_2(curves):  # the level-2 curves: p = 5 and 8 | #E, not 9 | #E
+    return ellcurve.curve_search(2, 50)
+
+
+def without_level_3(rows):  # rows with mu_3 outside F_p or E[3] outside E(F_p)
+    return sum(row["p"] % 3 != 1 or row["group_order"] % 9 != 0 for row in rows)
+
+
+@pytest.mark.parametrize("doctored,failures,first", [
+    (curves_repeated, lambda rows: 1, lambda curves: curves[2]),
+    (curves_past_the_bound, lambda rows: 1, lambda curves: ellcurve.curve_search(3, 53)[-1]),
+    (curves_of_level_2, without_level_3, lambda curves: ellcurve.curve_search(2, 50)[0]),
+])
+def test_doctored_search_fails_search_complete(capsys, monkeypatch, doctored, failures, first):
+    honest = ellcurve.curve_search(3, 50)
+    monkeypatch.setattr(cli, "curve_search", lambda n, p_max: doctored(honest))
+    code, report, _ = run_json(capsys, ["curve-search", "--n", "3", "--p-max", "50"])
+    assert code == 1
+    claim = claim_map(report)["search-complete"]
+    rows = report["rows"]
+    assert claim["status"] == "failed" and claim["checked"] == len(rows)
+    assert claim["failures"] == failures(rows) > 0
+    assert claim["detail"] == (f"{len(rows)} admissible curves with p <= 50; "
+                               f"first counterexample curve = {first(honest)!r}")
 
 
 def test_curve_search_past_the_budget_exits_2_before_scanning(capsys, monkeypatch):
@@ -460,29 +496,47 @@ def test_theta_verify_multiplies_each_pair_once(capsys, monkeypatch):
     calls = []
 
     def counted(tables, g, h):
-        calls.append((tables.index[g], tables.index[h]))
+        calls.append((tables.locate(g), tables.locate(h)))
         return mu_product(tables, g, h)
 
     monkeypatch.setattr(cli, "mu_product", counted)
     code, report, _ = run_json(capsys, THETA_N2)
     assert code == 0
-    # each pair (g, c) of an element and a generator once, then one per compose sample
-    gens = generators(cli.Curve.make(7, 3, 0), 2)
-    assert calls[:2 * 8] == [(g, c) for g in range(8) for c in gens]
-    assert len(calls) == 2 * 8 + claim_map(report)["compose-semantics"]["checked"] == 2 * 8 + 100
+    # each pair (s, c) of a section and a generator once, sections in label order, then
+    # one per compose sample
+    labels = theta.theta_structure(cli.Curve.make(7, 3, 0), 2).mu_labels()
+    sections = [ijk for ijk in labels if ijk[2] == 0]
+    assert calls[:2 * 4] == [(s, c) for s in sections for c in [(1, 0, 0), (0, 1, 0)]]
+    assert len(calls) == 2 * 4 + claim_map(report)["compose-semantics"]["checked"] == 2 * 4 + 100
     # with the structure built, listing the layer multiplies nothing
     monkeypatch.setattr(theta, "theta_mul", lambda g, h: pytest.fail("theta_mul called"))
     monkeypatch.setattr(theta, "mu_product", lambda *args: pytest.fail("mu_product called"))
     assert len(theta_enumerate_mu(cli.Curve.make(7, 3, 0), 2)) == 8
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_theta_verify_multiplies_each_section_by_each_generator(capsys, monkeypatch, n):
+    calls = 0
+
+    def counted(tables, g, h):
+        nonlocal calls
+        calls += 1
+        return mu_product(tables, g, h)
+
+    monkeypatch.setattr(cli, "mu_product", counted)
+    code, report, _ = run_json(capsys, ["theta-verify", "--n", str(n)])
+    assert code == 0
+    # 2 n^2 section products, then one per compose-semantics sample
+    assert calls == 2 * n ** 2 + claim_map(report)["compose-semantics"]["checked"]
+
+
 def test_escaping_product_exits_1(capsys, monkeypatch):
     calls = []
 
     def doctored(tables, g, h):
-        calls.append((tables.index[g], tables.index[h]))
+        calls.append((tables.locate(g), tables.locate(h)))
         x, values = mu_product(tables, g, h)
-        if len(calls) == 5:  # 3 has order 6 in F_7^*, not in mu_2
+        if len(calls) == 3:  # 3 has order 6 in F_7^*, not in mu_2
             values = tuple(3 * v % tables.p for v in values)
         return x, values
 
@@ -491,9 +545,15 @@ def test_escaping_product_exits_1(capsys, monkeypatch):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: CertificateError:")
-    layer = theta_enumerate_mu(cli.Curve.make(7, 3, 0), 2)
-    i, j = calls[4]
-    assert "({!r}, {!r})".format(layer[i], layer[j]) in out.err
+    curve = cli.Curve.make(7, 3, 0)
+    layer = theta_enumerate_mu(curve, 2)
+    labels = theta.theta_structure(curve, 2).mu_labels()
+    # the section of the second point times s(1, 0): its fibre's k = 0 element is the
+    # first element whose product by a generator escapes
+    i, j = (labels.index(ijk) for ijk in calls[2])
+    assert (i, j) == (2, generators(curve, 2)[0])
+    assert out.err == ("error: CertificateError: product of (g, h) = ({!r}, {!r}) leaves the "
+                       "mu_2 layer\n".format(layer[i], layer[j]))
 
 
 THETA_N3 = ["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0"]
@@ -627,7 +687,7 @@ def test_theta_verify_builds_no_g1_table_and_one_vector_commutator(capsys, monke
     # one call, by MuTables on the vectors of A = s(1, 0) and B = s(0, 1)
     curve = theta.find_theta_curve(n)
     tables = theta.theta_structure(curve, n).tables
-    assert calls == [(tables, *(tables.layer[c] for c in generators(curve, n)))]
+    assert calls == [(tables, tables.sections[1, 0], tables.sections[0, 1])]
 
 
 def test_transposed_label_law_fails_the_derived_commutators(capsys, monkeypatch):
@@ -727,13 +787,15 @@ def test_wrong_composition_fails_embed_homomorphism(capsys, monkeypatch):
     tables = theta.theta_structure(curve, 2).tables
     base = birgroup.SamplePoint(tables.others[0], curve.fe(1))
     layer = theta_enumerate_mu(curve, 2)
+    labels = theta.theta_structure(curve, 2).mu_labels()
+    vectors = [tables.vector(*ijk) for ijk in labels]
     # the induction form: each element's image of base read from its vector, and the map
     # of each generator c applied after it
     moved = [birgroup.SamplePoint(tables.others[tables.shift[x][0]], curve.fe(values[0]))
-             for x, values in tables.layer]
+             for x, values in vectors]
     bad = [(layer[g], layer[c]) for g in range(len(layer)) for c in generators(curve, 2)
            if birgroup.apply(birgroup.theta_embed(layer[c]), moved[g])
-           != moved[tables.index[mu_product(tables, tables.layer[g], tables.layer[c])]]]
+           != moved[labels.index(tables.locate(mu_product(tables, vectors[g], vectors[c])))]]
     claim = claims["embed-homomorphism"]
     assert claim["status"] == "failed" and claim["failures"] == len(bad) > 0
     assert claim["checked"] == 8 ** 2
@@ -907,12 +969,12 @@ def test_trivial_pairing_fails_isotropic_claim(capsys, monkeypatch):
 
 def test_product_table_without_identity_exits_1(capsys, monkeypatch):
     curve = cli.Curve.make(7, 3, 0)
-    tables = theta.theta_structure(curve, 2).tables
-    identity = tables.index[(tables.origin, (1,) * len(tables.others))]
+    labels = theta.theta_structure(curve, 2).mu_labels()
+    identity = labels.index((0, 0, 0))
     c = generators(curve, 2)[0]
 
     def doctored(tables, g, h):
-        if (tables.index[g], tables.index[h]) == (identity, c):
+        if (tables.locate(g), tables.locate(h)) == ((0, 0, 0), (1, 0, 0)):
             return mu_product(tables, h, h)  # the identity times c is c^2, as c c is
         return mu_product(tables, g, h)
 
@@ -929,8 +991,9 @@ def test_product_table_without_identity_exits_1(capsys, monkeypatch):
         "associativity from the translation action, identity and inverses from the "
         "generators permuting the layer; "
         "first counterexample (g, c) = ({!r}, {!r})".format(layer[identity], layer[c]))
+    # (t s) c = t (s c): the doctored product moves the whole fibre over O, t as well
     for id in ("structure-isomorphism", "embed-homomorphism"):
-        assert claims[id]["status"] == "failed" and claims[id]["failures"] == 1
+        assert claims[id]["status"] == "failed" and claims[id]["failures"] == 2
         assert claims[id]["detail"].endswith(
             "first counterexample (g, c) = ({!r}, {!r})".format(layer[identity], layer[c]))
 
@@ -1012,11 +1075,13 @@ def test_theta_verify_builds_no_full_object_layer(capsys, monkeypatch, n):
 def test_corrupted_product_fails_at_the_first_generator_pair(capsys, monkeypatch):
     curve = cli.Curve.make(13, 7, 0)
     c = generators(curve, 3)[1]
-    g = 5  # g c becomes (g - 1) c, so c maps g - 1 and g alike
+    labels = theta.theta_structure(curve, 3).mu_labels()
+    g = 3  # the section of the second point: s c becomes s' c for the section s' before it,
+    # so c maps the two fibres alike
 
     def doctored(tables, a, b):
-        if (tables.index[a], tables.index[b]) == (g, c):
-            a = tables.layer[g - 1]
+        if (tables.locate(a), tables.locate(b)) == (labels[g], labels[c]):
+            a = tables.vector(*labels[0])
         return mu_product(tables, a, b)
 
     monkeypatch.setattr(cli, "mu_product", doctored)
@@ -1024,19 +1089,19 @@ def test_corrupted_product_fails_at_the_first_generator_pair(capsys, monkeypatch
     assert code == 1
     layer = theta_enumerate_mu(curve, 3)
     claims = claim_map(report)
-    for id in ("structure-isomorphism", "theta-group-axioms", "embed-homomorphism"):
+    # the three elements over the point fail; the permutation check fails once, at c
+    for id, failures in (("structure-isomorphism", 3), ("theta-group-axioms", 1),
+                         ("embed-homomorphism", 3)):
         claim = claims[id]
-        assert claim["status"] == "failed" and claim["failures"] == 1, id
+        assert claim["status"] == "failed" and claim["failures"] == failures, id
         assert claim["detail"].endswith(
             "; first counterexample (g, c) = ({!r}, {!r})".format(layer[g], layer[c]))
     assert claims["mu-layer-closure"]["status"] == "verified"
 
 
 def test_generators_that_miss_part_of_the_layer_exit_1(capsys, monkeypatch):
-    c = generators(cli.Curve.make(13, 7, 0), 3)[1]
-
     def doctored(tables, g, h):  # right multiplication by s(0, 1) fixes every element
-        return g if tables.index[h] == c else mu_product(tables, g, h)
+        return g if tables.locate(h) == (0, 1, 0) else mu_product(tables, g, h)
 
     monkeypatch.setattr(cli, "mu_product", doctored)
     assert main(THETA_N3) == 1
@@ -1064,38 +1129,63 @@ def test_generator_checks_spare_the_pair_loop(capsys, monkeypatch):
     assert calls <= 2 * 64 + 100 < 64 ** 2
 
 
+def locate_as_now(monkeypatch, tables):
+    """tables.locate on a copy of tables as they are now, whatever is doctored later."""
+    monkeypatch.setattr(tables, "locate", functools.partial(theta.MuTables.locate,
+                                                            copy.copy(tables)))
+
+
+def powers_read_as(monkeypatch, tables, powers):
+    """tables with t^k read as powers[k], so t^k s(i, j) is powers[k] s(i, j), while the
+    products by the generators are still located on the honest powers."""
+    locate_as_now(monkeypatch, tables)
+    monkeypatch.setattr(tables, "t_pow", powers)
+
+
 def test_equal_layer_vectors_fail_embed_injective(capsys, monkeypatch):
     curve = cli.Curve.make(7, 3, 0)
     tables = theta.theta_structure(curve, 2).tables
-    layer = list(tables.layer)
-    assert layer[0][0] == layer[1][0]  # the layer lists elements by point, then scale
-    layer[1] = layer[0]
-    monkeypatch.setattr(tables, "layer", layer)
+    powers_read_as(monkeypatch, tables, [1, 1])  # t read as 1: both scales of each point alike
     code, report, _ = run_json(capsys, THETA_N2)
     assert code == 1
     elements = theta_enumerate_mu(curve, 2)
     claims = claim_map(report)
     claim = claims["embed-injective"]
-    assert claim["status"] == "failed" and claim["failures"] == 1
+    assert claim["status"] == "failed" and claim["failures"] == 4  # one pair per point
     assert claim["detail"] == "first counterexample (g, h) = ({!r}, {!r})".format(*elements[:2])
-    assert claims["transport-bijective"]["status"] == "failed"
+    claim = claims["transport-bijective"]
+    assert claim["status"] == "failed" and claim["failures"] == 8 - 4
 
 
 def test_embed_injective_counts_equal_pairs_by_multiplicity(capsys, monkeypatch):
     curve = cli.Curve.make(13, 7, 0)
     tables = theta.theta_structure(curve, 3).tables
-    layer = list(tables.layer)
-    assert layer[3][0] == layer[4][0] == layer[5][0]  # the three scales over one point
-    layer[4] = layer[5] = layer[3]
-    monkeypatch.setattr(tables, "layer", layer)
+    powers_read_as(monkeypatch, tables, [1, 1, 1])  # the three scales of each point alike
     code, report, _ = run_json(capsys, THETA_N3)
     assert code == 1
     elements = theta_enumerate_mu(curve, 3)
-    claim = claim_map(report)["embed-injective"]
+    claims = claim_map(report)
+    claim = claims["embed-injective"]
     # n^2 points with n elements each: n^3 (n - 1) / 2 pairs over one point
     assert claim["checked"] == 27 * 2 // 2
-    assert claim["status"] == "failed" and claim["failures"] == 3  # three equal pairs
-    assert claim["detail"] == "first counterexample (g, h) = ({!r}, {!r})".format(*elements[3:5])
+    # three equal pairs over each of the 9 points
+    assert claim["status"] == "failed" and claim["failures"] == 9 * 3
+    assert claim["detail"] == "first counterexample (g, h) = ({!r}, {!r})".format(*elements[:2])
+    assert claims["transport-bijective"]["failures"] == 27 - 9
+
+
+def test_transport_counts_a_section_equal_to_a_scaled_other(capsys, monkeypatch):
+    # two sections over one point, one t times the other: t s and s', t^2 s and t s', s
+    # and t^2 s' are equal vectors, though no two sections are
+    curve = cli.Curve.make(13, 7, 0)
+    tables = theta.theta_structure(curve, 3).tables
+    locate_as_now(monkeypatch, tables)
+    monkeypatch.setattr(tables, "sections", {**tables.sections, (1, 1): tables.vector(0, 0, 1)})
+    code, report, _ = run_json(capsys, THETA_N3)
+    assert code == 1
+    claims = claim_map(report)
+    assert claims["transport-bijective"]["failures"] == 3
+    assert claims["embed-injective"]["failures"] == 3
 
 
 PAIR_CLAIMS = ("mu-layer-closure", "structure-isomorphism", "theta-group-axioms",
@@ -1107,12 +1197,14 @@ def per_pair_verdicts(curve, n):
     (every triple, for associativity): "exit 1" when a product leaves the layer."""
     structure = theta.theta_structure(curve, n)
     tables = structure.tables
-    layer = tables.layer
+    labels = structure.mu_labels()
+    number = {ijk: e for e, ijk in enumerate(labels)}
+    layer = [tables.vector(*ijk) for ijk in labels]
     r = range(len(layer))
-    prod = [[tables.index.get(cli.mu_product(tables, g, h)) for h in layer] for g in layer]
+    prod = [[number.get(tables.locate(cli.mu_product(tables, g, h))) for h in layer]
+            for g in layer]
     if any(None in row for row in prod):
         return "exit 1"
-    labels = structure.mu_labels()
     identity = [e for e in r if all(prod[e][g] == g == prod[g][e] for g in r)]
     group = bool(identity) and all(identity[0] in row for row in prod) and all(
         prod[prod[a][b]][c] == prod[a][prod[b][c]] for a in r for b in r for c in r)
@@ -1168,16 +1260,13 @@ def doctor_translation(monkeypatch, tables):
     monkeypatch.setattr(cli, "mu_product", untranslated_product)
 
 
-def doctor_layer(monkeypatch, tables):
-    layer = list(tables.layer)
-    layer[1] = layer[0]
-    monkeypatch.setattr(tables, "layer", layer)
+def doctor_layer(monkeypatch, tables):  # t read as 1: the layer loses its scales
+    monkeypatch.setattr(tables, "t_pow", [1] * len(tables.t_pow))
 
 
 def doctor_identity(monkeypatch, tables):
-    identity = tables.index[(tables.origin, (1,) * len(tables.others))]
     monkeypatch.setattr(cli, "mu_product", lambda tables, g, h: mu_product(
-        tables, *((h, h) if tables.index[g] == identity else (g, h))))
+        tables, *((h, h) if tables.locate(g) == (0, 0, 0) else (g, h))))
 
 
 @pytest.mark.parametrize("doctor", [doctor_shift, doctor_g1, doctor_embed, doctor_translation,

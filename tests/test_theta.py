@@ -55,10 +55,10 @@ from jordanlab.theta import (
     theta_make,
     theta_mul,
     theta_power,
-    theta_equal,
     theta_structure,
     theta_to_heisenberg,
 )
+from oracles import theta_equal
 
 C2 = find_theta_curve(2)  # (7, 3, 0)
 C3 = find_theta_curve(3)  # (13, 7, 0)
@@ -307,16 +307,17 @@ def test_value_tables_match_the_object_layer(curve, n):
         return tables.points.index(g.x), tuple(g.f(s).value for s in tables.others)
 
     # every layer vector is its own function evaluated on S, and so are inverses
-    assert tables.layer == [values(g) for g in elements]
-    for g, vec in zip(elements, tables.layer):
+    labels = structure.mu_labels()
+    vectors = [tables.vector(*ijk) for ijk in labels]
+    assert vectors == [values(g) for g in elements]
+    for g, vec in zip(elements, vectors):
         assert mu_inverse(tables, vec) == values(theta_inv(g))
-    # the vector product index table is the object product, transported
+    # the located vector product is the object product, transported
     for (i, g), (j, h) in itertools.product(enumerate(elements), repeat=2):
-        k = tables.index[mu_product(tables, tables.layer[i], tables.layer[j])]
+        k = labels.index(tables.locate(mu_product(tables, vectors[i], vectors[j])))
         assert images[k] == structure.to_heisenberg(theta_mul(g, h))
     # the label t^k s(i, j) -> (i*n + j)*n + k names each element's transport in G1
     g1 = group_table(FinAbGroup((n,)))[1]
-    labels = structure.mu_labels()
     assert sorted(labels) == list(itertools.product(range(n), repeat=3))  # all distinct
     for e, (i, j, k) in enumerate(labels):
         assert g1[(i * n + j) * n + k] == structure.to_heisenberg(elements[e])
@@ -327,16 +328,41 @@ def test_value_tables_match_the_object_layer(curve, n):
         assert value == theta_commutator(g, h).value
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_vector_and_locate_are_inverse_and_match_the_objects(n):
+    curve = find_theta_curve(n)  # (7, 3, 0), (13, 7, 0) and the level-4 curve
+    structure = theta_structure(curve, n)
+    tables = structure.tables
+    p = curve.p
+    labels = list(itertools.product(range(n), repeat=3))
+    for ijk in labels:
+        g = tables.vector(*ijk)
+        assert tables.locate(g) == ijk
+        element = structure.element(*ijk)
+        assert g == (tables.points.index(element.x),
+                     tuple(ellcurve.function_values(element.f, tables.others)))
+    # off the layer: one entry changed, a scale outside mu_n, a section over another point
+    outside = next(c for c in range(2, p) if pow(c, n, p) != 1)
+    for i, j, k in labels:
+        x, values = tables.vector(i, j, k)
+        for s in (0, len(values) - 1):
+            changed = values[:s] + (values[s] * outside % p,) + values[s + 1:]
+            assert tables.locate((x, changed)) is None
+        assert tables.locate((x, tuple(v * outside % p for v in values))) is None
+        for y in range(n * n):
+            if y != x:
+                assert tables.locate((y, values)) is None
+
+
 def section_vectors(structure):
-    """The layer vector of each s(i, j), looked up through mu_labels."""
-    labels = structure.mu_labels()
-    return {ij: structure.tables.layer[labels.index((*ij, 0))] for ij in structure.section}
+    """The layer vector of each s(i, j), built as the label (i, j, 0)."""
+    return {ij: structure.tables.vector(*ij, 0) for ij in structure.section}
 
 
 def assert_layer_is_the_objects_evaluated(curve, n):
     structure = theta_structure(curve, n)
     tables = structure.tables
-    assert tables.layer == [
+    assert [tables.vector(*ijk) for ijk in structure.mu_labels()] == [
         (tables.points.index(g.x), tuple(ellcurve.function_values(g.f, tables.others)))
         for g in structure.mu_elements()]
 
@@ -531,7 +557,7 @@ def test_structure_certifies_the_lifts_and_t_and_no_section_element(monkeypatch)
     monkeypatch.setattr(theta, "theta_make",
                         lambda n, x, scale=1: made.append(make(n, x, scale)) or made[-1])
     structure = theta_structure(C3, 3)
-    assert structure.tables.layer  # multiplied out from the lifts, certifying nothing more
+    assert structure.tables.sections  # multiplied out from the lifts, certifying nothing more
     assert structure.section  # built on first use, certifying nothing either
     # A and B are certified lifts rescaled: a constant leaves the divisor as it is
     assert all(any(g.x == c.x and g.f.atoms == c.f.atoms for c in certified)
