@@ -469,7 +469,7 @@ class MuTables:
         for i, j in itertools.product(range(n), repeat=2):  # A^i B^j, then times t^(-ij)
             self.sections[i, j] = mu_product(self, a_pow[i], b_pow[j])
             self.sections[i, j] = self.vector(i, j, -i * j % n)
-        self.ij = {x: ij for ij, (x, _) in self.sections.items()}  # point label -> (i, j)
+        self.ij = {cosets.label[x]: ij for x, ij in structure.decomposition.items()}
 
     def vector(self, i: int, j: int, k: int) -> Values:
         """t^k s(i, j), the element labelled (i, j, k)."""
@@ -480,9 +480,9 @@ class MuTables:
         """The label (i, j, k) of g, or None when g is off the layer: (i, j) is read
         from the point, k from the first value, then the whole vector is compared."""
         (x, values), p = g, self.p
-        ij = self.ij.get(x)  # None when no section lies over x
-        k = ij and next((k for k, c in enumerate(self.t_pow)
-                         if self.sections[ij][1][0] * c % p == values[0]), None)
+        ij = self.ij[x]
+        k = next((k for k, c in enumerate(self.t_pow)
+                  if self.sections[ij][1][0] * c % p == values[0]), None)
         return None if k is None or self.vector(*ij, k) != g else (*ij, k)
 
 

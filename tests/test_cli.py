@@ -85,7 +85,7 @@ def curves_past_the_bound(curves):  # a curve of p = 53 > 50 appended
     return curves + [ellcurve.curve_search(3, 53)[-1]]
 
 
-def curves_of_level_2(curves):  # the level-2 curves: p = 5 and 8 | #E, not 9 | #E
+def curves_of_level_2(curves):  # the level-2 curves, from p = 5: most lack level 3
     return ellcurve.curve_search(2, 50)
 
 
@@ -1175,8 +1175,8 @@ def test_embed_injective_counts_equal_pairs_by_multiplicity(capsys, monkeypatch)
 
 
 def test_transport_counts_a_section_equal_to_a_scaled_other(capsys, monkeypatch):
-    # two sections over one point, one t times the other: t s and s', t^2 s and t s', s
-    # and t^2 s' are equal vectors, though no two sections are
+    # two sections over one point: s(1, 1) placed over O as t s(0, 0), so the two fibres
+    # over O pair up, t^k s(1, 1) = t^(k + 1) s(0, 0): three equal pairs
     curve = cli.Curve.make(13, 7, 0)
     tables = theta.theta_structure(curve, 3).tables
     locate_as_now(monkeypatch, tables)
