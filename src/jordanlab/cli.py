@@ -364,10 +364,10 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     if shift[tables.origin] != list(range(len(others))) or len(set(map(tuple, shift))) < len(shift):
         raise CertificateError(f"E[{n}] does not act faithfully on the points off E[{n}]")
 
-    labels = structure.mu_labels()
+    labels = structure.mu_labels()  # by point, then k: (i, j, k) is number[i, j] + k
     size = len(labels)
-    number = {ijk: e for e, ijk in enumerate(labels)}
-    gens = [number[1, 0, 0], number[0, 1, 0]]
+    number = {ijk[:2]: e for e, ijk in enumerate(labels) if ijk[2] == 0}
+    gens = [number[1, 0], number[0, 1]]
 
     @functools.cache
     def element(e: int):  # layer element e, built once, where a claim names or applies it
@@ -379,16 +379,14 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
 
     # (t^k s) c = t^k (s c) (MuTables): each section times each generator is located once,
     # in label order; with s(i, j) c labelled (a, b, k'), t^k s(i, j) c is (a, b, k' + k)
-    located = {}
-    for e, (i, j, k) in enumerate(labels):
-        if k == 0:
-            row = located[i, j] = [tables.locate(mu_product(tables, tables.sections[i, j], c))
-                                   for c in (tables.sections[1, 0], tables.sections[0, 1])]
-            if None in row:
-                c = gens[row.index(None)]
-                raise CertificateError(f"product of (g, h) = ({element(e)!r}, {element(c)!r}) "
-                                       f"leaves the mu_{n} layer")
-    right = [[number[a, b, (c + k) % n] for a, b, c in located[i, j]] for i, j, k in labels]
+    by_gen = [tables.vector(*labels[c]) for c in gens]
+    located = {ij: [tables.locate(mu_product(tables, tables.vector(*ij, 0), c)) for c in by_gen]
+               for ij in number}
+    for ij, row in located.items():
+        if None in row:
+            raise CertificateError(f"product of (g, h) = ({element(number[ij])!r}, "
+                                   f"{element(gens[row.index(None)])!r}) leaves the mu_{n} layer")
+    right = [[number[a, b] + (c + k) % n for a, b, c in located[i, j]] for i, j, k in labels]
     reached = reach(gens, lambda g: right[g])
     if len(reached) != size:
         raise CertificateError(
@@ -396,9 +394,8 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     report.claim("mu-layer-closure", size == n ** 3, size * size,
                  detail=f"{size} elements, all words in the generators; "
                         "every product by induction")
-    # with every s c located, the sections' points are closed under the generators: each
-    # point has one section, and t^a s = t^b s' (units on S) exactly when s = s', t^a = t^b
-    keys = [(tables.sections[i, j][0], tables.t_pow[k]) for i, j, k in labels]
+    # elements over one point differ by a constant: (point, value at S[0]) decides each
+    keys = [tables.value(*ijk, 0) for ijk in labels]
     copies = Counter(keys)
     report.claim("transport-bijective", len(copies) == size, size, size - len(copies))
 
@@ -429,7 +426,8 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
     comm_bad = [] if iso_bad else [
         (structure.section[u], structure.section[v])
         for (a, u), (b, v) in itertools.product(enumerate(coords), repeat=2)
-        if tables.t_pow[label_commutator(n, u, v)] != embedded[(weil[a][b] ** sigma).exponent]]
+        if tables.value(0, 0, label_commutator(n, u, v), 0)[1]
+        != embedded[(weil[a][b] ** sigma).exponent]]
     detail = f"sigma = {sigma}" + ("; premise failed: structure-isomorphism verified"
                                    if iso_bad else "")
     report.claim("commutator-matches-weil", not (iso_bad or comm_bad), len(coords) ** 2,
@@ -437,8 +435,7 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
 
     # embed(g c) and embed(c) after embed(g) carry the divisor n(O) - n(-(x_g + x_c)), so
     # agreeing at (S[0], 1), where embed(g) is read from g's vector, they agree everywhere
-    moved = [birgroup.SamplePoint(others[shift[x][0]], curve.fe(values[0]))
-             for x, values in (tables.vector(*ijk) for ijk in labels)]
+    moved = [birgroup.SamplePoint(others[shift[x][0]], curve.fe(value)) for x, value in keys]
     generator_claim("embed-homomorphism", size * size,
                     f"the action at ({others[0]!r}, 1) checked on the generators, "
                     "every pair by induction",
@@ -453,8 +450,8 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
                  sum(m * (m - 1) // 2 for m in Counter(x for x, _ in keys).values()),
                  sum(m * (m - 1) // 2 for m in copies.values()), _counterexample("(g, h)", first))
 
-    # pointwise through the functions; at a sample in S the vector of a b, t^(k_a + k_b)
-    # s_a s_b by MuTables' lemma, gives the same fiber coordinate, tying vectors to functions
+    # pointwise through the functions; at a sample in S the entry there of the vector of
+    # a b (MuTables.product_value) gives the same fiber coordinate, tying vectors to functions
     at = {s: k for k, s in enumerate(others)}
     sem_ok = sem_skipped = sem_failures = 0
     samples = birgroup.sample_points(curve, seed=seed, count=400)  # built as drawn
@@ -469,9 +466,9 @@ def run_theta_verify(curve: Curve | None, n: int, p_max: int, seed: int) -> RunR
         except Undefined:
             sem_skipped += 1
             continue
-        values = mu_product(tables, *(tables.sections[labels[e][:2]] for e in (a, b)))[1]
-        k, scale = at.get(s.x), tables.t_pow[(labels[a][2] + labels[b][2]) % n] * s.t.value
-        if lhs != rhs or (k is not None and lhs.t.value != values[k] * scale % curve.p):
+        k = at.get(s.x)
+        if lhs != rhs or (k is not None and lhs.t.value != tables.product_value(
+                labels[a], labels[b], k) * s.t.value % curve.p):
             sem_failures += 1
         sem_ok += 1
     report.claim("compose-semantics", sem_failures == 0 and sem_ok >= 100, sem_ok,

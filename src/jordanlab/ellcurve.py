@@ -464,6 +464,12 @@ class Divisor(Frozen):
     def is_zero(self) -> bool:
         return not self.items
 
+    def multiplicity(self, point: CurvePoint) -> int:
+        for pt, m in self.items:
+            if pt == point:
+                return m
+        return 0
+
     def degree(self) -> int:
         return sum(m for _, m in self.items)
 

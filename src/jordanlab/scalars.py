@@ -30,6 +30,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def primes_up_to(bound: int) -> list[int]:
+    return [n for n in range(2, bound + 1) if is_prime(n)]
+
+
 class RootOfUnity(Frozen):
     """The value zeta_N^exponent for a fixed abstract primitive N-th root zeta_N."""
 

@@ -64,6 +64,7 @@ from .ellcurve import (
     iter_admissible_curves,
     miller_function,
     ratio_constant,
+    same_function,
     torsion_subgroup,
     weil_pairing,
 )
@@ -171,6 +172,13 @@ def theta_power(g: ThetaElement, k: int) -> ThetaElement:
     for _ in range(k):
         acc = theta_mul(acc, g)
     return acc
+
+
+def theta_equal(g: ThetaElement, h: ThetaElement) -> bool:
+    """Equality as group elements: same point and the same function.
+
+    An object oracle for the tests; no claim calls it."""
+    return g.level == h.level and g.curve == h.curve and g.x == h.x and same_function(g.f, h.f)
 
 
 def theta_commutator(g: ThetaElement, h: ThetaElement) -> FpElement:
@@ -436,16 +444,18 @@ class MuTables:
     law, so with A and B certified their vector commutator has divisor 0 over O: t is
     its one value on S, a primitive n-th root, and `t_pow[k]` is t^k.  `sections[i, j]`
     is s(i, j) = t^(-ij) A^i B^j, fixed up to one constant by its divisor n(O) - n(-x),
-    so equal vectors over one point are equal elements.  The element (i, j, k) is
-    t^k s(i, j), built by `vector`; mu_product is pointwise in its left factor, so
-    (t^k s) c = t^k (s c), and products by c of all n^3 elements need only the sections.
+    so equal vectors over one point are equal elements.  The element labelled (i, j, k)
+    is t^k s(i, j).  mu_product is pointwise in each factor, so (t^k s)(t^l c) =
+    t^(k + l) (s c): products of all n^3 elements need only the sections.  `vector`
+    builds t^k s(i, j) when asked, `value` and `product_value` read one entry of it or
+    of a product without building it, and `locate` reads a label off a vector.
     """
 
     def __init__(self, structure: ThetaStructure, cosets: _Cosets, *lifts: Values):
         curve, n = structure.curve, structure.level
         self.p, self.points, self.others = cosets.p, cosets.points, cosets.others
         self.add, self.neg, self.shift = cosets.add, cosets.neg, cosets.shift
-        self.origin = cosets.origin
+        self.origin, self.decomposition = cosets.origin, structure.decomposition
         for x in cosets.generators:
             column = cosets.label[x]
             for listed, moved in ((self.others, self.shift[column]),
@@ -469,28 +479,38 @@ class MuTables:
         for i, j in itertools.product(range(n), repeat=2):  # A^i B^j, then times t^(-ij)
             self.sections[i, j] = mu_product(self, a_pow[i], b_pow[j])
             self.sections[i, j] = self.vector(i, j, -i * j % n)
-        self.ij = {cosets.label[x]: ij for x, ij in structure.decomposition.items()}
 
     def vector(self, i: int, j: int, k: int) -> Values:
         """t^k s(i, j), the element labelled (i, j, k)."""
         (x, values), scale, p = self.sections[i, j], self.t_pow[k], self.p
         return x, tuple(v * scale % p for v in values)
 
+    def value(self, i: int, j: int, k: int, s: int) -> tuple[int, int]:
+        """(point, entry s) of vector(i, j, k).  Elements over one point differ by a
+        constant, so two are equal exactly when these pairs are, at any s."""
+        x, values = self.sections[i, j]
+        return x, values[s] * self.t_pow[k] % self.p
+
+    def product_value(self, u: tuple[int, int, int], v: tuple[int, int, int], s: int) -> int:
+        """Entry s of vector(*u) vector(*v): the sections' product times t^(k_u + k_v)."""
+        values = mu_product(self, self.sections[u[:2]], self.sections[v[:2]])[1]
+        return values[s] * self.t_pow[(u[2] + v[2]) % len(self.t_pow)] % self.p
+
     def locate(self, g: Values) -> tuple[int, int, int] | None:
         """The label (i, j, k) of g, or None when g is off the layer: (i, j) is read
         from the point, k from the first value, then the whole vector is compared."""
-        (x, values), p = g, self.p
-        ij = self.ij[x]
-        k = next((k for k, c in enumerate(self.t_pow)
-                  if self.sections[ij][1][0] * c % p == values[0]), None)
-        return None if k is None or self.vector(*ij, k) != g else (*ij, k)
+        x, values = g
+        i, j = self.decomposition[self.points[x]]
+        k = next((k for k in range(len(self.t_pow)) if self.value(i, j, k, 0) == (x, values[0])),
+                 None)
+        return None if k is None or self.vector(i, j, k) != g else (i, j, k)
 
 
 def mu_product(tables: MuTables | _Cosets, g: Values, h: Values) -> Values:
     """theta_mul on value vectors: (x + y, T_x^* f_h * f_g)."""
     (x, f_g), (y, f_h) = g, h
     p = tables.p
-    return tables.add[x][y], tuple([f_h[s] * v % p for s, v in zip(tables.shift[x], f_g)])
+    return tables.add[x][y], tuple(f_h[s] * v % p for s, v in zip(tables.shift[x], f_g))
 
 
 def mu_inverse(tables: MuTables, g: Values) -> Values:

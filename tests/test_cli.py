@@ -492,22 +492,32 @@ def generators(curve, n):
     return [labels.index((1, 0, 0)), labels.index((0, 1, 0))]
 
 
-def test_theta_verify_multiplies_each_pair_once(capsys, monkeypatch):
-    calls = []
+def counted_products(monkeypatch):
+    """The layer products theta-verify makes: the pairs of labels cli.mu_product
+    multiplies, then the pairs MuTables.product_value reads one entry of."""
+    calls, reads = [], []
 
     def counted(tables, g, h):
         calls.append((tables.locate(g), tables.locate(h)))
         return mu_product(tables, g, h)
 
+    honest = theta.MuTables.product_value
     monkeypatch.setattr(cli, "mu_product", counted)
+    monkeypatch.setattr(theta.MuTables, "product_value",
+                        lambda tables, u, v, s: reads.append((u, v)) or honest(tables, u, v, s))
+    return calls, reads
+
+
+def test_theta_verify_multiplies_each_pair_once(capsys, monkeypatch):
+    calls, reads = counted_products(monkeypatch)
     code, report, _ = run_json(capsys, THETA_N2)
     assert code == 0
-    # each pair (s, c) of a section and a generator once, sections in label order, then
-    # one per compose sample
+    # each pair (s, c) of a section and a generator once, sections in label order; then
+    # compose-semantics reads one entry of one product for each sample it checks on S
     labels = theta.theta_structure(cli.Curve.make(7, 3, 0), 2).mu_labels()
     sections = [ijk for ijk in labels if ijk[2] == 0]
-    assert calls[:2 * 4] == [(s, c) for s in sections for c in [(1, 0, 0), (0, 1, 0)]]
-    assert len(calls) == 2 * 4 + claim_map(report)["compose-semantics"]["checked"] == 2 * 4 + 100
+    assert calls == [(s, c) for s in sections for c in [(1, 0, 0), (0, 1, 0)]]
+    assert 0 < len(reads) <= claim_map(report)["compose-semantics"]["checked"] == 100
     # with the structure built, listing the layer multiplies nothing
     monkeypatch.setattr(theta, "theta_mul", lambda g, h: pytest.fail("theta_mul called"))
     monkeypatch.setattr(theta, "mu_product", lambda *args: pytest.fail("mu_product called"))
@@ -516,18 +526,12 @@ def test_theta_verify_multiplies_each_pair_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_theta_verify_multiplies_each_section_by_each_generator(capsys, monkeypatch, n):
-    calls = 0
-
-    def counted(tables, g, h):
-        nonlocal calls
-        calls += 1
-        return mu_product(tables, g, h)
-
-    monkeypatch.setattr(cli, "mu_product", counted)
+    calls, reads = counted_products(monkeypatch)
     code, report, _ = run_json(capsys, ["theta-verify", "--n", str(n)])
     assert code == 0
-    # 2 n^2 section products, then one per compose-semantics sample
-    assert calls == 2 * n ** 2 + claim_map(report)["compose-semantics"]["checked"]
+    # 2 n^2 section products, then at most one per compose-semantics sample
+    assert len(calls) == 2 * n ** 2
+    assert 0 < len(reads) <= claim_map(report)["compose-semantics"]["checked"]
 
 
 def test_escaping_product_exits_1(capsys, monkeypatch):
@@ -1260,8 +1264,9 @@ def doctor_translation(monkeypatch, tables):
     monkeypatch.setattr(cli, "mu_product", untranslated_product)
 
 
-def doctor_layer(monkeypatch, tables):  # t read as 1: the layer loses its scales
-    monkeypatch.setattr(tables, "t_pow", [1] * len(tables.t_pow))
+def doctor_layer(monkeypatch, tables):  # s(1, 1) a copy of s(0, 0): two fibres alike
+    locate_as_now(monkeypatch, tables)
+    monkeypatch.setattr(tables, "sections", {**tables.sections, (1, 1): tables.sections[0, 0]})
 
 
 def doctor_identity(monkeypatch, tables):
@@ -1279,7 +1284,30 @@ def test_generator_checks_match_the_pair_loop_on_doctored_cases(capsys, monkeypa
     doctor(monkeypatch, theta.theta_structure(curve, n).tables)
     verdicts = per_pair_verdicts(curve, n)
     assert verdicts != dict.fromkeys(PAIR_CLAIMS, "verified")
+    # a broken translation table or product stops both before any claim; every other
+    # doctoring reaches the claims, and they must agree claim by claim
+    assert (verdicts == "exit 1") == (doctor in (doctor_shift, doctor_translation))
     assert generator_verdicts(capsys, argv) == verdicts
+
+
+@pytest.mark.parametrize("argv", [THETA_N2, THETA_N3])
+def test_powers_of_t_read_wrong_fail_the_claims_that_read_vectors(capsys, monkeypatch, argv):
+    # the generator table takes its k direction from (t^k s) c = t^k (s c), with the
+    # element (i, j, k) t^k s(i, j) by construction: structure-isomorphism and
+    # theta-group-axioms read labels only, so t read as 1 passes them, while the pair
+    # loop, which multiplies the n^3 vectors, fails them.  Every claim that reads a
+    # vector at k != 0 fails, so the run exits 1
+    curve = cli.Curve.make(*map(int, argv[4::2]))
+    n = int(argv[2])
+    powers_read_as(monkeypatch, theta.theta_structure(curve, n).tables, [1] * n)
+    assert per_pair_verdicts(curve, n) == {
+        "mu-layer-closure": "verified", "structure-isomorphism": "failed",
+        "theta-group-axioms": "failed", "embed-homomorphism": "failed"}
+    code, report, _ = run_json(capsys, argv)
+    assert code == 1
+    assert [id for id, c in claim_map(report).items() if c["status"] == "failed"] == [
+        "transport-bijective", "commutator-matches-weil", "embed-homomorphism",
+        "embed-injective", "compose-semantics"]
 
 
 def rebuilt_tables(monkeypatch, structure, **doctored):

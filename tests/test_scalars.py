@@ -13,8 +13,8 @@ from jordanlab.scalars import (
     mu_generator,
     multiplicative_order,
     nth_root,
+    primes_up_to,
 )
-from oracles import primes_up_to
 
 
 def test_mul_examples():
@@ -67,6 +67,8 @@ def test_embed_in_field_errors():
 
 
 def test_embed_is_injective_homomorphism():
+    from jordanlab.scalars import primes_up_to
+
     for p in primes_up_to(101):
         if p < 3:
             continue

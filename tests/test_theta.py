@@ -55,10 +55,10 @@ from jordanlab.theta import (
     theta_make,
     theta_mul,
     theta_power,
+    theta_equal,
     theta_structure,
     theta_to_heisenberg,
 )
-from oracles import theta_equal
 
 C2 = find_theta_curve(2)  # (7, 3, 0)
 C3 = find_theta_curve(3)  # (13, 7, 0)
