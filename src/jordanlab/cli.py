@@ -262,20 +262,25 @@ def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
 
     if n <= EXHAUSTIVE_CAP:
         # g h g^-1 h^-1 must be the central element zeta^e(g, h), for every pair; G1
-        # label g lies over H label g // n, and zeta^k is label k
+        # label g lies over H label g // n, and zeta^k is label k.  Each row is gathered
+        # in C: column g^-1 read at the labels g h gives g h g^-1, and the rows of those
+        # read at h^-1 give the commutators
         table, elems = group_table(group)
-        t, inv = table.table, table.inverse
+        t, inv, columns = table.table, table.inverse, table.columns
         failures, first = 0, []
-        for g, t_g in enumerate(t):
-            t_ginv = [t[gh][inv[g]] for gh in t_g]
-            got = [t[ghg][ih] for ghg, ih in zip(t_ginv, inv)]
-            want = [e for e in gram[g // n] for _ in range(n)]
-            if got == want:
-                continue
-            bad = [hh for hh in range(len(elems)) if got[hh] != want[hh]]
-            failures += len(bad)
-            if not first:
-                first = [(elems[g], elems[bad[0]])]
+        for a, e_a in enumerate(gram):
+            want = [e for e in e_a for _ in range(n)]
+            for g in range(a * n, a * n + n):
+                t_g, col = t[g], columns[inv[g]]
+                # an itemgetter of one index returns the entry, not a tuple: G1 at N = 1
+                conj = operator.itemgetter(*t_g)(col) if len(t_g) > 1 else (col[t_g[0]],)
+                got = list(map(operator.getitem, map(t.__getitem__, conj), inv))
+                if got == want:
+                    continue
+                bad = [hh for hh in range(len(elems)) if got[hh] != want[hh]]
+                failures += len(bad)
+                if not first:
+                    first = [(elems[g], elems[bad[0]])]
         report.claim("commutator-identity", failures == 0, len(elems) ** 2, failures,
                      _counterexample("(g, h)", first))
     else:

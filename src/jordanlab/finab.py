@@ -241,17 +241,18 @@ def _h_group(group: FinAbGroup) -> tuple[list[HPoint], GroupTable]:
 
     (x, l) has index x * N + l, and (x, l) + (x', l') = (x + x', l l') gives
     add[x*N + l][x'*N + l'] = add_K[x][x'] * N + add_K[l][l'] from K's addition
-    table.  Refused before anything is allocated when it would exceed
-    H_TABLE_BUDGET.
+    table: row (x, l) is the chain of the blocks q N + add_K[l] for q in add_K[x].
+    Refused before anything is allocated when it would exceed H_TABLE_BUDGET.
     """
     if group.h_order() ** 2 > H_TABLE_BUDGET:
         raise BudgetExceeded(f"#H^2 = {group.h_order() ** 2} table entries exceed "
                              f"H_TABLE_BUDGET {H_TABLE_BUDGET}")
     n = group.order
     add = k_tables(group)[0]
-    scaled = [[s * n for s in row] for row in add]
-    return group.h_elements(), GroupTable([[s + t for s in scaled[x] for t in add[l]]
-                                           for x in range(n) for l in range(n)])
+    blocks = [[[q * n + t for t in row] for q in range(n)] for row in add]  # blocks[l][q]
+    rows = [list(itertools.chain.from_iterable(map(blocks[l].__getitem__, add[x])))
+            for x in range(n) for l in range(n)]
+    return group.h_elements(), GroupTable(rows)
 
 
 def h_tables(group: FinAbGroup) -> tuple[list[HPoint], GroupTable, list[list[int]]]:
@@ -268,8 +269,9 @@ def h_tables(group: FinAbGroup) -> tuple[list[HPoint], GroupTable, list[list[int
     h, table = _h_group(group)
     n = group.order
     chi = k_tables(group)[1]
-    columns = list(zip(*chi))  # columns[x][l'] = chi[l'][x]
-    gram = [[(c - d) % n for d in chi[l] for c in columns[x]]
+    # blocks[x][d][l'] = chi[l'][x] - d: row (x, l) chains the blocks of d = chi[l][x']
+    blocks = [[[(c - d) % n for c in column] for d in range(n)] for column in zip(*chi)]
+    gram = [list(itertools.chain.from_iterable(map(blocks[x].__getitem__, chi[l])))
             for x in range(n) for l in range(n)]
     return h, table, gram
 

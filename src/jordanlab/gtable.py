@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import CertificateError
@@ -92,12 +93,16 @@ class GroupTable:
         return tuple(gens)
 
     @cached_property
+    def columns(self) -> list[tuple[int, ...]]:
+        """Columns of the table: columns[b][a] is the index of a b.  Built once, read only."""
+        return list(zip(*self.table))
+
+    @cached_property
     def commuting(self) -> list[int]:
         """Commuting bitmasks: bit h of commuting[g] is set when g h = h g.  Built once."""
-        table = self.table
         # bit h is character h from the right of the binary string: b"\x01" for g h = h g
         return [int(bytes(map(operator.eq, row[::-1], col[::-1])).translate(_TO_DIGITS), 2)
-                for row, col in zip(table, zip(*table))]
+                for row, col in zip(self.table, self.columns)]
 
     def abelian_subgroups(self, max_gens: int | None = None) -> dict[frozenset[int], tuple[int, ...]]:
         """All abelian subgroups with at most max_gens generators.
@@ -107,10 +112,13 @@ class GroupTable:
         H * <g>, abelian again, so no closure search is needed.  Each frontier
         entry carries the centralizer of H as a bitmask: the AND of the
         commuting masks of its generators, since H and its generators have the
-        same centralizer.  Every element h g of the coset H g gives the same
-        <H, g>, and candidates are tried in ascending order, so once g is
-        tried its whole coset is cleared: the first producer of each subgroup,
-        and so each generator tuple and the insertion order, stay those of the
+        same centralizer.  The walk lists the cosets H g^k for k = 1 .. m - 1,
+        m the order of g H in <H, g> / H.  Every h g^k with gcd(k, m) = 1
+        generates <H, g> together with H, as g^k H generates the cyclic
+        quotient, so once g is tried all those cosets are cleared; the other
+        powers generate smaller extensions and are still tried.  Candidates are
+        tried in ascending order, so the first producer of each subgroup, and
+        so each generator tuple and the insertion order, stay those of the
         plain walk over every centralizing element.
         """
         table, comm = self.table, self.commuting
@@ -128,12 +136,17 @@ class GroupTable:
                 while untried:
                     g = (untried & -untried).bit_length() - 1
                     coset = [table[h][g] for h in members]
-                    for x in coset:
-                        untried &= ~(1 << x)
-                    out = set(members)
+                    cosets = []
                     while coset[0] not in members:  # coset is H g^k for k = 1, 2, ...
-                        out.update(coset)
+                        cosets.append(coset)
                         coset = [table[x][g] for x in coset]
+                    m = len(cosets) + 1
+                    out = set(members)
+                    for k, coset in enumerate(cosets, 1):
+                        out.update(coset)
+                        if gcd(k, m) == 1:
+                            for x in coset:
+                                untried &= ~(1 << x)
                     bigger = frozenset(out)
                     if bigger not in found:
                         new_gens = gens + (g,)
@@ -141,4 +154,3 @@ class GroupTable:
                         fresh.append((bigger, new_gens, central & comm[g]))
             frontier = fresh
         return found
-

@@ -492,9 +492,11 @@ class MuTables:
         return x, values[s] * self.t_pow[k] % self.p
 
     def product_value(self, u: tuple[int, int, int], v: tuple[int, int, int], s: int) -> int:
-        """Entry s of vector(*u) vector(*v): the sections' product times t^(k_u + k_v)."""
-        values = mu_product(self, self.sections[u[:2]], self.sections[v[:2]])[1]
-        return values[s] * self.t_pow[(u[2] + v[2]) % len(self.t_pow)] % self.p
+        """Entry s of vector(*u) vector(*v): the sections' product times t^(k_u + k_v),
+        read as mu_product reads it, f_v at the shift of s by the point x of u."""
+        (x, f_u), f_v = self.sections[u[:2]], self.sections[v[:2]][1]
+        scale = self.t_pow[(u[2] + v[2]) % len(self.t_pow)]
+        return f_v[self.shift[x][s]] * f_u[s] * scale % self.p
 
     def locate(self, g: Values) -> tuple[int, int, int] | None:
         """The label (i, j, k) of g, or None when g is off the layer: (i, j) is read

@@ -62,6 +62,24 @@ def test_abstract_delta1_trivial(capsys):
     code, report, _ = run_json(capsys, ["abstract", "--delta", "1"])
     assert code == 0
     assert report["min_abelian_index"] == 1
+    # the whole record, untimed: G1 has one element, so the commutator gather takes one index
+    del report["wall_time_s"], report["claim_wall_s"]
+    witness = {"delta": [1], "N": 1, "group_order": 1, "min_abelian_index": 1,
+               "certified_lower_bound": 1, "witness_generators": [], "witness_order": 1,
+               "witness_index": 1, "exhaustive": True}
+    assert report == {
+        "command": "abstract", "params": {"delta": [1], "budget": 400}, "delta": [1], "n": 1,
+        "group_order": 1, "min_abelian_index": 1, "certified_lower_bound": 1, "witness": witness,
+        "claims": [
+            {"id": "pairing-bi-additive", "status": "verified", "checked": 2, "failures": 0,
+             "detail": "0 generators checked, every triple by induction"},
+            {"id": "pairing-alternating", "status": "verified", "checked": 1, "failures": 0},
+            {"id": "pairing-nondegenerate", "status": "verified", "checked": 1, "failures": 0},
+            {"id": "isotropic-index-divisibility", "status": "verified", "checked": 1,
+             "failures": 0, "detail": "1 subgroups, 1 isotropic"},
+            {"id": "commutator-identity", "status": "verified", "checked": 1, "failures": 0},
+            {"id": "min-abelian-index", "status": "verified", "checked": 1, "failures": 0,
+             "detail": "min = 1, certified >= 1"}]}
 
 
 def test_abstract_bad_delta():
@@ -456,6 +474,52 @@ def test_doctored_inverse_fails_commutator_identity(capsys, monkeypatch):
                  if g * h * g * h != HeisElement(pairing(g.project(), h.project()),
                                                  group.zero(), group.trivial_character()))
     assert claim["detail"] == "first counterexample (g, h) = ({!r}, {!r})".format(*first)
+
+
+def entry_loop_commutator_claim(group, table):
+    """commutator-identity as the per-entry loop over a G1 table: for every g and h,
+    g h g^-1 h^-1 read entry by entry against zeta^e(g, h), e read off the Gram table of
+    the images in H.  (failures, detail) as the claim reports them."""
+    t, inv, n = table.table, table.inverse, group.order
+    gram = finab.h_tables(group)[2]
+    elems = heisenberg.group_table(group)[1]
+    bad = [(g, h) for g in range(table.order) for h in range(table.order)
+           if t[t[t[g][h]][inv[g]]][inv[h]] != gram[g // n][h // n]]
+    detail = ("first counterexample (g, h) = ({!r}, {!r})".format(*(elems[i] for i in bad[0]))
+              if bad else "")
+    return len(bad), detail
+
+
+@pytest.mark.parametrize("delta", ["1", "2", "3", "4", "2,2", "5", "6"])
+def test_commutator_claim_matches_the_entry_loop(capsys, delta):
+    group = FinAbGroup(parse_delta(delta))
+    code, report, _ = run_json(capsys, ["abstract", "--delta", delta])
+    claim = claim_map(report)["commutator-identity"]
+    assert (claim["failures"], claim.get("detail", "")) == entry_loop_commutator_claim(
+        group, heisenberg.group_table(group)[0]) == (0, "")
+    assert (claim["status"], claim["checked"], code) == ("verified", group.order ** 6, 0)
+
+
+@pytest.mark.parametrize("delta,entries", [("4", [(5, 6)]), ("4", [(63, 1)]),
+                                           ("4", [(5, 6), (5, 9)]), ("2,2", [(17, 40)]),
+                                           ("6", [(100, 200)])])
+def test_commutator_claim_on_a_doctored_product_matches_the_entry_loop(capsys, monkeypatch,
+                                                                       delta, entries):
+    group = FinAbGroup(parse_delta(delta))
+    honest, elems = heisenberg.group_table(group)
+    rows = [row[:] for row in honest.table]
+    for a, b in entries:
+        assert rows[a][b] not in (honest.identity, honest.identity + 1)
+        rows[a][b] = honest.identity + 1  # a b read as zeta: inverses are kept
+    doctored = GroupTable(rows)  # its own rows, so its own columns
+    assert doctored.inverse == honest.inverse and doctored.columns != honest.columns
+    monkeypatch.setattr(cli, "group_table", lambda group: (doctored, elems))
+    code, report, _ = run_json(capsys, ["abstract", "--delta", delta])
+    claim = claim_map(report)["commutator-identity"]
+    failures, detail = entry_loop_commutator_claim(group, doctored)
+    assert code == 1 and failures > 0
+    assert (claim["status"], claim["checked"], claim["failures"], claim["detail"]) == (
+        "failed", group.order ** 6, failures, detail)
 
 
 def test_broken_certificate_exits_1(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from jordanlab.finab import (
     h_tables,
     is_isotropic,
     isotropic_witness,
+    k_tables,
     orthogonal_complement,
     pairing,
     parse_delta,
@@ -252,3 +253,16 @@ def test_h_tables_match_object_operations(delta):
         for j, b in enumerate(h):
             assert h[add[i][j]] == a + b
             assert RootOfUnity(g.order, gram[i][j]) == pairing(a, b)
+
+
+@pytest.mark.parametrize("delta", [(12,), (4, 2), (32,)])
+def test_h_tables_match_the_per_entry_formula(delta):
+    group = FinAbGroup(delta)
+    n = group.order
+    add_k, chi = k_tables(group)
+    _, add, gram = h_tables(group)
+    assert add.table == [[add_k[x][x2] * n + add_k[l][l2] for x2 in range(n) for l2 in range(n)]
+                         for x in range(n) for l in range(n)]
+    assert gram == [[(chi[l2][x] - chi[l][x2]) % n for x2 in range(n) for l2 in range(n)]
+                    for x in range(n) for l in range(n)]
+    assert all(type(row) is list for row in add.table + gram)  # rows a test can doctor in place

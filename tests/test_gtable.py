@@ -2,12 +2,14 @@
 closure by generators against the two-sided closure, and the reference subgroup
 lattice that other tests compare against."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jordanlab import gtable
 from jordanlab.errors import CertificateError
 from jordanlab.finab import FinAbGroup, _h_group
 from jordanlab.gtable import GroupTable
@@ -119,7 +121,7 @@ def assert_same_scan(table, max_gens):
 
 
 @pytest.mark.parametrize("max_gens", [1, 2, 3])
-@pytest.mark.parametrize("delta", [(2,), (3,), (4,), (2, 2), (5,), (6,)])
+@pytest.mark.parametrize("delta", [(2,), (3,), (4,), (2, 2), (5,), (6,), (7,)])
 def test_g1_scan_matches_reference(delta, max_gens):
     assert_same_scan(group_table(FinAbGroup(delta))[0], max_gens)
 
@@ -127,6 +129,57 @@ def test_g1_scan_matches_reference(delta, max_gens):
 @pytest.mark.parametrize("delta", [(2,), (3,), (4,), (2, 2), (5,), (6,)])
 def test_h_scan_matches_reference(delta):
     assert_same_scan(_h_group(FinAbGroup(delta))[1], None)
+
+
+def product_table(moduli):
+    """Z/m_1 x ... x Z/m_r, the tuple of residues numbered in product order."""
+    elements = list(itertools.product(*(range(m) for m in moduli)))
+    index = {e: i for i, e in enumerate(elements)}
+    return GroupTable([[index[tuple((a + b) % m for a, b, m in zip(e, f, moduli))]
+                        for f in elements] for e in elements])
+
+
+def quaternion_table():
+    """Q8 as s u for s in {1, -1} and u in {1, i, j, k}, numbered 4 (s == -1) + u."""
+    units = {(0, 0): (1, 0), (1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0),
+             (1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
+             (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2)}
+
+    def product(e, f):
+        (s, u), (t, v) = divmod(e, 4), divmod(f, 4)
+        sign, w = units.get((u, v)) or (1, u + v)  # a product with 1
+        return 4 * ((s + t + (sign < 0)) % 2) + w
+
+    return GroupTable([[product(e, f) for f in range(8)] for e in range(8)])
+
+
+SMALL_GROUPS = {"Z/12": product_table([12]), "Z/2 x Z/6": product_table([2, 6]),
+                "Q8": quaternion_table()}
+
+
+@pytest.mark.parametrize("max_gens", [1, 2, None])
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_small_group_scans_match_reference(name, max_gens):
+    assert_same_scan(SMALL_GROUPS[name], max_gens)
+
+
+def test_quaternion_table_is_q8():
+    table = SMALL_GROUPS["Q8"]
+    orders = sorted(len(table.closure([g])) for g in range(8))
+    assert orders == [1, 2, 4, 4, 4, 4, 4, 4]  # one involution, six elements of order 4
+    assert not table.is_abelian_subset(range(8))
+    assert reference_closure(table, range(8)) == frozenset(range(8))
+    assert all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a, b, c in itertools.product(range(8), repeat=3))
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_scan_that_clears_every_power_misses_subgroups(name, monkeypatch):
+    table = SMALL_GROUPS[name]
+    monkeypatch.setattr(gtable, "gcd", lambda k, m: 1)  # every power read as a generator
+    got = table.abelian_subgroups()
+    reference = reference_abelian_subgroups(table)
+    assert set(got) < set(reference)  # a cyclic subgroup of a cyclic extension is lost
 
 
 @settings(max_examples=40, deadline=None)

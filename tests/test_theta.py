@@ -627,6 +627,17 @@ def theta_curve(n):
     return find_theta_curve(n)
 
 
+@pytest.mark.parametrize("abc,n", [((7, 3, 0), 2), ((11, 1, 2), 2),
+                                   (tuple(POOL[0]), 3), (tuple(POOL[3]), 3)])
+def test_product_value_is_the_entry_of_the_vector_product(abc, n):
+    structure = theta_structure(Curve.make(*abc), n)
+    tables = structure.tables
+    labels = structure.mu_labels()
+    for u, v in itertools.product(labels, repeat=2):
+        product = mu_product(tables, tables.vector(*u), tables.vector(*v))[1]
+        assert [tables.product_value(u, v, s) for s in range(len(product))] == list(product)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_pairing_table_equals_weil_pairing_on_every_pair(n):
     curve = theta_curve(n)
