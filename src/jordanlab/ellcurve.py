@@ -25,7 +25,7 @@ from __future__ import annotations
 import operator
 import random
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -50,7 +50,9 @@ PAIRING_RETRIES = 16  # offset pairs weil_pairing tries before giving up
 
 class Curve(Frozen):
     """y^2 = x^3 + a*x + b over F_p, p >= 5, nonsingular.  count, if given, is #E(F_p) as
-    the caller counted and Hasse-checked it.  Each instance keeps one CurvePoint per
+    the caller counted and Hasse-checked it; curve_search passes the count its class took,
+    on points or as 2p + 2 minus its twist's, which _torsion_count's pass over the roots
+    then matched.  Each instance keeps one CurvePoint per
     coordinate pair in _points, at most #E(F_p) of them, and a memo _sums of the sums of
     two affine points, keyed on their coordinates (x1, y1, x2, y2), at most #E(F_p)^2
     entries.  The memo is made at the first sum, so a Curve that never adds, as most that
@@ -307,15 +309,65 @@ def _point_count(p: int, a: int, b: int) -> int:
     return count
 
 
-def _torsion_count(p: int, a: int, b: int, n: int) -> int:
-    """#E[n](F_p): the points, O included, that n kills."""
+def _division_values(p: int, a: int, b: int, n: int, xs: list[int], rhs: list[int]) -> list[int]:
+    """f_n(x) mod p for each x of xs, where rhs holds x^3 + a x + b: f_n is the division
+    polynomial psi_n for odd n and psi_n / psi_2 for even n (Washington 3.2), a polynomial
+    in x alone.  With F = 4(x^3 + a x + b) = psi_2^2, f_1 = f_2 = 1, f_3 and f_4 are given in
+    closed form, and for larger k
+        f_{2m+1} = F^2 f_{m+2} f_m^3 - f_{m-1} f_{m+1}^3   (m even),
+        f_{2m+1} = f_{m+2} f_m^3 - F^2 f_{m-1} f_{m+1}^3   (m odd),
+        f_{2m}   = f_m (f_{m+2} f_{m-1}^2 - f_{m-2} f_{m+1}^2),
+    each an int list over xs, made only for the indices that f_n needs."""
+    f: dict[int, list[int]] = {}
+    big_f2: list[int] = []  # F^2, made at the first odd index past 4
+
+    def value(k: int) -> list[int]:
+        if k in f:
+            return f[k]
+        m = k // 2
+        if k <= 2:
+            row = [1] * len(xs)
+        elif k == 3:
+            row = [((3 * x * x + 6 * a) * x * x + 12 * b * x - a * a) % p for x in xs]
+        elif k == 4:
+            row = [2 * ((((x * x + 5 * a) * x + 20 * b) * x - 5 * a * a) * x * x
+                        - 4 * a * b * x - 8 * b * b - a * a * a) % p for x in xs]
+        elif k % 2 == 0:
+            row = [v * (u * s * s - q * t * t) % p for v, u, s, q, t in
+                   zip(value(m), value(m + 2), value(m - 1), value(m - 2), value(m + 1))]
+        else:
+            if not big_f2:
+                big_f2.extend(16 * r * r % p for r in rhs)
+            terms = zip(value(m + 2), value(m), value(m - 1), value(m + 1), big_f2)
+            if m % 2:
+                row = [(u * v ** 3 - w * s * t ** 3) % p for u, v, s, t, w in terms]
+            else:
+                row = [(w * u * v ** 3 - s * t ** 3) % p for u, v, s, t, w in terms]
+        f[k] = row
+        return row
+
+    return value(n)
+
+
+def _torsion_count(p: int, a: int, b: int, n: int) -> tuple[int, int]:
+    """(#E[n](F_p), #E(F_p)), O included in both, from one pass over the x with roots.
+
+    For p not dividing n an affine P = (x, y) is killed by n exactly when f_n(x) = 0
+    (_division_values), or when n is even and y = 0, so P has order 2: for even n, when
+    (x^3 + a x + b) f_n(x) = 0.  Both roots y and -y of one x are killed or neither.  The
+    same pass sums the root counts."""
     _budget_check(p)
-    killed = 1
-    for x, ys in enumerate(map(_sqrt_table(p).get, _rhs_values(p, a, b))):
-        # n(-P) = -(nP), so n kills both roots y and -y or neither
-        if ys and _affine_mul(p, a, b, n, (x, ys[0])) is None:
-            killed += len(ys)
-    return killed
+    if n % p == 0:
+        raise ValueError(f"division polynomials count E[{n}] only for p not dividing n, got p = {p}")
+    rhs = list(_rhs_values(p, a, b))
+    roots = list(map(_sqrt_table(p).get, rhs))
+    xs, rhs = list(compress(range(p), roots)), list(compress(rhs, roots))
+    roots = list(filter(None, roots))
+    values = _division_values(p, a, b, n, xs, rhs)
+    if n % 2 == 0:
+        values = map(operator.mul, values, rhs)
+    killed = sum(map(len, compress(roots, map(operator.not_, values))))
+    return 1 + killed, 1 + sum(map(len, roots))
 
 
 @lru_cache(maxsize=512)
@@ -361,46 +413,84 @@ def _coset_leaders(p: int, powers: list[int]) -> list[int]:
     return leaders
 
 
-def _class_representatives(p: int, coset: list[int]) -> list[tuple[int, int]]:
+def _least_nonresidue(p: int) -> int:
+    return next(v for v in range(2, p) if pow(v, (p - 1) // 2, p) == p - 1)
+
+
+def _class_representatives(p: int, coset: list[int], d: int) -> list[tuple[int, int]]:
     """One (a, b) per isomorphism class whose a lies in coset, a coset of the fourth powers
     in increasing order.  With ab != 0 the class is fixed by a^3 / b^2 = J and by whether ab
     is a square (Silverman III.1, X.5): (J, J) and its twist (J d^2, J d^3) for the least
     nonresidue d, the twist written (c, c d) with c = J d^2 in the coset."""
-    d = next(v for v in range(2, p) if pow(v, (p - 1) // 2, p) == p - 1)
     singular = -27 * pow(4, -1, p) % p  # 4 J^3 + 27 J^2 = 0 for J != 0
     return ([(coset[0], 0)] + [(j, j) for j in coset if j != singular]
             + [(c, c * d % p) for c in coset if c != singular * d * d % p])
 
 
+def _class_rows(p: int, units: list[tuple[int, int]], d: int) -> dict[int, list[tuple[int, int]]]:
+    """One (a, b) per isomorphism class of nonsingular curves over F_p, filed under the row
+    at which _admissible_at counts it.  units holds (u^4, u^6) for u = 1 .. (p - 1) / 2 and
+    d is the least nonresidue.  Row 0 holds the classes (0, v), v the least member of a
+    coset of the sixth powers; row c, the least member of a coset of the fourth powers,
+    holds the classes of _class_representatives whose a lies in that coset."""
+    fourths = [u4 for u4, _ in units]
+    rows = {0: [(0, v) for v in _coset_leaders(p, [u6 for _, u6 in units])]}
+    for c in _coset_leaders(p, fourths):
+        rows[c] = _class_representatives(p, sorted({c * w % p for w in fourths}), d)
+    return rows
+
+
 def _admissible_at(p: int, n: int) -> Iterator[Curve]:
     """The curves over F_p carrying full level-n structure, in (a, b) order.
 
-    Row 0 holds the classes (0, v), one per coset of the sixth powers.  Every member
-    (u^4 a, u^6 b) of a class with a != 0 has its a in the coset of the fourth powers that
-    holds the representative's.  So the rows a = 0, 1, 2, ... are walked in turn, and when
-    the row of a coset's least member comes up, the classes of that coset are counted, each
-    once at its representative, and the members of the admissible ones are listed by row.
-    Each row is yielded sorted by b."""
+    Every member (u^4 a, u^6 b) of a class with a != 0 has its a in the coset of the fourth
+    powers that holds the representative's.  So the rows a = 0, 1, 2, ... are walked in
+    turn, and when a row of _class_rows comes up, its classes are counted, each once at its
+    representative, and the members of the admissible ones are listed by row.  Each row is
+    yielded sorted by b.
+
+    The quadratic twist (a d^2, b d^3) has 2p + 2 - #E points, so a class whose twist's
+    class was counted first takes that count, and the other half are counted on points
+    (_point_count).  A class with n^2 | #E has E[n] counted by _torsion_count, whose pass
+    also counts its points: they must match the count it took, or CertificateError."""
     n2 = n * n
     units = [(u ** 4 % p, u ** 6 % p) for u in range(1, (p + 1) // 2)]  # u and -u act alike
+    d = _least_nonresidue(p)
+    d2, d3, back = d * d % p, d ** 3 % p, pow(d, -2, p)
+    fourths, sixths = [u4 for u4, _ in units], [u6 for _, u6 in units]
+    twin_counts: dict[tuple[int, int], int] = {}  # class -> 2p + 2 - #E of its twist's
     rows: dict[int, list[tuple[int, int]]] = {}
 
-    def count_classes(representatives: Iterable[tuple[int, int]]) -> None:
-        for a, b in representatives:
-            count = _point_count(p, a, b)
-            if count % n2 == 0 and _torsion_count(p, a, b, n) == n2:
+    def twist(a: int, b: int) -> tuple[int, int]:
+        """The representative of the class of (a d^2, b d^3)."""
+        if not a:
+            return 0, min(b * d3 * w % p for w in sixths)
+        if not b:
+            return min(a * d2 * w % p for w in fourths), 0
+        if a == b:  # (J, J) -> (J d^2, J d^3)
+            return a * d2 % p, a * d3 % p
+        return a * back % p, a * back % p  # (c, c d) -> (c / d^2, c / d^2)
+
+    classes = _class_rows(p, units, d)
+    for row in range(p):
+        for rep in classes.get(row, ()):
+            a, b = rep
+            count = twin_counts.pop(rep, None)
+            if count is None:
+                count = _point_count(p, a, b)
+                twin_counts[twist(a, b)] = 2 * p + 2 - count
+            if count % n2:
+                continue
+            killed, points = _torsion_count(p, a, b, n)
+            if points != count:
+                raise CertificateError(f"E({p}:{a}:{b}) has {points} points on its roots, "
+                                       f"not the {count} its class took")
+            if killed == n2:
                 # a set: the orbit of (0, v) or (v, 0) meets a member twice when u^6 or u^4 does
                 for x, y in {(u4 * a % p, u6 * b % p) for u4, u6 in units}:
                     rows.setdefault(x, []).append((y, count))
-
-    count_classes((0, v) for v in _coset_leaders(p, [u6 for _, u6 in units]))
-    fourths = [u4 for u4, _ in units]
-    leaders = set(_coset_leaders(p, fourths))
-    for a in range(p):
-        if a in leaders:
-            count_classes(_class_representatives(p, sorted({a * w % p for w in fourths})))
-        for b, count in sorted(rows.pop(a, ())):
-            yield Curve(p, FpElement(p, a), FpElement(p, b), count)
+        for b, count in sorted(rows.pop(row, ())):
+            yield Curve(p, FpElement(p, row), FpElement(p, b), count)
 
 
 def iter_admissible_curves(n: int, p_max: int) -> Iterator[Curve]:
@@ -408,8 +498,9 @@ def iter_admissible_curves(n: int, p_max: int) -> Iterator[Curve]:
 
     Full level-n structure needs n^2 | #E: a prime whose Hasse interval holds no multiple
     of n^2 is ruled out by the Hasse bound and skipped.  (a, b) and (u^4 a, u^6 b) are
-    isomorphic by (x, y) -> (u^2 x, u^3 y), with the same #E and E[n], so points are
-    counted on integer coordinates once per isomorphism class, at a representative, as
+    isomorphic by (x, y) -> (u^2 x, u^3 y), with the same #E and E[n], so #E is taken
+    once per isomorphism class, at a representative, on integer coordinates or from its
+    twist, and E[n] is counted off the division polynomials, as
     _admissible_at lays out; a Curve, carrying the count, is built only for the curves
     yielded.  Only p = 1 (mod n) is visited.  A prime p = 1 (mod n) past the point
     budget, where the scan would stop, is refused before the first prime is scanned.

@@ -14,6 +14,7 @@ mu_N x K x {1} realizes index exactly N.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import chain
 from typing import Sequence
@@ -104,21 +105,26 @@ def group_table(group: FinAbGroup) -> tuple[GroupTable, tuple[HeisElement, ...]]
     zeta^k has index k.  The twisted product (zeta^k, h) (zeta^k', h') =
     (zeta^(k + k' + ell'(x)), h + h') runs over H's addition table and K's
     character table (finab.k_tables), so row (h, k) is, for each h', the block
-    of the N labels (h + h') * N + (k + ell'(x) + k') mod N.  Refused before
-    anything is allocated when the N^6 entries would exceed H_TABLE_BUDGET
-    (N <= 10), which also bounds the table's commuting masks.
+    of the N labels (h + h') * N + (k + ell'(x) + k') mod N.  Row (h, 0)
+    chains those blocks from a precomputed list, and row (h, k + 1) is row
+    (h, k) moved one step along each fiber, entry h' * N + k' read from
+    h' * N + (k' + 1) mod N.  Refused before anything is allocated when the N^6
+    entries would exceed H_TABLE_BUDGET (N <= 10), which also bounds the
+    table's commuting masks.
     """
     n = group.order
     check_g1_budget(n)
     h_add = _h_group(group)[1].table
     twists = [list(column) * n for column in zip(*k_tables(group)[1])]  # twists[x][h'] = ell'(x)
-    blocks = [[[q * n + (s + k2) % n for k2 in range(n)] for s in range(n)] for q in range(n * n)]
+    # blocks[q * N + t] holds the N labels q * N + (t + k') mod N
+    blocks = [[q * n + (t + k2) % n for k2 in range(n)] for q in range(n * n) for t in range(n)]
+    step = operator.itemgetter(*[q * n + (t + 1) % n for q in range(n * n) for t in range(n)])
     table = []
     for p, row in enumerate(h_add):
-        twist = twists[p // n]
-        for k in range(n):
-            table.append(list(chain.from_iterable(blocks[q][(k + t) % n]
-                                                  for q, t in zip(row, twist))))
+        keys = map(operator.add, map(n.__mul__, row), twists[p // n])
+        table.append(list(chain.from_iterable(map(blocks.__getitem__, keys))))
+        for _ in range(1, n):
+            table.append(list(step(table[-1])))
     return GroupTable(table), tuple(elements(group))
 
 

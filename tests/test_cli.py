@@ -130,7 +130,8 @@ def test_doctored_search_fails_search_complete(capsys, monkeypatch, doctored, fa
 
 
 def test_curve_search_past_the_budget_exits_2_before_scanning(capsys, monkeypatch):
-    monkeypatch.setattr(ellcurve, "_point_count", lambda *args: pytest.fail("a prime was scanned"))
+    for name in ("_admissible_at", "_sqrt_table"):
+        monkeypatch.setattr(ellcurve, name, lambda *args: pytest.fail("a prime was scanned"))
     assert main(["curve-search", "--n", "2", "--p-max", "2100"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
@@ -149,7 +150,7 @@ def test_curve_search_at_a_huge_level_exits_2_at_the_first_prime_past_the_budget
                                         (["nonjordan", "--n-max", "2"], 2003)])
 def test_curve_lookup_past_the_budget_exits_2_before_scanning(capsys, monkeypatch, argv, over):
     # both commands stop at their first good curve, which lies on a small prime
-    for name in ("_point_count", "_torsion_count"):
+    for name in ("_admissible_at", "_sqrt_table"):
         monkeypatch.setattr(ellcurve, name, lambda *args: pytest.fail("a prime was scanned"))
     assert main([*argv, "--p-max", "2100"]) == 2
     out = capsys.readouterr()

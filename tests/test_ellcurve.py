@@ -22,6 +22,8 @@ from jordanlab.ellcurve import (
     _affine_add,
     _affine_mul,
     _point_count,
+    _rhs_values,
+    _sqrt_table,
     _torsion_count,
     affine_points,
     curve_search,
@@ -35,6 +37,7 @@ from jordanlab.ellcurve import (
 )
 from jordanlab.errors import (
     BudgetExceeded,
+    CertificateError,
     CurveMismatch,
     DegenerateAfterRetries,
     EvalAtSupport,
@@ -168,13 +171,40 @@ def nonsingular(p):
             if (4 * a ** 3 + 27 * b ** 2) % p]
 
 
+def ladder_torsion_count(p, a, b, n):
+    """#E[n](F_p) by one double-and-add ladder per x: the count the scan ran before it read
+    E[n] off the division polynomials, kept as their reference."""
+    killed = 1
+    for x, ys in enumerate(map(_sqrt_table(p).get, _rhs_values(p, a, b))):
+        # n(-P) = -(nP), so n kills both roots y and -y or neither
+        if ys and _affine_mul(p, a, b, n, (x, ys[0])) is None:
+            killed += len(ys)
+    return killed
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_integer_counts_match_point_objects(p):
     for a, b in nonsingular(p):
         curve = Curve.make(p, a, b)
         assert curve.point_count() == len(enumerate_points(curve))
-        for n in (2, 3, 4):
-            assert _torsion_count(p, a, b, n) == len(torsion_subgroup(curve, n)), (curve, n)
+        for n in range(2, 9):
+            if n % p:
+                assert _torsion_count(p, a, b, n) == (len(torsion_subgroup(curve, n)),
+                                                      curve.point_count()), (curve, n)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_division_polynomial_count_matches_the_ladder(n):
+    # every nonsingular pair, not one per class, so the count is not read off an isomorphism
+    cases = 0
+    for p in primes_up_to(61)[2:]:
+        if n % p == 0:
+            continue
+        for a, b in nonsingular(p):
+            assert _torsion_count(p, a, b, n) == (ladder_torsion_count(p, a, b, n),
+                                                  _point_count(p, a, b)), (p, a, b)
+            cases += 1
+    assert cases == sum(p * p - p for p in primes_up_to(61)[2:] if n % p)
 
 
 def test_integer_group_law_matches_point_objects():
@@ -205,7 +235,7 @@ def test_class_wise_search_matches_per_curve_filter(n):
     p_max = 40 if n < 5 else 100
     reference = [Curve.make(p, a, b) for p in range(5, p_max + 1)
                  if is_prime(p) and (p - 1) % n == 0 for a, b in nonsingular(p)
-                 if _point_count(p, a, b) % (n * n) == 0 and _torsion_count(p, a, b, n) == n * n]
+                 if _point_count(p, a, b) % (n * n) == 0 and ladder_torsion_count(p, a, b, n) == n * n]
     assert reference
     assert curve_search(n, p_max) == reference
 
@@ -225,32 +255,66 @@ def class_count(p):
     return math.gcd(6, p - 1) + math.gcd(4, p - 1) + 2 * (p - 2)
 
 
+def record_classes(monkeypatch):
+    """{p: the rows of classes _class_rows files at p}, filled as the scan reaches p."""
+    listed = {}
+    class_rows = ellcurve._class_rows
+
+    def recording(p, units, d):
+        listed[p] = class_rows(p, units, d)
+        return listed[p]
+
+    monkeypatch.setattr(ellcurve, "_class_rows", recording)
+    return listed
+
+
+def in_scan_order(rows):
+    return [rep for a in sorted(rows) for rep in rows[a]]
+
+
+def nonresidue(p):
+    # the largest, not the least the scan takes: a twist's class is the same for every one
+    return max(v for v in range(1, p) if pow(v, (p - 1) // 2, p) == p - 1)
+
+
+def twist_class(p, rep, reps):
+    """The class among reps that holds the quadratic twist (a d^2, b d^3) of rep = (a, b)."""
+    d = nonresidue(p)
+    (found,) = [r for r in reps if (rep[0] * d * d % p, rep[1] * d ** 3 % p) in orbit(p, *r)]
+    return found
+
+
 def test_class_wise_search_counts_each_class_once(monkeypatch):
+    listed = record_classes(monkeypatch)
     counted = []
     count = ellcurve._point_count
     monkeypatch.setattr(ellcurve, "_point_count",
                         lambda p, a, b: counted.append((p, a, b)) or count(p, a, b))
     curve_search(2, 13)
-    assert len(counted) == len(set(counted)) == sum(class_count(p) for p in (5, 7, 11, 13))
-    for p in (5, 7, 11, 13):
+    assert len(counted) == len(set(counted))
+    assert sorted(listed) == [5, 7, 11, 13]
+    for p, rows in listed.items():
+        reps = in_scan_order(rows)
         at_p = [(a, b) for q, a, b in counted if q == p]
-        assert len(at_p) == class_count(p)
-        # each nonsingular pair is (u^4 a, u^6 b) of exactly one counted pair, so no two
-        # counted pairs are isomorphic and every class is counted
-        classes = [orbit(p, a, b) for a, b in at_p]
-        assert sum(map(len, classes)) == len(set().union(*classes)) == len(nonsingular(p))
-        assert set().union(*classes) == set(nonsingular(p))
-    assert len(counted) < sum(len(nonsingular(p)) for p in (5, 7, 11, 13)) // 3
+        assert len(reps) == class_count(p) and set(at_p) <= set(reps)
+        for rep in reps:
+            # of a class and its twist's class, the first met is counted on points and the
+            # other takes 2p + 2 - #E; a class that is its own twist is counted
+            twin = twist_class(p, rep, reps)
+            first = min(rep, twin, key=reps.index)
+            assert (rep in at_p) == (rep == first), (p, rep, twin)
+        assert len(at_p) < len(reps) * 2 // 3
+    assert len(counted) < sum(len(nonsingular(p)) for p in (5, 7, 11, 13)) // 6
 
 
 def test_class_representatives_partition_the_nonsingular_pairs(monkeypatch):
-    counted = {}
-    # a count that n = 2 never admits, so the scan lists no orbit and yields nothing
-    monkeypatch.setattr(ellcurve, "_point_count",
-                        lambda p, a, b: counted.setdefault(p, []).append((a, b)) or 1)
+    listed = record_classes(monkeypatch)
+    # counts that n = 2 never admits, 1 and 2p + 1 for the twists, so nothing is yielded
+    monkeypatch.setattr(ellcurve, "_point_count", lambda p, a, b: 1)
     assert curve_search(2, 199) == []
-    assert sorted(counted) == primes_up_to(199)[2:]
-    for p, representatives in counted.items():
+    assert sorted(listed) == primes_up_to(199)[2:]
+    for p, rows in listed.items():
+        representatives = in_scan_order(rows)
         assert len(representatives) == class_count(p)
         covered = set()
         for a, b in representatives:
@@ -259,15 +323,31 @@ def test_class_representatives_partition_the_nonsingular_pairs(monkeypatch):
             covered |= members
         assert len(covered) == p * p - p
         assert all((4 * a ** 3 + 27 * b ** 2) % p for a, b in covered)
+        # filed under row 0, or under the least a of its members, which the scan meets first
+        for row, reps in rows.items():
+            assert all(row == min(x for x, _ in orbit(p, *rep)) for rep in reps), (p, row)
+
+
+def test_a_class_and_its_twist_have_2p_plus_2_points():
+    for p in primes_up_to(199)[2:]:
+        d = nonresidue(p)
+        for a, b in in_scan_order(ellcurve._class_rows(p, unit_powers(p),
+                                                       ellcurve._least_nonresidue(p))):
+            twisted = _point_count(p, a * d * d % p, b * d ** 3 % p)
+            assert _point_count(p, a, b) + twisted == 2 * p + 2, (p, a, b)
 
 
 def test_first_level_16_curve_counts_only_row_0_of_its_prime(monkeypatch):
+    listed = record_classes(monkeypatch)
     counted = []
     count = ellcurve._point_count
     monkeypatch.setattr(ellcurve, "_point_count",
-                        lambda p, a, b: counted.append(p) or count(p, a, b))
+                        lambda p, a, b: counted.append((p, a, b)) or count(p, a, b))
     assert repr(next(ellcurve.iter_admissible_curves(16, 2000))) == "E(241:0:17)"
-    assert 0 < counted.count(241) <= math.gcd(6, 240) == 6
+    # row 0 holds gcd(6, 240) = 6 classes, three pairs of twists, one of each counted
+    at_241 = [(a, b) for p, a, b in counted if p == 241]
+    assert len(listed[241][0]) == math.gcd(6, 240) == 6
+    assert len(at_241) == 3 and set(at_241) <= set(listed[241][0])
 
 
 def test_level_16_theta_curve_is_unchanged():
@@ -285,14 +365,16 @@ def test_curve_search_rows_carry_the_object_point_count(n):
 def test_search_counts_no_yielded_curve_again(monkeypatch):
     # the rows read #E from the scan, which counts each isomorphism class once
     counted = []
-    count = ellcurve._point_count
-    monkeypatch.setattr(ellcurve, "_point_count",
-                        lambda p, a, b: counted.append((p, a, b)) or count(p, a, b))
+    for name in ("_point_count", "_torsion_count"):
+        kernel = getattr(ellcurve, name)
+        monkeypatch.setattr(ellcurve, name, lambda *args, kernel=kernel, name=name:
+                            counted.append((name, *args)) or kernel(*args))
     assert run_curve_search(2, 13).data["rows"]
     in_run = list(counted)
     counted.clear()
     curve_search(2, 13)
     assert in_run == counted and len(set(counted)) == len(counted)
+    assert {name for name, *_ in counted} == {"_point_count", "_torsion_count"}
 
 
 def hasse_skipped():
@@ -380,7 +462,7 @@ def test_integer_multiples_match_point_objects(curve):
 
 @pytest.mark.parametrize("doctored, n", [("every", 3), ("tangent", 2), ("chord", 3)])
 def test_torsion_count_checks_every_point_of_the_ladder(monkeypatch, doctored, n):
-    # at n = 2 the ladder only doubles; at n = 3 it also adds P to 2P along a chord
+    # the ladder reference: at n = 2 it only doubles; at n = 3 it also adds P to 2P
     chord_tangent = ellcurve._chord_tangent
 
     def law(p, a, x1, y1, x2, y2):
@@ -389,17 +471,38 @@ def test_torsion_count_checks_every_point_of_the_ladder(monkeypatch, doctored, n
             return point
         return point[0], point[1] + 1
 
-    assert _torsion_count(13, 7, 0, n) == len(torsion_subgroup(C1370, n))
+    want = (len(torsion_subgroup(C1370, n)), len(enumerate_points(C1370)))
+    assert ladder_torsion_count(13, 7, 0, n) == want[0]
     monkeypatch.setattr(ellcurve, "_chord_tangent", law)
     with pytest.raises(OffCurve):
-        _torsion_count(13, 7, 0, n)
+        ladder_torsion_count(13, 7, 0, n)
+    assert _torsion_count(13, 7, 0, n) == want  # the scan's count runs no ladder
+
+
+def test_a_doctored_root_table_fails_the_count_cross_check(monkeypatch):
+    # 1 keeps only its root 1 mod 13: E(13:0:3) takes 12 points from its twist's count, the
+    # pass over its roots finds 9, so the scan refuses it
+    table = dict(_sqrt_table(13))
+    table[1] = (1,)
+    honest = ellcurve._sqrt_table
+    monkeypatch.setattr(ellcurve, "_sqrt_table", lambda p: table if p == 13 else honest(p))
+    with pytest.raises(CertificateError, match=r"E\(13:0:3\) has 9 points on its roots, not the 12"):
+        curve_search(2, 13)
 
 
 def test_integer_kernel_budget_and_hasse(monkeypatch):
     monkeypatch.setattr(ellcurve, "_sqrt_table", lambda p: pytest.fail("prime was scanned"))
+    monkeypatch.setattr(ellcurve, "_rhs_values", lambda p, a, b: pytest.fail("prime was scanned"))
     for count in (_point_count, lambda p, a, b: _torsion_count(p, a, b, 2)):
         with pytest.raises(BudgetExceeded):
             count(POINT_BUDGET + 3, 1, 1)
+    with pytest.raises(BudgetExceeded):  # the budget before the level
+        _torsion_count(POINT_BUDGET + 3, 1, 1, POINT_BUDGET + 3)
+    # the division polynomials see E[n] only for p not dividing n
+    for p, n in ((5, 5), (7, 14), (11, 33), (13, 13)):
+        with pytest.raises(ValueError, match="p not dividing n"):
+            _torsion_count(p, 1, 1, n)
+    monkeypatch.setattr(ellcurve, "_rhs_values", _rhs_values)
     # two roots for every value of x^3 + a x + b: 15 points on F_7 break the Hasse bound
     monkeypatch.setattr(ellcurve, "_sqrt_table", lambda p: {v: (1, p - 1) for v in range(p)})
     with pytest.raises(JordanLabError, match="Hasse"):
@@ -889,8 +992,8 @@ def test_one_pass_divisor_matches_the_per_atom_sum(curve, n):
 
 
 def test_curve_search_refuses_a_prime_past_the_budget_before_scanning(monkeypatch):
-    monkeypatch.setattr(ellcurve, "_point_count", lambda *args: pytest.fail("a prime was scanned"))
-    monkeypatch.setattr(ellcurve, "_torsion_count", lambda *args: pytest.fail("a prime was scanned"))
+    monkeypatch.setattr(ellcurve, "_admissible_at", lambda *args: pytest.fail("a prime was scanned"))
+    monkeypatch.setattr(ellcurve, "_sqrt_table", lambda *args: pytest.fail("a prime was scanned"))
     # 2003 is the first prime past the budget, and 2011 the first that is 1 mod 3
     for n, over in ((2, 2003), (3, 2011), (4, 2017)):
         with pytest.raises(BudgetExceeded) as exc:

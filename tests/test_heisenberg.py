@@ -7,7 +7,7 @@ import pytest
 
 from jordanlab import heisenberg
 from jordanlab.errors import BudgetExceeded, CertificateError, GroupMismatch
-from jordanlab.finab import H_TABLE_BUDGET, FinAbGroup, KElement, is_isotropic, pairing
+from jordanlab.finab import H_TABLE_BUDGET, FinAbGroup, KElement, is_isotropic, k_tables, pairing
 from jordanlab.gtable import GroupTable
 from jordanlab.heisenberg import (
     EXHAUSTIVE_CAP,
@@ -226,6 +226,19 @@ def test_group_table_matches_object_product(delta):
     table, els = group_table(FinAbGroup(delta))
     assert list(els) == sorted(elements(FinAbGroup(delta)), key=HeisElement.sort_key)
     assert table.table == GroupTable.from_elements(els, lambda a, b: a * b).table
+
+
+@pytest.mark.parametrize("delta", [(1,), (2,), (3,), (4,), (5,), (6,), (2, 2), (4, 2), (3, 3)])
+def test_group_table_matches_the_per_entry_formula(delta):
+    # (zeta^k, x, l) (zeta^k', x', l') = (zeta^(k + k' + chi[l'][x]), x + x', l l') on K's tables
+    group = FinAbGroup(delta)
+    n = group.order
+    add, chi = k_tables(group)
+    labels = list(itertools.product(range(n), repeat=3))  # (x, l, k) has index (x*n + l)*n + k
+    table = group_table(group)[0].table
+    for g, (x, l, k) in enumerate(labels):
+        assert table[g] == [(add[x][x2] * n + add[l][l2]) * n + (k + chi[l2][x] + k2) % n
+                            for x2, l2, k2 in labels], (delta, g)
 
 
 @pytest.mark.parametrize("delta", chains(EXHAUSTIVE_CAP))
