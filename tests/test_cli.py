@@ -1516,6 +1516,19 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+def test_cli_import_leaves_the_module_heap_out_of_later_collections():
+    # gc.get_objects() lists the three collected generations, not the frozen one
+    script = ("import gc\n"
+              "import jordanlab.cli, jordanlab.ellcurve\n"
+              "code = jordanlab.cli.main(['abstract', '--delta', '2'])\n"
+              "young = {id(o) for o in gc.get_objects()}\n"
+              "print(code, gc.get_freeze_count() > 0, id(jordanlab.cli.main) in young,\n"
+              "      id(jordanlab.ellcurve.Curve.__dict__) in young)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
+    assert proc.stdout.splitlines()[-1] == "0 True False False"
+
+
 def test_module_entry_point_exits_2_on_one_line_and_0_on_help():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "jordanlab.cli"], capture_output=True,
