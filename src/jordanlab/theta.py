@@ -439,7 +439,7 @@ class MuTables:
     E[n], S and their translation tables are those of the structure's _Cosets, the
     ones the basis search used; translation by the generators G and H is checked
     against point addition on every point of S and of E[n] (CertificateError naming
-    the point), and theta-verify's action check extends that to all of E[n].  A and
+    the point), and claims.check_translations extends that to all of E[n].  A and
     B come with their vectors from the basis search.  mu_product keeps the divisor
     law, so with A and B certified their vector commutator has divisor 0 over O: t is
     its one value on S, a primitive n-th root, and `t_pow[k]` is t^k.  `sections[i, j]`

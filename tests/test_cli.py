@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from jordanlab import birgroup, cli, ellcurve, finab, heisenberg, theta
+from jordanlab import birgroup, claims, cli, ellcurve, finab, heisenberg, theta
 from jordanlab.cli import main
 from jordanlab.errors import CertificateError
 from jordanlab.finab import (
@@ -187,7 +187,7 @@ def test_stray_h_of_level_point_fails_its_claim(capsys, monkeypatch):
     honest = theta.h_of_level(curve, 3)
     off = next(x for x in ellcurve.enumerate_points(curve) if x not in honest.elements)
     swapped = theta.HofL(3, (off,) + honest.elements[1:])
-    monkeypatch.setattr(cli, "h_of_level", lambda c, n: swapped if (c, n) == (curve, 3)
+    monkeypatch.setattr(claims, "h_of_level", lambda c, n: swapped if (c, n) == (curve, 3)
                         else pytest.fail("h_of_level on another curve"))
     code, report, _ = run_json(capsys, THETA_N3)
     assert code == 1
@@ -233,8 +233,8 @@ def test_table_format_goes_to_stdout(capsys):
 
 def test_record_is_one_line_of_json(capsys, monkeypatch):
     # compact, so json uses its C encoder; the record loads back to the dict it came from
-    records, honest = [], cli.RunReport.to_dict
-    monkeypatch.setattr(cli.RunReport, "to_dict", lambda self: records.append(honest(self))
+    records, honest = [], claims.RunReport.to_dict
+    monkeypatch.setattr(claims.RunReport, "to_dict", lambda self: records.append(honest(self))
                         or records[-1])
     assert main(["curve-search", "--n", "2", "--p-max", "40"]) == 0
     out = capsys.readouterr().out
@@ -367,7 +367,7 @@ def test_isotropic_skip_names_the_bound(capsys, monkeypatch):
     claim = claim_map(report)["isotropic-index-divisibility"]
     assert claim["status"] == "skipped-budget"
     assert claim["detail"] == "#H = 16 exceeds --budget 10"
-    monkeypatch.setattr(cli, "ISOTROPIC_SCAN_CAP", 10)
+    monkeypatch.setattr(claims, "ISOTROPIC_SCAN_CAP", 10)
     _, report, _ = run_json(capsys, ["abstract", "--delta", "4"])
     assert claim_map(report)["isotropic-index-divisibility"]["detail"] == (
         "#H = 16 exceeds ISOTROPIC_SCAN_CAP 10")
@@ -386,7 +386,7 @@ def test_skewed_pairing_fails_bi_additivity(capsys, monkeypatch):
         value = pairing(a, b)
         return value * RootOfUnity(value.modulus, 1) if (a, b) == bad_pair else value
 
-    honest = cli.h_tables
+    honest = claims.h_tables
     table = honest(FinAbGroup((4,)))[1]
     gens = [h[g] for g in table.generators(frozenset(range(table.order)))]
     assert gens == [h[1], h[4]]  # (0, chi) and (1, 1): the generators the claim checks
@@ -397,7 +397,7 @@ def test_skewed_pairing_fails_bi_additivity(capsys, monkeypatch):
         gram[5][6] = (gram[5][6] + 1) % group.order
         return h, add, gram
 
-    monkeypatch.setattr(cli, "h_tables", skewed_tables)
+    monkeypatch.setattr(claims, "h_tables", skewed_tables)
     code, report, _ = run_json(capsys, ["abstract", "--delta", "4"])
     assert code == 1
     claim = claim_map(report)["pairing-bi-additive"]
@@ -434,7 +434,7 @@ def test_generator_certificate_matches_the_triple_loop(capsys, delta):
 
 
 def test_non_associative_h_addition_fails_the_certificate(capsys, monkeypatch):
-    honest = cli.h_tables
+    honest = claims.h_tables
     group = FinAbGroup((4,))
     h, table, gram = honest(group)
     rows = [row[:] for row in table.table]
@@ -443,7 +443,7 @@ def test_non_associative_h_addition_fails_the_certificate(capsys, monkeypatch):
     gens = doctored.generators(frozenset(range(16)))
     a, g = next((a, g) for a in range(16) for g in gens
                 if any(rows[rows[a][b]][g] != rows[a][rows[b][g]] for b in range(16)))
-    monkeypatch.setattr(cli, "h_tables", lambda group: (h, doctored, gram))
+    monkeypatch.setattr(claims, "h_tables", lambda group: (h, doctored, gram))
     assert main(["abstract", "--delta", "4"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
@@ -462,13 +462,13 @@ def test_abstract_verifies_bi_additivity_past_the_old_triple_cap(capsys, delta):
 
 
 def test_doctored_inverse_fails_commutator_identity(capsys, monkeypatch):
-    table = cli.group_table(FinAbGroup((4,)))[0]  # the cached table that run_abstract reads
+    table = claims.group_table(FinAbGroup((4,)))[0]  # the cached table that run_abstract reads
     monkeypatch.setattr(table, "inverse", list(range(table.order)))  # g h g h: not central
     code, report, _ = run_json(capsys, ["abstract", "--delta", "4"])
     assert code == 1
-    claims = claim_map(report)
-    assert claims["pairing-bi-additive"]["status"] == "verified"
-    claim = claims["commutator-identity"]
+    by_id = claim_map(report)
+    assert by_id["pairing-bi-additive"]["status"] == "verified"
+    claim = by_id["commutator-identity"]
     assert claim["status"] == "failed" and claim["failures"] > 0
     group = FinAbGroup((4,))
     first = next((g, h) for g, h in itertools.product(elements(group), repeat=2)
@@ -514,7 +514,7 @@ def test_commutator_claim_on_a_doctored_product_matches_the_entry_loop(capsys, m
         rows[a][b] = honest.identity + 1  # a b read as zeta: inverses are kept
     doctored = GroupTable(rows)  # its own rows, so its own columns
     assert doctored.inverse == honest.inverse and doctored.columns != honest.columns
-    monkeypatch.setattr(cli, "group_table", lambda group: (doctored, elems))
+    monkeypatch.setattr(claims, "group_table", lambda group: (doctored, elems))
     code, report, _ = run_json(capsys, ["abstract", "--delta", delta])
     claim = claim_map(report)["commutator-identity"]
     failures, detail = entry_loop_commutator_claim(group, doctored)
@@ -558,7 +558,7 @@ def generators(curve, n):
 
 
 def counted_products(monkeypatch):
-    """The layer products theta-verify makes: the pairs of labels cli.mu_product
+    """The layer products theta-verify makes: the pairs of labels claims.mu_product
     multiplies, then the pairs MuTables.product_value reads one entry of."""
     calls, reads = [], []
 
@@ -567,7 +567,7 @@ def counted_products(monkeypatch):
         return mu_product(tables, g, h)
 
     honest = theta.MuTables.product_value
-    monkeypatch.setattr(cli, "mu_product", counted)
+    monkeypatch.setattr(claims, "mu_product", counted)
     monkeypatch.setattr(theta.MuTables, "product_value",
                         lambda tables, u, v, s: reads.append((u, v)) or honest(tables, u, v, s))
     return calls, reads
@@ -609,7 +609,7 @@ def test_escaping_product_exits_1(capsys, monkeypatch):
             values = tuple(3 * v % tables.p for v in values)
         return x, values
 
-    monkeypatch.setattr(cli, "mu_product", doctored)
+    monkeypatch.setattr(claims, "mu_product", doctored)
     assert main(THETA_N2) == 1
     out = capsys.readouterr()
     assert out.out == ""
@@ -712,8 +712,8 @@ def noncommuting_generator_pairs(curve, n):
 
 
 def transposed_label_law(monkeypatch):  # the opposite group: g * h is read as h * g
-    honest = cli.label_product
-    monkeypatch.setattr(cli, "label_product", lambda n, u, v: honest(n, v, u))
+    honest = claims.label_product
+    monkeypatch.setattr(claims, "label_product", lambda n, u, v: honest(n, v, u))
 
 
 def test_wrong_heisenberg_product_fails_isomorphism(capsys, monkeypatch):
@@ -743,7 +743,7 @@ def test_theta_verify_uses_no_object_transport(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_theta_verify_builds_no_g1_table_and_one_vector_commutator(capsys, monkeypatch, n):
-    for owner in (cli, heisenberg):
+    for owner in (claims, heisenberg):
         monkeypatch.setattr(owner, "group_table", lambda group: pytest.fail("group_table called"))
     monkeypatch.setattr(theta, "_STRUCTURES", {})
     calls = []
@@ -763,21 +763,21 @@ def test_transposed_label_law_fails_the_derived_commutators(capsys, monkeypatch)
     transposed_label_law(monkeypatch)
     code, report, _ = run_json(capsys, THETA_N3)
     assert code == 1
-    claims = claim_map(report)
-    assert claims["structure-isomorphism"]["status"] == "failed"
-    claim = claims["commutator-matches-weil"]
+    by_id = claim_map(report)
+    assert by_id["structure-isomorphism"]["status"] == "failed"
+    claim = by_id["commutator-matches-weil"]
     assert claim["status"] == "failed" and claim["failures"] == 1
     assert claim["checked"] == 3 ** 4
     assert claim["detail"] == "sigma = -1; premise failed: structure-isomorphism verified"
     # with the premise unmet no pair is compared, so a skewed Weil entry changes nothing
-    honest = cli.weil_pairing_table
+    honest = claims.weil_pairing_table
 
     def skewed(points, n, seed=0):
         table = honest(points, n, seed=seed)
         table[1][2] = table[1][2] * RootOfUnity(n, 1)
         return table
 
-    monkeypatch.setattr(cli, "weil_pairing_table", skewed)
+    monkeypatch.setattr(claims, "weil_pairing_table", skewed)
     assert claim_map(run_json(capsys, THETA_N3)[1])["commutator-matches-weil"] == claim
 
 
@@ -829,7 +829,7 @@ def test_theta_verify_level4_runs_every_claim(capsys):
 
 def test_theta_budget_fails_before_any_search(capsys, monkeypatch):
     monkeypatch.setattr(cli, "find_theta_curve", lambda *args: pytest.fail("curve searched"))
-    monkeypatch.setattr(cli, "theta_structure", lambda *args: pytest.fail("structure built"))
+    monkeypatch.setattr(claims, "theta_structure", lambda *args: pytest.fail("structure built"))
     assert main(["theta-verify", "--n", "9"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
@@ -877,7 +877,7 @@ def test_wrong_composition_fails_embed_homomorphism(capsys, monkeypatch):
 def test_wrong_pairing_fails_commutator_check(capsys, monkeypatch):
     section = list(theta.theta_structure(cli.Curve.make(7, 3, 0), 2).section.values())
     g, h = section[1], section[2]
-    table_of = cli.weil_pairing_table
+    table_of = claims.weil_pairing_table
 
     def skewed(points, n, seed=0):
         table = table_of(points, n, seed=seed)
@@ -885,7 +885,7 @@ def test_wrong_pairing_fails_commutator_check(capsys, monkeypatch):
         table[i][j] = table[i][j] * RootOfUnity(n, 1)
         return table
 
-    monkeypatch.setattr(cli, "weil_pairing_table", skewed)
+    monkeypatch.setattr(claims, "weil_pairing_table", skewed)
     code, report, _ = run_json(capsys, THETA_N2)
     assert code == 1
     claim = claim_map(report)["commutator-matches-weil"]
@@ -1047,13 +1047,13 @@ def test_product_table_without_identity_exits_1(capsys, monkeypatch):
             return mu_product(tables, h, h)  # the identity times c is c^2, as c c is
         return mu_product(tables, g, h)
 
-    monkeypatch.setattr(cli, "mu_product", doctored)
+    monkeypatch.setattr(claims, "mu_product", doctored)
     code, report, _ = run_json(capsys, THETA_N2)
     assert code == 1
     layer = theta_enumerate_mu(curve, 2)
     assert identity > c  # the identity lies over O, listed last, so its product repeats
-    claims = claim_map(report)
-    claim = claims["theta-group-axioms"]
+    by_id = claim_map(report)
+    claim = by_id["theta-group-axioms"]
     assert claim["status"] == "failed" and claim["failures"] == 1
     assert claim["checked"] == 8 ** 3
     assert claim["detail"] == (
@@ -1062,8 +1062,8 @@ def test_product_table_without_identity_exits_1(capsys, monkeypatch):
         "first counterexample (g, c) = ({!r}, {!r})".format(layer[identity], layer[c]))
     # (t s) c = t (s c): the doctored product moves the whole fibre over O, t as well
     for id in ("structure-isomorphism", "embed-homomorphism"):
-        assert claims[id]["status"] == "failed" and claims[id]["failures"] == 2
-        assert claims[id]["detail"].endswith(
+        assert by_id[id]["status"] == "failed" and by_id[id]["failures"] == 2
+        assert by_id[id]["detail"].endswith(
             "first counterexample (g, c) = ({!r}, {!r})".format(layer[identity], layer[c]))
 
 
@@ -1083,13 +1083,14 @@ def test_broken_associativity_names_the_first_triple(capsys, monkeypatch):
     assert main(THETA_N2) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    # the first (x, y, s) where translating by x, then y, is not translating by x + y
+    # the first (g, x, s), for the generators G then H (labels n and 1), where
+    # translating by x, then g, is not translating by x + g
     points, others = tables.points, tables.others
-    x, y, s = next((x, y, s) for x, y in itertools.product(range(len(points)), repeat=2)
+    g, x, s = next((g, x, s) for g in (2, 1) for x in range(len(points))
                    for s in range(len(others))
-                   if shift[y][shift[x][s]] != shift[tables.add[x][y]][s])
-    assert out.err == (f"error: CertificateError: translation by (x, y) = ({points[x]!r}, "
-                       f"{points[y]!r}) is not by x then by y at {others[s]!r}\n")
+                   if shift[g][shift[x][s]] != shift[tables.add[x][g]][s])
+    assert out.err == (f"error: CertificateError: translation by (x, g) = ({points[x]!r}, "
+                       f"{points[g]!r}) is not by x then by g at {others[s]!r}\n")
 
 
 def test_unfaithful_translation_exits_1(capsys, monkeypatch):
@@ -1110,7 +1111,8 @@ THETA_N3 = ["theta-verify", "--n", "3", "--p", "13", "--a", "7", "--b", "0"]
 
 def test_label_sum_wrong_off_the_generator_columns_exits_1(capsys, monkeypatch):
     # add[4][4] lies outside the columns of the generators G and H, the only ones MuTables
-    # checks against point addition; the all-pairs action check must catch it
+    # checks against point addition; Light's criterion on G and H must catch it, at the
+    # first (a, g) = (4, G) and b = 1, where a + (b + g) reads add[4][4]
     class Doctored(theta._Cosets):
         def __init__(self, curve, n):
             super().__init__(curve, n)
@@ -1123,8 +1125,9 @@ def test_label_sum_wrong_off_the_generator_columns_exits_1(capsys, monkeypatch):
     out = capsys.readouterr()
     assert out.out == ""
     points = theta.theta_structure(cli.Curve.make(13, 7, 0), 3).tables.points
-    assert out.err.startswith(f"error: CertificateError: translation by (x, y) = "
-                              f"({points[4]!r}, {points[4]!r}) is not by x then by y at ")
+    assert out.err == (f"error: CertificateError: addition of E[3] is not associative at "
+                       f"(a, g) = ({points[4]!r}, {points[3]!r}): (a + b) + g != a + (b + g) "
+                       f"for b = {points[1]!r}\n")
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1153,26 +1156,26 @@ def test_corrupted_product_fails_at_the_first_generator_pair(capsys, monkeypatch
             a = tables.vector(*labels[0])
         return mu_product(tables, a, b)
 
-    monkeypatch.setattr(cli, "mu_product", doctored)
+    monkeypatch.setattr(claims, "mu_product", doctored)
     code, report, _ = run_json(capsys, THETA_N3)
     assert code == 1
     layer = theta_enumerate_mu(curve, 3)
-    claims = claim_map(report)
+    by_id = claim_map(report)
     # the three elements over the point fail; the permutation check fails once, at c
     for id, failures in (("structure-isomorphism", 3), ("theta-group-axioms", 1),
                          ("embed-homomorphism", 3)):
-        claim = claims[id]
+        claim = by_id[id]
         assert claim["status"] == "failed" and claim["failures"] == failures, id
         assert claim["detail"].endswith(
             "; first counterexample (g, c) = ({!r}, {!r})".format(layer[g], layer[c]))
-    assert claims["mu-layer-closure"]["status"] == "verified"
+    assert by_id["mu-layer-closure"]["status"] == "verified"
 
 
 def test_generators_that_miss_part_of_the_layer_exit_1(capsys, monkeypatch):
     def doctored(tables, g, h):  # right multiplication by s(0, 1) fixes every element
         return g if tables.locate(h) == (0, 1, 0) else mu_product(tables, g, h)
 
-    monkeypatch.setattr(cli, "mu_product", doctored)
+    monkeypatch.setattr(claims, "mu_product", doctored)
     assert main(THETA_N3) == 1
     out = capsys.readouterr()
     assert out.out == ""
@@ -1189,7 +1192,7 @@ def test_generator_checks_spare_the_pair_loop(capsys, monkeypatch):
         calls += 1
         return mu_product(tables, g, h)
 
-    monkeypatch.setattr(cli, "mu_product", counted)  # mu_commutator multiplies in theta
+    monkeypatch.setattr(claims, "mu_product", counted)  # mu_commutator multiplies in theta
     code, report, _ = run_json(capsys, ["theta-verify", "--n", "4"])
     assert code == 0
     claim = claim_map(report)["theta-group-axioms"]
@@ -1199,9 +1202,19 @@ def test_generator_checks_spare_the_pair_loop(capsys, monkeypatch):
 
 
 def locate_as_now(monkeypatch, tables):
-    """tables.locate on a copy of tables as they are now, whatever is doctored later."""
-    monkeypatch.setattr(tables, "locate", functools.partial(theta.MuTables.locate,
-                                                            copy.copy(tables)))
+    """tables.locate on a copy of tables as they are now, whatever is doctored later.  Set
+    in the instance dict, whose undo deletes the key: setattr's undo would write the bound
+    method back there, and a later copy of tables would locate on these tables."""
+    monkeypatch.setitem(vars(tables), "locate", functools.partial(theta.MuTables.locate,
+                                                                  copy.copy(tables)))
+
+
+def test_locate_as_now_leaves_no_locate_on_the_tables():
+    tables = theta.theta_structure(cli.Curve.make(7, 3, 0), 2).tables
+    with pytest.MonkeyPatch.context() as patch:
+        locate_as_now(patch, tables)
+        assert "locate" in vars(tables)
+    assert "locate" not in vars(tables)
 
 
 def powers_read_as(monkeypatch, tables, powers):
@@ -1270,7 +1283,7 @@ def per_pair_verdicts(curve, n):
     number = {ijk: e for e, ijk in enumerate(labels)}
     layer = [tables.vector(*ijk) for ijk in labels]
     r = range(len(layer))
-    prod = [[number.get(tables.locate(cli.mu_product(tables, g, h))) for h in layer]
+    prod = [[number.get(tables.locate(claims.mu_product(tables, g, h))) for h in layer]
             for g in layer]
     if any(None in row for row in prod):
         return "exit 1"
@@ -1281,7 +1294,7 @@ def per_pair_verdicts(curve, n):
     base = birgroup.SamplePoint(tables.others[0], curve.fe(1))
     moved = [birgroup.apply(e, base) for e in embedded]
     verdicts = [len(layer) == n ** 3,
-                all(labels[prod[a][b]] == cli.label_product(n, labels[a], labels[b])
+                all(labels[prod[a][b]] == claims.label_product(n, labels[a], labels[b])
                     for a in r for b in r),
                 group,
                 all(birgroup.apply(embedded[b], moved[a]) == moved[prod[a][b]]
@@ -1326,7 +1339,7 @@ def untranslated_product(tables, g, h):  # mu_product with T_x^* dropped
 
 
 def doctor_translation(monkeypatch, tables):
-    monkeypatch.setattr(cli, "mu_product", untranslated_product)
+    monkeypatch.setattr(claims, "mu_product", untranslated_product)
 
 
 def doctor_layer(monkeypatch, tables):  # s(1, 1) a copy of s(0, 0): two fibres alike
@@ -1335,7 +1348,7 @@ def doctor_layer(monkeypatch, tables):  # s(1, 1) a copy of s(0, 0): two fibres 
 
 
 def doctor_identity(monkeypatch, tables):
-    monkeypatch.setattr(cli, "mu_product", lambda tables, g, h: mu_product(
+    monkeypatch.setattr(claims, "mu_product", lambda tables, g, h: mu_product(
         tables, *((h, h) if tables.locate(g) == (0, 0, 0) else (g, h))))
 
 
@@ -1558,8 +1571,8 @@ def test_claim_wall_s_times_each_claim_in_the_record_only(capsys, argv):
 
 def test_lap_restarts_the_clock_of_the_next_claim(monkeypatch):
     clock = iter([10.0, 10.5, 12.0, 12.25])
-    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
-    report = cli.RunReport("nonjordan", {})
+    monkeypatch.setattr(claims, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    report = claims.RunReport("nonjordan", {})
     assert report.lap() == 0.5
     report.claim("min-index-n1", True, 1)
     assert report.claims[0].wall_s == 1.5

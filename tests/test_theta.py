@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from jordanlab import cli, ellcurve, theta
+from jordanlab import claims, cli, ellcurve, theta
 from jordanlab.cli import main
 from jordanlab.ellcurve import (
     Curve,
@@ -890,9 +890,9 @@ def assert_derived_commutators_match_the_vector_loop(curve, n):
         derived = (structure.t ** label_commutator(n, u, v)).value
         assert derived == mu_commutator(tables, vectors[u], vectors[v]), (u, v)
     report = cli.run_theta_verify(curve, n, 0, 0).to_dict()
-    claims = {c["id"]: c for c in report["claims"]}
-    oracle = per_pair_commutator_claim(curve, n, cli.weil_pairing_table)  # skewed or not
-    assert claims["commutator-matches-weil"] == oracle
+    by_id = {c["id"]: c for c in report["claims"]}
+    oracle = per_pair_commutator_claim(curve, n, claims.weil_pairing_table)  # skewed or not
+    assert by_id["commutator-matches-weil"] == oracle
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -906,14 +906,14 @@ def test_derived_commutators_equal_the_vector_loop_on_the_pool():
 
 
 def test_derived_commutators_equal_the_vector_loop_on_a_skewed_pairing(monkeypatch):
-    honest = cli.weil_pairing_table
+    honest = claims.weil_pairing_table
 
     def skewed(points, n, seed=0):
         table = honest(points, n, seed=seed)
         table[1][2] = table[1][2] * RootOfUnity(n, 1)
         return table
 
-    monkeypatch.setattr(cli, "weil_pairing_table", skewed)
+    monkeypatch.setattr(claims, "weil_pairing_table", skewed)
     assert_derived_commutators_match_the_vector_loop(C3, 3)
     assert per_pair_commutator_claim(C3, 3, skewed)["failures"] == 1
 

@@ -13,7 +13,7 @@ import pytest
 
 import jordanlab
 from jordanlab.birgroup import BirAuto, SamplePoint
-from jordanlab.cli import Claim, RunReport
+from jordanlab.claims import Claim, RunReport
 from jordanlab.ellcurve import (
     Atom,
     ChordLine,
