@@ -378,7 +378,7 @@ def theta_claims(report: RunReport, curve: Curve | None, n: int, seed: int) -> N
         (structure.section[u], structure.section[v])
         for (a, u), (b, v) in itertools.product(enumerate(coords), repeat=2)
         if tables.value(0, 0, label_commutator(n, u, v), 0)[1]
-        != embedded[(weil[a][b] ** sigma).exponent]]
+        != embedded[weil[a][b] * sigma % n]]
     detail = f"sigma = {sigma}" + ("; premise failed: structure-isomorphism verified"
                                    if iso_bad else "")
     report.claim("commutator-matches-weil", not (iso_bad or comm_bad), len(coords) ** 2,

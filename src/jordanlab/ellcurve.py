@@ -17,7 +17,11 @@ standard double-and-add ladder, and the Weil pairing is computed from two
 Miller functions evaluated on translated divisors, retrying the random
 auxiliary offsets whenever supports collide.  function_values evaluates a
 function at many points on integer coordinates, and weil_pairing_table gives
-the pairing of every pair of a point list from one evaluation per point.
+the pairing exponent of every pair of a point list from one evaluation per point.
+
+Inside the layer an element of F_p is an int in [0, p): coordinates, line
+coefficients, function constants.  FpElement is kept at its edge: Curve.a and .b,
+the values functions return, the arguments of scale and constant, weil_pairing.
 """
 
 from __future__ import annotations
@@ -81,9 +85,6 @@ class Curve(Frozen):
     def fe(self, v: int) -> FpElement:
         return FpElement(self.p, v)
 
-    def rhs(self, x: FpElement) -> FpElement:
-        return x ** 3 + self.a * x + self.b
-
     def infinity(self) -> "CurvePoint":
         point = self._points.get(None)
         if point is None:
@@ -97,7 +98,7 @@ class Curve(Frozen):
         key = (x % p, y % p)
         point = self._points.get(key)
         if point is None:
-            point = self._points[key] = CurvePoint(self, FpElement(p, x), FpElement(p, y))
+            point = self._points[key] = CurvePoint(self, *key)
         return point
 
     def _add(self, P: "CurvePoint", Q: "CurvePoint") -> "CurvePoint":
@@ -108,7 +109,7 @@ class Curve(Frozen):
             return Q
         if Q.x is None:
             return P
-        key = (P.x.value, P.y.value, Q.x.value, Q.y.value)
+        key = (P.x, P.y, Q.x, Q.y)
         sums = self._sums
         if sums is None:
             sums = {}
@@ -138,7 +139,7 @@ class Curve(Frozen):
 
 
 class CurvePoint(Frozen):
-    """Affine point (x, y) or the identity O (x = y = None).
+    """Affine point (x, y) of ints in [0, p), reduced by __init__, or O (x = y = None).
 
     The group law is _chord_tangent on the integer coordinates, and k * P runs
     the ladder of _affine_mul on them.  Sums, negatives, multiples and
@@ -151,15 +152,13 @@ class CurvePoint(Frozen):
 
     __slots__ = ("curve", "x", "y")
 
-    def __init__(self, curve: Curve, x: FpElement | None, y: FpElement | None):
+    def __init__(self, curve: Curve, x: int | None, y: int | None):
         if (x is None) != (y is None):
             raise OffCurve("half-infinite coordinates")
         if x is not None:
             p = curve.p
-            if x.p != p:
-                raise ValueError(f"mixed characteristics {p} and {x.p}")
-            u = x.value
-            if y.p != p or (y.value * y.value - (u * u + curve.a.value) * u - curve.b.value) % p:
+            x, y = x % p, y % p
+            if (y * y - (x * x + curve.a.value) * x - curve.b.value) % p:
                 raise OffCurve(f"({x},{y}) is not on {curve!r}")
         set_field(self, "curve", curve)
         set_field(self, "x", x)
@@ -173,15 +172,15 @@ class CurvePoint(Frozen):
         return (self.curve, self.x, self.y) == (other.curve, other.x, other.y)
 
     def __hash__(self):
-        # the coordinates alone, without hashing the Curve and two FpElements
-        return hash(None if self.x is None else (self.x.value, self.y.value))
+        # the coordinates alone, without hashing the Curve
+        return hash(None if self.x is None else (self.x, self.y))
 
     @property
     def is_infinity(self) -> bool:
         return self.x is None
 
     def _coords(self) -> tuple[int, int] | None:
-        return None if self.x is None else (self.x.value, self.y.value)
+        return None if self.x is None else (self.x, self.y)
 
     def _check(self, other: "CurvePoint") -> None:
         if self.curve is not other.curve and self.curve != other.curve:
@@ -195,7 +194,7 @@ class CurvePoint(Frozen):
     def __neg__(self) -> "CurvePoint":
         if self.is_infinity:
             return self
-        return self.curve.point(self.x.value, -self.y.value)
+        return self.curve.point(self.x, -self.y)
 
     def __sub__(self, other: "CurvePoint") -> "CurvePoint":
         return self + (-other)
@@ -218,7 +217,7 @@ class CurvePoint(Frozen):
     def sort_key(self):
         if self.is_infinity:
             return (self.curve.p, self.curve.p)
-        return (self.x.value, self.y.value)
+        return (self.x, self.y)
 
     def __repr__(self):
         return "O" if self.is_infinity else f"({self.x},{self.y})"
@@ -608,45 +607,45 @@ def is_principal(divisor: Divisor) -> bool:
 
 
 class VerticalLine(Frozen):
-    """The function x - c."""
+    """The function x - c, c an int; evaluated unreduced, for the caller to reduce mod p."""
 
     __slots__ = ("c",)
 
-    def __init__(self, c: FpElement):
+    def __init__(self, c: int):
         set_field(self, "c", c)
 
     def __hash__(self):
-        return hash(self.c.value)  # the int __eq__ compares, without hashing an FpElement
+        return hash(self.c)  # read inline, not via Frozen's field tuple: _merged hashes each line
 
     def eval(self, x: int, y: int) -> int:
-        return (x - self.c.value) % self.c.p
+        return x - self.c
 
     def values(self, points: Sequence[tuple[int, int] | None]) -> list[int]:
         """eval at each point, 0 at O (its pole)."""
-        c, p = self.c.value, self.c.p
-        return [0 if P is None else (P[0] - c) % p for P in points]
+        c = self.c
+        return [0 if P is None else P[0] - c for P in points]
 
 
 class ChordLine(Frozen):
-    """The function y - lam*x - nu."""
+    """The function y - lam*x - nu, lam and nu ints; evaluated unreduced, as VerticalLine is."""
 
     __slots__ = ("lam", "nu")
 
-    def __init__(self, lam: FpElement, nu: FpElement):
+    def __init__(self, lam: int, nu: int):
         set_field(self, "lam", lam)
         set_field(self, "nu", nu)
 
     def __hash__(self):
-        # the ints __eq__ compares, without hashing two FpElements
-        return hash((self.lam.value, self.nu.value))
+        # read inline, not via Frozen's field tuple: _merged hashes each line
+        return hash((self.lam, self.nu))
 
     def eval(self, x: int, y: int) -> int:
-        return (y - self.lam.value * x - self.nu.value) % self.nu.p
+        return y - self.lam * x - self.nu
 
     def values(self, points: Sequence[tuple[int, int] | None]) -> list[int]:
         """eval at each point, 0 at O (its pole)."""
-        lam, nu, p = self.lam.value, self.nu.value, self.nu.p
-        return [0 if P is None else (P[1] - lam * P[0] - nu) % p for P in points]
+        lam, nu = self.lam, self.nu
+        return [0 if P is None else P[1] - lam * P[0] - nu for P in points]
 
 
 class Atom(Frozen):
@@ -663,12 +662,14 @@ class Atom(Frozen):
 
 
 class TrackedFunction(Frozen):
-    """A nonzero rational function as constant * product of offset line atoms."""
+    """A nonzero rational function as constant * product of offset line atoms; const is
+    an int, reduced by __init__."""
 
     __slots__ = ("curve", "const", "atoms")
 
-    def __init__(self, curve: Curve, const: FpElement, atoms: tuple[Atom, ...]):
-        if const.value == 0:
+    def __init__(self, curve: Curve, const: int, atoms: tuple[Atom, ...]):
+        const %= curve.p
+        if not const:
             raise ValueError("tracked functions are nonzero")
         set_field(self, "curve", curve)
         set_field(self, "const", const)
@@ -676,9 +677,7 @@ class TrackedFunction(Frozen):
 
     @classmethod
     def constant(cls, curve: Curve, value: FpElement | int) -> "TrackedFunction":
-        if isinstance(value, int):
-            value = curve.fe(value)
-        return cls(curve, value, ())
+        return cls(curve, _int(value), ())
 
     @classmethod
     def one(cls, curve: Curve) -> "TrackedFunction":
@@ -712,7 +711,7 @@ class TrackedFunction(Frozen):
 
     def inverse(self) -> "TrackedFunction":
         flipped = tuple(Atom(a.line, a.base_divisor, a.offset, -a.exponent) for a in self.atoms)
-        return TrackedFunction(self.curve, self.const.inverse(), flipped)
+        return TrackedFunction(self.curve, pow(self.const, -1, self.curve.p), flipped)
 
     def __pow__(self, k: int) -> "TrackedFunction":
         if k == 0:
@@ -720,12 +719,10 @@ class TrackedFunction(Frozen):
         base = self if k > 0 else self.inverse()
         k = abs(k)
         scaled = tuple(Atom(a.line, a.base_divisor, a.offset, k * a.exponent) for a in base.atoms)
-        return TrackedFunction(self.curve, base.const ** k, scaled)
+        return TrackedFunction(self.curve, pow(base.const, k, self.curve.p), scaled)
 
     def scale(self, value: FpElement | int) -> "TrackedFunction":
-        if isinstance(value, int):
-            value = self.curve.fe(value)
-        return TrackedFunction(self.curve, self.const * value, self.atoms)
+        return TrackedFunction(self.curve, self.const * _int(value), self.atoms)
 
     def translate(self, y: CurvePoint) -> "TrackedFunction":
         """Translation pullback: the function P -> f(P + y)."""
@@ -744,12 +741,12 @@ class TrackedFunction(Frozen):
         if point.curve is not curve and point.curve != curve:
             raise CurveMismatch(f"{point!r} is not on {curve!r}")
         p = curve.p
-        num, den = self.const.value, 1
+        num, den = self.const, 1
         for atom in self.atoms:
             arg = curve._add(point, atom.offset)
             if arg.x is None:
                 raise EvalAtSupport(f"atom argument hit the identity at {point!r}")
-            value = atom.line.eval(arg.x.value, arg.y.value)
+            value = atom.line.eval(arg.x, arg.y) % p
             if not value:
                 raise EvalAtSupport(f"atom vanished at {point!r}")
             e = atom.exponent
@@ -779,6 +776,10 @@ class TrackedFunction(Frozen):
         return f"Fn({self.const}; {len(self.atoms)} atoms)"
 
 
+def _int(value: FpElement | int) -> int:
+    return value.value if isinstance(value, FpElement) else value  # an FpElement as its value
+
+
 def _function_values(fn: TrackedFunction,
                      points: Sequence[tuple[int, int] | None]) -> list[int | None]:
     """fn at each point given on integer coordinates (None is O), or None where an atom
@@ -789,7 +790,7 @@ def _function_values(fn: TrackedFunction,
     one inverse; p is prime, so a product is 0 exactly when one of its lines is."""
     curve = fn.curve
     p, a, b = curve.p, curve.a.value, curve.b.value
-    num = [fn.const.value] * len(points)
+    num = [fn.const] * len(points)
     den = [1] * len(points)
     moved: dict[tuple[int, int] | None, list] = {}
     for atom in fn.atoms:
@@ -831,7 +832,7 @@ def ratio_constant(f: TrackedFunction, g: TrackedFunction) -> FpElement:
 def same_function(f: TrackedFunction, g: TrackedFunction) -> bool:
     """f and g are one function: f/g has divisor 0 and constant value 1."""
     quotient = f * g.inverse()
-    return quotient.divisor().is_zero and quotient.constant_value() == f.curve.fe(1)
+    return quotient.divisor().is_zero and quotient.constant_value().value == 1
 
 
 def line_function(p1: CurvePoint, p2: CurvePoint) -> TrackedFunction:
@@ -843,20 +844,19 @@ def line_function(p1: CurvePoint, p2: CurvePoint) -> TrackedFunction:
     if p1.is_infinity or p2.is_infinity:
         base = p1 if p2.is_infinity else p2
         return _vertical(curve, base)
-    if p1.x == p2.x and (p1 != p2 or p1.y.is_zero):
+    if p1.x == p2.x and (p1 != p2 or not p1.y):
         return _vertical(curve, p1)
-    lam = curve.fe(_slope(curve.p, curve.a.value, *p1._coords(), *p2._coords()))
-    nu = p1.y - lam * p1.x
+    lam = _slope(curve.p, curve.a.value, p1.x, p1.y, p2.x, p2.y)
     third = -(p1 + p2)
     div = Divisor.of(curve, [(p1, 1), (p2, 1), (third, 1), (curve.infinity(), -3)])
-    atom = Atom(ChordLine(lam, nu), div, curve.infinity(), 1)
-    return TrackedFunction(curve, curve.fe(1), (atom,))
+    atom = Atom(ChordLine(lam, (p1.y - lam * p1.x) % curve.p), div, curve.infinity(), 1)
+    return TrackedFunction(curve, 1, (atom,))
 
 
 def _vertical(curve: Curve, point: CurvePoint) -> TrackedFunction:
     div = Divisor.of(curve, [(point, 1), (-point, 1), (curve.infinity(), -2)])
     atom = Atom(VerticalLine(point.x), div, curve.infinity(), 1)
-    return TrackedFunction(curve, curve.fe(1), (atom,))
+    return TrackedFunction(curve, 1, (atom,))
 
 
 def _line_over_vertical(r: CurvePoint, s: CurvePoint) -> TrackedFunction:
@@ -946,9 +946,9 @@ def weil_pairing(p1: CurvePoint, p2: CurvePoint, n: int, seed: int = 0) -> RootO
     )
 
 
-def weil_pairing_table(points: Sequence[CurvePoint], n: int,
-                       seed: int = 0) -> list[list[RootOfUnity]]:
-    """weil_pairing(P, Q, n, seed) for every P, Q of points, as table[i][j].
+def weil_pairing_table(points: Sequence[CurvePoint], n: int, seed: int = 0) -> list[list[int]]:
+    """The exponent in [0, n) of weil_pairing(P, Q, n, seed) for every P, Q of points,
+    as table[i][j].
 
     Each draw of offsets R, S serves every pair still open: each f_P is translated by
     -R and evaluated on the points Q + S, and f_P^-1 by -S on the points P + R, once
@@ -959,8 +959,7 @@ def weil_pairing_table(points: Sequence[CurvePoint], n: int,
         points[0]._check(point)
         if not (n * point).is_infinity:
             raise NotTorsion(f"{point!r} is not killed by {n}")
-    one = RootOfUnity.one(n)
-    table = [[one] * len(points) for _ in points]
+    table = [[0] * len(points) for _ in points]
     if n == 1 or not points:
         return table
     curve = points[0].curve
@@ -1000,7 +999,7 @@ def weil_pairing_table(points: Sequence[CurvePoint], n: int,
             value = row[j] * col[i] % p
             if value not in log:
                 raise CertificateError(f"pairing value {value} escaped mu_{n}")
-            table[i][j] = RootOfUnity(n, log[value])
+            table[i][j] = log[value]
         open_pairs = missed
         if not open_pairs:
             return table

@@ -140,9 +140,9 @@ def theta_identity(curve: Curve, n: int) -> ThetaElement:
 def theta_make(n: int, x: CurvePoint, scale: FpElement | int = 1) -> ThetaElement:
     """Element over x with f = scale / miller(n, -x); constant scale over O."""
     curve = x.curve
-    if isinstance(scale, int):
-        scale = curve.fe(scale)
-    if scale.is_zero:
+    if isinstance(scale, FpElement):
+        scale = scale.value
+    if not scale % curve.p:
         raise ZeroScale("theta elements need a nonzero scale")
     if not (n * x).is_infinity:
         raise NotTorsion(f"{x!r} is not killed by {n}")

@@ -644,7 +644,7 @@ def test_pairing_table_equals_weil_pairing_on_every_pair(n):
     torsion = list(torsion_subgroup(curve, n))
     for seed in range(3):
         assert weil_pairing_table(torsion, n, seed) == [
-            [weil_pairing(x, y, n, seed) for y in torsion] for x in torsion]
+            [weil_pairing(x, y, n, seed).exponent for y in torsion] for x in torsion]
 
 
 def first_draw_misses(curve, n, seed, torsion):
@@ -670,7 +670,7 @@ def test_pairing_table_retries_a_pair_whose_first_offsets_meet_a_support(monkeyp
         patch.setattr(ellcurve, "weil_pairing",
                       lambda *args, **kwargs: pytest.fail("weil_pairing called"))
         table = weil_pairing_table(torsion, n, seed)
-    assert table == [[weil_pairing(x, y, n, seed) for y in torsion] for x in torsion]
+    assert table == [[weil_pairing(x, y, n, seed).exponent for y in torsion] for x in torsion]
     # with one draw allowed, a pair that misses it is degenerate in both
     monkeypatch.setattr(ellcurve, "PAIRING_RETRIES", 1)
     P, Q = missed[0]
@@ -685,9 +685,37 @@ def test_pairing_table_keeps_weil_pairings_preconditions():
     with pytest.raises(NotTorsion):
         weil_pairing_table([x], 2)
     o = C3.infinity()
-    assert weil_pairing_table([o, o], 1) == [[RootOfUnity(1, 0)] * 2] * 2
-    assert weil_pairing_table([x, o], 3) == [[RootOfUnity(3, 0)] * 2] * 2
+    assert weil_pairing_table([o, o], 1) == [[0] * 2] * 2
+    assert weil_pairing_table([x, o], 3) == [[0] * 2] * 2
     assert weil_pairing_table([], 3) == []
+
+
+def test_the_curve_layer_holds_its_field_elements_as_ints():
+    # after a structure and a theta-verify run on E(13:7:0) at n = 3: kept points, lift
+    # lines and lift constants hold ints in [0, p), and the Weil table holds exponents
+    curve = Curve.make(13, 7, 0)
+    structure = theta_structure(curve, 3)
+    report = cli.run_theta_verify(curve, 3, 0, 0).to_dict()
+    assert all(c["status"] == "verified" for c in report["claims"])
+    p = curve.p
+
+    def reduced(v):
+        return type(v) is int and 0 <= v < p
+
+    curves = {id(c): c for c in (curve, structure.curve)}.values()  # one, or two equal
+    kept = [P for c in curves for P in c._points.values() if not P.is_infinity]
+    assert kept and all(reduced(P.x) and reduced(P.y) for P in kept)
+    for lift in structure.lifts:
+        assert reduced(lift.f.const) and lift.f.atoms
+        assert all(reduced(getattr(atom.line, name))
+                   for atom in lift.f.atoms for name in atom.line.__slots__)
+    torsion = list(torsion_subgroup(structure.curve, 3))
+    for seed in range(3):
+        table = weil_pairing_table(torsion, 3, seed)
+        assert all(type(e) is int for row in table for e in row)
+        assert table == [[weil_pairing(P, Q, 3, seed).exponent for Q in torsion] for P in torsion]
+    for P in kept:
+        assert CurvePoint(P.curve, P.x + p, P.y) == P == P.curve.point(P.x + p, P.y - p)
 
 
 def old_liftable_basis(curve, n):
@@ -874,7 +902,7 @@ def per_pair_commutator_claim(curve, n, table=weil_pairing_table):
     weil = table([g.x for _, g in section], n, seed=0)
     bad = [(g, h) for (ia, (a, g)), (ib, (b, h)) in itertools.product(enumerate(section), repeat=2)
            if mu_commutator(tables, vectors[a], vectors[b])
-           != (weil[ia][ib] ** sigma).embed_in_field(curve.p, gen).value]
+           != RootOfUnity(n, weil[ia][ib] * sigma).embed_in_field(curve.p, gen).value]
     detail = f"sigma = {sigma}"
     if bad:
         detail += "; first counterexample (g, h) = ({!r}, {!r})".format(*bad[0])
@@ -910,7 +938,7 @@ def test_derived_commutators_equal_the_vector_loop_on_a_skewed_pairing(monkeypat
 
     def skewed(points, n, seed=0):
         table = honest(points, n, seed=seed)
-        table[1][2] = table[1][2] * RootOfUnity(n, 1)
+        table[1][2] = (table[1][2] + 1) % n
         return table
 
     monkeypatch.setattr(claims, "weil_pairing_table", skewed)

@@ -36,11 +36,11 @@ def fe(v: int) -> FpElement:
 
 E = Curve(7, fe(3), fe(0))  # y^2 = x^3 + 3x over F_7
 O = CurvePoint(E, None, None)
-P, Q = CurvePoint(E, fe(1), fe(2)), CurvePoint(E, fe(1), fe(5))  # Q = -P
+P, Q = CurvePoint(E, 1, 2), CurvePoint(E, 1, 5)  # Q = -P
 D = Divisor(E, ((P, 1), (Q, 1), (O, -2)))
-V = VerticalLine(fe(1))
+V = VerticalLine(1)
 A = Atom(V, D, O, 1)
-F = TrackedFunction(E, fe(3), (A,))
+F = TrackedFunction(E, 3, (A,))
 K = FinAbGroup((4,))
 X, ELL = KElement(K, (1,)), Character(K, (1,))
 H0, H1 = HPoint(KElement(K, (0,)), Character(K, (0,))), HPoint(X, Character(K, (0,)))
@@ -52,12 +52,12 @@ CASES = [
     (FpElement, (7, 3), 1, 4),
     (RootOfUnity, (6, 1), 1, 2),
     (Curve, (7, fe(3), fe(0)), 1, fe(2)),
-    (CurvePoint, (E, fe(1), fe(2)), 2, fe(5)),
+    (CurvePoint, (E, 1, 2), 2, 5),
     (Divisor, (E, ((P, 1), (Q, 1), (O, -2))), 1, ((P, 2), (O, -2))),
-    (VerticalLine, (fe(1),), 0, fe(2)),
-    (ChordLine, (fe(2), fe(3)), 1, fe(4)),
+    (VerticalLine, (1,), 0, 2),
+    (ChordLine, (2, 3), 1, 4),
     (Atom, (V, D, O, 1), 3, -1),
-    (TrackedFunction, (E, fe(3), (A,)), 1, fe(5)),
+    (TrackedFunction, (E, 3, (A,)), 1, 5),
     (FinAbGroup, ((4,),), 0, (2, 2)),
     (KElement, (K, (1,)), 1, (2,)),
     (Character, (K, (1,)), 1, (3,)),
@@ -80,8 +80,8 @@ OVERRIDES = {
             "p, a and b only, not the count or the kept points; hashed on ints; E(p:a:b)"),
     CurvePoint: ("__eq__ __hash__ __repr__",
                  "identity first, since points are kept; hashed on the int coordinates; (x,y)"),
-    VerticalLine: ("__hash__", "the int of c, not the FpElement"),
-    ChordLine: ("__hash__", "the ints of lam and nu, not the FpElements"),
+    VerticalLine: ("__hash__", "the bare int c, read inline, since _merged hashes every line"),
+    ChordLine: ("__hash__", "(lam, nu) read inline, since _merged hashes every line"),
     FpElement: ("__repr__", "the value alone"),
     RootOfUnity: ("__repr__", "zetaN^k"),
     Divisor: ("__repr__", "the formal sum"),
@@ -160,12 +160,10 @@ def test_hash_runs_over_the_fields_in_order(cls, args, index, value):
     if cls is Curve:  # custom: the field's ints, not the FpElements
         expected = (g.p, g.a.value, g.b.value)
     elif cls is CurvePoint:  # custom: the coordinates alone
-        expected = (g.x.value, g.y.value)
-    elif cls is VerticalLine:  # custom: the int of c, not the FpElement
-        expected = g.c.value
-    elif cls is ChordLine:  # custom: the ints of lam and nu, not the FpElements
-        expected = (g.lam.value, g.nu.value)
-    else:
+        expected = (g.x, g.y)
+    elif cls is VerticalLine:  # custom: the bare int, not a one-field tuple
+        expected = g.c
+    else:  # ChordLine's override hashes its fields in order, without Frozen's field tuple
         expected = tuple(getattr(g, name) for name in cls.__slots__)
     assert hash(g) == hash(expected)
 
@@ -216,13 +214,17 @@ def test_frozen_types_refuse_assignment_and_deletion(cls, args, index, value):
 
 def test_validation_runs_in_init():
     assert FpElement(7, 10).value == 3
+    assert TrackedFunction(E, 10, ()).const == 3
+    assert CurvePoint(E, 8, -5) == P and CurvePoint(E, 8, -5).x == 1
     assert RootOfUnity(6, -1).exponent == 5
     assert KElement(K, (5,)).coords == (1,)
     assert FinAbGroup([4.0]).delta == (4,)
     with pytest.raises(ValueError):
         FpElement(8, 1)
     with pytest.raises(ValueError):
-        TrackedFunction(E, fe(0), ())
+        TrackedFunction(E, 0, ())
+    with pytest.raises(ValueError):
+        TrackedFunction(E, 7, ())
 
 
 def records():
