@@ -26,16 +26,16 @@ from collections.abc import Sequence
 from .errors import CurveMismatch, EvalAtSupport, Undefined
 from .ellcurve import Curve, CurvePoint, TrackedFunction, affine_points, same_function
 from .frozen import Frozen, set_field
-from .scalars import FpElement
 from .theta import ThetaElement
 
 
 class SamplePoint(Frozen):
-    """A point (x, t) of E x A^1 used to evaluate automorphisms pointwise."""
+    """A point (x, t) of E x A^1 used to evaluate automorphisms pointwise; the fiber
+    coordinate t is an int in [1, p)."""
 
     __slots__ = ("x", "t")
 
-    def __init__(self, x: CurvePoint, t: FpElement):
+    def __init__(self, x: CurvePoint, t: int):
         set_field(self, "x", x)
         set_field(self, "t", t)
 
@@ -85,14 +85,15 @@ def inverse(a: BirAuto) -> BirAuto:
 
 
 def apply(a: BirAuto, s: SamplePoint) -> SamplePoint:
-    """Evaluate at a sample; Undefined marks the birational locus."""
-    if s.x.curve is not a.y.curve and s.x.curve != a.curve:
-        raise CurveMismatch(f"{s.x!r} is not on {a.curve!r}")
+    """Evaluate at a sample, on the int value of a.f (CurveMismatch off its curve);
+    Undefined marks the birational locus."""
+    f = a.f
     try:
-        factor = a.f(s.x)
+        factor = f.value_at(s.x)
     except EvalAtSupport as exc:
         raise Undefined(f"{a!r} is undefined at {s.x!r}") from exc
-    return SamplePoint(s.x + a.y, factor * s.t)
+    curve = f.curve
+    return SamplePoint(curve._add(s.x, a.y), factor * s.t % curve.p)
 
 
 def bir_equal(a: BirAuto, b: BirAuto) -> bool:
@@ -109,10 +110,9 @@ class Samples(Sequence):
     """count samples (x, t), drawn as ints up front; the SamplePoint at an index is
     built the first time that index is read, and kept."""
 
-    __slots__ = ("_curve", "_pool", "_draws", "_built")
+    __slots__ = ("_pool", "_draws", "_built")
 
-    def __init__(self, curve: Curve, pool: tuple[CurvePoint, ...], draws: list[tuple[int, int]]):
-        self._curve = curve
+    def __init__(self, pool: tuple[CurvePoint, ...], draws: list[tuple[int, int]]):
         self._pool = pool
         self._draws = draws  # (index into pool, t) per sample
         self._built: dict[int, SamplePoint] = {}
@@ -124,15 +124,15 @@ class Samples(Sequence):
         sample = self._built.get(i)
         if sample is None:
             x, t = self._draws[i]  # IndexError past the end ends iteration
-            sample = self._built[i] = SamplePoint(self._pool[x], self._curve.fe(t))
+            sample = self._built[i] = SamplePoint(self._pool[x], t)
         return sample
 
 
 def sample_points(curve: Curve, seed: int = 0, count: int = 100) -> Samples:
     """Deterministic stream of samples with nonzero fiber coordinate: per sample, a point
-    of affine_points(curve) by rng.choice, then t = rng.randrange(1, p)."""
+    of affine_points(curve) by rng.choice, then t in [1, p) by rng.choice, which draws
+    _randbelow(p - 1) as rng.randrange(1, p) does."""
     rng = random.Random(f"{seed}:{curve.p}:samples")
     pool = affine_points(curve)
-    indices = range(len(pool))
-    return Samples(curve, pool, [(rng.choice(indices), rng.randrange(1, curve.p))
-                                 for _ in range(count)])
+    indices, fibers = range(len(pool)), range(1, curve.p)
+    return Samples(pool, [(rng.choice(indices), rng.choice(fibers)) for _ in range(count)])

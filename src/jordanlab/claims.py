@@ -386,7 +386,7 @@ def theta_claims(report: RunReport, curve: Curve | None, n: int, seed: int) -> N
 
     # embed(g c) and embed(c) after embed(g) carry the divisor n(O) - n(-(x_g + x_c)), so
     # agreeing at (S[0], 1), where embed(g) is read from g's vector, they agree everywhere
-    moved = [birgroup.SamplePoint(others[shift[x][0]], curve.fe(value)) for x, value in keys]
+    moved = [birgroup.SamplePoint(others[shift[x][0]], value) for x, value in keys]
     generator_claim("embed-homomorphism", size * size,
                     f"the action at ({others[0]!r}, 1) checked on the generators, "
                     "every pair by induction",
@@ -418,8 +418,8 @@ def theta_claims(report: RunReport, curve: Curve | None, n: int, seed: int) -> N
             sem_skipped += 1
             continue
         k = at.get(s.x)
-        if lhs != rhs or (k is not None and lhs.t.value != tables.product_value(
-                labels[a], labels[b], k) * s.t.value % curve.p):
+        if lhs != rhs or (k is not None and lhs.t != tables.product_value(
+                labels[a], labels[b], k) * s.t % curve.p):
             sem_failures += 1
         sem_ok += 1
     report.claim("compose-semantics", sem_failures == 0 and sem_ok >= 100, sem_ok,

@@ -35,16 +35,16 @@ def _human_lines(report: RunReport) -> list[str]:
     lines = [f"== {report.command} {report.params}"]
     for key, value in report.data.items():
         if key == "rows":
-            lines.append(f"{'n':>3} {'p':>5} {'a':>4} {'b':>4} {'|G|':>6} "
-                         f"{'certified':>9} {'min_index':>9} {'transport':>9}")
+            # one format for the header and every row; "-" where a row has no value
+            row_line = "{:>3} {:>5} {:>4} {:>4} {:>6} {:>9} {:>9} {!s:>9}".format
+            lines.append(row_line("n", "p", "a", "b", "|G|", "certified", "min_index", "transport"))
             for row in value:
-                lines.append(
-                    f"{row['n']:>3} {row.get('p') or '-':>5} "
-                    f"{row.get('a') if row.get('a') is not None else '-':>4} "
-                    f"{row.get('b') if row.get('b') is not None else '-':>4} "
-                    f"{row['group_order']:>6} {row['certified_lower_bound']:>9} "
-                    f"{row['min_abelian_index'] if row['min_abelian_index'] is not None else '-':>9} "
-                    f"{str(row.get('theta_transport', '-')):>9}")
+                a, b, index = row.get("a"), row.get("b"), row["min_abelian_index"]
+                lines.append(row_line(row["n"], row.get("p") or "-", "-" if a is None else a,
+                                      "-" if b is None else b, row["group_order"],
+                                      row["certified_lower_bound"],
+                                      "-" if index is None else index,
+                                      row.get("theta_transport", "-")))
         elif key != "witness":
             lines.append(f"  {key}: {value}")
     for c in report.claims:

@@ -6,7 +6,9 @@ in factored form as products of line atoms
 
     constant * prod_i  line_i(point + offset_i) ^ exponent_i,
 
-where each line is either vertical (x - c) or a chord/tangent (y - lam*x - nu)
+where each line is an int triple (u, v, w), the function u*y + v*x + w mod p:
+(0, 1, -c) for the vertical x - c, (1, -lam, -nu) for the chord or tangent
+y - lam*x - nu.  An atom is a plain tuple (line, offset, exponent, base divisor),
 and the offset implements translation pullback.  Multiplication, inversion,
 pullback and divisor bookkeeping are then trivial and exact; the price is the
 lack of a canonical form, so function equality is decided by divisor equality
@@ -20,8 +22,9 @@ function at many points on integer coordinates, and weil_pairing_table gives
 the pairing exponent of every pair of a point list from one evaluation per point.
 
 Inside the layer an element of F_p is an int in [0, p): coordinates, line
-coefficients, function constants.  FpElement is kept at its edge: Curve.a and .b,
-the values functions return, the arguments of scale and constant, weil_pairing.
+coefficients, function constants and the values of TrackedFunction.value_at.
+FpElement is kept at its edge: Curve.a and .b, the values __call__ returns, the
+arguments of scale and constant, weil_pairing.
 """
 
 from __future__ import annotations
@@ -606,68 +609,18 @@ def is_principal(divisor: Divisor) -> bool:
 # tracked rational functions
 
 
-class VerticalLine(Frozen):
-    """The function x - c, c an int; evaluated unreduced, for the caller to reduce mod p."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c: int):
-        set_field(self, "c", c)
-
-    def __hash__(self):
-        return hash(self.c)  # read inline, not via Frozen's field tuple: _merged hashes each line
-
-    def eval(self, x: int, y: int) -> int:
-        return x - self.c
-
-    def values(self, points: Sequence[tuple[int, int] | None]) -> list[int]:
-        """eval at each point, 0 at O (its pole)."""
-        c = self.c
-        return [0 if P is None else P[0] - c for P in points]
-
-
-class ChordLine(Frozen):
-    """The function y - lam*x - nu, lam and nu ints; evaluated unreduced, as VerticalLine is."""
-
-    __slots__ = ("lam", "nu")
-
-    def __init__(self, lam: int, nu: int):
-        set_field(self, "lam", lam)
-        set_field(self, "nu", nu)
-
-    def __hash__(self):
-        # read inline, not via Frozen's field tuple: _merged hashes each line
-        return hash((self.lam, self.nu))
-
-    def eval(self, x: int, y: int) -> int:
-        return y - self.lam * x - self.nu
-
-    def values(self, points: Sequence[tuple[int, int] | None]) -> list[int]:
-        """eval at each point, 0 at O (its pole)."""
-        lam, nu = self.lam, self.nu
-        return [0 if P is None else P[1] - lam * P[0] - nu for P in points]
-
-
-class Atom(Frozen):
-    """One factor line(point + offset) ^ exponent with its known base divisor."""
-
-    __slots__ = ("line", "base_divisor", "offset", "exponent")
-
-    def __init__(self, line: VerticalLine | ChordLine, base_divisor: Divisor, offset: CurvePoint,
-                 exponent: int):
-        set_field(self, "line", line)
-        set_field(self, "base_divisor", base_divisor)
-        set_field(self, "offset", offset)
-        set_field(self, "exponent", exponent)
-
-
 class TrackedFunction(Frozen):
-    """A nonzero rational function as constant * product of offset line atoms; const is
-    an int, reduced by __init__."""
+    """A nonzero rational function as const * product of offset line atoms; const is an
+    int, reduced by __init__.
+
+    An atom is a tuple (line, offset, exponent, base_divisor), the factor
+    line(point + offset) ^ exponent, where base_divisor is the divisor of line itself.
+    A line is an int triple (u, v, w) in [0, p), the function u*y + v*x + w: the
+    vertical x - c is (0, 1, -c) and the chord y - lam*x - nu is (1, -lam, -nu), mod p."""
 
     __slots__ = ("curve", "const", "atoms")
 
-    def __init__(self, curve: Curve, const: int, atoms: tuple[Atom, ...]):
+    def __init__(self, curve: Curve, const: int, atoms: tuple[tuple, ...]):
         const %= curve.p
         if not const:
             raise ValueError("tracked functions are nonzero")
@@ -685,22 +638,22 @@ class TrackedFunction(Frozen):
 
     def divisor(self) -> Divisor:
         """The sum over atoms of exponent * (base divisor pulled back along the offset)."""
-        return Divisor.of(self.curve, [(pt - a.offset, a.exponent * m)
-                                       for a in self.atoms for pt, m in a.base_divisor.items])
+        return Divisor.of(self.curve, [(pt - offset, e * m) for _, offset, e, base in self.atoms
+                                       for pt, m in base.items])
 
-    def _merged(self, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-        merged: dict[tuple, Atom] = {}
+    def _merged(self, atoms: Iterable[tuple]) -> tuple[tuple, ...]:
+        """The atoms with the exponents of one line at one offset summed, dropped at 0."""
+        merged: dict[tuple, tuple] = {}
         for atom in atoms:
-            key = (atom.line, atom.offset)
-            if key in merged:
-                prev = merged[key]
-                total = prev.exponent + atom.exponent
-                if total == 0:
-                    del merged[key]
-                else:
-                    merged[key] = Atom(prev.line, prev.base_divisor, prev.offset, total)
-            else:
+            line, offset, e, base = atom
+            key = (line, offset.x, offset.y)
+            prev = merged.get(key)
+            if prev is None:
                 merged[key] = atom
+            elif prev[2] + e:
+                merged[key] = (prev[0], prev[1], prev[2] + e, prev[3])
+            else:
+                del merged[key]
         return tuple(merged.values())
 
     def __mul__(self, other: "TrackedFunction") -> "TrackedFunction":
@@ -710,7 +663,7 @@ class TrackedFunction(Frozen):
                                self._merged(self.atoms + other.atoms))
 
     def inverse(self) -> "TrackedFunction":
-        flipped = tuple(Atom(a.line, a.base_divisor, a.offset, -a.exponent) for a in self.atoms)
+        flipped = tuple((line, offset, -e, base) for line, offset, e, base in self.atoms)
         return TrackedFunction(self.curve, pow(self.const, -1, self.curve.p), flipped)
 
     def __pow__(self, k: int) -> "TrackedFunction":
@@ -718,7 +671,7 @@ class TrackedFunction(Frozen):
             return TrackedFunction.one(self.curve)
         base = self if k > 0 else self.inverse()
         k = abs(k)
-        scaled = tuple(Atom(a.line, a.base_divisor, a.offset, k * a.exponent) for a in base.atoms)
+        scaled = tuple((line, offset, k * e, div) for line, offset, e, div in base.atoms)
         return TrackedFunction(self.curve, pow(base.const, k, self.curve.p), scaled)
 
     def scale(self, value: FpElement | int) -> "TrackedFunction":
@@ -726,42 +679,50 @@ class TrackedFunction(Frozen):
 
     def translate(self, y: CurvePoint) -> "TrackedFunction":
         """Translation pullback: the function P -> f(P + y)."""
-        if y.curve is not self.curve and y.curve != self.curve:
+        curve = self.curve
+        if y.curve is not curve and y.curve != curve:
             raise CurveMismatch("offset point on a different curve")
-        moved = tuple(Atom(a.line, a.base_divisor, a.offset + y, a.exponent) for a in self.atoms)
-        return TrackedFunction(self.curve, self.const, moved)
+        add = curve._add
+        moved = tuple([(line, add(offset, y), e, base) for line, offset, e, base in self.atoms])
+        return TrackedFunction(curve, self.const, moved)
 
-    def __call__(self, point: CurvePoint) -> FpElement:
-        """The value at point: each atom's argument point + offset is a kept point, read
-        from the curve's memo of sums (Curve._add), the lines are evaluated on its integer
-        coordinates, and the lines of negative exponent are multiplied apart, so a call
-        costs one inverse.  EvalAtSupport at the first atom, in order, whose argument is O
-        or whose line vanishes there."""
+    def value_at(self, point: CurvePoint) -> int:
+        """The value at point, an int in [1, p): each atom's argument point + offset is a
+        kept point, read from the curve's memo of sums (Curve._add), its line is evaluated
+        on the integer coordinates, and the lines of negative exponent are multiplied
+        apart, so a call costs one inverse.  EvalAtSupport at the first atom, in order,
+        whose argument is O or whose line vanishes there."""
         curve = self.curve
         if point.curve is not curve and point.curve != curve:
             raise CurveMismatch(f"{point!r} is not on {curve!r}")
-        p = curve.p
+        p, add = curve.p, curve._add
         num, den = self.const, 1
-        for atom in self.atoms:
-            arg = curve._add(point, atom.offset)
-            if arg.x is None:
+        for (u, v, w), offset, e, _ in self.atoms:
+            arg = add(point, offset)
+            x = arg.x
+            if x is None:
                 raise EvalAtSupport(f"atom argument hit the identity at {point!r}")
-            value = atom.line.eval(arg.x, arg.y) % p
+            value = (u * arg.y + v * x + w) % p
             if not value:
                 raise EvalAtSupport(f"atom vanished at {point!r}")
-            e = atom.exponent
-            if e > 0:
+            if e == 1:
+                num = num * value % p
+            elif e > 0:
                 num = num * pow(value, e, p) % p
             else:
                 den = den * pow(value, -e, p) % p
-        return FpElement(p, num * pow(den, -1, p))
+        return num * pow(den, -1, p) % p
+
+    def __call__(self, point: CurvePoint) -> FpElement:
+        """The value at point as an FpElement, for callers outside the layer (value_at)."""
+        return FpElement(self.curve.p, self.value_at(point))
 
     def constant_value(self) -> FpElement:
         """Value of a function known to have divisor 0, cross-checked at several points."""
         values = []
         for point in affine_points(self.curve):
             try:
-                values.append(self(point))
+                values.append(self.value_at(point))
             except EvalAtSupport:
                 continue
             if len(values) >= CONSTANT_SAMPLES:
@@ -770,7 +731,7 @@ class TrackedFunction(Frozen):
             raise EvalAtSupport("no sample point avoids the atom supports")
         if any(v != values[0] for v in values):
             raise CertificateError("divisor-free function is not constant; atom bookkeeping bug")
-        return values[0]
+        return FpElement(self.curve.p, values[0])
 
     def __repr__(self):
         return f"Fn({self.const}; {len(self.atoms)} atoms)"
@@ -783,7 +744,7 @@ def _int(value: FpElement | int) -> int:
 def _function_values(fn: TrackedFunction,
                      points: Sequence[tuple[int, int] | None]) -> list[int | None]:
     """fn at each point given on integer coordinates (None is O), or None where an atom
-    meets its support: TrackedFunction.__call__ on ints.
+    meets its support: TrackedFunction.value_at over a list of points.
 
     Each atom's argument point + offset is taken on _affine_add once per point and
     offset, and the lines of negative exponent are multiplied apart, so a point costs
@@ -793,21 +754,22 @@ def _function_values(fn: TrackedFunction,
     num = [fn.const] * len(points)
     den = [1] * len(points)
     moved: dict[tuple[int, int] | None, list] = {}
-    for atom in fn.atoms:
-        offset = atom.offset._coords()
+    for (u, v, w), offset, exponent, _ in fn.atoms:
+        offset = offset._coords()
         args = moved.get(offset)
         if args is None:
             args = moved[offset] = (points if offset is None else
                                     [_affine_add(p, a, b, P, offset) for P in points])
-        values = atom.line.values(args)
-        e = abs(atom.exponent)
+        # unreduced, and 0 at O, the line's pole
+        values = [0 if P is None else u * P[1] + v * P[0] + w for P in args]
+        e = abs(exponent)
         if e != 1:
-            values = [pow(v, e, p) for v in values]
-        if atom.exponent > 0:
-            num = [u * v % p for u, v in zip(num, values)]
+            values = [pow(r, e, p) for r in values]
+        if exponent > 0:
+            num = [acc * r % p for acc, r in zip(num, values)]
         else:
-            den = [u * v % p for u, v in zip(den, values)]
-    return [u * pow(d, -1, p) % p if u and d else None for u, d in zip(num, den)]
+            den = [acc * r % p for acc, r in zip(den, values)]
+    return [n * pow(d, -1, p) % p if n and d else None for n, d in zip(num, den)]
 
 
 def function_values(fn: TrackedFunction, points: Sequence[CurvePoint]) -> list[int | None]:
@@ -846,17 +808,19 @@ def line_function(p1: CurvePoint, p2: CurvePoint) -> TrackedFunction:
         return _vertical(curve, base)
     if p1.x == p2.x and (p1 != p2 or not p1.y):
         return _vertical(curve, p1)
-    lam = _slope(curve.p, curve.a.value, p1.x, p1.y, p2.x, p2.y)
+    p = curve.p
+    lam = _slope(p, curve.a.value, p1.x, p1.y, p2.x, p2.y)
     third = -(p1 + p2)
     div = Divisor.of(curve, [(p1, 1), (p2, 1), (third, 1), (curve.infinity(), -3)])
-    atom = Atom(ChordLine(lam, (p1.y - lam * p1.x) % curve.p), div, curve.infinity(), 1)
-    return TrackedFunction(curve, 1, (atom,))
+    # y - lam*x - nu with nu = y1 - lam*x1
+    line = (1, -lam % p, (lam * p1.x - p1.y) % p)
+    return TrackedFunction(curve, 1, ((line, curve.infinity(), 1, div),))
 
 
 def _vertical(curve: Curve, point: CurvePoint) -> TrackedFunction:
     div = Divisor.of(curve, [(point, 1), (-point, 1), (curve.infinity(), -2)])
-    atom = Atom(VerticalLine(point.x), div, curve.infinity(), 1)
-    return TrackedFunction(curve, 1, (atom,))
+    line = (0, 1, -point.x % curve.p)  # x - c
+    return TrackedFunction(curve, 1, ((line, curve.infinity(), 1, div),))
 
 
 def _line_over_vertical(r: CurvePoint, s: CurvePoint) -> TrackedFunction:
@@ -886,10 +850,10 @@ def _normalize(fn: TrackedFunction) -> TrackedFunction:
     """Scale so the value at the least evaluable affine reference point is 1."""
     for ref in affine_points(fn.curve):
         try:
-            value = fn(ref)
+            value = fn.value_at(ref)
         except EvalAtSupport:
             continue
-        return fn.scale(value.inverse())
+        return fn.scale(pow(value, -1, fn.curve.p))
     raise EvalAtSupport(f"no reference point available on {fn.curve!r}")
 
 

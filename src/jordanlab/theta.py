@@ -426,7 +426,7 @@ class ThetaStructure:
 
     def element(self, i: int, j: int, k: int) -> ThetaElement:
         """t^k s(i, j), the mu layer element labelled (i, j, k)."""
-        return self.section[(i, j)].scaled(self.t ** k)
+        return self.section[(i, j)].scaled(pow(self.t.value, k, self.curve.p))
 
     def mu_elements(self) -> list[ThetaElement]:
         """All n^3 elements with a mu_n scale over the canonical section."""

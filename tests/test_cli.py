@@ -642,7 +642,7 @@ def test_product_without_translation_exits_1(capsys, monkeypatch):
 
 
 def test_compose_without_translation_fails_compose_semantics_alone(capsys, monkeypatch):
-    # both sides of lhs == rhs evaluate through TrackedFunction.__call__; a composite
+    # both sides of lhs == rhs evaluate through TrackedFunction.value_at; a composite
     # whose second function is not pulled back along the first translation differs
     monkeypatch.setattr(birgroup, "compose", lambda second, first: birgroup.BirAuto(
         first.y + second.y, second.f * first.f))
@@ -656,16 +656,17 @@ def test_compose_without_translation_fails_compose_semantics_alone(capsys, monke
 
 def test_evaluation_without_its_denominator_fails_against_the_vectors(capsys, monkeypatch):
     # the structure is built honestly first; then every function value the claims read
-    # off the objects drops the lines of negative exponent, which the value vectors keep.
-    # embed-homomorphism compares object values with the vectors and nothing else
+    # off the objects, by the int evaluation birgroup.apply calls, drops the lines of
+    # negative exponent, which the value vectors keep.  embed-homomorphism compares
+    # object values with the vectors and nothing else
     theta.theta_structure(cli.Curve.make(13, 7, 0), 3)
-    honest = ellcurve.TrackedFunction.__call__
+    honest = ellcurve.TrackedFunction.value_at
 
     def numerator(fn, point):
-        kept = tuple(atom for atom in fn.atoms if atom.exponent > 0)
+        kept = tuple(atom for atom in fn.atoms if atom[2] > 0)  # (line, offset, exponent, base)
         return honest(ellcurve.TrackedFunction(fn.curve, fn.const, kept), point)
 
-    monkeypatch.setattr(ellcurve.TrackedFunction, "__call__", numerator)
+    monkeypatch.setattr(ellcurve.TrackedFunction, "value_at", numerator)
     code, report, _ = run_json(capsys, THETA_N3)
     assert code == 1
     failed = [id for id, c in claim_map(report).items() if c["status"] == "failed"]
@@ -689,6 +690,35 @@ def test_theta_verify_builds_each_point_once(capsys, monkeypatch):
     (curve,) = {id(c): c for c in built}.values()
     assert curve == cli.Curve.make(13, 7, 0) and curve.point_count() == 18
     assert len(curve._points) <= 18 and len(built) <= 18
+
+
+def test_compose_semantics_builds_no_field_element(capsys, monkeypatch):
+    # a counter guard, not a timing: with every cache cold, compose-semantics draws its
+    # samples, composes the maps and applies them on ints, so no FpElement is built
+    # between the embed-injective claim and its own
+    built, at_claim = [0], {}
+    honest_init, honest_add = ellcurve.FpElement.__init__, claims.RunReport._add
+
+    def counted(self, p, value):
+        built[0] += 1
+        honest_init(self, p, value)
+
+    def noted(self, claim):
+        at_claim[claim.id] = built[0]
+        return honest_add(self, claim)
+
+    monkeypatch.setattr(ellcurve.FpElement, "__init__", counted)
+    monkeypatch.setattr(claims.RunReport, "_add", noted)
+    monkeypatch.setattr(theta, "_STRUCTURES", {})
+    for cached in (ellcurve.enumerate_points, ellcurve.torsion_subgroup,
+                   ellcurve.miller_function):
+        cached.cache_clear()
+    code, report, _ = run_json(capsys, THETA_N3)
+    assert code == 0 and all(c["status"] == "verified" for c in report["claims"])
+    assert report["claims"][-1]["checked"] == 100
+    assert list(at_claim)[-2:] == ["embed-injective", "compose-semantics"]
+    assert built[0] > 0  # the structure and the pairing still build some
+    assert at_claim["compose-semantics"] - at_claim["embed-injective"] == 0
 
 
 def test_wrong_miller_divisor_exits_1(capsys, monkeypatch):
@@ -854,13 +884,13 @@ def test_wrong_composition_fails_embed_homomorphism(capsys, monkeypatch):
     claims = claim_map(report)
     curve = cli.Curve.make(7, 3, 0)
     tables = theta.theta_structure(curve, 2).tables
-    base = birgroup.SamplePoint(tables.others[0], curve.fe(1))
+    base = birgroup.SamplePoint(tables.others[0], 1)
     layer = theta_enumerate_mu(curve, 2)
     labels = theta.theta_structure(curve, 2).mu_labels()
     vectors = [tables.vector(*ijk) for ijk in labels]
     # the induction form: each element's image of base read from its vector, and the map
     # of each generator c applied after it
-    moved = [birgroup.SamplePoint(tables.others[tables.shift[x][0]], curve.fe(values[0]))
+    moved = [birgroup.SamplePoint(tables.others[tables.shift[x][0]], values[0])
              for x, values in vectors]
     bad = [(layer[g], layer[c]) for g in range(len(layer)) for c in generators(curve, 2)
            if birgroup.apply(birgroup.theta_embed(layer[c]), moved[g])
@@ -1291,7 +1321,7 @@ def per_pair_verdicts(curve, n):
     group = bool(identity) and all(identity[0] in row for row in prod) and all(
         prod[prod[a][b]][c] == prod[a][prod[b][c]] for a in r for b in r for c in r)
     embedded = [birgroup.theta_embed(g) for g in structure.mu_elements()]
-    base = birgroup.SamplePoint(tables.others[0], curve.fe(1))
+    base = birgroup.SamplePoint(tables.others[0], 1)
     moved = [birgroup.apply(e, base) for e in embedded]
     verdicts = [len(layer) == n ** 3,
                 all(labels[prod[a][b]] == claims.label_product(n, labels[a], labels[b])

@@ -18,7 +18,6 @@ from jordanlab.ellcurve import (
     CurvePoint,
     Divisor,
     TrackedFunction,
-    VerticalLine,
     _affine_add,
     _affine_mul,
     _point_count,
@@ -886,29 +885,26 @@ def test_mixed_curve_sums_raise_as_before(first, second):
 
 
 def reference_eval(fn, point):
-    """fn(point) as it stood: point + offset on CurvePoint, each line on FpElement."""
+    """fn(point) as it stood: point + offset on CurvePoint, each line (u, v, w), the
+    function u*y + v*x + w, on FpElement."""
     fe = fn.curve.fe
     value = fe(fn.const)
-    for atom in fn.atoms:
-        arg = reference_add(point, atom.offset)
+    for (u, v, w), offset, exponent, _ in fn.atoms:
+        arg = reference_add(point, offset)
         if arg.is_infinity:
             raise EvalAtSupport(f"atom argument hit the identity at {point!r}")
-        line = atom.line
-        if isinstance(line, VerticalLine):
-            v = fe(arg.x) - fe(line.c)
-        else:
-            v = fe(arg.y) - fe(line.lam) * fe(arg.x) - fe(line.nu)
-        if v.is_zero:
+        line = fe(u) * fe(arg.y) + fe(v) * fe(arg.x) + fe(w)
+        if line.is_zero:
             raise EvalAtSupport(f"atom vanished at {point!r}")
-        value = value * v ** atom.exponent
+        value = value * line ** exponent
     return value
 
 
 def reference_divisor(fn):
     """div fn as it stood: the per-atom divisors summed one at a time."""
     acc = Divisor.zero(fn.curve)
-    for atom in fn.atoms:
-        acc = acc + atom.base_divisor.translate(atom.offset).scale(atom.exponent)
+    for _, offset, exponent, base in fn.atoms:
+        acc = acc + base.translate(offset).scale(exponent)
     return acc
 
 

@@ -692,7 +692,8 @@ def test_pairing_table_keeps_weil_pairings_preconditions():
 
 def test_the_curve_layer_holds_its_field_elements_as_ints():
     # after a structure and a theta-verify run on E(13:7:0) at n = 3: kept points, lift
-    # lines and lift constants hold ints in [0, p), and the Weil table holds exponents
+    # lines (int triples) and lift constants hold ints in [0, p), and the Weil table
+    # holds exponents
     curve = Curve.make(13, 7, 0)
     structure = theta_structure(curve, 3)
     report = cli.run_theta_verify(curve, 3, 0, 0).to_dict()
@@ -707,8 +708,8 @@ def test_the_curve_layer_holds_its_field_elements_as_ints():
     assert kept and all(reduced(P.x) and reduced(P.y) for P in kept)
     for lift in structure.lifts:
         assert reduced(lift.f.const) and lift.f.atoms
-        assert all(reduced(getattr(atom.line, name))
-                   for atom in lift.f.atoms for name in atom.line.__slots__)
+        assert all(type(line) is tuple and len(line) == 3 and all(map(reduced, line))
+                   for line, *_ in lift.f.atoms)
     torsion = list(torsion_subgroup(structure.curve, 3))
     for seed in range(3):
         table = weil_pairing_table(torsion, 3, seed)

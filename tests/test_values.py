@@ -14,15 +14,7 @@ import pytest
 import jordanlab
 from jordanlab.birgroup import BirAuto, SamplePoint
 from jordanlab.claims import Claim, RunReport
-from jordanlab.ellcurve import (
-    Atom,
-    ChordLine,
-    Curve,
-    CurvePoint,
-    Divisor,
-    TrackedFunction,
-    VerticalLine,
-)
+from jordanlab.ellcurve import Curve, CurvePoint, Divisor, TrackedFunction
 from jordanlab.finab import Character, FinAbGroup, HPoint, HSubgroup, IsotropicWitness, KElement
 from jordanlab.frozen import Frozen
 from jordanlab.heisenberg import HeisElement, IndexReport
@@ -38,8 +30,7 @@ E = Curve(7, fe(3), fe(0))  # y^2 = x^3 + 3x over F_7
 O = CurvePoint(E, None, None)
 P, Q = CurvePoint(E, 1, 2), CurvePoint(E, 1, 5)  # Q = -P
 D = Divisor(E, ((P, 1), (Q, 1), (O, -2)))
-V = VerticalLine(1)
-A = Atom(V, D, O, 1)
+A = ((0, 1, 6), O, 1, D)  # the atom x - 1: (line, offset, exponent, base divisor)
 F = TrackedFunction(E, 3, (A,))
 K = FinAbGroup((4,))
 X, ELL = KElement(K, (1,)), Character(K, (1,))
@@ -54,9 +45,6 @@ CASES = [
     (Curve, (7, fe(3), fe(0)), 1, fe(2)),
     (CurvePoint, (E, 1, 2), 2, 5),
     (Divisor, (E, ((P, 1), (Q, 1), (O, -2))), 1, ((P, 2), (O, -2))),
-    (VerticalLine, (1,), 0, 2),
-    (ChordLine, (2, 3), 1, 4),
-    (Atom, (V, D, O, 1), 3, -1),
     (TrackedFunction, (E, 3, (A,)), 1, 5),
     (FinAbGroup, ((4,),), 0, (2, 2)),
     (KElement, (K, (1,)), 1, (2,)),
@@ -68,7 +56,7 @@ CASES = [
     (IndexReport, ((4,), 64, 4, 4, (G,), 16, 4, True, 61), 8, 60),
     (ThetaElement, (2, P, F), 0, 3),
     (HofL, (2, (P, Q, O)), 0, 3),
-    (SamplePoint, (P, fe(3)), 1, fe(4)),
+    (SamplePoint, (P, 3), 1, 4),
     (BirAuto, (P, F), 0, Q),
 ]
 IDS = [cls.__name__ for cls, *_ in CASES]
@@ -80,8 +68,6 @@ OVERRIDES = {
             "p, a and b only, not the count or the kept points; hashed on ints; E(p:a:b)"),
     CurvePoint: ("__eq__ __hash__ __repr__",
                  "identity first, since points are kept; hashed on the int coordinates; (x,y)"),
-    VerticalLine: ("__hash__", "the bare int c, read inline, since _merged hashes every line"),
-    ChordLine: ("__hash__", "(lam, nu) read inline, since _merged hashes every line"),
     FpElement: ("__repr__", "the value alone"),
     RootOfUnity: ("__repr__", "zetaN^k"),
     Divisor: ("__repr__", "the formal sum"),
@@ -102,12 +88,6 @@ REPRS = {
     "Curve": "E(7:3:0)",
     "CurvePoint": "(1,2)",
     "Divisor": "1*((1,2)) + 1*((1,5)) + -2*(O)",
-    "VerticalLine": "VerticalLine(c=1)",
-    "ChordLine": "ChordLine(lam=2, nu=3)",
-    "Atom": (
-        "Atom(line=VerticalLine(c=1), base_divisor=1*((1,2)) + 1*((1,5)) + -2*(O), offset=O, "
-        "exponent=1)"
-    ),
     "TrackedFunction": "Fn(3; 1 atoms)",
     "FinAbGroup": "K(4,)",
     "KElement": "(1,)",
@@ -161,9 +141,7 @@ def test_hash_runs_over_the_fields_in_order(cls, args, index, value):
         expected = (g.p, g.a.value, g.b.value)
     elif cls is CurvePoint:  # custom: the coordinates alone
         expected = (g.x, g.y)
-    elif cls is VerticalLine:  # custom: the bare int, not a one-field tuple
-        expected = g.c
-    else:  # ChordLine's override hashes its fields in order, without Frozen's field tuple
+    else:  # Frozen's derived hash: the field tuple
         expected = tuple(getattr(g, name) for name in cls.__slots__)
     assert hash(g) == hash(expected)
 
