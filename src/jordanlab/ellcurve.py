@@ -18,8 +18,9 @@ Miller functions (divisor n(P) - n(O)) are accumulated from lines by the
 standard double-and-add ladder, and the Weil pairing is computed from two
 Miller functions evaluated on translated divisors, retrying the random
 auxiliary offsets whenever supports collide.  function_values evaluates a
-function at many points on integer coordinates, and weil_pairing_table gives
-the pairing exponent of every pair of a point list from one evaluation per point.
+function at many points, and weil_pairing_table gives the pairing exponent of
+every pair of a point list from one evaluation per point.  Every sum, multiple
+and atom argument goes through one law, Curve._add, on kept CurvePoints.
 
 Inside the layer an element of F_p is an int in [0, p): coordinates, line
 coefficients, function constants and the values of TrackedFunction.value_at.
@@ -144,13 +145,13 @@ class Curve(Frozen):
 class CurvePoint(Frozen):
     """Affine point (x, y) of ints in [0, p), reduced by __init__, or O (x = y = None).
 
-    The group law is _chord_tangent on the integer coordinates, and k * P runs
-    the ladder of _affine_mul on them.  Sums, negatives, multiples and
+    The group law is Curve._add, _chord_tangent on the integer coordinates with a
+    memo, and k * P runs double-and-add over it.  Sums, negatives, multiples and
     enumerate_points take their points from Curve.point, so each coordinate pair of
     a Curve instance is built and checked on the curve once, by __init__, and the
-    point is kept.  P + Q of two affine points is read from the memo of P's curve
-    (Curve._add), keyed on the coordinates of P and Q, never on their ids: a point
-    built directly is not kept, and its id may be reused.
+    point is kept.  P + Q of two affine points is read from the memo of P's curve,
+    keyed on the coordinates of P and Q, never on their ids: a point built directly
+    is not kept, and its id may be reused.
     """
 
     __slots__ = ("curve", "x", "y")
@@ -182,9 +183,6 @@ class CurvePoint(Frozen):
     def is_infinity(self) -> bool:
         return self.x is None
 
-    def _coords(self) -> tuple[int, int] | None:
-        return None if self.x is None else (self.x, self.y)
-
     def _check(self, other: "CurvePoint") -> None:
         if self.curve is not other.curve and self.curve != other.curve:
             raise CurveMismatch(f"{self!r} and {other!r} are on different curves")
@@ -205,9 +203,16 @@ class CurvePoint(Frozen):
     def __rmul__(self, k: int) -> "CurvePoint":
         if k < 0:
             return (-k) * (-self)
-        curve = self.curve
-        point = _affine_mul(curve.p, curve.a.value, curve.b.value, k, self._coords())
-        return curve.infinity() if point is None else curve.point(*point)
+        # double-and-add: one Curve._add per addition or doubling, none past a doubling to O
+        add = self.curve._add
+        acc, step = self.curve.infinity(), self
+        while k and step.x is not None:
+            if k & 1:
+                acc = add(acc, step)
+            k >>= 1
+            if k:
+                step = add(step, step)
+        return acc
 
     def order(self) -> int:
         acc = self
@@ -246,21 +251,13 @@ def _rhs_values(p: int, a: int, b: int) -> Iterator[int]:
     return map(operator.mod, shifted, repeat(p))
 
 
-# Integer kernel for curve search: points are (x, y) int tuples, None is O, and
-# every point it computes is checked on the curve, as CurvePoint does.
+# Integer kernel: the chord-tangent law under Curve._add, and the counts of curve search,
+# which build no points.
 
 
 def _budget_check(p: int) -> None:
     if p > POINT_BUDGET:
         raise BudgetExceeded(f"p = {p} exceeds point enumeration budget {POINT_BUDGET}")
-
-
-def _on_curve(p: int, a: int, b: int, point: tuple[int, int] | None) -> tuple[int, int] | None:
-    if point is not None:
-        x, y = point
-        if (y * y - (x * x + a) * x - b) % p:
-            raise OffCurve(f"({x},{y}) is not on E({p}:{a}:{b})")
-    return point
 
 
 def _slope(p: int, a: int, x1: int, y1: int, x2: int, y2: int) -> int:
@@ -271,35 +268,13 @@ def _slope(p: int, a: int, x1: int, y1: int, x2: int, y2: int) -> int:
 
 
 def _chord_tangent(p: int, a: int, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int] | None:
-    """P + Q for affine P, Q by the chord-tangent law (Silverman III.2.3); unchecked."""
+    """P + Q for affine P, Q by the chord-tangent law (Silverman III.2.3); unchecked.
+    Curve._add is its one caller."""
     if x1 == x2 and (y1 + y2) % p == 0:
         return None
     lam = _slope(p, a, x1, y1, x2, y2)
     x3 = (lam * lam - x1 - x2) % p
     return x3, (lam * (x1 - x3) - y1) % p
-
-
-def _affine_add(p: int, a: int, b: int, P: tuple[int, int] | None,
-                Q: tuple[int, int] | None) -> tuple[int, int] | None:
-    """P + Q, checked on the curve."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    return _on_curve(p, a, b, _chord_tangent(p, a, *P, *Q))
-
-
-def _affine_mul(p: int, a: int, b: int, k: int, P: tuple[int, int] | None) -> tuple[int, int] | None:
-    """k * P for k >= 0 by double-and-add; P and every point computed are checked on the curve."""
-    acc = None
-    step = _on_curve(p, a, b, P)
-    while k and step is not None:
-        if k & 1:
-            acc = step if acc is None else _on_curve(p, a, b, _chord_tangent(p, a, *acc, *step))
-        k >>= 1
-        if k:
-            step = _on_curve(p, a, b, _chord_tangent(p, a, *step, *step))
-    return acc
 
 
 def _point_count(p: int, a: int, b: int) -> int:
@@ -741,27 +716,29 @@ def _int(value: FpElement | int) -> int:
     return value.value if isinstance(value, FpElement) else value  # an FpElement as its value
 
 
-def _function_values(fn: TrackedFunction,
-                     points: Sequence[tuple[int, int] | None]) -> list[int | None]:
-    """fn at each point given on integer coordinates (None is O), or None where an atom
-    meets its support: TrackedFunction.value_at over a list of points.
+def function_values(fn: TrackedFunction, points: Sequence[CurvePoint]) -> list[int | None]:
+    """The value of fn at each point, or None where an atom meets its support (where
+    fn(point) raises EvalAtSupport): TrackedFunction.value_at over a list of points.
 
-    Each atom's argument point + offset is taken on _affine_add once per point and
-    offset, and the lines of negative exponent are multiplied apart, so a point costs
-    one inverse; p is prime, so a product is 0 exactly when one of its lines is."""
+    Each atom's arguments point + offset are taken through the memo of sums
+    (Curve._add) once per distinct offset, and the lines of negative exponent are
+    multiplied apart, so a point costs one inverse; p is prime, so a product is 0
+    exactly when one of its lines is."""
     curve = fn.curve
-    p, a, b = curve.p, curve.a.value, curve.b.value
+    for point in points:
+        if point.curve is not curve and point.curve != curve:
+            raise CurveMismatch(f"{point!r} is not on {curve!r}")
+    p, add = curve.p, curve._add
     num = [fn.const] * len(points)
     den = [1] * len(points)
-    moved: dict[tuple[int, int] | None, list] = {}
+    moved: dict[tuple[int | None, int | None], list[CurvePoint]] = {}
     for (u, v, w), offset, exponent, _ in fn.atoms:
-        offset = offset._coords()
-        args = moved.get(offset)
+        key = (offset.x, offset.y)
+        args = moved.get(key)
         if args is None:
-            args = moved[offset] = (points if offset is None else
-                                    [_affine_add(p, a, b, P, offset) for P in points])
+            args = moved[key] = [add(P, offset) for P in points]
         # unreduced, and 0 at O, the line's pole
-        values = [0 if P is None else u * P[1] + v * P[0] + w for P in args]
+        values = [0 if P.x is None else u * P.y + v * P.x + w for P in args]
         e = abs(exponent)
         if e != 1:
             values = [pow(r, e, p) for r in values]
@@ -770,15 +747,6 @@ def _function_values(fn: TrackedFunction,
         else:
             den = [acc * r % p for acc, r in zip(den, values)]
     return [n * pow(d, -1, p) % p if n and d else None for n, d in zip(num, den)]
-
-
-def function_values(fn: TrackedFunction, points: Sequence[CurvePoint]) -> list[int | None]:
-    """The value of fn at each point, or None where an atom meets its support (where
-    fn(point) raises EvalAtSupport), computed on integer coordinates."""
-    for point in points:
-        if point.curve is not fn.curve and point.curve != fn.curve:
-            raise CurveMismatch(f"{point!r} is not on {fn.curve!r}")
-    return _function_values(fn, [point._coords() for point in points])
 
 
 def ratio_constant(f: TrackedFunction, g: TrackedFunction) -> FpElement:
@@ -914,9 +882,10 @@ def weil_pairing_table(points: Sequence[CurvePoint], n: int, seed: int = 0) -> l
     """The exponent in [0, n) of weil_pairing(P, Q, n, seed) for every P, Q of points,
     as table[i][j].
 
-    Each draw of offsets R, S serves every pair still open: each f_P is translated by
-    -R and evaluated on the points Q + S, and f_P^-1 by -S on the points P + R, once
-    per point, so the quotient of a pair is two lookups.  A pair whose quotient meets
+    The Miller function f_P of each affine point is taken once per call.  Each draw of
+    offsets R, S serves every pair still open: each f_P is translated by -R and
+    evaluated on the points Q + S, and f_P^-1 by -S on the points P + R, once per
+    point, so the quotient of a pair is two lookups.  A pair whose quotient meets
     a support takes the next draw of the same stream, as weil_pairing retries, up to
     PAIRING_RETRIES draws."""
     for point in points:
@@ -927,18 +896,17 @@ def weil_pairing_table(points: Sequence[CurvePoint], n: int, seed: int = 0) -> l
     if n == 1 or not points:
         return table
     curve = points[0].curve
-    p, a, b = curve.p, curve.a.value, curve.b.value
+    p, add = curve.p, curve._add
     generator = mu_generator(p, n)
     log = {(generator ** k).value: k for k in range(n)}
     rng = random.Random(f"{seed}:{curve.p}:{n}")
     pool = affine_points(curve)
-    coords = [point._coords() for point in points]
-    open_pairs = [(i, j) for i, P in enumerate(points) if not P.is_infinity
-                  for j, Q in enumerate(points) if not Q.is_infinity]
+    millers = {i: miller_function(n, P) for i, P in enumerate(points) if not P.is_infinity}
+    open_pairs = [(i, j) for i in millers for j in millers]
 
     def quotients(f: TrackedFunction, at: list) -> list[int | None] | None:
         """f at each point of at over f at the last one; None where a value meets a support."""
-        *values, base = _function_values(f, at)
+        *values, base = function_values(f, at)
         if base is None:
             return None
         inv = pow(base, -1, p)
@@ -947,12 +915,11 @@ def weil_pairing_table(points: Sequence[CurvePoint], n: int, seed: int = 0) -> l
     for _ in range(PAIRING_RETRIES):
         r = rng.choice(pool)
         s = rng.choice(pool)
-        at_s = [_affine_add(p, a, b, q, s._coords()) for q in coords] + [s._coords()]
-        at_r = [_affine_add(p, a, b, q, r._coords()) for q in coords] + [r._coords()]
+        at_s = [add(q, s) for q in points] + [s]
+        at_r = [add(q, r) for q in points] + [r]
         # left[i][j] = f_i(Q_j + S - R) / f_i(S - R); right[j][i] = f_j(R - S) / f_j(P_i + R - S)
-        left = {i: quotients(miller_function(n, points[i]).translate(-r), at_s)
-                for i in {i for i, _ in open_pairs}}
-        right = {j: quotients(miller_function(n, points[j]).inverse().translate(-s), at_r)
+        left = {i: quotients(millers[i].translate(-r), at_s) for i in {i for i, _ in open_pairs}}
+        right = {j: quotients(millers[j].inverse().translate(-s), at_r)
                  for j in {j for _, j in open_pairs}}
         missed = []
         for i, j in open_pairs:

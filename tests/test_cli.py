@@ -1546,6 +1546,34 @@ def test_package_imports_no_dataclasses():
         assert not [name for name in imported if name.split(".")[0] == "dataclasses"], path.name
 
 
+def test_the_curve_layer_has_one_group_law():
+    # the chord-tangent law runs inside Curve._add alone, and the int-tuple point kernel
+    # that carried it a second time is gone
+    retired = {"_affine_add", "_affine_mul", "_on_curve", "_function_values"}
+    callers, defined = [], []
+
+    def visit(node, scope, name):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+                if child.name in retired:
+                    defined.append((name, child.name))
+            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
+                if child.id in retired:
+                    defined.append((name, child.id))
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "_chord_tangent":
+                    callers.append((name, ".".join(scope)))
+            visit(child, inner, name)
+
+    for path in sorted((SRC / "jordanlab").glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), (), path.name)
+    assert callers == [("ellcurve.py", "Curve._add")]
+    assert not defined
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # nor, through a whole run, argparse and the gettext and locale it imports
     script = ("import sys\n"

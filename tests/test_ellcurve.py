@@ -18,8 +18,6 @@ from jordanlab.ellcurve import (
     CurvePoint,
     Divisor,
     TrackedFunction,
-    _affine_add,
-    _affine_mul,
     _point_count,
     _rhs_values,
     _sqrt_table,
@@ -170,15 +168,37 @@ def nonsingular(p):
             if (4 * a ** 3 + 27 * b ** 2) % p]
 
 
-def ladder_torsion_count(p, a, b, n):
-    """#E[n](F_p) by one double-and-add ladder per x: the count the scan ran before it read
-    E[n] off the division polynomials, kept as their reference."""
-    killed = 1
+LADDER_LEVELS = 12  # the largest n ladder_torsion_count is asked for
+
+
+@functools.cache
+def ladder_orders(p, a, b):
+    """(order of (x, y), root count of x) for each x with roots y, taken at its least root
+    by successive addition through ellcurve._chord_tangent, every multiple checked on the
+    curve here; an order past LADDER_LEVELS reads 0."""
+    orders = []
     for x, ys in enumerate(map(_sqrt_table(p).get, _rhs_values(p, a, b))):
-        # n(-P) = -(nP), so n kills both roots y and -y or neither
-        if ys and _affine_mul(p, a, b, n, (x, ys[0])) is None:
-            killed += len(ys)
-    return killed
+        if not ys:
+            continue
+        P = acc = (x, ys[0])
+        order = 1
+        while acc is not None and order < LADDER_LEVELS:
+            acc = ellcurve._chord_tangent(p, a, *acc, *P)
+            order += 1
+            if acc is not None and (acc[1] ** 2 - acc[0] ** 3 - a * acc[0] - b) % p:
+                raise OffCurve(f"{acc} is not on E({p}:{a}:{b})")
+        orders.append((order if acc is None else 0, len(ys)))
+    return tuple(orders)
+
+
+def ladder_torsion_count(p, a, b, n):
+    """#E[n](F_p) off the orders of ladder_orders: the count the scan took on points
+    before it read E[n] off the division polynomials, kept as their reference."""
+    # n(-P) = -(nP), so n kills both roots y and -y or neither
+    return 1 + sum(roots for order, roots in ladder_orders(p, a, b) if order and n % order == 0)
+
+
+point_count = functools.cache(_point_count)  # the reference count, once per (p, a, b)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -201,16 +221,9 @@ def test_division_polynomial_count_matches_the_ladder(n):
             continue
         for a, b in nonsingular(p):
             assert _torsion_count(p, a, b, n) == (ladder_torsion_count(p, a, b, n),
-                                                  _point_count(p, a, b)), (p, a, b)
+                                                  point_count(p, a, b)), (p, a, b)
             cases += 1
     assert cases == sum(p * p - p for p in primes_up_to(61)[2:] if n % p)
-
-
-def test_integer_group_law_matches_point_objects():
-    for P, Q in itertools.product(enumerate_points(C1370), repeat=2):
-        ints = [None if R.is_infinity else (R.x, R.y) for R in (P, Q, P + Q, 5 * P)]
-        assert _affine_add(13, 7, 0, ints[0], ints[1]) == ints[2]
-        assert _affine_mul(13, 7, 0, 5, ints[0]) == ints[3]
 
 
 @pytest.mark.parametrize("n,p_max", [(2, 23), (3, 30), (4, 30)])
@@ -398,34 +411,39 @@ def test_hasse_prefilter_keeps_the_search_result(monkeypatch, n, p_max):
     assert [(c, c.point_count()) for c in curve_search(n, p_max)] == filtered
 
 
-def test_integer_kernel_rejects_off_curve_points():
-    with pytest.raises(OffCurve):
-        _affine_mul(7, 3, 0, 2, (1, 1))  # 1 != 1 + 3 on y^2 = x^3 + 3x
-    ints = [(R.x, R.y) for R in enumerate_points(C1370)[:2]]
-    assert _affine_add(13, 7, 0, *ints) is not None
-    with pytest.raises(OffCurve):
-        _affine_add(13, 7, 1, *ints)  # the sum lies on b = 0, not on b = 1
-
-
 def test_point_sum_is_checked_on_the_curve_once(monkeypatch):
-    monkeypatch.setattr(ellcurve, "_on_curve", lambda *args: pytest.fail("sum checked twice"))
     points = enumerate_points(C1370)
-    assert [P + Q for P, Q in itertools.product(points, repeat=2)] == [
-        reference_add(P, Q) for P, Q in itertools.product(points, repeat=2)]
-    # a law gone wrong still meets the one check, in CurvePoint.__init__.  C1370 has every
-    # sum above memoized, so the wrong law runs on a fresh instance with an empty memo
-    monkeypatch.setattr(ellcurve, "_chord_tangent", lambda p, a, x1, y1, x2, y2: (x1, y1 + 1))
+    pairs = list(itertools.product(points, repeat=2))
+    sums = [reference_add(P, Q) for P, Q in pairs]
+    multiples = [reference_mul(k, P) for P in points for k in range(-4, 5)]
+    # a fresh instance builds, and so checks on the curve, each coordinate pair once, in
+    # CurvePoint.__init__: its points at first use, and no sum or multiple again
+    built = []
+    init = CurvePoint.__init__
+    monkeypatch.setattr(CurvePoint, "__init__",
+                        lambda self, curve, x, y: built.append((x, y)) or init(self, curve, x, y))
     fresh = Curve.make(13, 7, 0)
-    P, Q = [fresh.point(*R._coords()) for R in points
-            if not R.is_infinity and R.y != 6][:2]  # (y + 1)^2 != y^2
+    moved = {P: fresh.infinity() if P.is_infinity else fresh.point(P.x, P.y) for P in points}
+    for _ in range(2):
+        assert [moved[P] + moved[Q] for P, Q in pairs] == sums
+        assert [k * moved[P] for P in points for k in range(-4, 5)] == multiples
+    assert len(built) == len(set(built)) == len(points)
+    # a law gone wrong still meets the one check, in CurvePoint.__init__.  fresh has every
+    # sum above memoized, so the wrong law runs on new instances with an empty memo
+    monkeypatch.setattr(ellcurve, "_chord_tangent", lambda p, a, x1, y1, x2, y2: (x1, y1 + 1))
+    affine = [R for R in points if not R.is_infinity and R.y != 6]  # (y + 1)^2 != y^2
+    other = Curve.make(13, 7, 0)
+    P, Q = [other.point(R.x, R.y) for R in affine[:2]]
     with pytest.raises(OffCurve):
         P + Q
+    with pytest.raises(OffCurve):  # the ladder's first doubling
+        5 * Curve.make(13, 7, 0).point(affine[0].x, affine[0].y)
 
 
 @pytest.mark.parametrize("p, a, b", [(13, 7, 0), (43, 0, 1)])
 def test_memoized_sums_match_the_reference_law(p, a, b):
     curve = Curve.make(p, a, b)  # a fresh instance, so the first sums run the law
-    points = [curve.infinity() if R.is_infinity else curve.point(*R._coords())
+    points = [curve.infinity() if R.is_infinity else curve.point(R.x, R.y)
               for R in enumerate_points(curve)]
     pairs = list(itertools.product(points, repeat=2))
     want = [reference_add(P, Q) for P, Q in pairs]
@@ -439,7 +457,7 @@ def test_memoized_sums_match_the_reference_law(p, a, b):
 
 def test_an_equal_curve_is_not_served_the_sums_of_another():
     first, second = Curve.make(13, 7, 0), Curve.make(13, 7, 0)
-    u, v = [R._coords() for R in affine_points(first) if R.y != 6][:2]  # (y + 1)^2 != y^2
+    u, v = [(R.x, R.y) for R in affine_points(first) if R.y != 6][:2]  # (y + 1)^2 != y^2
     total = first.point(*u) + first.point(*v)
     assert total == reference_add(first.point(*u), first.point(*v))
     with pytest.MonkeyPatch.context() as patch:
@@ -451,17 +469,9 @@ def test_an_equal_curve_is_not_served_the_sums_of_another():
     assert (second.point(*u) + second.point(*v)).curve is second
 
 
-@pytest.mark.parametrize("curve", [C1370, Curve.make(19, 0, 5)])
-def test_integer_multiples_match_point_objects(curve):
-    p, a, b = curve.p, curve.a.value, curve.b.value
-    for P in enumerate_points(curve):
-        for k in range(13):
-            assert _affine_mul(p, a, b, k, P._coords()) == (k * P)._coords(), (P, k)
-
-
 @pytest.mark.parametrize("doctored, n", [("every", 3), ("tangent", 2), ("chord", 3)])
 def test_torsion_count_checks_every_point_of_the_ladder(monkeypatch, doctored, n):
-    # the ladder reference: at n = 2 it only doubles; at n = 3 it also adds P to 2P
+    # the reference adds P to each multiple: 2P is a tangent, and 3P onwards chords
     chord_tangent = ellcurve._chord_tangent
 
     def law(p, a, x1, y1, x2, y2):
@@ -473,8 +483,8 @@ def test_torsion_count_checks_every_point_of_the_ladder(monkeypatch, doctored, n
     want = (len(torsion_subgroup(C1370, n)), len(enumerate_points(C1370)))
     assert ladder_torsion_count(13, 7, 0, n) == want[0]
     monkeypatch.setattr(ellcurve, "_chord_tangent", law)
-    with pytest.raises(OffCurve):
-        ladder_torsion_count(13, 7, 0, n)
+    with pytest.raises(OffCurve):  # uncached, so the doctored law runs
+        ladder_orders.__wrapped__(13, 7, 0)
     assert _torsion_count(13, 7, 0, n) == want  # the scan's count runs no ladder
 
 
@@ -718,7 +728,8 @@ def test_point_order_and_scalar_mul():
 
 
 def test_scalar_multiple_makes_the_fewest_additions(monkeypatch):
-    # k * P runs the ladder of _affine_mul: one _chord_tangent per addition or doubling
+    # k * P runs double-and-add over Curve._add: on a fresh Curve, whose memo of sums is
+    # empty, one _chord_tangent per addition or doubling, and none when k * P is repeated
     add = ellcurve._chord_tangent
     calls = 0
 
@@ -735,9 +746,12 @@ def test_scalar_multiple_makes_the_fewest_additions(monkeypatch):
         nonlocal calls
         found = []
         for k in (1, 2, 3, 4, 8):
+            fresh = Curve.make(13, 7, 0)
+            P = fresh.point(point.x, point.y)
             calls = 0
-            k * point
+            k * P
             found.append(calls)
+            assert k * P is k * P and calls == found[-1], k
         return found
 
     assert counts(six) == [0, 1, 2, 2, 3]

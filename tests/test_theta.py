@@ -680,6 +680,20 @@ def test_pairing_table_retries_a_pair_whose_first_offsets_meet_a_support(monkeyp
         weil_pairing_table(torsion, n, seed)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pairing_table_takes_each_miller_function_once(monkeypatch, n):
+    # n = 2 is the case above, whose first draw misses a pair, so the table draws again
+    curve, seed = theta_curve(n), 0
+    torsion = list(torsion_subgroup(curve, n))
+    if n == 2:
+        assert first_draw_misses(curve, n, seed, torsion)
+    calls = []
+    monkeypatch.setattr(ellcurve, "miller_function",
+                        lambda n, x: calls.append(x) or miller_function(n, x))
+    weil_pairing_table(torsion, n, seed)
+    assert sorted(calls, key=CurvePoint.sort_key) == torsion[:-1]
+
+
 def test_pairing_table_keeps_weil_pairings_preconditions():
     x = theta_structure(C3, 3).basis[0]
     with pytest.raises(NotTorsion):
