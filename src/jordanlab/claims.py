@@ -21,7 +21,7 @@ from . import birgroup
 from .errors import CertificateError, Undefined
 from .ellcurve import Curve, weil_pairing_table
 from .finab import FinAbGroup, h_subgroups, h_tables
-from .gtable import reach
+from .gtable import bitmask, gather, reach
 from .heisenberg import (
     EXHAUSTIVE_CAP,
     group_table,
@@ -202,14 +202,20 @@ def abstract_claims(report: RunReport, group: FinAbGroup, budget: int) -> None:
                  counterexample("a", [(h[a],) for a in nd_bad]))
 
     if group.h_order() <= min(budget, ISOTROPIC_SCAN_CAP):
-        # gram holds mu_N exponents, so 0 is a trivial pairing
+        # gram holds mu_N exponents, so 0 is a trivial pairing.  Bit r of zero_in[a] is
+        # set when gram[r][a] == 0, so E^perp, the rows that are 0 on E, is the AND of
+        # zero_in[a] over E, and E is isotropic when it lies in E^perp
         subs = h_subgroups(group)
-        iso = [s for s in subs if not any(gram[a][b] for a in s for b in s)]
-        bad = []
-        for s in iso:
-            perp = {r for r in range(m) if not any(gram[r][a] for a in s)}
+        zero_in = [bitmask(map((0).__eq__, column)) for column in zip(*gram)]
+        bit = [1 << a for a in range(m)]
+        iso, bad = [], []
+        for s in subs:
+            perp = functools.reduce(operator.and_, map(zero_in.__getitem__, s))
+            if sum(map(bit.__getitem__, s)) & ~perp:
+                continue
+            iso.append(s)
             k = len(s)
-            if n % k or (m // k) % n or not s <= perp or len(perp) * k != m:
+            if n % k or (m // k) % n or perp.bit_count() * k != m:
                 bad.append(s)
         detail = f"{len(subs)} subgroups, {len(iso)} isotropic"
         if bad:
@@ -224,18 +230,17 @@ def abstract_claims(report: RunReport, group: FinAbGroup, budget: int) -> None:
     if n <= EXHAUSTIVE_CAP:
         # g h g^-1 h^-1 must be the central element zeta^e(g, h), for every pair; G1
         # label g lies over H label g // n, and zeta^k is label k.  Each row is gathered
-        # in C: column g^-1 read at the labels g h gives g h g^-1, and the rows of those
-        # read at h^-1 give the commutators
+        # in C: column g^-1 read at the labels g h gives g h g^-1, and column h^-1 read
+        # at entry h of that gives the commutator
         table, elems = group_table(group)
         t, inv, columns = table.table, table.inverse, table.columns
+        at_inverse = [columns[i] for i in inv]  # at_inverse[h][c] is c h^-1
         failures, first = 0, []
         for a, e_a in enumerate(gram):
             want = [e for e in e_a for _ in range(n)]
             for g in range(a * n, a * n + n):
-                t_g, col = t[g], columns[inv[g]]
-                # an itemgetter of one index returns the entry, not a tuple: G1 at N = 1
-                conj = operator.itemgetter(*t_g)(col) if len(t_g) > 1 else (col[t_g[0]],)
-                got = list(map(operator.getitem, map(t.__getitem__, conj), inv))
+                conj = gather(t[g])(columns[inv[g]])
+                got = list(map(operator.getitem, at_inverse, conj))
                 if got == want:
                     continue
                 bad = [hh for hh in range(len(elems)) if got[hh] != want[hh]]

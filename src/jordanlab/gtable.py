@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
+from itertools import chain
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
@@ -16,6 +17,21 @@ from .errors import CertificateError
 
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bytes of bools to a binary string
+
+
+def bitmask(flags: Iterable[bool]) -> int:
+    """The integer whose bit i is set when flags[i] is true, built in C: bit i is
+    character i from the right of a binary string."""
+    return int(bytes(flags)[::-1].translate(_TO_DIGITS), 2)
+
+
+def gather(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A map from v to the tuple of v[i] for i in indices, gathered in C; a tuple also
+    for one index, where an itemgetter would return the entry itself."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda v: (v[i],)
+    return operator.itemgetter(*indices)
 
 
 def reach(start: Iterable[int], step: Callable[[int], Iterable[int]]) -> frozenset[int]:
@@ -37,6 +53,7 @@ class GroupTable:
         self.order = len(self.table)
         self.identity = self._find_identity()
         self.inverse = self._build_inverses()
+        self._commuting: dict[int, int] = {}  # commuting masks read so far, by element
 
     @classmethod
     def from_elements(cls, elements: Sequence, mul: Callable) -> "GroupTable":
@@ -57,9 +74,10 @@ class GroupTable:
         """inverse[g] is the first h in row g with g h the identity."""
         inv = []
         for g, row in enumerate(self.table):
-            if self.identity not in row:
-                raise CertificateError(f"element {g} has no inverse")
-            inv.append(row.index(self.identity))
+            try:
+                inv.append(row.index(self.identity))  # one scan of the row, in C
+            except ValueError:
+                raise CertificateError(f"element {g} has no inverse") from None
         return inv
 
     def __getitem__(self, a: int) -> list[int]:
@@ -70,8 +88,13 @@ class GroupTable:
         return self.table[a][b] == self.table[b][a]
 
     def is_abelian_subset(self, subset: Iterable[int]) -> bool:
+        """Whether a b = b a for all a, b in subset: row a against column a, each gathered
+        at the members in C."""
         members = list(subset)
-        return all(self.commutes(a, b) for i, a in enumerate(members) for b in members[i + 1:])
+        if not members:
+            return True
+        at_members = gather(members)
+        return all(at_members(self.table[a]) == at_members(self.columns[a]) for a in members)
 
     def closure(self, gens: Iterable[int]) -> frozenset[int]:
         """The subgroup generated by gens: the identity, stepped by right multiplication.
@@ -97,12 +120,18 @@ class GroupTable:
         """Columns of the table: columns[b][a] is the index of a b.  Built once, read only."""
         return list(zip(*self.table))
 
+    def commuting_mask(self, g: int) -> int:
+        """Bit h is set when g h = h g: row g against column g.  Computed the first time
+        it is read, then kept."""
+        mask = self._commuting.get(g)
+        if mask is None:
+            mask = self._commuting[g] = bitmask(map(operator.eq, self.table[g], self.columns[g]))
+        return mask
+
     @cached_property
     def commuting(self) -> list[int]:
-        """Commuting bitmasks: bit h of commuting[g] is set when g h = h g.  Built once."""
-        # bit h is character h from the right of the binary string: b"\x01" for g h = h g
-        return [int(bytes(map(operator.eq, row[::-1], col[::-1])).translate(_TO_DIGITS), 2)
-                for row, col in zip(self.table, self.columns)]
+        """Every commuting mask: bit h of commuting[g] is set when g h = h g."""
+        return [self.commuting_mask(g) for g in range(self.order)]
 
     def abelian_subgroups(self, max_gens: int | None = None) -> dict[frozenset[int], tuple[int, ...]]:
         """All abelian subgroups with at most max_gens generators.
@@ -110,47 +139,54 @@ class GroupTable:
         A breadth-first walk that extends each abelian subgroup H only by
         elements g of its centralizer; <H, g> is then the coset product
         H * <g>, abelian again, so no closure search is needed.  Each frontier
-        entry carries the centralizer of H as a bitmask: the AND of the
-        commuting masks of its generators, since H and its generators have the
-        same centralizer.  The walk lists the cosets H g^k for k = 1 .. m - 1,
-        m the order of g H in <H, g> / H.  Every h g^k with gcd(k, m) = 1
-        generates <H, g> together with H, as g^k H generates the cyclic
-        quotient, so once g is tried all those cosets are cleared; the other
-        powers generate smaller extensions and are still tried.  Candidates are
-        tried in ascending order, so the first producer of each subgroup, and
-        so each generator tuple and the insertion order, stay those of the
-        plain walk over every centralizing element.
+        entry carries the members of H, as a tuple and as a bitmask, and the
+        centralizer of H as a bitmask: the AND of the commuting masks of its
+        generators, since H and its generators have the same centralizer.  A
+        commuting mask is computed only for a g that yields a new subgroup.
+        The walk lists the cosets H g^k for k = 1 .. m - 1, m the order of g H
+        in <H, g> / H, each by one gather of column g^k at the members of H.
+        Every h g^k with gcd(k, m) = 1 generates <H, g> together with H, as
+        g^k H generates the cyclic quotient, so once g is tried all those
+        cosets are cleared, by one mask; the other powers generate smaller
+        extensions and are still tried.  Candidates are tried in ascending
+        order, so the first producer of each subgroup, and so each generator
+        tuple and the insertion order, stay those of the plain walk over every
+        centralizing element.
         """
-        table, comm = self.table, self.commuting
-        trivial = frozenset({self.identity})
-        found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-        frontier = [(trivial, (), (1 << self.order) - 1)]
+        table, columns = self.table, self.columns
+        bit = [1 << x for x in range(self.order)]
+        e = self.identity
+        found: dict[frozenset[int], tuple[int, ...]] = {frozenset({e}): ()}
+        seen = {bit[e]}  # the member masks of found
+        frontier = [((e,), (), bit[e], (1 << self.order) - 1)]
         level = 0
         while frontier and (max_gens is None or level < max_gens):
             level += 1
             fresh = []
-            for members, gens, central in frontier:
-                untried = central
-                for h in members:
-                    untried &= ~(1 << h)
+            for members, gens, inside, central in frontier:
+                coset_of = gather(members)  # coset_of(columns[c]) is H c
+                untried = central & ~inside
                 while untried:
                     g = (untried & -untried).bit_length() - 1
-                    coset = [table[h][g] for h in members]
-                    cosets = []
-                    while coset[0] not in members:  # coset is H g^k for k = 1, 2, ...
+                    cosets, masks = [], []
+                    power = g
+                    while not inside >> power & 1:  # H g^k for k = 1, 2, ... until g^k is in H
+                        coset = coset_of(columns[power])
                         cosets.append(coset)
-                        coset = [table[x][g] for x in coset]
-                    m = len(cosets) + 1
-                    out = set(members)
-                    for k, coset in enumerate(cosets, 1):
-                        out.update(coset)
+                        masks.append(sum(map(bit.__getitem__, coset)))
+                        power = table[power][g]
+                    m = len(masks) + 1
+                    grown, cleared = inside, 0
+                    for k, mask in enumerate(masks, 1):
+                        grown |= mask
                         if gcd(k, m) == 1:
-                            for x in coset:
-                                untried &= ~(1 << x)
-                    bigger = frozenset(out)
-                    if bigger not in found:
+                            cleared |= mask
+                    untried &= ~cleared
+                    if grown not in seen:
+                        seen.add(grown)
                         new_gens = gens + (g,)
-                        found[bigger] = new_gens
-                        fresh.append((bigger, new_gens, central & comm[g]))
+                        bigger = members + tuple(chain.from_iterable(cosets))
+                        found[frozenset(bigger)] = new_gens
+                        fresh.append((bigger, new_gens, grown, central & self.commuting_mask(g)))
             frontier = fresh
         return found

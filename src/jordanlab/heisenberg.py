@@ -15,9 +15,9 @@ mu_N x K x {1} realizes index exactly N.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain
-from typing import Sequence
 
 from .errors import BudgetExceeded, CertificateError, GroupMismatch
 from .finab import H_TABLE_BUDGET, Character, FinAbGroup, HPoint, KElement, _h_group, k_tables
@@ -96,18 +96,48 @@ def check_g1_budget(n: int) -> None:
                              f"H_TABLE_BUDGET {H_TABLE_BUDGET}")
 
 
+class G1Elements(Sequence):
+    """G1's N^3 elements in sort_key order, as group_table labels them: the element at
+    index (x * N + ell) * N + k is (zeta^k, x, ell), built the first time that index is
+    read, and kept."""
+
+    __slots__ = ("_n", "_labels", "_xs", "_chars", "_built")
+
+    def __init__(self, group: FinAbGroup):
+        self._n = group.order
+        self._labels = range(self._n ** 3)
+        self._xs = group.elements()
+        self._chars = group.characters()
+        self._built: dict[int, HeisElement] = {}
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def __getitem__(self, i: int) -> HeisElement:
+        i = self._labels[i]  # as a tuple indexes: from the end when negative, IndexError past it
+        element = self._built.get(i)
+        if element is None:
+            rest, k = divmod(i, self._n)
+            x, ell = divmod(rest, self._n)
+            element = self._built[i] = HeisElement(RootOfUnity(self._n, k), self._xs[x],
+                                                   self._chars[ell])
+        return element
+
+
 @lru_cache(maxsize=None)
-def group_table(group: FinAbGroup) -> tuple[GroupTable, tuple[HeisElement, ...]]:
+def group_table(group: FinAbGroup) -> tuple[GroupTable, G1Elements]:
     """G1's multiplication table and its elements in sort_key order.
 
     Element (zeta^k, x, ell) has index (x * N + ell) * N + k, with x and ell
     indexed in group.elements() order: its image in H has index // N and
-    zeta^k has index k.  The twisted product (zeta^k, h) (zeta^k', h') =
-    (zeta^(k + k' + ell'(x)), h + h') runs over H's addition table and K's
-    character table (finab.k_tables), so row (h, k) is, for each h', the block
-    of the N labels (h + h') * N + (k + ell'(x) + k') mod N.  Row (h, 0)
-    chains those blocks from a precomputed list, and row (h, k + 1) is row
-    (h, k) moved one step along each fiber, entry h' * N + k' read from
+    zeta^k has index k.  The elements are a G1Elements sequence, so a run builds
+    only the HeisElements it reads, such as a witness's generators; the table
+    itself is built from labels alone.  The twisted product (zeta^k, h)
+    (zeta^k', h') = (zeta^(k + k' + ell'(x)), h + h') runs over H's addition
+    table and K's character table (finab.k_tables), so row (h, k) is, for each
+    h', the block of the N labels (h + h') * N + (k + ell'(x) + k') mod N.  Row
+    (h, 0) chains those blocks from a precomputed list, and row (h, k + 1) is
+    row (h, k) moved one step along each fiber, entry h' * N + k' read from
     h' * N + (k' + 1) mod N.  Refused before anything is allocated when the N^6
     entries would exceed H_TABLE_BUDGET (N <= 10), which also bounds the
     table's commuting masks.
@@ -125,7 +155,7 @@ def group_table(group: FinAbGroup) -> tuple[GroupTable, tuple[HeisElement, ...]]
         table.append(list(chain.from_iterable(map(blocks.__getitem__, keys))))
         for _ in range(1, n):
             table.append(list(step(table[-1])))
-    return GroupTable(table), tuple(elements(group))
+    return GroupTable(table), G1Elements(group)
 
 
 def label_product(n: int, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, int, int]:
@@ -238,14 +268,12 @@ def min_abelian_index(
         raise CertificateError(f"the lagrangian lift mu_N x K x 1 over {group!r} is not abelian")
 
     found = table.abelian_subgroups(1 + 2 * group.rank)
-    best_members = lagr
-    best = (order // len(lagr), tuple(sorted(lagr)))
-    for members in found:
-        candidate = (order // len(members), tuple(sorted(members)))
-        if candidate < best:
-            best = candidate
-            best_members = members
-    min_index = best[0]
+    # the witness is the least in sorted order among the subgroups of the largest order,
+    # the lift included: only those are sorted
+    largest = max(len(lagr), *map(len, found))
+    best_members = min((members for members in chain([lagr], found) if len(members) == largest),
+                       key=sorted)
+    min_index = order // largest
     if min_index < n:
         raise CertificateError(f"abelian subgroup of index {min_index} beat the certified bound {n}")
 

@@ -6,6 +6,7 @@ import functools
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -461,20 +462,30 @@ def test_abstract_verifies_bi_additivity_past_the_old_triple_cap(capsys, delta):
     assert claim["detail"] == "2 generators checked, every triple by induction"
 
 
-def test_doctored_inverse_fails_commutator_identity(capsys, monkeypatch):
-    table = claims.group_table(FinAbGroup((4,)))[0]  # the cached table that run_abstract reads
+def check_doctored_inverse_fails_commutator_identity(capsys, monkeypatch, delta):
+    group = FinAbGroup(parse_delta(delta))
+    table = claims.group_table(group)[0]  # the cached table that run_abstract reads
     monkeypatch.setattr(table, "inverse", list(range(table.order)))  # g h g h: not central
-    code, report, _ = run_json(capsys, ["abstract", "--delta", "4"])
+    code, report, _ = run_json(capsys, ["abstract", "--delta", delta])
     assert code == 1
     by_id = claim_map(report)
     assert by_id["pairing-bi-additive"]["status"] == "verified"
     claim = by_id["commutator-identity"]
     assert claim["status"] == "failed" and claim["failures"] > 0
-    group = FinAbGroup((4,))
     first = next((g, h) for g, h in itertools.product(elements(group), repeat=2)
                  if g * h * g * h != HeisElement(pairing(g.project(), h.project()),
                                                  group.zero(), group.trivial_character()))
     assert claim["detail"] == "first counterexample (g, h) = ({!r}, {!r})".format(*first)
+    assert (claim["failures"], claim["detail"]) == entry_loop_commutator_claim(group, table)
+
+
+def test_doctored_inverse_fails_commutator_identity(capsys, monkeypatch):
+    check_doctored_inverse_fails_commutator_identity(capsys, monkeypatch, "4")
+
+
+@pytest.mark.parametrize("delta", ["2,2", "6"])
+def test_doctored_inverse_fails_commutator_identity_past_n4(capsys, monkeypatch, delta):
+    check_doctored_inverse_fails_commutator_identity(capsys, monkeypatch, delta)
 
 
 def entry_loop_commutator_claim(group, table):
@@ -1064,6 +1075,48 @@ def test_trivial_pairing_fails_isotropic_claim(capsys, monkeypatch):
     first = next(s for s in subgroups if s.order > 1)
     assert claim["detail"] == (f"{len(subgroups)} subgroups, {len(subgroups)} isotropic; "
                                f"first counterexample E = <{first.elements[1]!r}> of order 2")
+
+
+def set_loop_isotropic_claim(group, gram):
+    """isotropic-index-divisibility as the set-based loop over the subgroups of H: E is
+    isotropic when gram is 0 on E x E, and E^perp is the set of rows r with gram[r][a]
+    == 0 for every a in E.  (status, checked, failures, detail) as the claim reports."""
+    h, h_table, _ = finab.h_tables(group)
+    n, m = group.order, len(h)
+    subs = finab.h_subgroups(group)
+    iso = [s for s in subs if not any(gram[a][b] for a in s for b in s)]
+    bad = []
+    for s in iso:
+        perp = {r for r in range(m) if not any(gram[r][a] for a in s)}
+        k = len(s)
+        if n % k or (m // k) % n or not s <= perp or len(perp) * k != m:
+            bad.append(s)
+    detail = f"{len(subs)} subgroups, {len(iso)} isotropic"
+    if bad:
+        gens = ", ".join(repr(h[g]) for g in h_table.generators(bad[0]))
+        detail += f"; first counterexample E = <{gens}> of order {len(bad[0])}"
+    return "failed" if bad else "verified", len(iso), len(bad), detail
+
+
+@pytest.mark.parametrize("delta,seed", [("4", 0), ("4", 1), ("2,2", 0), ("6", 0), ("6", 1)])
+def test_isotropic_claim_on_a_one_sided_gram_matches_the_set_loop(capsys, monkeypatch, delta,
+                                                                  seed):
+    group = FinAbGroup(parse_delta(delta))
+    h, h_table, honest = finab.h_tables(group)
+    m = len(h)
+    rng = random.Random(f"{delta}:{seed}")
+    gram = [row[:] for row in honest]
+    for r in rng.sample(range(1, m), m // 4):  # some rows read as trivial on a few columns
+        for a in rng.sample(range(m), m // 2):
+            gram[r][a] = 0
+    assert any(gram[r][a] == 0 != gram[a][r] for r in range(m) for a in range(m))  # one-sided
+    monkeypatch.setattr(claims, "h_tables", lambda group: (h, h_table, gram))
+    code, report, _ = run_json(capsys, ["abstract", "--delta", delta])
+    assert code == 1
+    claim = claim_map(report)["isotropic-index-divisibility"]
+    want = set_loop_isotropic_claim(group, gram)
+    assert (claim["status"], claim["checked"], claim["failures"], claim["detail"]) == want
+    assert want[2] > 0  # the doctored form breaks the claim
 
 
 def test_product_table_without_identity_exits_1(capsys, monkeypatch):

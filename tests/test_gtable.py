@@ -214,6 +214,18 @@ def test_commuting_masks_match_a_per_bit_reference(delta, which):
     assert table.commuting == reference
 
 
+@pytest.mark.parametrize("delta,read", [((4,), 31), ((2, 2), 47), ((5,), 31), ((6,), 97)])
+def test_scan_computes_a_commuting_mask_only_for_an_extending_element(delta, read):
+    group = FinAbGroup(delta)
+    table = GroupTable(group_table(group)[0].table)  # a fresh table: no mask read yet
+    found = table.abelian_subgroups(1 + 2 * group.rank)
+    extending = {gens[-1] for gens in found.values() if gens}
+    assert set(table._commuting) == extending and len(extending) == read < table.order
+    t = table.table
+    for g, mask in table._commuting.items():
+        assert mask == sum(1 << h for h in range(table.order) if t[g][h] == t[h][g])
+
+
 @pytest.mark.parametrize("which", ["G1", "H"])
 @pytest.mark.parametrize("delta", DELTAS)
 def test_closure_matches_the_two_sided_closure(delta, which):

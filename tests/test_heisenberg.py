@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from jordanlab import heisenberg
+from jordanlab import cli, heisenberg
 from jordanlab.errors import BudgetExceeded, CertificateError, GroupMismatch
 from jordanlab.finab import H_TABLE_BUDGET, FinAbGroup, KElement, is_isotropic, k_tables, pairing
 from jordanlab.gtable import GroupTable
@@ -226,6 +226,61 @@ def test_group_table_matches_object_product(delta):
     table, els = group_table(FinAbGroup(delta))
     assert list(els) == sorted(elements(FinAbGroup(delta)), key=HeisElement.sort_key)
     assert table.table == GroupTable.from_elements(els, lambda a, b: a * b).table
+
+
+@pytest.mark.parametrize("delta", chains(6))
+def test_group_table_elements_read_as_the_sorted_tuple(delta):
+    group = FinAbGroup(delta)
+    reference = tuple(sorted(elements(group), key=HeisElement.sort_key))
+    els = group_table(group)[1]
+    assert len(els) == len(reference)
+    assert tuple(els) == reference  # iteration order
+    order = list(range(len(reference)))
+    random.Random(f"{delta}").shuffle(order)
+    assert [els[i] for i in order] == [reference[i] for i in order]  # indexing, in any order
+    assert [els[-i] for i in range(1, len(els) + 1)] == list(reversed(reference))
+    for past in (len(reference), -len(reference) - 1):
+        with pytest.raises(IndexError):
+            els[past]
+    assert els[order[0]] is els[order[0]]  # built once, then kept
+    mul = lambda a, b: a * b
+    assert GroupTable.from_elements(els, mul).table == GroupTable.from_elements(reference, mul).table
+
+
+def test_abstract_builds_only_the_witness_generators(monkeypatch):
+    built = []
+    init = HeisElement.__init__
+    monkeypatch.setattr(HeisElement, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    group_table.cache_clear()
+    report = cli.run_abstract((6,), cli.ISOTROPIC_SCAN_CAP)
+    assert not report.failed
+    witness = report.to_dict()["witness"]["witness_generators"]
+    assert len(built) == len(witness) == 2  # not the 216 elements of G1
+    assert [{"a": g.a.exponent, "x": list(g.x.coords), "ell": list(g.ell.coords)}
+            for g in built] == witness
+
+
+def reference_witness(table, found, lagr):
+    """The witness as picked before: the least (index, sorted members) over the lift and
+    every subgroup found, the lift kept on a tie."""
+    best_members, best = lagr, (table.order // len(lagr), tuple(sorted(lagr)))
+    for members in found:
+        candidate = (table.order // len(members), tuple(sorted(members)))
+        if candidate < best:
+            best, best_members = candidate, members
+    return best_members
+
+
+@pytest.mark.parametrize("delta", chains(EXHAUSTIVE_CAP))
+def test_witness_is_the_reference_pick(delta):
+    group = FinAbGroup(delta)
+    table, els = group_table(group)
+    found = table.abelian_subgroups(1 + 2 * group.rank)
+    members = reference_witness(table, found, lagrangian_labels(group))
+    report = min_abelian_index(group)
+    assert report.witness_generators == tuple(els[i] for i in table.generators(members))
+    assert (report.witness_order, report.subgroups_scanned) == (len(members), len(found))
 
 
 @pytest.mark.parametrize("delta", [(1,), (2,), (3,), (4,), (5,), (6,), (2, 2), (4, 2), (3, 3)])
