@@ -17,8 +17,8 @@ import sys
 import time
 from types import SimpleNamespace
 
-from .claims import ISOTROPIC_SCAN_CAP, RunReport, abstract_claims, counterexample, theta_claims
-from .ellcurve import Curve, curve_search, iter_admissible_curves
+from .claims import ISOTROPIC_SCAN_CAP, RunReport, abstract_claims, theta_claims
+from .ellcurve import Curve, admissible_rows, iter_admissible_curves
 from .errors import (
     BadArgument,
     CertificateError,
@@ -28,6 +28,7 @@ from .errors import (
 )
 from .finab import FinAbGroup, parse_delta
 from .heisenberg import check_g1_budget, min_abelian_index
+from .scalars import is_prime
 from .theta import check_theta_budget, find_theta_curve, orientation_sigma
 
 
@@ -36,15 +37,16 @@ def _human_lines(report: RunReport) -> list[str]:
     for key, value in report.data.items():
         if key == "rows":
             # one format for the header and every row; "-" where a row has no value
-            row_line = "{:>3} {:>5} {:>4} {:>4} {:>6} {:>9} {:>9} {!s:>9}".format
-            lines.append(row_line("n", "p", "a", "b", "|G|", "certified", "min_index", "transport"))
+            row_line = "%3s %5s %4s %4s %6s %9s %9s %9s"
+            lines.append(row_line % ("n", "p", "a", "b", "|G|", "certified", "min_index",
+                                     "transport"))
             for row in value:
                 a, b, index = row.get("a"), row.get("b"), row["min_abelian_index"]
-                lines.append(row_line(row["n"], row.get("p") or "-", "-" if a is None else a,
-                                      "-" if b is None else b, row["group_order"],
-                                      row["certified_lower_bound"],
-                                      "-" if index is None else index,
-                                      row.get("theta_transport", "-")))
+                lines.append(row_line % (row["n"], row.get("p") or "-", "-" if a is None else a,
+                                         "-" if b is None else b, row["group_order"],
+                                         row["certified_lower_bound"],
+                                         "-" if index is None else index,
+                                         row.get("theta_transport", "-")))
         elif key != "witness":
             lines.append(f"  {key}: {value}")
     for c in report.claims:
@@ -83,18 +85,20 @@ def run_abstract(delta: tuple[int, ...], budget: int) -> RunReport:
 def run_curve_search(n: int, p_max: int) -> RunReport:
     start = time.perf_counter()
     report = RunReport("curve-search", {"n": n, "p_max": p_max})
-    curves = curve_search(n, p_max)
-    # each curve carries its isomorphism class's count from the search
-    report.data["rows"] = [{"n": n, "p": c.p, "a": c.a.value, "b": c.b.value,
-                            "group_order": c.point_count(), "certified_lower_bound": n,
-                            "min_abelian_index": None} for c in curves]
-    report.data["found"] = len(curves)
-    # level n over F_p needs mu_n in F_p and E[n] in E(F_p); one row per curve, in order
-    keys = [(c.p, c.a.value, c.b.value) for c in curves]
-    bad = [(c,) for c, key, before in zip(curves, keys, [()] + keys)
-           if c.p > p_max or c.p % n != 1 or c.point_count() % (n * n) or key <= before]
-    report.claim("search-complete", not bad, len(curves), len(bad), counterexample(
-        "curve", bad, f"{len(curves)} admissible curves with p <= {p_max}"))
+    rows = list(admissible_rows(n, p_max))  # (p, a, b, #E), #E as its class counted it
+    report.data["rows"] = [{"n": n, "p": p, "a": a, "b": b, "group_order": count,
+                            "certified_lower_bound": n, "min_abelian_index": None}
+                           for p, a, b, count in rows]
+    report.data["found"] = len(rows)
+    # level n over F_p needs mu_n in F_p and E[n] in E(F_p), and a curve a prime p >= 5 and
+    # 4a^3 + 27b^2 != 0 mod p; one row per curve, each above the last in (p, a, b) order
+    prime = {p: p >= 5 and is_prime(p) for p in {row[0] for row in rows}}
+    bad = [(p, a, b) for (p, a, b, count), (q, c, d, _) in zip(rows, [(0, 0, 0, 0)] + rows)
+           if p > p_max or p % n != 1 or count % (n * n) or (p, a, b) <= (q, c, d)
+           or not prime[p] or not (4 * a ** 3 + 27 * b * b) % p]
+    detail = f"{len(rows)} admissible curves with p <= {p_max}"
+    report.claim("search-complete", not bad, len(rows), len(bad), detail + (
+        "; first counterexample curve = E(%d:%d:%d)" % bad[0] if bad else ""))
     report.wall_time_s = time.perf_counter() - start
     return report
 

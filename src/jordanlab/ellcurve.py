@@ -24,6 +24,8 @@ and atom argument goes through one law, Curve._add, on kept CurvePoints.
 
 Inside the layer an element of F_p is an int in [0, p): coordinates, line
 coefficients, function constants and the values of TrackedFunction.value_at.
+Curve search runs on ints too: admissible_rows yields (p, a, b, #E) rows, and
+iter_admissible_curves builds a Curve from a row for the callers that need one.
 FpElement is kept at its edge: Curve.a and .b, the values __call__ returns, the
 arguments of scale and constant, weil_pairing.
 """
@@ -58,13 +60,13 @@ PAIRING_RETRIES = 16  # offset pairs weil_pairing tries before giving up
 
 class Curve(Frozen):
     """y^2 = x^3 + a*x + b over F_p, p >= 5, nonsingular.  count, if given, is #E(F_p) as
-    the caller counted and Hasse-checked it; curve_search passes the count its class took,
-    on points or as 2p + 2 minus its twist's, which _torsion_count's pass over the roots
-    then matched.  Each instance keeps one CurvePoint per
-    coordinate pair in _points, at most #E(F_p) of them, and a memo _sums of the sums of
-    two affine points, keyed on their coordinates (x1, y1, x2, y2), at most #E(F_p)^2
+    the caller counted and Hasse-checked it; iter_admissible_curves passes the count of its
+    row, which its class took on points or as 2p + 2 minus its twist's, and which
+    _torsion_count's pass over the roots then matched.  Each instance keeps one CurvePoint
+    per coordinate pair in _points, at most #E(F_p) of them, and a memo _sums of the sums
+    of two affine points, keyed on their coordinates (x1, y1, x2, y2), at most #E(F_p)^2
     entries.  The memo is made at the first sum, so a Curve that never adds, as most that
-    curve_search yields, holds none.  Equality and hashing read p, a and b only."""
+    iter_admissible_curves yields, holds none.  Equality and hashing read p, a and b only."""
 
     __slots__ = ("p", "a", "b", "_count", "_points", "_sums")
 
@@ -417,8 +419,8 @@ def _class_rows(p: int, units: list[tuple[int, int]], d: int) -> dict[int, list[
     return rows
 
 
-def _admissible_at(p: int, n: int) -> Iterator[Curve]:
-    """The curves over F_p carrying full level-n structure, in (a, b) order.
+def _admissible_at(p: int, n: int) -> Iterator[tuple[int, int, int, int]]:
+    """(p, a, b, #E) for the curves over F_p carrying full level-n structure, in (a, b) order.
 
     Every member (u^4 a, u^6 b) of a class with a != 0 has its a in the coset of the fourth
     powers that holds the representative's.  So the rows a = 0, 1, 2, ... are walked in
@@ -467,20 +469,21 @@ def _admissible_at(p: int, n: int) -> Iterator[Curve]:
                 for x, y in {(u4 * a % p, u6 * b % p) for u4, u6 in units}:
                     rows.setdefault(x, []).append((y, count))
         for b, count in sorted(rows.pop(row, ())):
-            yield Curve(p, FpElement(p, row), FpElement(p, b), count)
+            yield p, row, b, count
 
 
-def iter_admissible_curves(n: int, p_max: int) -> Iterator[Curve]:
-    """Curves with p = 1 (mod n) carrying full level-n structure, (p, a, b) ordered.
+def admissible_rows(n: int, p_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """(p, a, b, #E) for the curves with p = 1 (mod n) carrying full level-n structure, in
+    (p, a, b) order.
 
     Full level-n structure needs n^2 | #E: a prime whose Hasse interval holds no multiple
     of n^2 is ruled out by the Hasse bound and skipped.  (a, b) and (u^4 a, u^6 b) are
     isomorphic by (x, y) -> (u^2 x, u^3 y), with the same #E and E[n], so #E is taken
     once per isomorphism class, at a representative, on integer coordinates or from its
     twist, and E[n] is counted off the division polynomials, as
-    _admissible_at lays out; a Curve, carrying the count, is built only for the curves
-    yielded.  Only p = 1 (mod n) is visited.  A prime p = 1 (mod n) past the point
-    budget, where the scan would stop, is refused before the first prime is scanned.
+    _admissible_at lays out; no Curve is built.  Only p = 1 (mod n) is visited.  A prime
+    p = 1 (mod n) past the point budget, where the scan would stop, is refused before the
+    first prime is scanned.
     """
     if n < 2:
         raise ValueError("level must be at least 2")
@@ -492,6 +495,12 @@ def iter_admissible_curves(n: int, p_max: int) -> Iterator[Curve]:
     for p in range(5 + -4 % n, min(p_max, POINT_BUDGET) + 1, n):
         if is_prime(p) and _hasse_allows(p, n2):
             yield from _admissible_at(p, n)
+
+
+def iter_admissible_curves(n: int, p_max: int) -> Iterator[Curve]:
+    """The curves of admissible_rows, each built from its row and carrying its count."""
+    for p, a, b, count in admissible_rows(n, p_max):
+        yield Curve(p, FpElement(p, a), FpElement(p, b), count)
 
 
 def curve_search(n: int, p_max: int) -> list[Curve]:

@@ -96,38 +96,61 @@ def test_curve_search(capsys):
     assert code == 0 and report["rows"] == []
 
 
-def curves_repeated(curves):  # the third curve listed twice
-    return curves[:3] + curves[2:]
+def curves_repeated(rows):  # the third row listed twice
+    return rows[:3] + rows[2:]
 
 
-def curves_past_the_bound(curves):  # a curve of p = 53 > 50 appended
-    return curves + [ellcurve.curve_search(3, 53)[-1]]
+def curves_past_the_bound(rows):  # a row of p = 53 > 50 appended
+    return rows + [list(ellcurve.admissible_rows(3, 53))[-1]]
 
 
-def curves_of_level_2(curves):  # the level-2 curves, from p = 5: most lack level 3
-    return ellcurve.curve_search(2, 50)
+def curves_of_level_2(rows):  # the level-2 rows, from p = 5: most lack level 3
+    return list(ellcurve.admissible_rows(2, 50))
 
 
 def without_level_3(rows):  # rows with mu_3 outside F_p or E[3] outside E(F_p)
     return sum(row["p"] % 3 != 1 or row["group_order"] % 9 != 0 for row in rows)
 
 
+def search_with_rows(capsys, monkeypatch, rows, n, p_max):
+    """curve-search --n n --p-max p_max run on the (p, a, b, #E) rows given in place of the
+    scan's: the exit code, the records' rows and the search-complete claim."""
+    monkeypatch.setattr(cli, "admissible_rows", lambda *args: iter(rows))
+    code, report, _ = run_json(capsys, ["curve-search", "--n", str(n), "--p-max", str(p_max)])
+    return code, report["rows"], claim_map(report)["search-complete"]
+
+
 @pytest.mark.parametrize("doctored,failures,first", [
-    (curves_repeated, lambda rows: 1, lambda curves: curves[2]),
-    (curves_past_the_bound, lambda rows: 1, lambda curves: ellcurve.curve_search(3, 53)[-1]),
-    (curves_of_level_2, without_level_3, lambda curves: ellcurve.curve_search(2, 50)[0]),
+    (curves_repeated, lambda rows: 1, lambda rows: rows[2]),
+    (curves_past_the_bound, lambda rows: 1, lambda rows: list(ellcurve.admissible_rows(3, 53))[-1]),
+    (curves_of_level_2, without_level_3, lambda rows: next(ellcurve.admissible_rows(2, 50))),
 ])
 def test_doctored_search_fails_search_complete(capsys, monkeypatch, doctored, failures, first):
-    honest = ellcurve.curve_search(3, 50)
-    monkeypatch.setattr(cli, "curve_search", lambda n, p_max: doctored(honest))
-    code, report, _ = run_json(capsys, ["curve-search", "--n", "3", "--p-max", "50"])
+    honest = list(ellcurve.admissible_rows(3, 50))
+    code, rows, claim = search_with_rows(capsys, monkeypatch, doctored(honest), 3, 50)
     assert code == 1
-    claim = claim_map(report)["search-complete"]
-    rows = report["rows"]
     assert claim["status"] == "failed" and claim["checked"] == len(rows)
     assert claim["failures"] == failures(rows) > 0
-    assert claim["detail"] == (f"{len(rows)} admissible curves with p <= 50; "
-                               f"first counterexample curve = {first(honest)!r}")
+    # the claim names a row as its Curve prints
+    assert claim["detail"] == (f"{len(rows)} admissible curves with p <= 50; first "
+                               f"counterexample curve = {ellcurve.Curve.make(*first(honest)[:3])!r}")
+
+
+@pytest.mark.parametrize("n,p_max,extra,named", [
+    (3, 50, [(13, 0, 0, 18)], "E(13:0:0)"),  # singular: 4a^3 + 27b^2 = 0
+    (3, 50, [(25, 1, 1, 27)], "E(25:1:1)"),  # a composite p = 1 mod 3
+    (3, 50, [(25, 1, 1, 27), (13, 0, 0, 18)], "E(13:0:0)"),
+    (2, 13, [(3, 1, 0, 4)], "E(3:1:0)"),  # a prime below 5
+])
+def test_rows_of_no_curve_fail_search_complete(capsys, monkeypatch, n, p_max, extra, named):
+    # each row is in order, below the bound and with n^2 | #E, so only the curve check fails
+    doctored = sorted(list(ellcurve.admissible_rows(n, p_max)) + extra)
+    code, rows, claim = search_with_rows(capsys, monkeypatch, doctored, n, p_max)
+    assert code == 1 and len(rows) == len(doctored)
+    assert claim["status"] == "failed" and claim["checked"] == len(rows)
+    assert claim["failures"] == len(extra)
+    assert claim["detail"] == (f"{len(rows)} admissible curves with p <= {p_max}; "
+                               f"first counterexample curve = {named}")
 
 
 def test_curve_search_past_the_budget_exits_2_before_scanning(capsys, monkeypatch):

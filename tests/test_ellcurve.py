@@ -366,12 +366,28 @@ def test_level_16_theta_curve_is_unchanged():
     assert repr(theta.find_theta_curve(16, 2000)) == "E(769:0:1)"
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_curve_search_rows_carry_the_object_point_count(n):
-    rows = run_curve_search(n, 40).data["rows"]
+# the ids of the first three cases are those they had as the levels at p_max = 40
+@pytest.mark.parametrize("n,p_max", [
+    pytest.param(2, 40, id="2"), pytest.param(3, 40, id="3"), pytest.param(4, 40, id="4"),
+    pytest.param(3, 50, id="3-50"), pytest.param(4, 60, id="4-60"),  # the bench's items
+])
+def test_curve_search_rows_carry_the_object_point_count(n, p_max):
+    rows = run_curve_search(n, p_max).data["rows"]
     assert rows
     for row in rows:
         assert row["group_order"] == len(enumerate_points(Curve.make(row["p"], row["a"], row["b"])))
+
+
+def test_curve_search_builds_no_curve_and_no_field_element(monkeypatch):
+    built = []
+    for cls in (Curve, FpElement):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init:
+                            built.append(type(self).__name__) or init(self, *args))
+    assert len(run_curve_search(2, 40).data["rows"]) == 693
+    assert built == []
+    curve_search(2, 5)  # the public list is of curves, each with its two coefficients
+    assert sorted(set(built)) == ["Curve", "FpElement"]
 
 
 def test_search_counts_no_yielded_curve_again(monkeypatch):
